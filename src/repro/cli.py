@@ -668,9 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="full 36-workload sweep (slow)")
     p_sweep.add_argument("--iters", type=int, default=None)
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the sweep "
-                              "(1 = in-process serial execution; "
-                              "--profile forces 1)")
+                         help="worker processes for the sweep (with "
+                              "the default auto backend, 1 = in-process "
+                              "serial execution; --profile forces 1)")
     p_sweep.add_argument("--graphs", default=None, metavar="KEYS",
                          help="comma-separated dataset keys to sweep "
                               "(default: all six)")
@@ -681,6 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(BACKENDS),
                          help="execution backend (default auto: serial "
                               "when --jobs 1, else a process pool; "
+                              "process: a pool of exactly --jobs workers; "
                               "multinode runs a coordinated worker fleet "
                               "over a filesystem work queue)")
     p_sweep.add_argument("--nodes", type=int, default=2, metavar="N",
@@ -764,9 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
                          help="executor backend for cold batches "
-                              "(default auto)")
+                              "(default auto: a process pool per dispatch "
+                              "thread, alive as long as the daemon; serial "
+                              "simulates inside the daemon process)")
     p_serve.add_argument("--jobs", type=int, default=1,
-                         help="worker processes per cold batch (default 1)")
+                         help="worker processes per dispatch thread "
+                              "(default 1)")
     p_serve.add_argument("--batch-window", type=float, default=0.02,
                          metavar="SECONDS",
                          help="how long cold units wait to batch up "

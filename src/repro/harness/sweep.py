@@ -406,17 +406,21 @@ def run_sweep(
         executor = make_backend(
             backend, jobs=jobs, nodes=nodes, policy=policy,
             injector=injector, queue_dir=queue_dir, **backend_kwargs)
-    workloads = run_plan(
-        plan,
-        jobs=jobs,
-        cache=_resolve_cache(cache),
-        executor=executor,
-        progress=progress,
-        policy=policy,
-        injector=injector,
-        keep_going=keep_going,
-        manifest=manifest,
-    )
+    try:
+        workloads = run_plan(
+            plan,
+            jobs=jobs,
+            cache=_resolve_cache(cache),
+            executor=executor,
+            progress=progress,
+            policy=policy,
+            injector=injector,
+            keep_going=keep_going,
+            manifest=manifest,
+        )
+    finally:
+        if executor is not None:
+            executor.close()
     _obs.emit("sweep.phase", name="execute", boundary="end")
 
     return aggregate_sweep(plan, workloads, graphs, apps,

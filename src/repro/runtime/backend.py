@@ -51,8 +51,7 @@ def make_backend(name: str = "auto",
     if name == "serial":
         return SerialExecutor(policy=policy, injector=injector)
     if name == "process":
-        return ParallelExecutor(jobs if jobs and jobs > 1 else None,
-                                policy=policy, injector=injector)
+        return ParallelExecutor(jobs, policy=policy, injector=injector)
     if name == "multinode":
         return MultiNodeExecutor(nodes=nodes, policy=policy,
                                  injector=injector, queue_dir=queue_dir,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import concurrent.futures as cf
 import logging
 import os
+import signal
 import time
 from collections import OrderedDict, deque
 from concurrent.futures.process import BrokenProcessPool
@@ -193,6 +194,19 @@ def _worker_execute(payload: dict) -> dict:
     return execute_spec(spec).to_dict()
 
 
+def _worker_init() -> None:
+    """Pool-worker start-up: drop the signal wiring ``fork`` inherited.
+
+    A worker forked from the serve daemon after asyncio installed its
+    SIGINT/SIGTERM handlers would ignore the SIGTERM a hang recycle
+    sends, and relay it through the inherited wake-up fd to the daemon
+    as the daemon's own shutdown signal.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 def _kill_pool(pool: cf.ProcessPoolExecutor) -> None:
     """Best-effort immediate teardown: terminate workers, drop the queue.
 
@@ -224,12 +238,29 @@ class Executor:
     ``position`` indexes into the ``specs`` sequence it was handed and
     ``outcome`` is a :class:`WorkloadResult` or, for a unit that
     exhausted its retries, a :class:`UnitFailure`.
+
+    An executor may hold resources across runs (the worker pool of
+    :class:`ParallelExecutor`): ``start`` acquires them up front,
+    ``close`` releases them, and leaving a ``with`` block closes.  Both
+    are no-ops for executors that hold nothing between runs.
     """
 
     def run(
         self, specs: Sequence[WorkloadSpec]
     ) -> Iterator[tuple[int, WorkloadResult | UnitFailure]]:
         raise NotImplementedError
+
+    def start(self) -> None:
+        """Acquire long-lived resources now instead of on the first run."""
+
+    def close(self) -> None:
+        """Release long-lived resources; a later run acquires them anew."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class SerialExecutor(Executor):
@@ -284,6 +315,13 @@ class ParallelExecutor(Executor):
     ``from_dict`` — which the runtime tests assert.  At most ``jobs``
     units are in flight at once, so a submit time approximates a start
     time and per-unit deadlines are meaningful.
+
+    The pool of ``jobs`` workers (``None``: one per core) lives as long
+    as the executor: forked by the first :meth:`run` (or :meth:`start`),
+    reused by later runs, replaced in place after a crash or hang, and
+    shut down by :meth:`close`.  A run that is interrupted mid-flight
+    kills its pool; the next run forks a fresh one.  One executor serves
+    one thread at a time.
     """
 
     def __init__(self, jobs: int | None = None,
@@ -294,6 +332,27 @@ class ParallelExecutor(Executor):
         self.jobs = jobs or os.cpu_count() or 1
         self.policy = policy
         self.injector = injector
+        self._pool: cf.ProcessPoolExecutor | None = None
+
+    def _new_pool(self) -> cf.ProcessPoolExecutor:
+        self._pool = cf.ProcessPoolExecutor(max_workers=self.jobs,
+                                            initializer=_worker_init)
+        return self._pool
+
+    def start(self) -> None:
+        """Fork the workers now, on the calling thread (idempotent).
+
+        Waiting on one trivial task makes the fork happen here rather
+        than on whichever thread runs first — so a caller about to
+        start threads can fork while it is still single-threaded.
+        """
+        if self._pool is None:
+            self._new_pool().submit(int).result()
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def run(
         self, specs: Sequence[WorkloadSpec]
@@ -301,11 +360,11 @@ class ParallelExecutor(Executor):
         policy = self.policy or RetryPolicy()
         injector_payload = (self.injector.to_dict()
                             if self.injector is not None else None)
-        workers = min(self.jobs, len(specs)) or 1
+        workers = self.jobs
         pending: deque[_Unit] = deque(
             _Unit(position, spec) for position, spec in enumerate(specs))
         inflight: dict[cf.Future, _Unit] = {}
-        pool = cf.ProcessPoolExecutor(max_workers=workers)
+        pool = self._pool or self._new_pool()
         # After a worker crash every in-flight future breaks, so blame
         # cannot be pinned on one spec.  Probation serializes the next
         # submissions (one unit in flight) until something completes, so
@@ -339,7 +398,7 @@ class ParallelExecutor(Executor):
                 if _obs.enabled:
                     _obs.metrics.counter("pool.recycles").inc()
                 _kill_pool(pool)
-                pool = cf.ProcessPoolExecutor(max_workers=workers)
+                pool = self._new_pool()
                 future = pool.submit(_worker_execute, payload)
             unit.deadline = (now + delay + policy.timeout
                              if policy.timeout is not None else None)
@@ -509,7 +568,7 @@ class ParallelExecutor(Executor):
                     if _obs.enabled:
                         _obs.metrics.counter("pool.recycles").inc()
                     _kill_pool(pool)
-                    pool = cf.ProcessPoolExecutor(max_workers=workers)
+                    pool = self._new_pool()
                     pending.extendleft(reversed(requeue))
                 elif crashed:
                     # Worker death poisons the executor; replace it.  Its
@@ -521,7 +580,7 @@ class ParallelExecutor(Executor):
                     if _obs.enabled:
                         _obs.metrics.counter("pool.recycles").inc()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = cf.ProcessPoolExecutor(max_workers=workers)
+                    pool = self._new_pool()
                     probe = True
 
                 for item in ready:
@@ -532,8 +591,7 @@ class ParallelExecutor(Executor):
                 # queued futures and terminate workers instead of
                 # leaking them.
                 _kill_pool(pool)
-            else:
-                pool.shutdown(wait=True)
+                self._pool = None
 
 
 def make_executor(jobs: int | None = 1,
@@ -628,7 +686,8 @@ def run_plan(
     pending = deduped
 
     if pending:
-        if executor is None:
+        owned = executor is None
+        if owned:
             executor = make_executor(jobs, policy=policy, injector=injector)
         batch = [units[index] for index in pending]
         stream = executor.run(batch)
@@ -688,6 +747,8 @@ def run_plan(
             close = getattr(stream, "close", None)
             if close is not None:
                 close()
+            if owned:
+                executor.close()
 
     failed = sum(1 for outcome in results
                  if isinstance(outcome, UnitFailure))

@@ -16,9 +16,10 @@ and overload boring:
   late arrivals for the same digest *coalesce* onto that future instead
   of simulating twice.  One simulation, N answers.
 * **Batched dispatch** — cold units queue briefly (``batch_window``) and
-  leave as one :class:`~repro.runtime.ExecutionPlan` run by the existing
-  :func:`~repro.runtime.backend.make_backend` executors on a worker
-  thread, so the event loop never blocks on simulation.
+  leave as one :class:`~repro.runtime.ExecutionPlan` dispatched from a
+  worker thread to worker *processes* that live as long as the daemon
+  (one executor per dispatch thread), so neither the event loop nor its
+  interpreter lock ever runs simulation.
 * **Admission control** — a capacity bound on in-flight simulation units
   plus per-client token buckets (:mod:`repro.serve.admission`); cold
   work beyond either budget is rejected *fast* with a ``retry_after``
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,9 +67,14 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+#: Largest request body the daemon reads; a bigger Content-Length is
+#: answered with 413 before any of the body is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
@@ -109,7 +116,11 @@ class ServeConfig:
 
 
 class _BadRequest(Exception):
-    """Malformed HTTP or an unusable spec payload (becomes a 400)."""
+    """Malformed HTTP or an unusable spec payload (a 4xx response)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ReproServer:
@@ -136,6 +147,8 @@ class ReproServer:
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._pool: ThreadPoolExecutor | None = None
+        # One executor per dispatch thread; a batch borrows one for its run.
+        self._executors: queue.SimpleQueue | None = None
         self._started_at: float | None = None
         self.endpoints: list[str] = []
         self.stats = {
@@ -175,6 +188,19 @@ class ReproServer:
             self._servers.append(server)
             bound = server.sockets[0].getsockname()
             self.endpoints.append(f"http://{bound[0]}:{bound[1]}")
+        # Cold batches simulate in worker processes that live as long as
+        # the daemon, so this process only parses, reads the cache and
+        # routes.  The pools fork here, on the event-loop thread and
+        # before any dispatch thread exists, so no fork snapshots a lock
+        # another thread holds.
+        backend = ("process" if self.config.backend == "auto"
+                   else self.config.backend)
+        self._executors = queue.SimpleQueue()
+        for _ in range(self.config.dispatch_workers):
+            executor = make_backend(backend, jobs=self.config.jobs,
+                                    policy=self.config.policy)
+            executor.start()
+            self._executors.put(executor)
         self._batcher = asyncio.create_task(self._batch_loop())
         self._started_at = time.monotonic()
         _obs.emit("serve.started", endpoints=list(self.endpoints))
@@ -215,6 +241,10 @@ class ReproServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._executors is not None:
+            while not self._executors.empty():
+                self._executors.get().close()
+            self._executors = None
         uptime = (time.monotonic() - self._started_at
                   if self._started_at is not None else 0.0)
         _obs.emit("serve.stopped", requests=self.stats["requests"],
@@ -231,16 +261,20 @@ class ReproServer:
             self._conn_tasks.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                close = headers.get("connection", "").lower() == "close"
+                close = True  # until a request parses, framing is lost
                 try:
+                    request = await self._read_request(reader)
+                    if request is None:
+                        break
+                    method, target, headers, body = request
+                    close = headers.get("connection", "").lower() == "close"
                     status, payload, extra = await self._route(
                         method, target, headers, body)
                 except _BadRequest as exc:
-                    status, payload, extra = 400, {"error": str(exc)}, ()
+                    status, payload, extra = (
+                        exc.status, {"error": str(exc)}, ())
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    raise  # the client went away; handled below
                 except Exception as exc:  # never kill the connection loop
                     status, payload, extra = (
                         500, {"error": f"{type(exc).__name__}: {exc}"}, ())
@@ -283,7 +317,15 @@ class ReproServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            raise _BadRequest("Content-Length is not an integer") from None
+        if length < 0:
+            raise _BadRequest("Content-Length is negative")
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(f"body of {length} bytes exceeds the "
+                              f"{MAX_BODY_BYTES}-byte limit", status=413)
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 
@@ -504,11 +546,13 @@ class ReproServer:
         once.
         """
         plan = ExecutionPlan(units=tuple(specs))
-        executor = make_backend(self.config.backend, jobs=self.config.jobs,
-                                policy=self.config.policy)
-        return run_plan(plan, cache=self.cache, executor=executor,
-                        policy=self.config.policy, keep_going=True,
-                        manifest=self._manifest)
+        executor = self._executors.get()
+        try:
+            return run_plan(plan, cache=self.cache, executor=executor,
+                            policy=self.config.policy, keep_going=True,
+                            manifest=self._manifest)
+        finally:
+            self._executors.put(executor)
 
     # -- introspection ----------------------------------------------------
 

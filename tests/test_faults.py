@@ -453,6 +453,46 @@ class TestParallelRecovery:
         survivors = [outcome for outcome in outcomes if outcome.ok]
         assert _dicts(survivors) == _dicts(serial_results[:3])
 
+    def test_crash_recycles_the_persistent_pool(self, small_plan,
+                                                serial_results):
+        # The first run's DCT/CC attempt kills its worker; the executor
+        # replaces its pool in place and a second run on it succeeds.
+        injector = FaultInjector(rules=(FaultRule(
+            kind="crash", match="DCT/CC", attempts=1),))
+        specs = list(small_plan)
+        with ParallelExecutor(jobs=2, policy=FAST,
+                              injector=injector) as executor:
+            first = dict(executor.run(specs))
+            second = dict(executor.run([specs[0], specs[2]]))
+        assert _dicts([first[i] for i in range(4)]) == \
+            _dicts(serial_results)
+        assert _dicts([second[0], second[1]]) == \
+            _dicts([serial_results[0], serial_results[2]])
+        assert not multiprocessing.active_children()
+
+    def test_hang_recycle_kills_workers_despite_inherited_handler(
+            self, small_plan):
+        # A worker forked from a process that ignores SIGTERM (as the
+        # serve daemon's asyncio handlers do) must still die when a hang
+        # recycle terminates it, instead of sleeping out its hang.
+        import signal
+
+        injector = FaultInjector(rules=(always("timeout", "DCT/PR",
+                                               hang=60.0),))
+        policy = RetryPolicy(max_attempts=1, timeout=0.5)
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with ParallelExecutor(jobs=1, policy=policy,
+                                  injector=injector) as executor:
+                (_, outcome), = executor.run([small_plan[0]])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcome.kind == "timeout"
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, "hung worker survived"
+            time.sleep(0.05)
+
     def test_generator_close_reaps_hung_workers(self, small_plan):
         # DCT/CC hangs for a minute; closing the stream after the first
         # result must terminate the hung worker instead of leaking it.

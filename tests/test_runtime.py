@@ -7,6 +7,8 @@ and every result type round-trips through ``to_dict``/``from_dict``.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -211,6 +213,37 @@ class TestExecutors:
         assert len(calls) == len(small_plan)
         assert _dicts(results) == _dicts(serial_results)
 
+    def test_pool_outlives_runs_and_close_reaps_it(
+            self, small_plan, serial_results, tmp_path, monkeypatch):
+        from repro.runtime import ParallelExecutor
+
+        log = tmp_path / "pids"
+        real = executor_module.execute_spec
+
+        def recording(spec):  # runs in the (forked) worker
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", recording)
+        specs = list(small_plan)
+        with ParallelExecutor(jobs=1) as executor:
+            first = dict(executor.run(specs[:2]))
+            second = dict(executor.run(specs[2:]))
+        pids = set(log.read_text().split())
+        assert len(pids) == 1 and str(os.getpid()) not in pids
+        outcomes = [first[0], first[1], second[0], second[1]]
+        assert _dicts(outcomes) == _dicts(serial_results)
+        assert not multiprocessing.active_children()
+
+    def test_process_backend_gets_exactly_jobs_workers(self):
+        from repro.runtime import make_backend
+
+        assert make_backend("process", jobs=1).jobs == 1
+        assert make_backend("process", jobs=3).jobs == 3
+        assert make_backend("process", jobs=None).jobs == \
+            (os.cpu_count() or 1)
+
     def test_jobs_must_be_positive(self):
         from repro.runtime import ParallelExecutor
 
@@ -406,7 +439,9 @@ class TestSweepIntegration:
         )
         serial = run_sweep(**kwargs)
         cache_dir = tmp_path / "cache"
-        parallel = run_sweep(jobs=2, cache=cache_dir, **kwargs)
+        parallel = run_sweep(jobs=2, backend="process", cache=cache_dir,
+                             **kwargs)
+        assert not multiprocessing.active_children()  # pool closed
 
         def rows_dict(sweep):
             return [(r.graph, r.app, r.predicted, r.predicted_partial,

@@ -10,6 +10,9 @@ cache without re-simulating anything.
 """
 
 import concurrent.futures as cf
+import multiprocessing
+import os
+import socket
 import threading
 import time
 
@@ -286,6 +289,65 @@ class TestServerConcurrency:
         assert stats["simulated"] == 0
         assert stats["misses"] == 0
         assert stats["hits"] == len(specs)
+
+
+class TestServerWorkers:
+    def test_cold_batches_simulate_in_daemon_lifetime_workers(
+            self, tmp_path, small_plan, monkeypatch):
+        from repro.runtime import executor as executor_module
+
+        log = tmp_path / "pids"
+        real = executor_module.execute_spec
+
+        def recording(spec):  # runs in a (forked) pool worker
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", recording)
+        config = _uds_config(tmp_path)
+        with ThreadedServer(config) as server:
+            # Forked at start-up: one pool of --jobs workers per thread.
+            assert len(multiprocessing.active_children()) == \
+                config.dispatch_workers * config.jobs
+            with ServeClient(server.endpoints[0]) as client:
+                for spec in list(small_plan)[:2]:
+                    assert client.submit(spec)["source"] == "simulated"
+        pids = set(log.read_text().split())
+        assert pids and str(os.getpid()) not in pids
+        assert not multiprocessing.active_children()
+
+
+def _raw_exchange(path, data: bytes) -> bytes:
+    """Send raw bytes over the UDS; read until the daemon hangs up."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(str(path))
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestServerEdge:
+    def test_malformed_request_line_gets_400(self, tmp_path):
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config):
+            reply = _raw_exchange(config.uds, b"GARBAGE\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"malformed request line" in reply
+
+    @pytest.mark.parametrize("length, status", [
+        (b"abc", b"400"), (b"-5", b"400"), (b"99999999999", b"413")])
+    def test_bad_content_length_is_rejected_before_reading(
+            self, tmp_path, length, status):
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config):
+            reply = _raw_exchange(
+                config.uds, b"POST /submit HTTP/1.1\r\nContent-Length: "
+                + length + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 " + status + b" ")
 
 
 class TestServerObservability:

@@ -10,9 +10,10 @@ and writes ``BENCH_serve.json`` with the numbers:
    the server-side cache).
 3. **warm** — ``--rounds`` passes over the warm grid on one keep-alive
    connection: p50/p99 latency and sustained qps.
-4. **mixed** — the warm loop again while a background client pushes a
-   fresh (never-cached) grid through the simulation pool: cache hits
-   must keep flowing under cold load.
+4. **mixed** — the warm loop again for ``MIXED_SECONDS`` while a
+   background client pushes fresh (never-cached, seed-shifted) grids
+   through the simulation pool back to back: cache hits must keep
+   flowing under cold load (``--mixed-p50-bound`` gates their p50).
 5. **restart** — the daemon is stopped and a fresh one pointed at the
    same cache directory: the whole grid must come back ``source:
    cache`` with **zero** re-simulated units.
@@ -43,6 +44,7 @@ GRAPHS = ("DCT", "RAJ")
 APPS = ("PR", "CC")
 SCALES = {"DCT": 64, "RAJ": 32}
 MAX_ITERS = 8  # big enough that a cold sim dwarfs a cache read
+MIXED_SECONDS = 5.0  # phase 4 window: several cold batches long
 SYSTEM = SystemConfig(num_sms=4, l1_bytes=1024, l2_bytes=16 * 1024,
                       tb_size=64, max_tbs_per_sm=2,
                       kernel_launch_cycles=100)
@@ -135,6 +137,9 @@ def main(argv=None):
     parser.add_argument("--min-speedup", type=float, default=100.0,
                         help="required cold-sim / warm-p99 ratio "
                              "(0 disables; default 100)")
+    parser.add_argument("--mixed-p50-bound", type=float, default=0.0,
+                        help="warm p50 bound in seconds under cold load "
+                             "(phase 4; 0 disables)")
     parser.add_argument("--server", default=None, metavar="URL",
                         help="target an existing daemon instead of "
                              "self-hosting (skips the restart phase)")
@@ -196,22 +201,34 @@ def main(argv=None):
               f"p99 {bench['warm']['p99_ms']} ms, "
               f"{bench['warm']['qps']} req/s sustained")
 
-        print("phase 4: warm traffic under a cold background sweep")
-        fresh = [replace(spec, seed=spec.seed + 1) for spec in specs]
-        background = threading.Thread(
-            target=lambda: ServeClient(endpoint, client_id="cold-bg")
-            .submit_many(fresh))
+        print(f"phase 4: warm traffic under continuous cold batches "
+              f"({MIXED_SECONDS:g} s)")
+        stop = threading.Event()
+        cold_batches = []
+
+        def cold_loop():
+            # Fresh seed-shifted batches back to back for the whole
+            # window, so every warm request below meets cold load.
+            with ServeClient(endpoint, client_id="cold-bg") as cold:
+                while not stop.is_set():
+                    shift = len(cold_batches) + 1
+                    cold.submit_many([replace(spec, seed=spec.seed + shift)
+                                      for spec in specs])
+                    cold_batches.append(shift)
+
+        background = threading.Thread(target=cold_loop)
         background.start()
         mixed = []
-        first_pass = True
-        while first_pass or background.is_alive():
-            first_pass = False
+        mixed_end = time.monotonic() + MIXED_SECONDS
+        while time.monotonic() < mixed_end:
             for spec in specs:
                 elapsed, envelope = timed_submit(client, spec)
                 mixed.append(elapsed)
                 assert envelope["source"] == "cache", envelope
+        stop.set()
         background.join()
         bench["warm_under_cold"] = summarize(mixed)
+        bench["warm_under_cold"]["cold_batches"] = len(cold_batches)
 
         stats = client.stats()
         bench["server_stats"] = {key: stats[key] for key in
@@ -250,6 +267,11 @@ def main(argv=None):
     check(warm_p99_s <= args.p99_bound,
           f"warm p99 {warm_p99_s * 1e3:.2f} ms within bound "
           f"{args.p99_bound * 1e3:.0f} ms")
+    if args.mixed_p50_bound > 0:
+        mixed_p50_s = percentile(mixed, 0.50)
+        check(mixed_p50_s <= args.mixed_p50_bound,
+              f"warm p50 under cold load {mixed_p50_s * 1e3:.2f} ms within "
+              f"bound {args.mixed_p50_bound * 1e3:g} ms")
     if args.min_speedup > 0:
         check(speedup >= args.min_speedup,
               f"warm-hit p99 is {speedup:.0f}x faster than a cold "
