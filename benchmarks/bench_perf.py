@@ -17,8 +17,7 @@ JSON schema (``"schema": 1``)::
     {
       "schema": 1,
       "mode": "quick" | "full",
-      "engine": "scalar" | "batched",
-      "commit": "<git short sha or 'unknown'>",
+      "commit": "<git short sha, '-dirty' if uncommitted, or 'unknown'>",
       "rows": <workloads swept>,
       "ops": <op tuples executed across all configurations>,
       "ops_per_sec": <ops / simulate_s>,
@@ -54,21 +53,21 @@ QUICK_ITERS = 2
 
 def _commit() -> str:
     try:
+        # "-dirty" marks a measurement of uncommitted changes on top of
+        # the named commit.
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
             cwd=REPO_ROOT, capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
 
-def run_bench(quick: bool, engine: str | None = None) -> dict:
+def run_bench(quick: bool) -> dict:
     """Run the sweep with perf collection on; return the measurement."""
     from repro.harness import PAPER_APPS, run_sweep
     from repro.perf import collector
-    from repro.sim.config import resolve_engine, set_default_engine
 
-    set_default_engine(engine)
     collector.reset()
     collector.enabled = True
     try:
@@ -88,7 +87,6 @@ def run_bench(quick: bool, engine: str | None = None) -> dict:
     return {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
-        "engine": resolve_engine(engine),
         "commit": _commit(),
         "rows": len(sweep.rows),
         "ops": snap["ops"],
@@ -136,14 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed relative wall-clock regression for "
                              "--check-against (default 0.25)")
-    parser.add_argument("--engine", choices=["scalar", "batched"],
-                        default=None,
-                        help="simulator engine to benchmark (default: the "
-                             "process default, see REPRO_SIM_ENGINE)")
     args = parser.parse_args(argv)
 
     quick = args.quick or os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-    measured = run_bench(quick, engine=args.engine)
+    measured = run_bench(quick)
 
     phases = measured["phases"]
     print(f"\nmode={measured['mode']} rows={measured['rows']} "

@@ -84,8 +84,7 @@ from .runtime import (
     WorkloadSpec,
     run_plan,
 )
-from .sim.config import DEFAULT_SYSTEM, ENGINES, scaled_system, \
-    set_default_engine
+from .sim.config import DEFAULT_SYSTEM, scaled_system
 from .taxonomy import APP_PROPERTIES, profile_graph, profile_workload
 
 __all__ = ["main"]
@@ -262,22 +261,7 @@ def _finish_profile() -> None:
         print(line)
 
 
-def _apply_engine(args) -> None:
-    """Install ``--engine`` as the process default.
-
-    The env var (not just the in-process default) carries the choice
-    into process-pool and multinode workers, which re-resolve it on
-    import.
-    """
-    if getattr(args, "engine", None):
-        import os
-
-        set_default_engine(args.engine)
-        os.environ["REPRO_SIM_ENGINE"] = args.engine
-
-
 def _cmd_run(args) -> int:
-    _apply_engine(args)
     spec = _build_spec(args)
     profiling = _start_profile(args)
     observer = _start_obs(args)
@@ -449,8 +433,6 @@ def _sweep_via_server(args, graphs, apps):
 
 def _cmd_sweep(args) -> int:
     from .harness import APPS, GRAPHS, run_sweep
-
-    _apply_engine(args)
 
     graphs = _split_choices(args.graphs, GRAPHS, "graph") or GRAPHS
     apps = _split_choices(args.apps, APPS, "app") or APPS
@@ -635,11 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print a trace-gen vs. simulate wall-"
                                  "clock breakdown afterwards (forces "
                                  "uncached in-process execution)")
-    perf_flags.add_argument("--engine", choices=list(ENGINES), default=None,
-                            help="simulator core: 'scalar' (reference "
-                                 "oracle) or 'batched' (lockstep columnar "
-                                 "dispatch; bit-identical results). "
-                                 "Default: $REPRO_SIM_ENGINE or scalar")
 
     obs_flags = argparse.ArgumentParser(add_help=False)
     obs_flags.add_argument("--events", default=None, metavar="PATH",

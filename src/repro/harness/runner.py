@@ -113,15 +113,11 @@ def run_workload(
     system: SystemConfig = DEFAULT_SYSTEM,
     max_iters: int | None = None,
     seed: int = 0,
-    engine: str | None = None,
 ) -> WorkloadResult:
     """Simulate one workload on each configuration; share trace generation.
 
     ``configs`` defaults to the Figure 5 set for the app's traversal type.
-    ``engine`` selects the simulator implementation (``scalar`` or
-    ``batched`` — bit-identical results; None uses the process/env
-    default, see :func:`repro.sim.config.resolve_engine`).  Raises
-    ``ValueError`` when a configuration's direction is incompatible
+    Raises ``ValueError`` when a configuration's direction is incompatible
     with the application (CC cannot be pushed or pulled; static apps have
     no 'dynamic' realization).
     """
@@ -141,7 +137,7 @@ def run_workload(
     builder = TraceBuilder(graph, system)
     simulators = {
         config.code: (config, make_simulator(
-            system, config.coherence, config.consistency, engine=engine
+            system, config.coherence, config.consistency
         ))
         for config in configs
     }

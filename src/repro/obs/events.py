@@ -64,8 +64,6 @@ EVENT_KINDS = (
     "model.retrain",      # examples, train, holdout, accuracy, round
     # Simulation.
     "workload.simulated",  # app, graph, ops, rounds, configs
-    "sim.batch",           # kernel, rounds, mean_width, max_width,
-                           #   scalar_fallback (batched engine occupancy)
     # Serve daemon (repro.serve): request lifecycle and admission.
     "serve.started",      # endpoints (list of listening addresses)
     "serve.stopped",      # requests, uptime

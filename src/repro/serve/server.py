@@ -69,12 +69,18 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
 #: Largest request body the daemon reads; a bigger Content-Length is
 #: answered with 413 before any of the body is read.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Most header lines one request may carry (http.client's _MAXHEADERS);
+#: one more, or a line past the stream reader's limit, is answered with
+#: 431 and the connection is closed.
+MAX_HEADERS = 100
 
 
 @dataclass
@@ -311,12 +317,19 @@ class ReproServer:
             raise _BadRequest(f"malformed request line {line!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                raw = await reader.readline()
+            except ValueError:  # the line overran the reader's limit
+                raise _BadRequest("header line too long",
+                                  status=431) from None
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(f"more than {MAX_HEADERS} header lines",
+                              status=431)
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:

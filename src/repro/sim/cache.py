@@ -51,26 +51,6 @@ class SetAssocCache:
         self._valid_epoch = 0
         self._all_epoch = 0
 
-    def valid_floor(self) -> int:
-        """Smallest packed entry still live in VALID state.
-
-        A packed VALID entry ``(epoch << 2) | VALID`` is live iff it is
-        ``>= valid_floor()``; with the convention that ``valid_epoch >=
-        all_epoch`` (maintained by the invalidate methods), the same
-        compare also admits any live OWNED entry.  The batched
-        coherence paths bind this floor once per batch instead of once
-        per access.
-        """
-        return self._valid_epoch << _EPOCH_SHIFT
-
-    def all_floor(self) -> int:
-        """Smallest packed entry not invalidated by ``invalidate_all``.
-
-        OWNED entries are immune to the VALID epoch, so an entry with
-        bit ``OWNED`` set is live iff it is ``>= all_floor()``.
-        """
-        return self._all_epoch << _EPOCH_SHIFT
-
     def _live_state(self, entry: int) -> int | None:
         """Live state of a packed entry, or None when epoch-invalidated."""
         epoch = entry >> _EPOCH_SHIFT

@@ -17,152 +17,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from ..cache import OWNED, VALID, SetAssocCache
 from ..config import SystemConfig
 
 __all__ = ["MemoryStats", "MemorySystem"]
-
-# Group separation for the segmented running max in `queue_scan`.  All
-# simulated times are integer-valued floats far below 2**44, so adding
-# ``key * _GROUP_OFFSET`` keeps groups disjoint and every sum exact in
-# float64 (< 2**53); `queue_scan` guards the assumption at runtime.
-_GROUP_OFFSET = float(1 << 45)
-_TIME_CEILING = float(1 << 44)
-
-# Below this many deferred timing events a flush replays the stream
-# scalar-style: array setup would dominate the arithmetic.
-_BATCH_MIN = 64
-
-
-def queue_scan(keys, s, free_list, occ):
-    """Vectorized serial-queue reservation grouped by resource key.
-
-    Replays, exactly, the scalar in-order sequence::
-
-        start_i = max(free[keys[i]], s[i]); free[keys[i]] = start_i + occ
-
-    for a train of events over a small pool of resources (L2 banks, DRAM
-    channels).  Per key the recurrence has the closed form
-    ``start_i = i*occ + max(f0, max_{j<=i}(s_j - j*occ))``, computed for
-    all keys at once with one segmented running max (groups separated by
-    a large per-key offset — exact because every quantity is an
-    integer-valued float far below 2**53).  ``free_list`` (a plain
-    python list) is updated in place.  Returns the per-event starts.
-    """
-    m = keys.shape[0]
-    starts = np.empty(m, dtype=np.float64)
-    if not m:
-        return starts
-    if float(np.max(s)) >= _TIME_CEILING:
-        # Astronomical timestamps would break group separation; fall
-        # back to the literal scalar recurrence (never hit in practice).
-        for i in range(m):
-            key = int(keys[i])
-            start = free_list[key]
-            si = s[i]
-            if start < si:
-                start = si
-            free_list[key] = start + occ
-            starts[i] = start
-        return starts
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    sv = s[order]
-    cnt = np.bincount(k, minlength=len(free_list))
-    pos = (np.arange(m, dtype=np.float64)
-           - (np.cumsum(cnt) - cnt)[k])
-    shift = k * _GROUP_OFFSET
-    run = np.maximum.accumulate(sv - pos * occ + shift) - shift
-    f0 = np.asarray(free_list, dtype=np.float64)
-    start_sorted = np.maximum(run, f0[k]) + pos * occ
-    starts[order] = start_sorted
-    ends = np.cumsum(cnt)
-    for key in np.flatnonzero(cnt).tolist():
-        free_list[key] = float(start_sorted[ends[key] - 1]) + occ
-    return starts
-
-
-def queue_scan_var(keys, s, holds, free_list):
-    """`queue_scan` with a per-event hold instead of a uniform one.
-
-    The closed form generalizes to
-    ``start_i = H_i + max(f0, max_{j<=i}(s_j - H_j))`` where ``H`` is the
-    *within-group* exclusive prefix sum of the holds and ``j`` ranges
-    over the group's earlier events.  After the stable sort groups are
-    contiguous, so ``H`` is the global exclusive prefix sum rebased to
-    each group's first element (``f0`` enters un-shifted, so the
-    previous groups' hold mass must not leak into ``H``).  The runtime
-    guard additionally bounds the hold sum so the per-key group bands
-    stay disjoint under the shared offset.
-    """
-    m = keys.shape[0]
-    starts = np.empty(m, dtype=np.float64)
-    if not m:
-        return starts
-    total_hold = float(np.sum(holds))
-    if float(np.max(s)) + total_hold >= _TIME_CEILING or (
-        free_list and max(free_list) >= _TIME_CEILING
-    ):
-        for i in range(m):
-            key = int(keys[i])
-            start = free_list[key]
-            si = s[i]
-            if start < si:
-                start = si
-            free_list[key] = start + holds[i]
-            starts[i] = start
-        return starts
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    sv = s[order]
-    hv = holds[order]
-    hexcl = np.cumsum(hv) - hv
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(k[1:], k[:-1], out=first[1:])
-    grp_first = np.flatnonzero(first)
-    sizes = np.diff(np.append(grp_first, m))
-    hexcl -= np.repeat(hexcl[grp_first], sizes)
-    shift = k * _GROUP_OFFSET
-    run = np.maximum.accumulate(sv - hexcl + shift) - shift
-    f0 = np.asarray(free_list, dtype=np.float64)
-    start_sorted = np.maximum(run, f0[k]) + hexcl
-    starts[order] = start_sorted
-    cnt = np.bincount(k, minlength=len(free_list))
-    ends = np.cumsum(cnt)
-    for key in np.flatnonzero(cnt).tolist():
-        i = ends[key] - 1
-        free_list[key] = float(start_sorted[i] + hv[i])
-    return starts
-
-
-def ring_scan(ring, s, hold):
-    """Vectorized :meth:`_Ring.reserve` over an in-order request train.
-
-    Slot assignment is round-robin, so the i-th request takes slot
-    ``(idx + i) % n`` — within any window of ``n`` consecutive requests
-    the slots are distinct and their reservations independent; only a
-    wrap re-reads a slot written earlier in the same call.  Processing
-    in chunks of ``n`` therefore reproduces the scalar sequence exactly.
-    """
-    n = ring.n
-    free = np.asarray(ring.free_at, dtype=np.float64)
-    m = s.shape[0]
-    slots = (ring.idx + np.arange(m, dtype=np.int64)) % n
-    starts = np.empty(m, dtype=np.float64)
-    for c0 in range(0, m, n):
-        c1 = c0 + n
-        if c1 > m:
-            c1 = m
-        sl = slots[c0:c1]
-        st = np.maximum(free[sl], s[c0:c1])
-        starts[c0:c1] = st
-        free[sl] = st + hold
-    ring.free_at = free.tolist()
-    ring.idx = (ring.idx + m) % n
-    return starts
 
 
 @dataclass
@@ -259,60 +117,6 @@ class MemorySystem:
         self._rl1_span1 = (config.remote_l1_latency_max
                            - config.remote_l1_latency_min + 1)
         self._mem_occupancy = config.mem_occupancy
-        # Deferred-load state for the batched engine (see `defer_load`).
-        # `defer_floor` is a sound lower bound on a deferred access's
-        # completion relative to its issue time: the cheapest miss path
-        # pays one bank occupancy, the minimum L2 latency, and the L1
-        # fill (DeNovo's forwarded path swaps the L2 latency for the
-        # strictly larger remote-L1 minimum).
-        self.defer_floor = (config.l2_bank_occupancy + config.l2_latency_min
-                            + config.l1_hit_latency)
-        # The cheapest deferred *atomic* pays one atomic occupancy and
-        # the minimum L2 latency past its issue/floor.
-        self.atomic_defer_floor = (config.atomic_occupancy
-                                   + config.l2_latency_min)
-        # Unified deferred-timing state.  Every deferred access appends
-        # one *job* (settled in defer order by `flush_deferred`) plus
-        # zero or more *timing events* — one tuple
-        #   (bank, s, mshr, hold, chan, post, mext)
-        # per bank reservation in exact call order, carrying precomputed
-        # latency constants so the flush can turn queue starts into
-        # completions without re-touching cache state:
-        #   service = bstart + hold + post          (chan < 0)
-        #   service = mstart + mem_occ + mext       (chan >= 0, where
-        #             mstart chains the DRAM channel at bstart + hold)
-        # Load-miss events (mshr truthy) additionally reserve an MSHR
-        # slot first, at the load's issue time.  Loads record
-        # (now, miss-count, sm) in `_d_l_rec`; their completions are the
-        # running max of their misses' services.
-        self._d_jobs: list = []
-        self._d_ev: list = []
-        self._d_l_rec: list = []
-        # Lines with a deferred (unsettled) sequencer update: an atomic
-        # may only resolve inline when none of its lines are pending.
-        self._d_seq_pending: set = set()
-        # ids of per-warp `outstanding` window lists with a deferred
-        # window job pending: an inline window atomic would mutate the
-        # list (drops/pops/insort) ahead of the deferred job's settle,
-        # so those instructions must defer too.
-        self._d_win_ids: set = set()
-        # Per-resource counts of unsettled timing events, used by the
-        # inline fast paths: an access whose resources are all quiet can
-        # run the exact scalar entry point immediately (its bookings
-        # land in defer order because nothing earlier is outstanding).
-        self._d_pend_bank = [0] * config.l2_banks
-        self._d_pend_chan = [0] * config.mem_channels
-        self._d_pend_mshr = [0] * config.num_sms
-        # Exact lower bound on the completion of the most recent
-        # deferred access (valid right after a defer_* call returns
-        # None); the engine reads it to size its flush window.
-        self._d_lb = 0.0
-        # Testing knob: disable every inline fast path so the deferred
-        # machinery (event recording, queue scans, flush) is exercised
-        # even on uncontended traces.  On graph workloads the fast
-        # paths keep the queues permanently quiet, so without this the
-        # contended path would be unreachable from tests.
-        self._d_force = False
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -433,206 +237,9 @@ class MemorySystem:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Batched load/store entry points for the lockstep engine.  The
-    # contract: results and side effects must be exactly those of calling
-    # the scalar method once per access *in list order* — cache LRU
-    # state, ring slots, and bank/channel timelines are order-dependent,
-    # so these are sequencing contracts, not just value contracts.
-    # Subclasses override with vectorized implementations; these
-    # reference loops define the semantics.
-    # ------------------------------------------------------------------
-    def load_batch(
-        self, sms: list, lines_seq: list, nows: list
-    ) -> list:
-        """Batched :meth:`load`; returns per-access arrival times."""
-        load = self.load
-        return [load(sms[i], lines_seq[i], nows[i])
-                for i in range(len(sms))]
-
-    def store_batch(
-        self, sms: list, lines_seq: list, nows: list
-    ) -> tuple[list, list]:
-        """Batched :meth:`store`; returns (accept times, drain times)."""
-        store = self.store
-        accepts = []
-        drains = []
-        for i in range(len(sms)):
-            accept, drain = store(sms[i], lines_seq[i], nows[i])
-            accepts.append(accept)
-            drains.append(drain)
-        return accepts, drains
-
-    # ------------------------------------------------------------------
-    # Deferred-timing accesses for the batched engine.  `defer_load`,
-    # `defer_atomic` and `defer_atomic_window` split an access into its
-    # two halves: *presence* (L1/L2 hit-miss, LRU order, installs,
-    # victim choice, ownership moves, stat counters — time-independent,
-    # resolved immediately in call order) and *timing* (MSHR rings, bank
-    # and channel queues, per-line sequencers, atomic units — recorded
-    # as an ordered event stream plus per-access job records and settled
-    # by `flush_deferred`).  Contract: interleaving any sequence of
-    # defer calls with one flush_deferred must produce exactly the
-    # results and side effects of the scalar entry points at each defer
-    # point, provided no other bank/channel/MSHR/sequencer traffic
-    # occurs between the first defer and the flush (the engine flushes
-    # before every inline store or fallback atomic for this reason).
-    # An access that needs no shared timing resources (L1-hit load,
-    # locally-owned DeNovo atomic with no pending sequencer work)
-    # completes immediately: the call returns its time(s) instead of
-    # None and appends nothing.
-    # ------------------------------------------------------------------
-    def defer_load(self, sm: int, lines: tuple, now: float) -> float | None:
-        """Begin a deferred load; None means 'parked until flush'.
-
-        Base implementation never defers: it runs the scalar load
-        inline, which trivially satisfies the contract and keeps any
-        third protocol correct (if slower) under the batched engine.
-        """
-        return self.load(sm, lines, now)
-
-    def defer_atomic(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[float | None, int, float]:
-        """Begin a deferred paired/window-1 atomic instruction.
-
-        Returns ``(done, lanes, lb)``.  A non-None ``done`` means the
-        instruction resolved inline (scalar semantics, nothing queued);
-        otherwise its completion arrives via `flush_deferred` and ``lb``
-        is a sound lower bound on it.  Base implementation always
-        resolves inline through :meth:`atomic_round`.
-        """
-        done, lanes = self.atomic_round(sm, pairs, floor, issue)
-        return done, lanes, 0.0
-
-    def defer_atomic_window(
-        self, sm: int, pairs: tuple, now: float,
-        outstanding: list, window: int,
-    ) -> tuple[float | None, float | None, float]:
-        """Begin a deferred DRFrlx atomic instruction.
-
-        Returns ``(t, last, lb)`` mirroring :meth:`atomic_window`; a
-        None ``last`` means the instruction was deferred (``lb`` bounds
-        its completion, and the settle inserts every pair completion
-        into ``outstanding``).  Only sound when the caller guarantees no
-        pair would block on a full window.  Base implementation always
-        resolves inline.
-        """
-        t, last = self.atomic_window(sm, pairs, now, outstanding, window)
-        return t, last, 0.0
-
-    def flush_deferred(self) -> list:
-        """Settle deferred accesses; one completion per job, defer order."""
-        return []
-
-    def _flush_timing(self) -> tuple[list, list]:
-        """Replay the deferred event stream over the shared timelines.
-
-        Returns ``(service, load_res)``: the per-event service times (in
-        event order) and the per-load completions (in load-defer order).
-        Consumes and resets the event and per-miss/per-load buffers; the
-        caller owns the job list.
-        """
-        ev = self._d_ev
-        nev = len(ev)
-        l_rec = self._d_l_rec
-        self._d_ev = []
-        self._d_l_rec = []
-        pend_bank = self._d_pend_bank
-        pend_chan = self._d_pend_chan
-        pend_mshr = self._d_pend_mshr
-        for i in range(len(pend_bank)):
-            pend_bank[i] = 0
-        for i in range(len(pend_chan)):
-            pend_chan[i] = 0
-        for i in range(len(pend_mshr)):
-            pend_mshr[i] = 0
-        l1_lat = self.config.l1_hit_latency
-        mshr_hold = self._l2_lat_min
-        mem_occ = self._mem_occupancy
-        if nev < _BATCH_MIN:
-            # Tiny flush: literal scalar replay of the recorded stream.
-            banks_free = self._l2_bank_free
-            channels_free = self._mem_channel_free
-            mshrs = self._mshrs
-            service = []
-            msvc = []
-            li = 0
-            remaining = 0
-            l_now = 0.0
-            l_sm = 0
-            for bank, s, mshr, hold, chan, post, mext in ev:
-                if mshr:
-                    # One load's misses are contiguous in the stream.
-                    if not remaining:
-                        l_now, remaining, l_sm = l_rec[li]
-                        li += 1
-                    remaining -= 1
-                    s = mshrs[l_sm].reserve(l_now, mshr_hold)
-                bstart = banks_free[bank]
-                if bstart < s:
-                    bstart = s
-                banks_free[bank] = bstart + hold
-                if chan < 0:
-                    done = bstart + hold + post
-                else:
-                    mstart = channels_free[chan]
-                    mem_issue = bstart + hold
-                    if mstart < mem_issue:
-                        mstart = mem_issue
-                    channels_free[chan] = mstart + mem_occ
-                    done = mstart + mem_occ + mext
-                service.append(done)
-                if mshr:
-                    msvc.append(done)
-            load_res = []
-            j = 0
-            for now, cnt, _sm in l_rec:
-                worst = now + l1_lat
-                for _ in range(cnt):
-                    v = msvc[j]
-                    j += 1
-                    if v > worst:
-                        worst = v
-                load_res.append(worst)
-            return service, load_res
-        arr = np.array(ev, dtype=np.float64)
-        mshr_mask = arr[:, 2] != 0.0
-        s = arr[:, 1].copy()
-        if l_rec:
-            rec = np.array(l_rec, dtype=np.float64)
-            cnt = rec[:, 1].astype(np.int64)
-            m_sm_arr = np.repeat(rec[:, 2].astype(np.int64), cnt)
-            m_now_arr = np.repeat(rec[:, 0], cnt)
-            mshr_start = np.empty(len(m_sm_arr), dtype=np.float64)
-            for sm in np.unique(m_sm_arr).tolist():
-                sel = m_sm_arr == sm
-                mshr_start[sel] = ring_scan(
-                    self._mshrs[sm], m_now_arr[sel], mshr_hold)
-            s[mshr_mask] = mshr_start
-        holds = arr[:, 3]
-        bstart = queue_scan_var(
-            arr[:, 0].astype(np.int64), s, holds, self._l2_bank_free)
-        svc = bstart + holds + arr[:, 5]
-        chan_arr = arr[:, 4].astype(np.int64)
-        ci = np.flatnonzero(chan_arr >= 0)
-        if ci.size:
-            # Channel events carry post == 0, so svc[ci] is the DRAM
-            # issue time bstart + hold.
-            mstart = queue_scan(chan_arr[ci], svc[ci],
-                                self._mem_channel_free, mem_occ)
-            svc[ci] = mstart + mem_occ + arr[ci, 6]
-        if l_rec:
-            seg_starts = np.cumsum(cnt) - cnt
-            load_res = np.maximum(
-                rec[:, 0] + l1_lat,
-                np.maximum.reduceat(svc[mshr_mask], seg_starts)).tolist()
-        else:
-            load_res = []
-        return svc.tolist(), load_res
-
-    # ------------------------------------------------------------------
-    # Batched atomic entry points (subclasses override with specialized
-    # loops; these reference implementations define the semantics).
+    # Per-instruction atomic entry points (subclasses override with
+    # specialized loops; these reference implementations define the
+    # semantics).
     # ------------------------------------------------------------------
     def atomic_round(
         self, sm: int, pairs: tuple, floor: float, issue: float

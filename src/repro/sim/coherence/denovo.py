@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from bisect import insort
 
-import numpy as np
-
 from ..cache import OWNED, VALID
-from .base import MemorySystem, queue_scan, ring_scan
+from .base import MemorySystem
 
 __all__ = ["DeNovoCoherence"]
-
-_BATCH_MIN = 8
 
 
 class DeNovoCoherence(MemorySystem):
@@ -300,631 +296,6 @@ class DeNovoCoherence(MemorySystem):
             )
         return worst
 
-    # ------------------------------------------------------------------
-    # Batched loads for the lockstep engine.  Same two-pass split as
-    # GPUCoherence.load_batch (presence is time-independent; timing is a
-    # replay of the resource queues), with one extra wrinkle: DeNovo's
-    # L1 refills can evict OWNED victims whose ownership writeback
-    # touches the victim's home bank *between* line services, and
-    # remotely-owned lines take a directory-forward bank touch instead
-    # of an L2 service.  Pass 1 therefore records an ordered *bank event
-    # stream* — one service/forward event per miss (start = its MSHR
-    # grant) interleaved with victim-writeback events (start = the
-    # access's issue time) — and pass 2 runs one queue scan over the
-    # whole stream so the bank timeline evolves exactly as scalar.
-    # Stores keep the base generic loop: their ownership-registration
-    # path is branch-heavy and cold next to pull's load volume.
-    # ------------------------------------------------------------------
-    def load_batch(
-        self, sms: list, lines_seq: list, nows: list
-    ) -> list:
-        n_acc = len(sms)
-        if n_acc < _BATCH_MIN:
-            return MemorySystem.load_batch(self, sms, lines_seq, nows)
-        cfg = self.config
-        l1_lat = cfg.l1_hit_latency
-        l1s = self.l1s
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2.valid_floor()
-        l2_packed_valid = l2_live_min | VALID
-        l2_install = l2.install
-        l2_banks = self._l2_banks
-        rl1_min = self._rl1_min
-        rl1_span1 = self._rl1_span1
-        owner_get = self.owner.get
-        owner_pop = self.owner.pop
-        hits = 0
-        l2_hits = 0
-        l2_misses = 0
-        owned_wb = 0
-        counts = [0] * n_acc
-        miss_lines: list = []
-        kinds: list = []      # per miss: 0=forwarded, 1=L2 hit, 2=L2 miss
-        fwd_extra: list = []  # per miss: remote-L1 hop term (0 unless fwd)
-        ev_bank: list = []    # per bank event: home bank
-        ev_midx: list = []    # per bank event: miss index, or -1 (victim)
-        ev_now: list = []     # per bank event: literal start for victims
-        mi = 0
-        # ---- pass 1: presence + ordered bank-event stream ----
-        for i in range(n_acc):
-            sm = sms[i]
-            now = nows[i]
-            l1 = l1s[sm]
-            l1_sets = l1._sets
-            l1_nsets = l1.num_sets
-            l1_assoc = l1.assoc
-            ve4 = l1.valid_floor()
-            ae4 = l1.all_floor()
-            packed_valid = ve4 | VALID
-            nmiss = 0
-            for line in lines_seq[i]:
-                cache_set = l1_sets[line % l1_nsets]
-                entry = cache_set.pop(line, -1)
-                if entry >= ve4 or (entry & 2 and entry >= ae4):
-                    cache_set[line] = entry
-                    hits += 1
-                    continue
-                nmiss += 1
-                miss_lines.append(line)
-                ev_bank.append(line % l2_banks)
-                ev_midx.append(mi)
-                ev_now.append(0.0)
-                holder = owner_get(line)
-                if holder is not None and holder != sm:
-                    kinds.append(0)
-                    fwd_extra.append(
-                        rl1_min + abs(sm - holder) % rl1_span1)
-                else:
-                    fwd_extra.append(0)
-                    l2_set = l2_sets[line % l2_nsets]
-                    l2_entry = l2_set.pop(line, -1)
-                    if l2_entry >= l2_live_min:
-                        l2_set[line] = l2_entry
-                        kinds.append(1)
-                        l2_hits += 1
-                    else:
-                        kinds.append(2)
-                        l2_misses += 1
-                        if len(l2_set) >= l2_assoc:
-                            if l2_live_min:
-                                l2_install(line, VALID)
-                            else:
-                                del l2_set[next(iter(l2_set))]
-                                l2_set[line] = l2_packed_valid
-                        else:
-                            l2_set[line] = l2_packed_valid
-                if len(cache_set) >= l1_assoc:
-                    victim = None
-                    if ve4:
-                        for cand, cand_entry in cache_set.items():
-                            if cand_entry < ve4 and (
-                                not cand_entry & 2 or cand_entry < ae4
-                            ):
-                                victim = cand
-                                break
-                    if victim is None:
-                        victim = next(iter(cache_set))
-                        v_entry = cache_set[victim]
-                        del cache_set[victim]
-                        if v_entry & 3 == OWNED:
-                            owner_pop(victim, None)
-                            ev_bank.append(victim % l2_banks)
-                            ev_midx.append(-1)
-                            ev_now.append(now)
-                            owned_wb += 1
-                    else:
-                        del cache_set[victim]
-                cache_set[line] = packed_valid
-                mi += 1
-            counts[i] = nmiss
-        m = mi
-        stats = self.stats
-        stats.l1_hits += hits
-        stats.l1_misses += m
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l2_misses
-        if owned_wb:
-            extra = stats.extra
-            extra["owned_writebacks"] = (
-                extra.get("owned_writebacks", 0) + owned_wb
-            )
-        now_f = np.asarray(nows, dtype=np.float64)
-        res = now_f + l1_lat
-        if not m:
-            return res.tolist()
-        # ---- pass 2: timing ----
-        cnt = np.asarray(counts, dtype=np.int64)
-        lines_arr = np.asarray(miss_lines, dtype=np.int64)
-        sm_arr = np.repeat(np.asarray(sms, dtype=np.int64), cnt)
-        now_arr = np.repeat(now_f, cnt)
-        l2_lat_min = cfg.l2_latency_min
-        mshr_start = np.empty(m, dtype=np.float64)
-        for sm in np.unique(sm_arr).tolist():
-            sel = sm_arr == sm
-            mshr_start[sel] = ring_scan(
-                self._mshrs[sm], now_arr[sel], l2_lat_min)
-        bank_occ = cfg.l2_bank_occupancy
-        ev_midx_arr = np.asarray(ev_midx, dtype=np.int64)
-        ev_s = np.where(ev_midx_arr >= 0,
-                        mshr_start[np.maximum(ev_midx_arr, 0)],
-                        np.asarray(ev_now, dtype=np.float64))
-        ev_start = queue_scan(
-            np.asarray(ev_bank, dtype=np.int64), ev_s,
-            self._l2_bank_free, bank_occ)
-        bstart = ev_start[np.flatnonzero(ev_midx_arr >= 0)]
-        banks = lines_arr % l2_banks
-        l2_lat = l2_lat_min + (banks + sm_arr) % self._l2_span1
-        kinds_arr = np.asarray(kinds, dtype=np.int8)
-        # Forwarded misses pay the remote-L1 hop where the others pay
-        # the NUCA L2 latency; L2 misses get overwritten below.
-        done = bstart + bank_occ + l1_lat + np.where(
-            kinds_arr == 0,
-            np.asarray(fwd_extra, dtype=np.float64), l2_lat)
-        mi2 = np.flatnonzero(kinds_arr == 2)
-        if mi2.size:
-            mem_occ = self._mem_occupancy
-            channels = lines_arr[mi2] % self._mem_channels
-            mstart = queue_scan(channels, bstart[mi2] + bank_occ,
-                                self._mem_channel_free, mem_occ)
-            done[mi2] = (mstart + mem_occ + self._mem_lat_min
-                         + (banks[mi2] + sm_arr[mi2]) % self._mem_span1
-                         + l2_lat[mi2] + l1_lat)
-        nz = np.flatnonzero(cnt)
-        seg_starts = (np.cumsum(cnt) - cnt)[nz]
-        res[nz] = np.maximum(res[nz],
-                             np.maximum.reduceat(done, seg_starts))
-        return res.tolist()
-
-    # ------------------------------------------------------------------
-    # Deferred-timing loads (see MemorySystem.defer_load).  The presence
-    # half is `load_batch`'s pass-1 body for a single access — including
-    # the ordered bank-event stream with OWNED-victim writebacks and
-    # directory-forward events — and `_flush_timing` (base) is its pass
-    # 2 over the accumulated stream, with a scalar replay for tiny
-    # flushes.
-    # ------------------------------------------------------------------
-    def defer_load(self, sm: int, lines: tuple, now: float) -> float | None:
-        # Uncontended fast path: with no unsettled timing event at all,
-        # the scalar path books every queue in defer order exactly.
-        # The check is protocol-wide (not per-resource) because an
-        # OWNED-victim eviction books a bank that cannot be predicted
-        # before the presence pass.  Sequencer-only deferred atomics may
-        # still be pending — loads never touch sequencers.
-        if not self._d_ev and not self._d_force:
-            return self.load(sm, lines, now)
-        l1 = self.l1s[sm]
-        l1_sets = l1._sets
-        l1_nsets = l1.num_sets
-        l1_assoc = l1.assoc
-        ve4 = l1._valid_epoch << 2
-        ae4 = l1._all_epoch << 2
-        packed_valid = ve4 | VALID
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2._valid_epoch << 2
-        l2_packed_valid = l2_live_min | VALID
-        l2_banks = self._l2_banks
-        l2_span1 = self._l2_span1
-        l2_lat_min = self._l2_lat_min
-        bank_occ = self.config.l2_bank_occupancy
-        l1_lat = self.config.l1_hit_latency
-        rl1_min = self._rl1_min
-        rl1_span1 = self._rl1_span1
-        mem_occ = self._mem_occupancy
-        owner_get = self.owner.get
-        owner_pop = self.owner.pop
-        ev = self._d_ev
-        pend_bank = self._d_pend_bank
-        pend_chan = self._d_pend_chan
-        hits = 0
-        nmiss = 0
-        l2_hits = 0
-        l2_misses = 0
-        owned_wb = 0
-        lbx = 0.0
-        for line in lines:
-            cache_set = l1_sets[line % l1_nsets]
-            entry = cache_set.pop(line, -1)
-            if entry >= ve4 or (entry & 2 and entry >= ae4):
-                cache_set[line] = entry
-                hits += 1
-                continue
-            nmiss += 1
-            bank = line % l2_banks
-            pend_bank[bank] += 1
-            holder = owner_get(line)
-            if holder is not None and holder != sm:
-                post = rl1_min + abs(sm - holder) % rl1_span1 + l1_lat
-                ev.append((bank, 0.0, 1, bank_occ, -1, post, 0.0))
-                if post > lbx:
-                    lbx = post
-            else:
-                l2_lat = l2_lat_min + (bank + sm) % l2_span1
-                l2_set = l2_sets[line % l2_nsets]
-                l2_entry = l2_set.pop(line, -1)
-                if l2_entry >= l2_live_min:
-                    l2_set[line] = l2_entry
-                    l2_hits += 1
-                    post = l2_lat + l1_lat
-                    ev.append((bank, 0.0, 1, bank_occ, -1, post, 0.0))
-                    if post > lbx:
-                        lbx = post
-                else:
-                    l2_misses += 1
-                    if len(l2_set) >= l2_assoc:
-                        if l2_live_min:
-                            l2.install(line, VALID)
-                        else:
-                            del l2_set[next(iter(l2_set))]
-                            l2_set[line] = l2_packed_valid
-                    else:
-                        l2_set[line] = l2_packed_valid
-                    chan = line % self._mem_channels
-                    mext = (self._mem_lat_min
-                            + (bank + sm) % self._mem_span1
-                            + l2_lat + l1_lat)
-                    ev.append((bank, 0.0, 1, bank_occ, chan, 0.0, mext))
-                    pend_chan[chan] += 1
-                    v = mem_occ + mext
-                    if v > lbx:
-                        lbx = v
-            if len(cache_set) >= l1_assoc:
-                victim = None
-                if ve4:
-                    for cand, cand_entry in cache_set.items():
-                        if cand_entry < ve4 and (
-                            not cand_entry & 2 or cand_entry < ae4
-                        ):
-                            victim = cand
-                            break
-                if victim is None:
-                    victim = next(iter(cache_set))
-                    v_entry = cache_set[victim]
-                    del cache_set[victim]
-                    if v_entry & 3 == OWNED:
-                        owner_pop(victim, None)
-                        vbank = victim % l2_banks
-                        ev.append((vbank, now, 0, bank_occ, -1, 0.0, 0.0))
-                        pend_bank[vbank] += 1
-                        owned_wb += 1
-                else:
-                    del cache_set[victim]
-            cache_set[line] = packed_valid
-        stats = self.stats
-        stats.l1_hits += hits
-        if not nmiss:
-            return now + l1_lat
-        stats.l1_misses += nmiss
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l2_misses
-        if owned_wb:
-            extra = stats.extra
-            extra["owned_writebacks"] = (
-                extra.get("owned_writebacks", 0) + owned_wb
-            )
-        self._d_pend_mshr[sm] += nmiss
-        self._d_l_rec.append((now, nmiss, sm))
-        self._d_jobs.append(0)
-        self._d_lb = now + bank_occ + lbx
-        return None
-
-    def _all_local(self, sm: int, pairs: tuple) -> bool:
-        """True when every pair is locally owned, live in this L1, and
-        free of pending deferred sequencer work — i.e. the instruction
-        touches no shared timing resource and may resolve inline."""
-        l1 = self.l1s[sm]
-        l1_sets = l1._sets
-        l1_nsets = l1.num_sets
-        ae4 = l1._all_epoch << 2
-        owner_get = self.owner.get
-        seq_pending = self._d_seq_pending
-        for line, _count in pairs:
-            if owner_get(line) != sm or line in seq_pending:
-                return False
-            entry = l1_sets[line % l1_nsets].get(line, -1)
-            if not (entry & 2 and entry >= ae4):
-                return False
-        return True
-
-    def _defer_atomic_pairs(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[list, int, float]:
-        """Presence half of one atomic instruction; records its events.
-
-        Returns ``(prec, lanes, lb)``: per-pair settle records, the lane
-        count, and a sound completion lower bound.
-        """
-        cfg = self.config
-        l1 = self.l1s[sm]
-        l1_sets = l1._sets
-        l1_nsets = l1.num_sets
-        ae4 = l1._all_epoch << 2
-        l1_lat = cfg.l1_hit_latency
-        atomic_occ = cfg.atomic_occupancy
-        bank_occ = cfg.l2_bank_occupancy
-        l2_banks = self._l2_banks
-        l2_span1 = self._l2_span1
-        l2_lat_min = self._l2_lat_min
-        rl1_min = self._rl1_min
-        rl1_span1 = self._rl1_span1
-        l1s = self.l1s
-        owner = self.owner
-        owner_get = owner.get
-        owner_pop = owner.pop
-        last_sm = self._last_atomic_sm
-        last_get = last_sm.get
-        seq_add = self._d_seq_pending.add
-        ev = self._d_ev
-        pend_bank = self._d_pend_bank
-        pend_chan = self._d_pend_chan
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2._valid_epoch << 2
-        l2_packed_valid = l2_live_min | VALID
-        stats = self.stats
-        own_lat_min = l2_lat_min if l2_lat_min < rl1_min else rl1_min
-        prec = []
-        lanes = 0
-        local = 0
-        remote = 0
-        lb = floor
-        for line, count in pairs:
-            lanes += count
-            holder = owner_get(line)
-            if holder == sm:
-                l1_set = l1_sets[line % l1_nsets]
-                entry = l1_set.get(line, -1)
-                if entry & 2 and entry >= ae4:
-                    del l1_set[line]
-                    l1_set[line] = entry  # touch LRU
-                    local += count
-                    last_sm[line] = sm
-                    prec.append((0, line, count))
-                    seq_add(line)
-                    lb_pair = floor + count + 2 * l1_lat
-                    if lb_pair > lb:
-                        lb = lb_pair
-                    continue
-            if holder is None or last_get(line) == sm:
-                last_sm[line] = sm
-                eidx = len(ev)
-                bank = line % l2_banks
-                pend_bank[bank] += 1
-                if holder is not None and holder != sm:
-                    # `_acquire_ownership` transfer arm: directory
-                    # forward at the home bank, then the remote-L1 hop.
-                    stats.atomics_remote_transfer += 1
-                    l1s[holder].invalidate(line)
-                    ev.append((bank, issue, 0, bank_occ, -1,
-                               rl1_min + abs(sm - holder) % rl1_span1, 0.0))
-                else:
-                    # `_acquire_ownership` L2-service arm.
-                    l2_lat = l2_lat_min + (bank + sm) % l2_span1
-                    l2_set = l2_sets[line % l2_nsets]
-                    l2_entry = l2_set.pop(line, -1)
-                    if l2_entry >= l2_live_min:
-                        l2_set[line] = l2_entry
-                        stats.l2_hits += 1
-                        ev.append((bank, issue, 0, bank_occ, -1,
-                                   l2_lat, 0.0))
-                    else:
-                        stats.l2_misses += 1
-                        if len(l2_set) >= l2_assoc:
-                            if l2_live_min:
-                                l2.install(line, VALID)
-                            else:
-                                del l2_set[next(iter(l2_set))]
-                                l2_set[line] = l2_packed_valid
-                        else:
-                            l2_set[line] = l2_packed_valid
-                        chan = line % self._mem_channels
-                        ev.append((bank, issue, 0, bank_occ, chan, 0.0,
-                                   self._mem_lat_min
-                                   + (bank + sm) % self._mem_span1
-                                   + l2_lat))
-                        pend_chan[chan] += 1
-                stats.ownership_registrations += 1
-                owner[line] = sm
-                evicted = l1.install(line, OWNED)
-                if evicted is not None and evicted[1] == OWNED:
-                    victim = evicted[0]
-                    owner_pop(victim, None)
-                    vbank = victim % l2_banks
-                    ev.append((vbank, issue, 0, bank_occ, -1, 0.0, 0.0))
-                    pend_bank[vbank] += 1
-                    extra = stats.extra
-                    extra["owned_writebacks"] = (
-                        extra.get("owned_writebacks", 0) + 1)
-                prec.append((1, line, count, eidx))
-                seq_add(line)
-                arrival_min = issue + bank_occ + own_lat_min
-                if floor > arrival_min:
-                    arrival_min = floor
-                lb_pair = arrival_min + count + l1_lat
-                if lb_pair > lb:
-                    lb = lb_pair
-                continue
-            last_sm[line] = sm
-            remote += count
-            l1s[holder].lookup(line)
-            eidx = len(ev)
-            bank = line % l2_banks
-            ev.append((bank, issue, 0, bank_occ, -1, 0.0, 0.0))
-            pend_bank[bank] += 1
-            prec.append((2, line, count, holder, eidx))
-            seq_add(line)
-            fwd_min = issue + bank_occ
-            if floor > fwd_min:
-                fwd_min = floor
-            lb_pair = fwd_min + count * atomic_occ + rl1_min
-            if lb_pair > lb:
-                lb = lb_pair
-        stats.atomics += lanes
-        if local:
-            stats.atomics_local += local
-        if remote:
-            stats.atomics_remote_transfer += remote
-        return prec, lanes, lb
-
-    def defer_atomic(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[float | None, int, float]:
-        # Inline fast paths.  With no unsettled timing event and no
-        # pending sequencer line there are no deferred jobs at all, so
-        # the scalar loop books every queue in defer order exactly.
-        # Fully local instructions touch only their own lines'
-        # sequencers and may resolve inline even with work pending on
-        # other resources.  Deferring either case would thrash the
-        # flush floor (a local completion can be as little as
-        # floor + 3).
-        if not self._d_force and (
-                (not self._d_ev and not self._d_seq_pending)
-                or self._all_local(sm, pairs)):
-            done, lanes = self.atomic_round(sm, pairs, floor, issue)
-            return done, lanes, 0.0
-        prec, lanes, lb = self._defer_atomic_pairs(sm, pairs, floor, issue)
-        self._d_jobs.append((1, sm, floor, prec))
-        self._d_lb = lb
-        return None, lanes, lb
-
-    def defer_atomic_window(
-        self, sm: int, pairs: tuple, now: float,
-        outstanding: list, window: int,
-    ) -> tuple[float | None, float | None, float]:
-        if (not self._d_force
-                and id(outstanding) not in self._d_win_ids
-                and ((not self._d_ev and not self._d_seq_pending)
-                     or self._all_local(sm, pairs))):
-            t, last = self.atomic_window(sm, pairs, now, outstanding, window)
-            return t, last, 0.0
-        prec, _, lb = self._defer_atomic_pairs(sm, pairs, now, now)
-        self._d_jobs.append((2, sm, now, prec, outstanding, window))
-        self._d_win_ids.add(id(outstanding))
-        self._d_lb = lb
-        return None, None, lb
-
-    def flush_deferred(self) -> list:
-        jobs = self._d_jobs
-        if not jobs:
-            return []
-        self._d_jobs = []
-        self._d_seq_pending.clear()
-        self._d_win_ids.clear()
-        service, load_res = self._flush_timing()
-        cfg = self.config
-        l1_lat = cfg.l1_hit_latency
-        atomic_occ = cfg.atomic_occupancy
-        l1_atomic_occ = cfg.l1_atomic_occupancy
-        l1_atomic_free = self._l1_atomic_free
-        rl1_min = self._rl1_min
-        rl1_span1 = self._rl1_span1
-        sequencer = self.sequencer
-        seq_get = sequencer.get
-        out = []
-        li = 0
-        for job in jobs:
-            if job == 0:
-                out.append(load_res[li])
-                li += 1
-            elif job[0] == 1:
-                _, sm, floor, prec = job
-                done = floor
-                for rec in prec:
-                    path = rec[0]
-                    line = rec[1]
-                    count = rec[2]
-                    if path == 0:
-                        start = seq_get(line, 0.0)
-                        arrival = floor + l1_lat
-                        if start < arrival:
-                            start = arrival
-                        sequencer[line] = start + count
-                        completion = start + count + l1_lat
-                    elif path == 1:
-                        arrival = service[rec[3]]
-                        if arrival < floor:
-                            arrival = floor
-                        start = seq_get(line, 0.0)
-                        if start < arrival:
-                            start = arrival
-                        sequencer[line] = start + count
-                        completion = start + count + l1_lat
-                    else:
-                        holder = rec[3]
-                        forwarded = service[rec[4]]
-                        rmw_hold = count * atomic_occ
-                        unit = l1_atomic_free[holder]
-                        unit_start = unit if unit > forwarded else forwarded
-                        l1_atomic_free[holder] = (unit_start
-                                                  + l1_atomic_occ + count)
-                        start = seq_get(line, 0.0)
-                        if unit_start > start:
-                            start = unit_start
-                        if floor > start:
-                            start = floor
-                        sequencer[line] = start + rmw_hold
-                        completion = (start + rmw_hold + rl1_min
-                                      + abs(sm - holder) % rl1_span1)
-                    if completion > done:
-                        done = completion
-                out.append(done)
-            else:
-                _, sm, now, prec, outstanding, window = job
-                t = now
-                last = now
-                for rec in prec:
-                    while outstanding and outstanding[0] <= t:
-                        del outstanding[0]
-                    if len(outstanding) >= window:
-                        t = outstanding.pop(0)
-                    path = rec[0]
-                    line = rec[1]
-                    count = rec[2]
-                    if path == 0:
-                        start = seq_get(line, 0.0)
-                        arrival = t + l1_lat
-                        if start < arrival:
-                            start = arrival
-                        sequencer[line] = start + count
-                        completion = start + count + l1_lat
-                    elif path == 1:
-                        arrival = service[rec[3]]
-                        if arrival < t:
-                            arrival = t
-                        start = seq_get(line, 0.0)
-                        if start < arrival:
-                            start = arrival
-                        sequencer[line] = start + count
-                        completion = start + count + l1_lat
-                    else:
-                        holder = rec[3]
-                        forwarded = service[rec[4]]
-                        rmw_hold = count * atomic_occ
-                        unit = l1_atomic_free[holder]
-                        unit_start = unit if unit > forwarded else forwarded
-                        l1_atomic_free[holder] = (unit_start
-                                                  + l1_atomic_occ + count)
-                        start = seq_get(line, 0.0)
-                        if unit_start > start:
-                            start = unit_start
-                        if t > start:
-                            start = t
-                        sequencer[line] = start + rmw_hold
-                        completion = (start + rmw_hold + rl1_min
-                                      + abs(sm - holder) % rl1_span1)
-                    if completion > last:
-                        last = completion
-                    insort(outstanding, completion)
-                out.append(last)
-        return out
-
     def store(self, sm: int, lines: tuple, now: float) -> tuple[float, float]:
         cfg = self.config
         l1 = self.l1s[sm]
@@ -1063,7 +434,7 @@ class DeNovoCoherence(MemorySystem):
         return self.config.l1_hit_latency
 
     # ------------------------------------------------------------------
-    # Batched atomics: one call per warp atomic instruction with the
+    # Per-instruction atomics: one call per warp atomic instruction with the
     # per-pair body of `atomic` inlined (see GPUCoherence for the same
     # structure).  The ownership-transfer branches stay method calls —
     # they are rare next to the local/forwarded fast paths.  Epochs and

@@ -15,16 +15,10 @@ from __future__ import annotations
 
 from bisect import insort
 
-import numpy as np
-
 from ..cache import VALID
-from .base import MemorySystem, queue_scan, ring_scan
+from .base import MemorySystem
 
 __all__ = ["GPUCoherence"]
-
-# Below this many accesses the scalar loop beats the two-pass batch
-# machinery (array setup is a fixed cost).
-_BATCH_MIN = 8
 
 
 class GPUCoherence(MemorySystem):
@@ -223,526 +217,6 @@ class GPUCoherence(MemorySystem):
         stats.l2_misses += l2_misses
         return accept, drain
 
-    # ------------------------------------------------------------------
-    # Batched loads/stores for the lockstep engine.  The key structural
-    # fact: cache entries are packed ``(epoch << 2) | state`` with no
-    # timestamps, so *presence* (hit/miss, LRU evolution, victim choice,
-    # installs) is completely independent of *timing*.  Pass 1 walks the
-    # accesses in order updating the dict-based cache state exactly as
-    # the scalar method would, recording the miss stream; pass 2 replays
-    # the order-dependent resource timelines (MSHR rings, L2 banks, DRAM
-    # channels) as vectorized queue scans over that stream.  Both passes
-    # preserve scalar order, so results are bit-identical by
-    # construction.
-    # ------------------------------------------------------------------
-    def load_batch(
-        self, sms: list, lines_seq: list, nows: list
-    ) -> list:
-        n_acc = len(sms)
-        if n_acc < _BATCH_MIN:
-            return MemorySystem.load_batch(self, sms, lines_seq, nows)
-        cfg = self.config
-        l1_lat = cfg.l1_hit_latency
-        l1s = self.l1s
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2.valid_floor()
-        l2_packed_valid = l2_live_min | VALID
-        l2_install = l2.install
-        hits = 0
-        miss_lines: list = []
-        append_line = miss_lines.append
-        l2h: list = []
-        append_l2h = l2h.append
-        counts = [0] * n_acc
-        # ---- pass 1: presence (dict state, exact scalar order) ----
-        for i in range(n_acc):
-            l1 = l1s[sms[i]]
-            l1_sets = l1._sets
-            l1_nsets = l1.num_sets
-            l1_assoc = l1.assoc
-            live_min = l1.valid_floor()
-            packed_valid = live_min | VALID
-            nmiss = 0
-            for line in lines_seq[i]:
-                cache_set = l1_sets[line % l1_nsets]
-                entry = cache_set.pop(line, -1)
-                if entry >= live_min:
-                    cache_set[line] = entry
-                    hits += 1
-                    continue
-                nmiss += 1
-                append_line(line)
-                l2_set = l2_sets[line % l2_nsets]
-                l2_entry = l2_set.pop(line, -1)
-                if l2_entry >= l2_live_min:
-                    l2_set[line] = l2_entry
-                    append_l2h(True)
-                else:
-                    append_l2h(False)
-                    if len(l2_set) >= l2_assoc:
-                        if l2_live_min:
-                            l2_install(line, VALID)
-                        else:
-                            del l2_set[next(iter(l2_set))]
-                            l2_set[line] = l2_packed_valid
-                    else:
-                        l2_set[line] = l2_packed_valid
-                if len(cache_set) >= l1_assoc:
-                    victim = None
-                    if live_min:
-                        for cand, cand_entry in cache_set.items():
-                            if cand_entry < live_min:
-                                victim = cand
-                                break
-                    if victim is None:
-                        victim = next(iter(cache_set))
-                    del cache_set[victim]
-                cache_set[line] = packed_valid
-            counts[i] = nmiss
-        m = len(miss_lines)
-        stats = self.stats
-        stats.l1_hits += hits
-        stats.l1_misses += m
-        n_l2h = sum(l2h)
-        stats.l2_hits += n_l2h
-        stats.l2_misses += m - n_l2h
-        now_f = np.asarray(nows, dtype=np.float64)
-        res = now_f + l1_lat
-        if not m:
-            return res.tolist()
-        # ---- pass 2: timing (vectorized queue scans) ----
-        cnt = np.asarray(counts, dtype=np.int64)
-        lines_arr = np.asarray(miss_lines, dtype=np.int64)
-        sm_arr = np.repeat(np.asarray(sms, dtype=np.int64), cnt)
-        now_arr = np.repeat(now_f, cnt)
-        l2_lat_min = cfg.l2_latency_min
-        mshr_start = np.empty(m, dtype=np.float64)
-        for sm in np.unique(sm_arr).tolist():
-            sel = sm_arr == sm
-            mshr_start[sel] = ring_scan(
-                self._mshrs[sm], now_arr[sel], l2_lat_min)
-        bank_occ = cfg.l2_bank_occupancy
-        banks = lines_arr % self._l2_banks
-        bstart = queue_scan(banks, mshr_start, self._l2_bank_free, bank_occ)
-        l2_lat = l2_lat_min + (banks + sm_arr) % self._l2_span1
-        done = bstart + bank_occ + l2_lat + l1_lat
-        l2h_arr = np.asarray(l2h, dtype=bool)
-        mi = np.flatnonzero(~l2h_arr)
-        if mi.size:
-            mem_occ = self._mem_occupancy
-            channels = lines_arr[mi] % self._mem_channels
-            mstart = queue_scan(channels, bstart[mi] + bank_occ,
-                                self._mem_channel_free, mem_occ)
-            done[mi] = (mstart + mem_occ + self._mem_lat_min
-                        + (banks[mi] + sm_arr[mi]) % self._mem_span1
-                        + l2_lat[mi] + l1_lat)
-        nz = np.flatnonzero(cnt)
-        seg_starts = (np.cumsum(cnt) - cnt)[nz]
-        res[nz] = np.maximum(res[nz],
-                             np.maximum.reduceat(done, seg_starts))
-        return res.tolist()
-
-    def store_batch(
-        self, sms: list, lines_seq: list, nows: list
-    ) -> tuple[list, list]:
-        n_acc = len(sms)
-        if n_acc < _BATCH_MIN:
-            return MemorySystem.store_batch(self, sms, lines_seq, nows)
-        cfg = self.config
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2.valid_floor()
-        l2_packed_valid = l2_live_min | VALID
-        l2_install = l2.install
-        all_lines: list = []
-        append_line = all_lines.append
-        l2h: list = []
-        append_l2h = l2h.append
-        counts = [0] * n_acc
-        # ---- pass 1: L2 presence (stores are no-allocate in the L1) ----
-        for i in range(n_acc):
-            lines = lines_seq[i]
-            counts[i] = len(lines)
-            for line in lines:
-                append_line(line)
-                l2_set = l2_sets[line % l2_nsets]
-                l2_entry = l2_set.pop(line, -1)
-                if l2_entry >= l2_live_min:
-                    l2_set[line] = l2_entry
-                    append_l2h(True)
-                else:
-                    append_l2h(False)
-                    if len(l2_set) >= l2_assoc:
-                        if l2_live_min:
-                            l2_install(line, VALID)
-                        else:
-                            del l2_set[next(iter(l2_set))]
-                            l2_set[line] = l2_packed_valid
-                    else:
-                        l2_set[line] = l2_packed_valid
-        m = len(all_lines)
-        stats = self.stats
-        stats.stores += m
-        n_l2h = sum(l2h)
-        stats.l2_hits += n_l2h
-        stats.l2_misses += m - n_l2h
-        now_f = np.asarray(nows, dtype=np.float64)
-        if not m:
-            res = now_f.tolist()
-            return res, list(res)
-        # ---- pass 2: timing ----
-        cnt = np.asarray(counts, dtype=np.int64)
-        lines_arr = np.asarray(all_lines, dtype=np.int64)
-        sm_arr = np.repeat(np.asarray(sms, dtype=np.int64), cnt)
-        now_arr = np.repeat(now_f, cnt)
-        l2_lat_min = cfg.l2_latency_min
-        bank_occ = cfg.l2_bank_occupancy
-        buf_hold = l2_lat_min + bank_occ
-        buf_start = np.empty(m, dtype=np.float64)
-        for sm in np.unique(sm_arr).tolist():
-            sel = sm_arr == sm
-            buf_start[sel] = ring_scan(
-                self._store_buffers[sm], now_arr[sel], buf_hold)
-        banks = lines_arr % self._l2_banks
-        bstart = queue_scan(banks, buf_start, self._l2_bank_free, bank_occ)
-        l2_lat = l2_lat_min + (banks + sm_arr) % self._l2_span1
-        done = bstart + bank_occ + l2_lat
-        l2h_arr = np.asarray(l2h, dtype=bool)
-        mi = np.flatnonzero(~l2h_arr)
-        if mi.size:
-            mem_occ = self._mem_occupancy
-            channels = lines_arr[mi] % self._mem_channels
-            mstart = queue_scan(channels, bstart[mi] + bank_occ,
-                                self._mem_channel_free, mem_occ)
-            done[mi] = (mstart + mem_occ + self._mem_lat_min
-                        + (banks[mi] + sm_arr[mi]) % self._mem_span1
-                        + l2_lat[mi])
-        accepts = now_f.copy()
-        drains = now_f.copy()
-        nz = np.flatnonzero(cnt)
-        seg_starts = (np.cumsum(cnt) - cnt)[nz]
-        accepts[nz] = np.maximum(
-            accepts[nz], np.maximum.reduceat(buf_start, seg_starts))
-        drains[nz] = np.maximum(
-            drains[nz], np.maximum.reduceat(done, seg_starts))
-        return accepts.tolist(), drains.tolist()
-
-    # ------------------------------------------------------------------
-    # Deferred-timing accesses (see MemorySystem.defer_load for the
-    # contract).  The presence halves below are the pass-1 bodies of
-    # `load_batch` / `atomic_round` for a single access; the timing
-    # halves are precomputed latency constants on the shared event
-    # stream, settled by `flush_deferred` via `_flush_timing`.
-    # ------------------------------------------------------------------
-    def defer_load(self, sm: int, lines: tuple, now: float) -> float | None:
-        # Uncontended fast path: with no unsettled miss on this SM's
-        # MSHR ring and no unsettled event on any of this load's banks
-        # or channels (conservatively checked for hits too), the scalar
-        # path books every queue in defer order exactly — nothing
-        # earlier is outstanding, and later defers queue behind the
-        # bookings made here.
-        if not self._d_force:
-            if not self._d_ev:
-                return self.load(sm, lines, now)
-            if not self._d_pend_mshr[sm]:
-                pend_bank = self._d_pend_bank
-                pend_chan = self._d_pend_chan
-                l2_banks = self._l2_banks
-                mem_channels = self._mem_channels
-                for line in lines:
-                    if (pend_bank[line % l2_banks]
-                            or pend_chan[line % mem_channels]):
-                        break
-                else:
-                    return self.load(sm, lines, now)
-        pend_bank = self._d_pend_bank
-        pend_chan = self._d_pend_chan
-        l2_banks = self._l2_banks
-        mem_channels = self._mem_channels
-        l1 = self.l1s[sm]
-        l1_sets = l1._sets
-        l1_nsets = l1.num_sets
-        l1_assoc = l1.assoc
-        live_min = l1._valid_epoch << 2
-        packed_valid = live_min | VALID
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2._valid_epoch << 2
-        l2_packed_valid = l2_live_min | VALID
-        l2_span1 = self._l2_span1
-        l2_lat_min = self._l2_lat_min
-        bank_occ = self.config.l2_bank_occupancy
-        l1_lat = self.config.l1_hit_latency
-        ev = self._d_ev
-        hits = 0
-        nmiss = 0
-        l2_hits = 0
-        lbx = 0.0
-        for line in lines:
-            cache_set = l1_sets[line % l1_nsets]
-            entry = cache_set.pop(line, -1)
-            if entry >= live_min:
-                cache_set[line] = entry
-                hits += 1
-                continue
-            nmiss += 1
-            bank = line % l2_banks
-            l2_lat = l2_lat_min + (bank + sm) % l2_span1
-            l2_set = l2_sets[line % l2_nsets]
-            l2_entry = l2_set.pop(line, -1)
-            if l2_entry >= l2_live_min:
-                l2_set[line] = l2_entry
-                l2_hits += 1
-                post = l2_lat + l1_lat
-                ev.append((bank, 0.0, 1, bank_occ, -1, post, 0.0))
-                pend_bank[bank] += 1
-                if post > lbx:
-                    lbx = post
-            else:
-                if len(l2_set) >= l2_assoc:
-                    if l2_live_min:
-                        self.l2.install(line, VALID)
-                    else:
-                        del l2_set[next(iter(l2_set))]
-                        l2_set[line] = VALID
-                else:
-                    l2_set[line] = l2_packed_valid
-                chan = line % mem_channels
-                mext = (self._mem_lat_min + (bank + sm) % self._mem_span1
-                        + l2_lat + l1_lat)
-                ev.append((bank, 0.0, 1, bank_occ, chan, 0.0, mext))
-                pend_bank[bank] += 1
-                pend_chan[chan] += 1
-                v = self._mem_occupancy + mext
-                if v > lbx:
-                    lbx = v
-            if len(cache_set) >= l1_assoc:
-                victim = None
-                if live_min:
-                    for cand, cand_entry in cache_set.items():
-                        if cand_entry < live_min:
-                            victim = cand
-                            break
-                if victim is None:
-                    victim = next(iter(cache_set))
-                del cache_set[victim]
-            cache_set[line] = packed_valid
-        stats = self.stats
-        stats.l1_hits += hits
-        if not nmiss:
-            return now + l1_lat
-        stats.l1_misses += nmiss
-        stats.l2_hits += l2_hits
-        stats.l2_misses += nmiss - l2_hits
-        self._d_pend_mshr[sm] += nmiss
-        self._d_l_rec.append((now, nmiss, sm))
-        self._d_jobs.append(0)
-        # Every miss's service is at least its MSHR start (>= now) plus
-        # the bank hold plus its hit/DRAM latency tail, so the running
-        # max over misses bounds the load's completion from below.
-        self._d_lb = now + bank_occ + lbx
-        return None
-
-    def _atomic_uncontended(self, sm: int, pairs: tuple) -> bool:
-        """True when every pair's bank, channel and sequencer is quiet.
-
-        The channel check is conservative (hits never touch DRAM, but
-        hit/miss is unknown before the presence pass).
-        """
-        if self._d_force:
-            return False
-        if not self._d_ev:
-            return True
-        pend_bank = self._d_pend_bank
-        pend_chan = self._d_pend_chan
-        seq_pending = self._d_seq_pending
-        l2_banks = self._l2_banks
-        mem_channels = self._mem_channels
-        for line, _count in pairs:
-            if (pend_bank[line % l2_banks]
-                    or pend_chan[line % mem_channels]
-                    or line in seq_pending):
-                return False
-        return True
-
-    def _defer_atomic_events(self, sm: int, pairs: tuple, issue: float):
-        """Presence half of one atomic instruction; records its events.
-
-        Returns ``(e0, lanes, lb_hold, lb_path, lb_last)``: the first
-        event index, the lane count, and completion lower-bound terms —
-        ``lb_hold`` maxes ``hold + latency`` over pairs (every pair
-        starts at or after the program-order floor), ``lb_path`` maxes
-        the issue-anchored service tail, and ``lb_last`` is the final
-        pair's issue-anchored tail (the window settle's return value).
-        """
-        atomic_occ = self.config.atomic_occupancy
-        l2_banks = self._l2_banks
-        l2_span1 = self._l2_span1
-        l2_lat_min = self._l2_lat_min
-        mem_occ = self._mem_occupancy
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2._valid_epoch << 2
-        l2_packed_valid = l2_live_min | VALID
-        ev = self._d_ev
-        pend_bank = self._d_pend_bank
-        pend_chan = self._d_pend_chan
-        seq_pending = self._d_seq_pending
-        e0 = len(ev)
-        lanes = 0
-        l2_hits = 0
-        l2_misses = 0
-        lb_hold = 0.0
-        lb_path = 0.0
-        lb_last = 0.0
-        for line, count in pairs:
-            lanes += count
-            bank = line % l2_banks
-            hold = count * atomic_occ
-            latency = l2_lat_min + (bank + sm) % l2_span1
-            seq_pending.add(line)
-            pend_bank[bank] += 1
-            l2_set = l2_sets[line % l2_nsets]
-            l2_entry = l2_set.pop(line, -1)
-            if l2_entry >= l2_live_min:
-                l2_set[line] = l2_entry
-                l2_hits += 1
-                ev.append((bank, issue, 0, hold, -1, latency, 0.0))
-                lb_last = hold + latency
-            else:
-                l2_misses += 1
-                if len(l2_set) >= l2_assoc:
-                    if l2_live_min:
-                        l2.install(line, VALID)
-                    else:
-                        del l2_set[next(iter(l2_set))]
-                        l2_set[line] = VALID
-                else:
-                    l2_set[line] = l2_packed_valid
-                chan = line % self._mem_channels
-                mext = (self._mem_lat_min
-                        + (bank + sm) % self._mem_span1 + latency)
-                ev.append((bank, issue, 0, hold, chan, 0.0, mext))
-                pend_chan[chan] += 1
-                lb_last = hold + mem_occ + mext
-            v = hold + latency
-            if v > lb_hold:
-                lb_hold = v
-            if lb_last > lb_path:
-                lb_path = lb_last
-        stats = self.stats
-        stats.atomics += lanes
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l2_misses
-        return e0, lanes, lb_hold, lb_path, lb_last
-
-    def defer_atomic(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[float | None, int, float]:
-        if self._atomic_uncontended(sm, pairs):
-            done, lanes = self.atomic_round(sm, pairs, floor, issue)
-            return done, lanes, 0.0
-        e0, lanes, lb_hold, lb_path, _ = self._defer_atomic_events(
-            sm, pairs, issue)
-        self._d_jobs.append((1, sm, floor, pairs, e0))
-        lb = floor + lb_hold
-        v = issue + lb_path
-        if v > lb:
-            lb = v
-        self._d_lb = lb
-        return None, lanes, lb
-
-    def defer_atomic_window(
-        self, sm: int, pairs: tuple, now: float,
-        outstanding: list, window: int,
-    ) -> tuple[float | None, float | None, float]:
-        if (id(outstanding) not in self._d_win_ids
-                and self._atomic_uncontended(sm, pairs)):
-            t, last = self.atomic_window(sm, pairs, now, outstanding,
-                                         window)
-            return t, last, 0.0
-        e0, _, _, _, lb_last = self._defer_atomic_events(sm, pairs, now)
-        self._d_jobs.append((2, sm, now, pairs, outstanding, window, e0))
-        self._d_win_ids.add(id(outstanding))
-        # The settle returns the final pair's completion, which is at
-        # least its issue-anchored service tail.
-        lb = now + lb_last
-        self._d_lb = lb
-        return None, None, lb
-
-    def flush_deferred(self) -> list:
-        jobs = self._d_jobs
-        if not jobs:
-            return []
-        self._d_jobs = []
-        self._d_seq_pending.clear()
-        self._d_win_ids.clear()
-        service, load_res = self._flush_timing()
-        atomic_occ = self.config.atomic_occupancy
-        l2_banks = self._l2_banks
-        l2_span1 = self._l2_span1
-        l2_lat_min = self._l2_lat_min
-        sequencer = self.sequencer
-        seq_get = sequencer.get
-        out = []
-        li = 0
-        for job in jobs:
-            if job == 0:
-                out.append(load_res[li])
-                li += 1
-            elif job[0] == 1:
-                _, sm, floor, pairs, e0 = job
-                done = floor
-                for j, (line, count) in enumerate(pairs):
-                    hold = count * atomic_occ
-                    bank = line % l2_banks
-                    latency = l2_lat_min + (bank + sm) % l2_span1
-                    start = service[e0 + j] - latency - hold
-                    seq = seq_get(line, 0.0)
-                    if seq > start:
-                        start = seq
-                    if floor > start:
-                        start = floor
-                    sequencer[line] = start + hold
-                    completion = start + hold + latency
-                    if completion > done:
-                        done = completion
-                out.append(done)
-            else:
-                _, sm, now, pairs, outstanding, window, e0 = job
-                t = now
-                last = now
-                for j, (line, count) in enumerate(pairs):
-                    while outstanding and outstanding[0] <= t:
-                        del outstanding[0]
-                    if len(outstanding) >= window:
-                        t = outstanding.pop(0)
-                    hold = count * atomic_occ
-                    bank = line % l2_banks
-                    latency = l2_lat_min + (bank + sm) % l2_span1
-                    start = service[e0 + j] - latency - hold
-                    seq = seq_get(line, 0.0)
-                    if seq > start:
-                        start = seq
-                    if t > start:
-                        start = t
-                    sequencer[line] = start + hold
-                    completion = start + hold + latency
-                    if completion > last:
-                        last = completion
-                    insort(outstanding, completion)
-                out.append(last)
-        return out
-
     def atomic(
         self, sm: int, line: int, count: int, now: float,
         issue: float | None = None,
@@ -808,7 +282,7 @@ class GPUCoherence(MemorySystem):
         return self.config.l1_hit_latency
 
     # ------------------------------------------------------------------
-    # Batched atomics: one call per warp atomic instruction, with the
+    # Per-instruction atomics: one call per warp atomic instruction, with the
     # per-pair L2-side service of `atomic` inlined so the ~dozen local
     # bindings are paid once per instruction instead of once per line.
     # Semantics are defined by the base-class reference implementations.

@@ -11,57 +11,9 @@ dataset so every taxonomy volume class is preserved (see DESIGN.md).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
-__all__ = [
-    "SystemConfig", "DEFAULT_SYSTEM", "scaled_system",
-    "ENGINES", "DEFAULT_ENGINE", "default_engine", "set_default_engine",
-    "resolve_engine",
-]
-
-# ----------------------------------------------------------------------
-# Engine selection.  The engine is an *execution detail*, not a modeled
-# parameter: both engines are required to produce bit-identical results
-# (the golden fixture pins this), so it deliberately lives outside
-# SystemConfig and WorkloadSpec digests — cached results are shared
-# between engines.  Resolution order: explicit argument > process
-# default (set_default_engine) > REPRO_SIM_ENGINE env var > "scalar".
-# The env var is what carries the choice into pool / multi-node workers.
-# ----------------------------------------------------------------------
-ENGINES = ("scalar", "batched")
-DEFAULT_ENGINE = "scalar"
-_process_engine: str | None = None
-
-
-def default_engine() -> str:
-    """The engine used when none is requested explicitly."""
-    if _process_engine is not None:
-        return _process_engine
-    env = os.environ.get("REPRO_SIM_ENGINE")
-    if env:
-        if env not in ENGINES:
-            raise ValueError(
-                f"REPRO_SIM_ENGINE={env!r}: expected one of {ENGINES}")
-        return env
-    return DEFAULT_ENGINE
-
-
-def set_default_engine(engine: str | None) -> None:
-    """Set (or with None, clear) the process-wide engine default."""
-    global _process_engine
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}: expected {ENGINES}")
-    _process_engine = engine
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an optional explicit engine request to a concrete name."""
-    if engine is None:
-        return default_engine()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}: expected {ENGINES}")
-    return engine
+__all__ = ["SystemConfig", "DEFAULT_SYSTEM", "scaled_system"]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from ..obs import OBSERVER as _obs
 from .coherence import MemorySystem, make_memory_system
-from .config import SystemConfig, resolve_engine
+from .config import SystemConfig
 from .consistency import ConsistencyModel, get_model
 from .stalls import StallBreakdown
 from .trace import (
@@ -35,11 +35,9 @@ from .trace import (
     OP_RELEASE,
     OP_STORE,
     KernelTrace,
-    columnarize,
 )
 
-__all__ = ["ExecutionResult", "GPUSimulator", "BatchedEngine",
-           "make_simulator", "simulate"]
+__all__ = ["ExecutionResult", "GPUSimulator", "make_simulator", "simulate"]
 
 
 @dataclass
@@ -114,13 +112,6 @@ class _TB:
         self.barrier_count = 0
 
 
-def _drop_settled(wa: list, now: float) -> int:
-    """Drop window completions at or before ``now``; return the rest."""
-    while wa and wa[0] <= now:
-        del wa[0]
-    return len(wa)
-
-
 class GPUSimulator:
     """Simulates kernel traces on one coherence + consistency configuration.
 
@@ -128,8 +119,6 @@ class GPUSimulator:
     a single :meth:`run`, mirroring back-to-back kernel launches over the
     same data.
     """
-
-    engine_name = "scalar"
 
     def __init__(
         self,
@@ -155,7 +144,9 @@ class GPUSimulator:
         holding more than one kernel trace in memory; returns the kernel's
         duration in cycles.  Kernels run on a single global clock so the
         memory system's resource timelines (banks, channels, sequencers)
-        stay aligned across launches.
+        stay aligned across launches.  Raises ``ValueError`` when the
+        kernel cannot complete: a barrier that some warp of its block
+        never reaches, or a thread block left undispatched.
         """
         if self._kernel_cycles:
             self._clock += self.config.kernel_launch_cycles
@@ -238,11 +229,9 @@ class GPUSimulator:
                 if resident[sm] < cfg.max_tbs_per_sm:
                     activate(sm, pending.popleft(), start)
 
-        # Hot loop: the opcode dispatch of `_execute_op` is inlined here
-        # with all lookups bound to locals (millions of iterations per
-        # kernel).  `_execute_op` itself is kept as the reference
-        # implementation / compatibility entry point; both must compute
-        # identical times.  Branches are ordered by opcode frequency.
+        # Hot loop: the opcode dispatch is inlined here with all lookups
+        # bound to locals (millions of iterations per kernel).  Branches
+        # are ordered by opcode frequency.
         memory = self.memory
         mem_load = memory.load
         mem_store = memory.store
@@ -278,7 +267,7 @@ class GPUSimulator:
                     done_time = mem_load(sm, op[1], now)
                     reason = 1
                 elif code == OP_ATOMIC:
-                    done_time = exec_atomic(warp, op, now, sm)[0]
+                    done_time = exec_atomic(warp, op, now, sm)
                     reason = 2
                 elif code == OP_STORE:
                     done_time, drain = mem_store(sm, op[1], now)
@@ -346,6 +335,15 @@ class GPUSimulator:
                             activate(sm, pending.popleft(), done_time)
                     break
 
+        # A drained heap with work left means a barrier that never filled
+        # (a warp retired or diverged without arriving) or a block never
+        # dispatched; its remaining ops would be dropped silently.
+        if pending or any(resident):
+            raise ValueError(
+                f"kernel {kernel.name!r} cannot complete: "
+                f"{sum(resident)} thread block(s) stuck at a barrier, "
+                f"{len(pending)} never dispatched")
+
         finish = max(max(sm_end), max(cursors))
         for sm in range(num_sms):
             # The drain from the last issue slot to the last completion is
@@ -361,49 +359,9 @@ class GPUSimulator:
         return finish
 
     # ------------------------------------------------------------------
-    def _execute_op(
-        self, warp: _Warp, op: tuple, now: float, sm: int
-    ) -> tuple[float, str]:
-        code = op[0]
-        memory = self.memory
-
-        if code == OP_LOAD:
-            return memory.load(sm, op[1], now), "data"
-
-        if code == OP_ATOMIC:
-            return self._execute_atomic(warp, op, now, sm)
-
-        if code == OP_COMPUTE:
-            return now + op[1] - 1, "comp"
-
-        if code == OP_STORE:
-            accept, drain = memory.store(sm, op[1], now)
-            if drain > warp.store_drain:
-                warp.store_drain = drain
-            return accept, "data"
-
-        if code == OP_ACQUIRE:
-            cost = memory.acquire(sm)
-            return now + cost, "sync"
-
-        if code == OP_RELEASE:
-            done = max(now, warp.store_drain)
-            if warp.atomics:
-                tail = max(warp.atomics)
-                if tail > done:
-                    done = tail
-                warp.atomics.clear()
-            warp.store_drain = 0.0
-            return done, "sync"
-
-        if code == OP_BARRIER:
-            return now, "barrier"
-
-        raise ValueError(f"unknown opcode {code!r}")
-
     def _execute_atomic(
         self, warp: _Warp, op: tuple, now: float, sm: int
-    ) -> tuple[float, str]:
+    ) -> float:
         pairs, needs_value = op[1], op[2]
         memory = self.memory
         model = self.consistency
@@ -433,7 +391,7 @@ class GPUSimulator:
                 # Paired atomics drain one lane at a time through the
                 # warp's single outstanding-synchronization slot.
                 done += (lanes - 1) * 2 * self.config.atomic_occupancy
-            return done, "sync"
+            return done
 
         if self._window == 1:
             # DRF1: unpaired atomics stay program-ordered per thread, so a
@@ -454,634 +412,24 @@ class GPUSimulator:
                 last_completion += (lanes - 1) * 2 * self.config.atomic_occupancy
             warp.atomics.append(last_completion)
             if needs_value:
-                return last_completion, "sync"
-            return t, "sync"
+                return last_completion
+            return t
 
         # DRFrlx: relaxed atomics overlap freely within the MLP window.
         t, last_completion = memory.atomic_window(
             sm, pairs, now, warp.atomics, self._window)
         if needs_value:
-            return last_completion, "sync"
-        return max(t, now), "sync"
-
-
-class BatchedEngine(GPUSimulator):
-    """Deferred-flush batched engine over columnar op streams.
-
-    Bit-identical to :class:`GPUSimulator` by construction, via an
-    execute/settle split of every load *and* atomic:
-
-    * **Presence now, timing later.**  Cache state is packed
-      ``(epoch << 2) | state`` with no timestamps, so hit/miss
-      classification, LRU evolution, installs, victim choice and
-      ownership transfers are independent of when an access completes.
-      ``defer_load`` / ``defer_atomic`` / ``defer_atomic_window`` apply
-      the presence half immediately, in exact scalar call order, and
-      record the ordered bank/channel/MSHR event stream; the op's
-      completion time is left open.
-    * **Vectorized flush.**  Shared resource timelines (MSHR rings, L2
-      banks, DRAM channels) are replayed over the accumulated stream by
-      ``flush_deferred`` as grouped queue scans (``queue_scan`` /
-      ``queue_scan_var`` / ``ring_scan``), which reproduce the scalar
-      in-order recurrences exactly; per-line sequencer and window state
-      is then settled in a short scalar walk over the recovered service
-      times.  Flushed completions enter the event heap with counters
-      *reserved at defer time*, so time ties resolve exactly as the
-      scalar push order would.
-    * **Sound completion floor.**  Every defer entry point computes an
-      exact lower bound on its completion (the access's uncontended
-      latency from issue, assuming every queue it touches is free) and
-      publishes it in ``_d_lb``.  The engine flushes before popping any
-      event at or beyond the earliest pending floor, before any op that
-      touches the shared timelines
-      inline (stores, over-window relaxed atomics), before any read of
-      per-warp ordering state with unsettled side effects (``pend``),
-      and at kernel end — so no execution is ever ordered past a
-      deferred completion it should have observed.
-
-    The scalar engine's run-ahead chain is kept, gated on the same
-    floor: a warp only keeps executing while its completion provably
-    precedes every heap entry and every pending deferred completion.
-    Parking where the scalar engine would have chained is
-    order-equivalent (chaining is push+pop with the tie broken by the
-    earlier counter), so the extra parks cannot diverge.  Non-value
-    atomics whose warp-visible completion is known at issue defer as
-    fire-and-forget jobs (no floor; their per-warp side effects settle
-    before any gated read).  Stores and window-gate failures run the
-    scalar memory paths after a flush; computes, acquires, barriers,
-    all-L1-hit loads and DeNovo all-local atomics are exact inline and
-    never flush.  The memory systems additionally short-circuit any
-    deferred access whose queues have no unsettled event (per-resource
-    pending counters for GPU, protocol-wide for DeNovo loads) straight
-    through the scalar timing path — exact, because with nothing
-    outstanding ahead of it the scalar bookings land in defer order —
-    so numpy batches form only under contention, where they are wide
-    enough to pay off.
-    """
-
-    engine_name = "batched"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._batch_info: dict | None = None
-
-    def feed(self, kernel: KernelTrace) -> float:
-        duration = super().feed(kernel)
-        if _obs.enabled and self._batch_info is not None:
-            info = self._batch_info
-            _obs.emit("sim.batch", kernel=kernel.name, **info)
-            metrics = _obs.metrics
-            metrics.counter("sim.batch.rounds").inc(info["rounds"])
-            metrics.counter("sim.batch.scalar_fallback").inc(
-                info["scalar_fallback"])
-            metrics.histogram("sim.batch.width").observe(
-                info["mean_width"])
-        return duration
-
-    # ------------------------------------------------------------------
-    def _run_kernel(
-        self, kernel: KernelTrace, stats: StallBreakdown, start: float = 0.0
-    ) -> float:
-        cfg = self.config
-        num_sms = cfg.num_sms
-        if not kernel.blocks:
-            return start
-        col = columnarize(kernel)
-        # Plain python lists index far faster than numpy scalars in the
-        # dispatch loop below; the columnar form keeps list mirrors so
-        # the decode is shared across every simulator of a sweep row.
-        code = col.code_list
-        argv = col.arg_list
-        wstart = col.warp_start_list
-        wend = wstart[1:]
-        warp_tb = col.warp_tb_list
-        tb_first_warp = col.tb_first_warp
-        tb_nwarps = col.tb_nwarps
-        tb_ops = col.tb_ops
-        line_pool = col.line_pool
-        atomic_pool = col.atomic_pool
-        W = col.num_warps
-        ntb = len(tb_nwarps)
-
-        pc = wstart[:W]
-        wsm = [0] * W
-        wreason = [1] * W
-        w_drain = [0.0] * W
-        w_atomics: list = [None] * W
-        # Per-warp count of deferred-but-unsettled atomic side effects
-        # (pending `w_atomics` appends under DRF1, in-flight window
-        # slots under DRFrlx).  Reads of that state flush first.
-        pend = [0] * W
-        tbs: list = [None] * ntb
-        # Shared with _exec_atomic_state (the per-warp ordering state
-        # the scalar engine keeps on _Warp objects).
-        self._w_drain = w_drain
-        self._w_atomics = w_atomics
-
-        pending = deque(range(ntb))
-        resident = [0] * num_sms
-        cursors = [start] * num_sms
-        sm_end = [start] * num_sms
-        tail_reason = [1] * num_sms
-        busy = [0.0] * num_sms
-        gaps = [[0.0, 0.0, 0.0] for _ in range(num_sms)]
-
-        heap: list = []
-        counter = 0
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        memory = self.memory
-        defer_load = memory.defer_load
-        defer_atomic = memory.defer_atomic
-        defer_window = memory.defer_atomic_window
-        flush_deferred = memory.flush_deferred
-        mem_load = memory.load
-        mem_store = memory.store
-        mem_acquire = memory.acquire
-        mem_atomic_round = memory.atomic_round
-        mem_atomic_window = memory.atomic_window
-        paired = self.consistency.atomics_paired
-        window = self._window
-        atomic_occ = cfg.atomic_occupancy
-        # Testing knob (memory._d_force): route every access through the
-        # defer entry points even when the queues are quiet, so the
-        # flush machinery stays reachable from tests.
-        force = memory._d_force
-
-        inf = float("inf")
-        lb_min = inf
-        jobs: list = []
-        jobs_append = jobs.append
-        flushes = 0
-        width_sum = 0
-        width_max = 0
-        inline_ops = 0
-
-        def activate(sm: int, tb_index: int, at: float) -> None:
-            nonlocal counter
-            n = tb_nwarps[tb_index]
-            tb = _TB(n)
-            tbs[tb_index] = tb
-            resident[sm] += 1
-            if not n:
-                resident[sm] -= 1
-                return
-            busy[sm] += tb_ops[tb_index]
-            w0 = tb_first_warp[tb_index]
-            for w in range(w0, w0 + n):
-                wsm[w] = sm
-                counter += 1
-                heappush(heap, (at, counter, w))
-
-        def activate_deferred(sm: int, tb_index: int):
-            # Activation triggered by a deferred finish: the completion
-            # time is unknown until the flush, but the heap counters
-            # must be reserved *now* (scalar reserves them at execute
-            # time) so that time ties keep scalar push order.
-            nonlocal counter
-            n = tb_nwarps[tb_index]
-            tb = _TB(n)
-            tbs[tb_index] = tb
-            resident[sm] += 1
-            if not n:
-                resident[sm] -= 1
-                return None
-            busy[sm] += tb_ops[tb_index]
-            w0 = tb_first_warp[tb_index]
-            acts = []
-            for w in range(w0, w0 + n):
-                wsm[w] = sm
-                counter += 1
-                acts.append((counter, w))
-            return acts
-
-        def park_barrier(w: int, done: float) -> None:
-            nonlocal counter
-            tb = tbs[warp_tb[w]]
-            tb.barrier_count += 1
-            tb.barrier_parked.append((done, w))
-            if tb.barrier_count == tb.size:
-                release_at = max(d for d, _ in tb.barrier_parked)
-                for _, pw in tb.barrier_parked:
-                    wreason[pw] = 2
-                    counter += 1
-                    heappush(heap, (release_at, counter, pw))
-                tb.barrier_parked.clear()
-                tb.barrier_count = 0
-
-        def defer_finish(w: int, sm: int):
-            # Warp-retirement bookkeeping for a deferred final op: the
-            # TB accounting happens now (presence order), while the
-            # completion time (and any freed TB's activation) waits for
-            # the flush.  Returns the pre-reserved activation counters.
-            tb = tbs[warp_tb[w]]
-            tb.warps_left -= 1
-            acts = None
-            if tb.warps_left == 0:
-                resident[sm] -= 1
-                if pending:
-                    acts = activate_deferred(sm, pending.popleft())
-            return acts
-
-        def flush() -> None:
-            # Settle every deferred access and apply its postponed
-            # bookkeeping in defer order (= scalar execute order):
-            # parked warps re-enter the heap at their exact completion
-            # with their defer-time counters; finished warps update the
-            # SM tail and release their pre-reserved activations;
-            # fire-and-forget atomics deliver their per-warp ordering
-            # side effects (`w_atomics` appends, window completions).
-            # Job shapes, keyed on job[0]:
-            #   0 park:          (0, counter, w, delta)
-            #   1 finish:        (1, acts, sm, reason, delta)
-            #   2 DRF1 append:   (2, w, delta)
-            #   3 DRF1 park:     (3, counter, w, delta)  + append
-            #   4 DRF1 finish:   (4, acts, sm, w, delta) + append
-            #   5 window no-op:  (5, w)   (memory settles the window)
-            nonlocal lb_min, flushes, width_sum, width_max
-            nj = len(jobs)
-            flushes += 1
-            width_sum += nj
-            if nj > width_max:
-                width_max = nj
-            dones = flush_deferred()
-            for i in range(nj):
-                job = jobs[i]
-                k = job[0]
-                done = dones[i]
-                if k == 0:
-                    w2 = job[2]
-                    pend[w2] = 0
-                    heappush(heap, (done + job[3], job[1], w2))
-                elif k == 1:
-                    done += job[4]
-                    fsm = job[2]
-                    if done > sm_end[fsm]:
-                        sm_end[fsm] = done
-                        tail_reason[fsm] = job[3]
-                    acts = job[1]
-                    if acts is not None:
-                        for cnt2, w2 in acts:
-                            heappush(heap, (done, cnt2, w2))
-                elif k == 2:
-                    w2 = job[1]
-                    pend[w2] = 0
-                    w_atomics[w2].append(done + job[2])
-                elif k == 3:
-                    v = done + job[3]
-                    w2 = job[2]
-                    pend[w2] = 0
-                    w_atomics[w2].append(v)
-                    heappush(heap, (v, job[1], w2))
-                elif k == 4:
-                    v = done + job[4]
-                    w2 = job[3]
-                    pend[w2] = 0
-                    w_atomics[w2].append(v)
-                    fsm = job[2]
-                    if v > sm_end[fsm]:
-                        sm_end[fsm] = v
-                        tail_reason[fsm] = 2
-                    acts = job[1]
-                    if acts is not None:
-                        for cnt2, w3 in acts:
-                            heappush(heap, (v, cnt2, w3))
-                else:
-                    pend[job[1]] = 0
-            del jobs[:]
-            lb_min = inf
-
-        for _ in range(cfg.max_tbs_per_sm):
-            if not pending:
-                break
-            for sm in range(num_sms):
-                if not pending:
-                    break
-                if resident[sm] < cfg.max_tbs_per_sm:
-                    activate(sm, pending.popleft(), start)
-
-        while True:
-            if jobs and (not heap or heap[0][0] >= lb_min):
-                flush()
-                continue
-            if not heap:
-                break
-            ready, _, w = heappop(heap)
-            sm = wsm[w]
-            p = pc[w]
-            end = wend[w]
-            wr = wreason[w]
-            while True:
-                cur = cursors[sm]
-                if ready > cur:
-                    gaps[sm][wr] += ready - cur
-                    cur = ready
-                now = cur + 1
-                cursors[sm] = now
-                c = code[p]
-                if c == OP_LOAD:
-                    # With no job pending the memory is fully quiet and
-                    # the defer wrapper is guaranteed to resolve through
-                    # the scalar path — call it directly.
-                    if not (jobs or force):
-                        done = mem_load(sm, line_pool[argv[p]], now)
-                        r = 1
-                    else:
-                        done = defer_load(sm, line_pool[argv[p]], now)
-                        if done is None:
-                            # Deferred: advance and park (or pre-finish)
-                            # with counters reserved now; completion and
-                            # heap entry arrive at the flush.
-                            p += 1
-                            if p < end:
-                                pc[w] = p
-                                wreason[w] = 1
-                                counter += 1
-                                jobs_append((0, counter, w, 0.0))
-                            else:
-                                jobs_append((1, defer_finish(w, sm), sm,
-                                             1, 0.0))
-                            lb = memory._d_lb
-                            if lb < lb_min:
-                                lb_min = lb
-                            break
-                        r = 1
-                elif c == OP_COMPUTE:
-                    done = now + argv[p] - 1
-                    r = 0
-                elif c == OP_ATOMIC:
-                    # Mirrors _exec_atomic_state per consistency model,
-                    # with the memory call swapped for its defer_*
-                    # counterpart (which may still resolve inline).
-                    pairs, nv = atomic_pool[argv[p]]
-                    if paired:
-                        # DRF0: the floor (release-drain + acquire) is
-                        # known at defer time; the warp always parks.
-                        floor = now if now > w_drain[w] else w_drain[w]
-                        wa = w_atomics[w]
-                        if wa:
-                            tail = max(wa)
-                            if tail > floor:
-                                floor = tail
-                            wa.clear()
-                        floor += mem_acquire(sm)
-                        w_drain[w] = 0.0
-                        if jobs or force:
-                            done, lanes, lb = defer_atomic(sm, pairs,
-                                                           floor, now)
-                        else:
-                            done, lanes = mem_atomic_round(sm, pairs,
-                                                           floor, now)
-                        delta = ((lanes - 1) * 2 * atomic_occ
-                                 if (not nv and lanes > 1) else 0.0)
-                        if done is None:
-                            p += 1
-                            if p < end:
-                                pc[w] = p
-                                wreason[w] = 2
-                                counter += 1
-                                jobs_append((0, counter, w, delta))
-                            else:
-                                jobs_append((1, defer_finish(w, sm), sm,
-                                             2, delta))
-                            if lb < lb_min:
-                                lb_min = lb
-                            break
-                        done += delta
-                        r = 2
-                    elif window == 1:
-                        # DRF1: unsettled appends to this warp's
-                        # ordering list must land first.
-                        if pend[w]:
-                            flush()
-                        t = now
-                        wa = w_atomics[w]
-                        if wa:
-                            tail = max(wa)
-                            if tail > t:
-                                t = tail
-                            wa.clear()
-                        if jobs or force:
-                            done0, lanes, lb = defer_atomic(sm, pairs, t,
-                                                            now)
-                        else:
-                            done0, lanes = mem_atomic_round(sm, pairs, t,
-                                                            now)
-                        delta = ((lanes - 1) * 2 * atomic_occ
-                                 if (not nv and lanes > 1) else 0.0)
-                        if wa is None:
-                            wa = w_atomics[w] = []
-                        if done0 is not None:
-                            last = done0 + delta
-                            wa.append(last)
-                            done = last if nv else t
-                            r = 2
-                        elif nv:
-                            p += 1
-                            if p < end:
-                                pc[w] = p
-                                wreason[w] = 2
-                                counter += 1
-                                jobs_append((3, counter, w, delta))
-                            else:
-                                jobs_append((4, defer_finish(w, sm), sm,
-                                             w, delta))
-                            if lb < lb_min:
-                                lb_min = lb
-                            break
-                        else:
-                            # Fire-and-forget: the op completes at t
-                            # inline; only the tail append is deferred.
-                            jobs_append((2, w, delta))
-                            pend[w] = 1
-                            done = t
-                            r = 2
-                    else:
-                        # DRFrlx: defer only when no pair could block on
-                        # a full window — conservatively assume every
-                        # unsettled completion (pend) is still in
-                        # flight.  Otherwise settle everything and run
-                        # the scalar path.
-                        wa = w_atomics[w]
-                        if wa is None:
-                            wa = w_atomics[w] = []
-                        if not (jobs or force):
-                            # Quiet memory: the scalar window path is
-                            # exact (this is what the scalar engine
-                            # always runs).
-                            t2, last = mem_atomic_window(sm, pairs, now,
-                                                         wa, window)
-                            done = last if nv else (
-                                t2 if t2 > now else now)
-                            r = 2
-                        elif (_drop_settled(wa, now)
-                              + pend[w] + len(pairs) <= window):
-                            t2, last, lb = defer_window(sm, pairs, now,
-                                                        wa, window)
-                            if last is not None:
-                                done = last if nv else (
-                                    t2 if t2 > now else now)
-                                r = 2
-                            elif nv:
-                                pend[w] += len(pairs)
-                                p += 1
-                                if p < end:
-                                    pc[w] = p
-                                    wreason[w] = 2
-                                    counter += 1
-                                    jobs_append((0, counter, w, 0.0))
-                                else:
-                                    jobs_append((1, defer_finish(w, sm),
-                                                 sm, 2, 0.0))
-                                if lb < lb_min:
-                                    lb_min = lb
-                                break
-                            else:
-                                jobs_append((5, w))
-                                pend[w] += len(pairs)
-                                done = now
-                                r = 2
-                        else:
-                            if jobs:
-                                flush()
-                            t2, last = mem_atomic_window(sm, pairs, now,
-                                                         wa, window)
-                            done = last if nv else (
-                                t2 if t2 > now else now)
-                            r = 2
-                            inline_ops += 1
-                elif c == OP_STORE:
-                    if jobs:
-                        flush()
-                    done, drain = mem_store(sm, line_pool[argv[p]], now)
-                    if drain > w_drain[w]:
-                        w_drain[w] = drain
-                    r = 1
-                    inline_ops += 1
-                elif c == OP_ACQUIRE:
-                    done = now + mem_acquire(sm)
-                    r = 2
-                elif c == OP_RELEASE:
-                    # A release reads the warp's atomic tail; unsettled
-                    # fire-and-forget appends must land first.
-                    if pend[w]:
-                        flush()
-                    done = now if now > w_drain[w] else w_drain[w]
-                    wa = w_atomics[w]
-                    if wa:
-                        tail = max(wa)
-                        if tail > done:
-                            done = tail
-                        wa.clear()
-                    w_drain[w] = 0.0
-                    r = 2
-                elif c == OP_BARRIER:
-                    done = now
-                    r = 3
-                else:
-                    raise ValueError(f"unknown opcode {c!r}")
-                p += 1
-                if p < end:
-                    if r == 3:
-                        pc[w] = p
-                        park_barrier(w, done)
-                        break
-                    # Run-ahead: only while the completion provably
-                    # precedes every heap entry *and* every pending
-                    # deferred completion (done < lb_min <= every
-                    # deferred done).
-                    if done >= lb_min or (heap and done >= heap[0][0]):
-                        pc[w] = p
-                        wreason[w] = r
-                        counter += 1
-                        heappush(heap, (done, counter, w))
-                        break
-                    wr = r
-                    ready = done
-                else:
-                    if done > sm_end[sm]:
-                        sm_end[sm] = done
-                        tail_reason[sm] = r
-                    tb = tbs[warp_tb[w]]
-                    tb.warps_left -= 1
-                    if tb.warps_left == 0:
-                        resident[sm] -= 1
-                        if pending:
-                            activate(sm, pending.popleft(), done)
-                    break
-
-        finish = max(max(sm_end), max(cursors))
-        for sm in range(num_sms):
-            if sm_end[sm] > cursors[sm]:
-                gaps[sm][tail_reason[sm]] += sm_end[sm] - cursors[sm]
-            stats.busy += busy[sm]
-            stats.comp += gaps[sm][0]
-            stats.data += gaps[sm][1]
-            stats.sync += gaps[sm][2]
-            end = max(sm_end[sm], cursors[sm])
-            stats.idle += finish - end
-        self._batch_info = {
-            "rounds": flushes,
-            "mean_width": round(width_sum / flushes, 2) if flushes else 0.0,
-            "max_width": width_max,
-            "scalar_fallback": inline_ops,
-        }
-        return finish
-
-    # ------------------------------------------------------------------
-    def _exec_atomic_state(
-        self, w: int, pairs: tuple, needs_value: bool, now: float, sm: int
-    ) -> float:
-        """Array-state mirror of :meth:`GPUSimulator._execute_atomic`."""
-        memory = self.memory
-        if self.consistency.atomics_paired:
-            start = now if now > self._w_drain[w] else self._w_drain[w]
-            at = self._w_atomics[w]
-            if at:
-                tail = max(at)
-                if tail > start:
-                    start = tail
-                at.clear()
-            start += memory.acquire(sm)
-            self._w_drain[w] = 0.0
-            done, lanes = memory.atomic_round(sm, pairs, start, now)
-            if not needs_value and lanes > 1:
-                done += (lanes - 1) * 2 * self.config.atomic_occupancy
-            return done
-        if self._window == 1:
-            t = now
-            at = self._w_atomics[w]
-            if at:
-                tail = max(at)
-                if tail > t:
-                    t = tail
-                at.clear()
-            last, lanes = memory.atomic_round(sm, pairs, t, now)
-            if not needs_value and lanes > 1:
-                last += (lanes - 1) * 2 * self.config.atomic_occupancy
-            if at is None:
-                at = self._w_atomics[w] = []
-            at.append(last)
-            return last if needs_value else t
-        at = self._w_atomics[w]
-        if at is None:
-            at = self._w_atomics[w] = []
-        t, last = memory.atomic_window(sm, pairs, now, at, self._window)
-        if needs_value:
-            return last
-        return t if t > now else now
+            return last_completion
+        return max(t, now)
 
 
 def make_simulator(
     config: SystemConfig,
     coherence: str = "gpu",
     consistency: str | ConsistencyModel = "drf0",
-    engine: str | None = None,
 ) -> GPUSimulator:
-    """Build a simulator for the requested (or default) engine."""
-    cls = BatchedEngine if resolve_engine(engine) == "batched" else GPUSimulator
-    return cls(config, coherence, consistency)
+    """Build a simulator for one coherence + consistency configuration."""
+    return GPUSimulator(config, coherence, consistency)
 
 
 def simulate(
@@ -1089,7 +437,6 @@ def simulate(
     config: SystemConfig,
     coherence: str,
     consistency: str | ConsistencyModel,
-    engine: str | None = None,
 ) -> ExecutionResult:
     """One-shot convenience wrapper around :func:`make_simulator`."""
-    return make_simulator(config, coherence, consistency, engine).run(kernels)
+    return make_simulator(config, coherence, consistency).run(kernels)

@@ -38,7 +38,6 @@ __all__ = [
     "OP_RELEASE", "OP_BARRIER",
     "compute", "load", "store", "atomic", "acquire", "release", "barrier",
     "WarpTrace", "KernelTrace", "OpInterner", "op_count",
-    "ColumnarKernel", "columnarize",
 ]
 
 OP_COMPUTE = 0
@@ -177,111 +176,3 @@ def op_count(trace: KernelTrace) -> int:
     """Total op tuples in a kernel trace (cost estimation/testing)."""
     return trace._op_count
 
-
-class ColumnarKernel:
-    """Column-oriented view of a :class:`KernelTrace` for the batched engine.
-
-    The op stream of every warp is flattened (thread-block major, warp
-    major) into parallel arrays:
-
-    * ``code[i]`` — the opcode (int8).
-    * ``arg[i]`` — ``OP_COMPUTE``: the cycle count; ``OP_LOAD`` /
-      ``OP_STORE``: an index into ``line_pool``; ``OP_ATOMIC``: an index
-      into ``atomic_pool``; other opcodes: 0.
-    * ``warp_start[w] .. warp_start[w+1]`` — warp ``w``'s slice (its
-      program counter range).
-
-    ``line_pool`` holds the interned line tuples and ``atomic_pool`` the
-    interned ``(pairs, needs_value)`` payloads, deduplicated by object
-    identity — the interner guarantees one tuple object per distinct op,
-    so identity keys are exact and cheap.  Thread-block geometry
-    (``tb_first_warp`` / ``tb_nwarps`` / ``tb_ops``) preserves empty
-    blocks: the scalar engine's activation quirks depend on them.
-
-    The columnar form is a *view*: it references the same pooled tuples
-    as ``blocks`` and is cached on the trace (``_columnar``), so the
-    twelve simulators of a sweep workload share one compilation.
-    """
-
-    __slots__ = ("code", "arg", "warp_start", "warp_tb",
-                 "code_list", "arg_list", "warp_start_list", "warp_tb_list",
-                 "tb_first_warp", "tb_nwarps", "tb_ops",
-                 "line_pool", "atomic_pool", "num_warps")
-
-    def __init__(self, trace: KernelTrace) -> None:
-        import numpy as np
-
-        codes: list[int] = []
-        args: list[int] = []
-        warp_start = [0]
-        warp_tb: list[int] = []
-        tb_first_warp: list[int] = []
-        tb_nwarps: list[int] = []
-        tb_ops: list[int] = []
-        line_pool: list[tuple] = []
-        atomic_pool: list[tuple] = []
-        line_ids: dict[int, int] = {}
-        atomic_ids: dict[int, int] = {}
-        total = 0
-        w = 0
-        for tb_index, warps in enumerate(trace.blocks):
-            tb_first_warp.append(w)
-            tb_nwarps.append(len(warps))
-            ops_in_tb = 0
-            for ops in warps:
-                for op in ops:
-                    c = op[0]
-                    codes.append(c)
-                    if c == OP_COMPUTE:
-                        args.append(op[1])
-                    elif c == OP_LOAD or c == OP_STORE:
-                        payload = op[1]
-                        key = id(payload)
-                        idx = line_ids.get(key)
-                        if idx is None:
-                            idx = len(line_pool)
-                            line_ids[key] = idx
-                            line_pool.append(payload)
-                        args.append(idx)
-                    elif c == OP_ATOMIC:
-                        key = id(op)
-                        idx = atomic_ids.get(key)
-                        if idx is None:
-                            idx = len(atomic_pool)
-                            atomic_ids[key] = idx
-                            atomic_pool.append((op[1], op[2]))
-                        args.append(idx)
-                    else:
-                        args.append(0)
-                total += len(ops)
-                ops_in_tb += len(ops)
-                warp_start.append(total)
-                warp_tb.append(tb_index)
-                w += 1
-            tb_ops.append(ops_in_tb)
-        self.code = np.asarray(codes, dtype=np.int8)
-        self.arg = np.asarray(args, dtype=np.int64)
-        self.warp_start = np.asarray(warp_start, dtype=np.int64)
-        self.warp_tb = np.asarray(warp_tb, dtype=np.int32)
-        # The dispatch loop indexes plain lists far faster than numpy
-        # scalars; keep the already-built list mirrors so every engine
-        # sharing this compilation skips a per-feed tolist().
-        self.code_list = codes
-        self.arg_list = args
-        self.warp_start_list = warp_start
-        self.warp_tb_list = warp_tb
-        self.tb_first_warp = tb_first_warp
-        self.tb_nwarps = tb_nwarps
-        self.tb_ops = tb_ops
-        self.line_pool = line_pool
-        self.atomic_pool = atomic_pool
-        self.num_warps = w
-
-
-def columnarize(trace: KernelTrace) -> ColumnarKernel:
-    """The trace's columnar form, compiled once and cached on the trace."""
-    col = getattr(trace, "_columnar", None)
-    if col is None:
-        col = ColumnarKernel(trace)
-        trace._columnar = col
-    return col

@@ -1,7 +1,10 @@
 """Unit tests for the timing engine and consistency semantics."""
 
+import random
+
 import pytest
 
+from repro.configs import parse_config
 from repro.sim import (
     DRF0,
     DRF1,
@@ -135,6 +138,26 @@ class TestBarrier:
         # The barrier in block 0 does not wait for block 1's compute.
         assert result.cycles >= 300
 
+    @pytest.mark.parametrize("blocks", [
+        # One warp parks at the barrier; its partner retires without
+        # ever arriving.
+        [[[compute(5), barrier(), compute(1000)], [compute(5)]]],
+        # A warp whose last op is a barrier retires without arriving.
+        [[[compute(5), barrier()], [compute(5), barrier(), compute(1000)]]],
+    ], ids=["partner-retires", "trailing-barrier"])
+    def test_unfilled_barrier_fails_closed(self, cfg, blocks):
+        # The parked warp's remaining ops must not be dropped silently.
+        with pytest.raises(ValueError, match="'d'.*barrier"):
+            simulate([KernelTrace("d", blocks=blocks)], cfg, "gpu", "drf0")
+
+    def test_undispatched_block_fails_closed(self):
+        # An empty block activated on a retirement frees its slot without
+        # dispatching the next pending block.
+        one_slot = SystemConfig(num_sms=1, max_tbs_per_sm=1)
+        k = KernelTrace("e", blocks=[[[compute(1)]], [], [[compute(1)]]])
+        with pytest.raises(ValueError, match="'e'.*1 never dispatched"):
+            simulate([k], one_slot, "gpu", "drf0")
+
 
 class TestAtomicSemantics:
     def _atomic_chain(self, n, line_stride=64):
@@ -248,3 +271,84 @@ class TestIncrementalAPI:
         first = sim.result().cycles
         sim.feed(one_warp_kernel([acquire(), compute(5), release()]))
         assert sim.result().cycles > first
+
+
+CONFIGS = ("TG0", "TG1", "TGR", "TD0", "TD1", "TDR",
+           "SG0", "SG1", "SGR", "SD0", "SD1", "SDR")
+
+
+def _random_op(rng: random.Random) -> tuple:
+    k = rng.randint(0, 5)
+    if k == 0:
+        return compute(rng.randint(1, 8))
+    if k == 1:
+        return load(tuple(rng.randint(0, 50)
+                          for _ in range(rng.randint(1, 6))))
+    if k == 2:
+        return store(tuple(rng.randint(0, 50)
+                           for _ in range(rng.randint(1, 4))))
+    if k == 3:
+        pairs = tuple((rng.randint(0, 20), rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 5)))
+        return atomic(pairs, rng.random() < 0.5)
+    if k == 4:
+        return acquire()
+    return release()
+
+
+def _random_trace(rng: random.Random, name: str) -> KernelTrace:
+    """A small random kernel mixing every op kind.
+
+    Every warp of a block crosses the same number of barriers, and no
+    warp ends on one, so every barrier fills and the kernel completes.
+    """
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        barriers = rng.randint(0, 2)
+        warps = []
+        for _ in range(rng.randint(1, 4)):
+            ops = []
+            for segment in range(barriers + 1):
+                if segment:
+                    ops.append(barrier())
+                ops.extend(_random_op(rng)
+                           for _ in range(rng.randint(1, 6)))
+            warps.append(ops)
+        blocks.append(warps)
+    return KernelTrace(name, blocks=blocks)
+
+
+class TestRandomTraceProperties:
+    """Randomized traces over all twelve configurations."""
+
+    @pytest.mark.parametrize("code", CONFIGS)
+    def test_stall_buckets_cover_every_sm_cycle(self, code):
+        config = parse_config(code)
+        system = SystemConfig()
+        rng = random.Random(f"buckets-{code}")
+        for seed in range(60):
+            trace = _random_trace(rng, f"prop{seed}")
+            result = simulate([trace], system, config.coherence,
+                              config.consistency)
+            b = result.breakdown
+            total = b.busy + b.comp + b.data + b.sync + b.idle
+            assert total == system.num_sms * result.cycles, \
+                f"{code} seed {seed}: {b.to_dict()} vs {result.cycles}"
+
+    @pytest.mark.parametrize("code", CONFIGS)
+    def test_feed_one_at_a_time_matches_run(self, code):
+        config = parse_config(code)
+        system = SystemConfig()
+        rng = random.Random(f"feed-{code}")
+        for seed in range(5):
+            traces = [_random_trace(rng, f"seq{seed}-{i}") for i in range(3)]
+            whole = GPUSimulator(system, config.coherence,
+                                 config.consistency).run(traces)
+            fed = GPUSimulator(system, config.coherence, config.consistency)
+            for trace in traces:
+                fed.feed(trace)
+            assert fed.result().to_dict() == whole.to_dict()
+            # Launch gaps belong to no SM bucket; kernel time does.
+            b = whole.breakdown
+            assert (b.busy + b.comp + b.data + b.sync + b.idle
+                    == system.num_sms * sum(whole.kernel_cycles))

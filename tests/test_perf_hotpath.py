@@ -1,10 +1,10 @@
 """Regression tests for the hot-path overhaul.
 
 The optimizations (interned trace IR, realization memoization, vectorized
-round tables, engine fast paths, batched atomics) must be invisible in
-the modeled numbers: this file pins golden equivalence against the
-committed fixture, the memoization/interning semantics, the vectorized
-trace-generation branch, and the O(1) trace counters.
+round tables, engine fast paths, per-instruction atomics) must be
+invisible in the modeled numbers: this file pins golden equivalence
+against the committed fixture, the memoization/interning semantics, the
+vectorized trace-generation branch, and the O(1) trace counters.
 """
 
 import json
@@ -40,21 +40,18 @@ class TestGoldenEquivalence:
     breakdowns, and memory statistics may not drift by even one ULP.
     """
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     @pytest.mark.parametrize("wl", _golden_workloads())
-    def test_bit_identical_to_fixture(self, wl, engine):
+    def test_bit_identical_to_fixture(self, wl):
         graph = load_dataset(wl["dataset"], scale=wl["scale"])
         result = run_workload(
             wl["app"], graph,
             configs=[parse_config(c) for c in wl["configs"]],
             system=scaled_system(wl["scale"]),
             max_iters=wl["max_iters"],
-            engine=engine,
         )
         for code in wl["configs"]:
             assert result.results[code].to_dict() == wl["results"][code], \
-                (f"{wl['app']}/{wl['dataset']}/{code} ({engine}) "
-                 f"drifted from golden")
+                f"{wl['app']}/{wl['dataset']}/{code} drifted from golden"
 
 
 @pytest.fixture

@@ -349,6 +349,21 @@ class TestServerEdge:
                 + length + b"\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 " + status + b" ")
 
+    @pytest.mark.parametrize("headers, status", [
+        (b"X-Long: " + b"a" * 70_000 + b"\r\n", b"431"),
+        (b"".join(b"X-H%d: v\r\n" % i for i in range(100)), b"431"),
+        (b"".join(b"X-H%d: v\r\n" % i for i in range(99)), b"200"),
+    ], ids=["long-line", "101-headers", "100-headers"])
+    def test_header_limits(self, tmp_path, headers, status):
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config):
+            # _raw_exchange reads until the daemon hangs up: a 431 must
+            # close the connection even though framing never completed.
+            reply = _raw_exchange(
+                config.uds, b"GET /healthz HTTP/1.1\r\n"
+                b"Connection: close\r\n" + headers + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 " + status + b" ")
+
 
 class TestServerObservability:
     def test_serve_events_stream_without_drops(self, tmp_path, small_plan):

@@ -13,8 +13,7 @@ events.  ``unit.started`` .. ``unit.finished``/``unit.failed`` spans
 become duration slices; retries, deadline overruns, worker crashes,
 cache traffic, pool recycles and probation submissions appear as
 instant markers on the owning row.  Sweep phases (plan / execute /
-aggregate) are slices on row 0.  ``sim.batch`` records (batched-engine
-occupancy) become a counter track plus per-kernel markers on row 0.
+aggregate) are slices on row 0.
 
 The converter is tolerant by design: torn lines and unknown event kinds
 are skipped (counted in the summary), and a span left open by a killed
@@ -148,36 +147,6 @@ def convert(events: list[dict]) -> dict:
                 "s": "t",
                 "pid": PID,
                 "tid": tid_for(label) if label else META_TID,
-                "ts": us(ts),
-                "args": args,
-            })
-        elif kind == "sim.batch":
-            # Batched-engine occupancy: a counter track (flush rounds /
-            # batch widths / scalar fallbacks per kernel) plus a marker
-            # carrying the kernel name for hover inspection.
-            args = {key: value for key, value in event.items()
-                    if key not in ("kind", "ts")}
-            trace.append({
-                "name": "batched occupancy",
-                "cat": "sim",
-                "ph": "C",
-                "pid": PID,
-                "tid": META_TID,
-                "ts": us(ts),
-                "args": {
-                    "rounds": event.get("rounds", 0),
-                    "mean_width": event.get("mean_width", 0.0),
-                    "max_width": event.get("max_width", 0),
-                    "scalar_fallback": event.get("scalar_fallback", 0),
-                },
-            })
-            trace.append({
-                "name": f"sim.batch:{event.get('kernel', '?')}",
-                "cat": "sim",
-                "ph": "i",
-                "s": "p",
-                "pid": PID,
-                "tid": META_TID,
                 "ts": us(ts),
                 "args": args,
             })

@@ -1,10 +1,11 @@
 """Regenerate tests/data/golden_timing.json from the current simulator.
 
-The golden-equivalence test (tests/test_golden_equivalence.py) pins exact
-cycle counts, stall breakdowns, and memory stats for a small app x graph x
-config matrix covering all 12 hardware/software points (DRF0/DRF1/DRFrlx
-x GPU/DeNovo x push/pull) plus the 6 dynamic ones for CC.  Any engine or
-trace-pipeline change that alters modeled timing fails that test loudly.
+The golden-equivalence test (TestGoldenEquivalence in
+tests/test_perf_hotpath.py) pins exact cycle counts, stall breakdowns,
+and memory stats for a small app x graph x config matrix covering all 12
+hardware/software points (DRF0/DRF1/DRFrlx x GPU/DeNovo x push/pull) plus
+the 6 dynamic ones for CC.  Any simulator or trace-pipeline change that
+alters modeled timing fails that test loudly.
 
 Run this ONLY when a timing change is intentional, and say so in the
 commit message:

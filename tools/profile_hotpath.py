@@ -26,8 +26,7 @@ import sys
 from repro.configs import parse_config
 from repro.graph import DEFAULT_SIM_SCALE, load_dataset
 from repro.harness.runner import run_workload
-from repro.sim.config import resolve_engine, scaled_system
-from repro.sim.engine import BatchedEngine
+from repro.sim.config import scaled_system
 
 STATIC_CONFIGS = [d + c + m for d in "TS" for c in "GD" for m in "01R"]
 DYNAMIC_CONFIGS = ["D" + c + m for c in "GD" for m in "01R"]
@@ -49,13 +48,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default tottime)")
     parser.add_argument("--limit", type=int, default=25,
                         help="rows to print (default 25)")
-    parser.add_argument("--engine", choices=["scalar", "batched"],
-                        default=None,
-                        help="simulator engine to profile (default: the "
-                             "process default, see REPRO_SIM_ENGINE); "
-                             "'batched' also prints per-kernel batch "
-                             "occupancy (flush rounds, widths, scalar "
-                             "fallbacks)")
     args = parser.parse_args(argv)
 
     app = args.app.upper()
@@ -69,61 +61,19 @@ def main(argv: list[str] | None = None) -> int:
     system = scaled_system(scale)
     configs = [parse_config(code) for code in codes]
 
-    engine = resolve_engine(args.engine)
     print(f"profiling {app} on {key} (scale {scale}), "
-          f"{len(configs)} configs, iters={args.iters}, engine={engine}",
+          f"{len(configs)} configs, iters={args.iters}",
           file=sys.stderr)
-
-    # Under the batched engine, also collect the per-feed occupancy
-    # counters (the same payload the sim.batch obs event carries) so
-    # the profile is accompanied by *why*: how often the deferred
-    # machinery engaged vs. resolved inline.
-    batch_log: list[tuple[str, dict]] = []
-    orig_feed = BatchedEngine.feed
-    if engine == "batched":
-        def logging_feed(self, kernel):
-            duration = orig_feed(self, kernel)
-            if self._batch_info is not None:
-                batch_log.append((kernel.name, dict(self._batch_info)))
-            return duration
-
-        BatchedEngine.feed = logging_feed
 
     profiler = cProfile.Profile()
     profiler.enable()
     try:
         run_workload(app, graph, configs=configs, system=system,
-                     max_iters=args.iters, engine=engine)
+                     max_iters=args.iters)
     finally:
         profiler.disable()
-        BatchedEngine.feed = orig_feed
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.limit)
-
-    if batch_log:
-        rounds = sum(info["rounds"] for _, info in batch_log)
-        widths = sum(info["rounds"] * info["mean_width"]
-                     for _, info in batch_log)
-        fallback = sum(info["scalar_fallback"] for _, info in batch_log)
-        max_width = max(info["max_width"] for _, info in batch_log)
-        if rounds:
-            occupancy = (f"{rounds} flush rounds, "
-                         f"mean width {widths / rounds:.1f}, "
-                         f"max width {max_width}")
-        else:
-            occupancy = "0 flush rounds (all accesses resolved inline)"
-        print(f"batched occupancy over {len(batch_log)} kernel feeds: "
-              f"{occupancy}, {fallback} scalar-fallback ops")
-        per_kernel: dict[str, list[int]] = {}
-        for name, info in batch_log:
-            agg = per_kernel.setdefault(name, [0, 0, 0])
-            agg[0] += info["rounds"]
-            agg[1] += info["scalar_fallback"]
-            agg[2] += 1
-        for name, (r, fb, feeds) in sorted(
-                per_kernel.items(), key=lambda kv: -kv[1][0])[:10]:
-            print(f"  {name}: {feeds} feeds, {r} rounds, "
-                  f"{fb} scalar fallbacks")
     return 0
 
 
