@@ -68,6 +68,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -78,8 +79,9 @@ _REASONS = {
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Most header lines one request may carry (http.client's _MAXHEADERS);
-#: one more, or a line past the stream reader's limit, is answered with
-#: 431 and the connection is closed.
+#: one more, or a header line past the stream reader's limit, is answered
+#: with 431 and the connection is closed (a request line past the limit
+#: gets 414).
 MAX_HEADERS = 100
 
 
@@ -309,7 +311,10 @@ class ReproServer:
         reader: asyncio.StreamReader,
     ) -> tuple[str, str, dict, bytes] | None:
         """Parse one HTTP/1.1 request; None on a clean EOF."""
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # the line overran the reader's limit
+            raise _BadRequest("request line too long", status=414) from None
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()

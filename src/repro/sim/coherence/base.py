@@ -14,10 +14,10 @@ coherence, owning L1 for DeNovo).
 
 from __future__ import annotations
 
-from bisect import insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
-from ..cache import OWNED, VALID, SetAssocCache
+from ..cache import SetAssocCache
 from ..config import SystemConfig
 
 __all__ = ["MemoryStats", "MemorySystem"]
@@ -47,15 +47,36 @@ class MemoryStats:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MemoryStats":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+    def from_dict(cls, data: Mapping) -> "MemoryStats":
+        """Inverse of :meth:`to_dict`; malformed input raises ``ValueError``.
+
+        Unknown keys, a non-mapping payload, a counter that is not an
+        ``int`` (``bool`` included), and an ``extra`` that is not a dict
+        of ``int`` counters are all rejected, naming the field.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"MemoryStats payload must be a mapping, "
+                f"not {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown MemoryStats fields: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown MemoryStats fields: {sorted(map(str, unknown))}")
         payload = dict(data)
-        payload["extra"] = dict(payload.get("extra", {}))
-        return cls(**payload)
+        extra = payload.pop("extra", {})
+        if not isinstance(extra, dict):
+            raise ValueError(
+                f"MemoryStats field 'extra' must be a dict, "
+                f"not {type(extra).__name__}")
+        counters = [(repr(name), value) for name, value in payload.items()]
+        counters += [(f"extra[{key!r}]", value) for key, value in extra.items()]
+        for name, value in counters:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"MemoryStats field {name} must be an int, "
+                    f"not {value!r}")
+        return cls(**payload, extra=dict(extra))
 
 
 class _Ring:
@@ -67,16 +88,6 @@ class _Ring:
         self.free_at = [0.0] * n
         self.idx = 0
         self.n = n
-
-    def reserve(self, now: float, hold: float) -> float:
-        """Claim the next slot; return the (possibly delayed) start time."""
-        i = self.idx
-        self.idx = (i + 1) % self.n
-        start = self.free_at[i]
-        if start < now:
-            start = now
-        self.free_at[i] = start + hold
-        return start
 
 
 class MemorySystem:
@@ -119,94 +130,6 @@ class MemorySystem:
         self._mem_occupancy = config.mem_occupancy
 
     # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    def _l2_service(
-        self, sm: int, line: int, now: float, hold: float
-    ) -> float:
-        """Service an access at the line's home L2 bank.
-
-        Models both latency (NUCA distance, memory fill) and throughput
-        (bank occupancy, DRAM channel occupancy).  Returns the time the
-        response reaches the requesting core.
-        """
-        bank = line % self._l2_banks
-        banks_free = self._l2_bank_free
-        start = banks_free[bank]
-        if start < now:
-            start = now
-        banks_free[bank] = start + hold
-        l2_lat = self._l2_lat_min + (bank + sm) % self._l2_span1
-        # L2 lookup + VALID install, inlined (this is the hottest call in
-        # the simulator).  The epoch checks mirror SetAssocCache.lookup;
-        # on a miss the line is known absent (pop above removed any stale
-        # entry), and no protocol ever epoch-invalidates the shared L2,
-        # so the stale-victim scan is unnecessary.
-        l2 = self.l2
-        cache_set = l2._sets[line % l2.num_sets]
-        entry = cache_set.pop(line, None)
-        valid_epoch = l2._valid_epoch
-        all_epoch = l2._all_epoch
-        if entry is not None:
-            epoch = entry >> 2
-            if epoch >= all_epoch and (
-                entry & 3 != VALID or epoch >= valid_epoch
-            ):
-                cache_set[line] = entry
-                self.stats.l2_hits += 1
-                return start + hold + l2_lat
-        self.stats.l2_misses += 1
-        if len(cache_set) >= l2.assoc:
-            if valid_epoch or all_epoch:
-                l2.install(line, VALID)
-            else:
-                del cache_set[next(iter(cache_set))]
-                cache_set[line] = VALID
-        else:
-            epoch = valid_epoch if valid_epoch > all_epoch else all_epoch
-            cache_set[line] = (epoch << 2) | VALID
-        channels_free = self._mem_channel_free
-        channel = line % self._mem_channels
-        mem_start = channels_free[channel]
-        issue = start + hold
-        if mem_start < issue:
-            mem_start = issue
-        mem_occ = self._mem_occupancy
-        channels_free[channel] = mem_start + mem_occ
-        return (mem_start + mem_occ
-                + self._mem_lat_min + (bank + sm) % self._mem_span1
-                + l2_lat)
-
-    def _install_l1(
-        self, sm: int, line: int, state: int, now: float = 0.0
-    ) -> None:
-        evicted = self.l1s[sm].install(line, state)
-        if evicted is not None and evicted[1] == OWNED:
-            # Writing back an owned line returns registration to the L2:
-            # the victim's data and directory update occupy its home bank.
-            # This is the churn that makes ownership unprofitable when the
-            # working set thrashes the L1 (Section IV-A2's high-volume
-            # argument against DeNovo).
-            victim = evicted[0]
-            self.owner.pop(victim, None)
-            bank = victim % self.config.l2_banks
-            start = self._l2_bank_free[bank]
-            if start < now:
-                start = now
-            self._l2_bank_free[bank] = start + self.config.l2_bank_occupancy
-            self.stats.extra["owned_writebacks"] = (
-                self.stats.extra.get("owned_writebacks", 0) + 1
-            )
-
-    def _serialize(self, line: int, earliest: float, hold: float) -> float:
-        """Queue on the line's atomic sequencer; return operation start."""
-        start = self.sequencer.get(line, 0.0)
-        if start < earliest:
-            start = earliest
-        self.sequencer[line] = start + hold
-        return start
-
-    # ------------------------------------------------------------------
     # Protocol interface (subclasses implement)
     # ------------------------------------------------------------------
     def load(self, sm: int, lines: tuple, now: float) -> float:
@@ -217,72 +140,30 @@ class MemorySystem:
         """Non-blocking store; returns (warp-accept time, global-drain time)."""
         raise NotImplementedError
 
-    def atomic(
-        self, sm: int, line: int, count: int, now: float,
-        issue: float | None = None,
-    ) -> float:
-        """Atomic RMWs to one line; returns result-return time.
+    def atomics(
+        self, sm: int, pairs: tuple, floor: float, issue: float,
+        outstanding: list | None = None, window: int = 0,
+    ) -> tuple[float, float, int]:
+        """Service one warp atomic instruction's ``(line, count)`` pairs.
 
-        ``now`` is the earliest the operation may logically execute (the
-        consistency model's program-order floor); ``issue`` is when the
-        warp issued the instruction.  Shared-resource contention (banks,
-        DRAM channels, atomic units) is booked at ``issue`` so that a
-        warp ordered far into the future does not reserve hardware ahead
-        of requests that arrive earlier in global time.
+        The pairs belong to different lanes, so they are concurrent: each
+        executes no earlier than the program-order floor, while shared
+        resources (banks, DRAM channels, atomic units) are booked at
+        ``issue`` so that a warp ordered far into the future does not
+        reserve hardware ahead of requests that arrive earlier in global
+        time.
+
+        With ``window == 0`` (DRF0/DRF1) every pair has floor ``floor``.
+        With a DRFrlx MLP ``window``, ``outstanding`` is the warp's
+        ascending list of in-flight atomic completions, mutated in place:
+        a pair whose window is full raises the floor to the oldest
+        in-flight completion, which then retires.
+
+        Returns ``(t, done, lanes)``: the floor after the final pair, the
+        latest completion (at least ``floor``), and the total lane count.
         """
         raise NotImplementedError
 
     def acquire(self, sm: int) -> int:
         """Apply acquire-side invalidation; return its pipeline cost."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Per-instruction atomic entry points (subclasses override with
-    # specialized loops; these reference implementations define the
-    # semantics).
-    # ------------------------------------------------------------------
-    def atomic_round(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[float, int]:
-        """Service one warp atomic instruction's ``(line, count)`` pairs.
-
-        Every pair issues at ``issue`` with program-order floor ``floor``
-        (the pairs belong to different lanes, so they are concurrent).
-        Returns ``(done, lanes)``: the latest completion (at least
-        ``floor``) and the total lane count.
-        """
-        atomic = self.atomic
-        done = floor
-        lanes = 0
-        for line, count in pairs:
-            lanes += count
-            completion = atomic(sm, line, count, floor, issue=issue)
-            if completion > done:
-                done = completion
-        return done, lanes
-
-    def atomic_window(
-        self, sm: int, pairs: tuple, now: float,
-        outstanding: list, window: int,
-    ) -> tuple[float, float]:
-        """Service pairs through a DRFrlx MLP window.
-
-        ``outstanding`` is the warp's sorted list of in-flight atomic
-        completions, mutated in place.  A pair whose window is full
-        blocks until the oldest in-flight completion retires.  Returns
-        ``(t, last_completion)``: the issue floor after the final pair
-        and the latest completion.
-        """
-        atomic = self.atomic
-        t = now
-        last = now
-        for line, count in pairs:
-            while outstanding and outstanding[0] <= t:
-                del outstanding[0]
-            if len(outstanding) >= window:
-                t = outstanding.pop(0)
-            completion = atomic(sm, line, count, t, issue=now)
-            if completion > last:
-                last = completion
-            insort(outstanding, completion)
-        return t, last

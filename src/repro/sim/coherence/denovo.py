@@ -31,22 +31,12 @@ class DeNovoCoherence(MemorySystem):
         # the same remote core migrates the line's registration to it.
         self._last_atomic_sm: dict[int, int] = {}
 
-    def _forward_delay(self, line: int, now: float) -> float:
-        """Directory forwarding: a tag lookup at the home bank."""
-        cfg = self.config
-        bank = line % cfg.l2_banks
-        start = self._l2_bank_free[bank]
-        if start < now:
-            start = now
-        self._l2_bank_free[bank] = start + cfg.l2_bank_occupancy
-        return start + cfg.l2_bank_occupancy
-
     def _acquire_ownership(self, sm: int, line: int, now: float) -> float:
         """Register ownership at ``sm``; return registration-complete time.
 
-        The directory-forward, L2-service and L1-install helpers are
-        inlined: this runs once per ownership registration and is the
-        hottest call in the DeNovo atomic paths.  The shared L2 is
+        The directory forward, the home-bank L2 service and the OWNED L1
+        install are inlined: this runs once per ownership registration
+        and is the hottest call in the DeNovo atomic paths.  The shared L2 is
         never epoch-invalidated, so its liveness check collapses to a
         single packed-entry compare (as in ``load``).
         """
@@ -59,7 +49,7 @@ class DeNovoCoherence(MemorySystem):
         if holder is not None and holder != sm:
             stats.atomics_remote_transfer += 1
             self.l1s[holder].invalidate(line)
-            # (inlined _forward_delay: directory tag lookup at home)
+            # Directory forwarding: a tag lookup at the home bank.
             start = banks_free[bank]
             if start < now:
                 start = now
@@ -67,7 +57,7 @@ class DeNovoCoherence(MemorySystem):
             ready = (start + bank_occ
                      + self._rl1_min + abs(sm - holder) % self._rl1_span1)
         else:
-            # (inlined _l2_service with hold = bank occupancy)
+            # L2 service at the home bank, held for one bank occupancy.
             bstart = banks_free[bank]
             if bstart < now:
                 bstart = now
@@ -104,7 +94,7 @@ class DeNovoCoherence(MemorySystem):
                          + l2_lat)
         stats.ownership_registrations += 1
         owner[line] = sm
-        # (inlined _install_l1 / SetAssocCache.install, state = OWNED)
+        # L1 install of the line as OWNED (SetAssocCache.install inlined).
         l1 = self.l1s[sm]
         cache_set = l1._sets[line % l1.num_sets]
         ve = l1._valid_epoch
@@ -144,10 +134,10 @@ class DeNovoCoherence(MemorySystem):
 
     def load(self, sm: int, lines: tuple, now: float) -> float:
         # Hit path inlined against the packed cache entries exactly as in
-        # GPUCoherence.load, and the miss path inlines the L2 service,
-        # directory forwarding, and the L1 refill (`_install_l1`).  A
+        # GPUCoherence.load, and the miss path inlines the home-bank L2
+        # service, directory forwarding, and the VALID L1 refill.  A
         # DeNovo L1 can hold OWNED lines, so an evicted live OWNED victim
-        # books its ownership writeback exactly as `_install_l1` does.
+        # books its ownership writeback, as in `_acquire_ownership`.
         # Epochs are loop invariants: nothing below invalidates this L1
         # or the shared L2.
         l1 = self.l1s[sm]
@@ -214,7 +204,7 @@ class DeNovoCoherence(MemorySystem):
             holder = owner_get(line)
             if holder is not None and holder != sm:
                 # Data is forwarded from the owning L1; ownership stays.
-                # (inlined _forward_delay: directory tag lookup at home)
+                # Directory forwarding: a tag lookup at the home bank.
                 bank = line % l2_banks
                 bstart = banks_free[bank]
                 if bstart < start:
@@ -223,7 +213,7 @@ class DeNovoCoherence(MemorySystem):
                 done = (bstart + bank_occ
                         + rl1_min + abs(sm - holder) % rl1_span1 + l1_lat)
             else:
-                # --- L2 service (inlined _l2_service) ---
+                # --- L2 service at the line's home bank ---
                 bank = line % l2_banks
                 bstart = banks_free[bank]
                 if bstart < start:
@@ -255,7 +245,7 @@ class DeNovoCoherence(MemorySystem):
                     done = (mstart + mem_occ
                             + mem_lat_min + (bank + sm) % mem_span1
                             + l2_lat + l1_lat)
-            # --- L1 refill (inlined _install_l1 with state=VALID) ---
+            # --- L1 refill as VALID (SetAssocCache.install inlined) ---
             if len(cache_set) >= l1_assoc:
                 victim = None
                 if ve4:
@@ -312,7 +302,7 @@ class DeNovoCoherence(MemorySystem):
         drain = now
         for line in lines:
             # Inlined peek + LRU-touch: a live OWNED packed entry has
-            # bit 2 set and survives the ALL epoch (see `atomic`).
+            # bit 2 set and survives the ALL epoch (see `atomics`).
             l1_set = l1_sets[line % l1_nsets]
             entry = l1_set.get(line, -1)
             if entry & 2 and entry >= ae4:
@@ -335,115 +325,23 @@ class DeNovoCoherence(MemorySystem):
         self.stats.stores += len(lines)
         return accept, drain
 
-    def atomic(
-        self, sm: int, line: int, count: int, now: float,
-        issue: float | None = None,
-    ) -> float:
-        cfg = self.config
-        if issue is None:
-            issue = now
-        stats = self.stats
-        stats.atomics += count
-        holder = self.owner.get(line)
-        if holder == sm:
-            # Synchronization locality: the atomic never leaves the core.
-            # Locally-owned atomics flow through the L1's write pipeline
-            # (serialized only per line), which is the whole point of
-            # registration — they are nearly as cheap as L1 stores.
-            # The peek + LRU-touch pair is inlined into one dict probe;
-            # a live OWNED packed entry has bit 2 set and survives the
-            # ALL epoch.
-            l1 = self.l1s[sm]
-            l1_set = l1._sets[line % l1.num_sets]
-            entry = l1_set.get(line)
-            if entry is not None and entry & 2 and entry >= (
-                l1._all_epoch << 2
-            ):
-                del l1_set[line]
-                l1_set[line] = entry  # touch LRU
-                stats.atomics_local += count
-                self._last_atomic_sm[line] = sm
-                l1_lat = cfg.l1_hit_latency
-                start = self.sequencer.get(line, 0.0)
-                arrival = now + l1_lat
-                if start < arrival:
-                    start = arrival
-                self.sequencer[line] = start + count
-                return start + count + l1_lat
-        if holder is None:
-            # Unowned: register ownership at the requester via the L2
-            # directory, then execute locally.
-            self._last_atomic_sm[line] = sm
-            arrival = self._acquire_ownership(sm, line, issue)
-            if arrival < now:
-                arrival = now
-            start = self.sequencer.get(line, 0.0)
-            if start < arrival:
-                start = arrival
-            self.sequencer[line] = start + count
-            return start + count + cfg.l1_hit_latency
-        # Owned elsewhere.  Migratory detection: if this core also issued
-        # the line's previous atomic, the sharing is migratory (e.g. a
-        # thread block hammering its own window from a new SM after
-        # rescheduling) and ownership transfers; otherwise the atomic is
-        # forwarded and executes at the owner's L1 (contended lines stay
-        # put instead of ping-ponging).
-        if self._last_atomic_sm.get(line) == sm:
-            self._last_atomic_sm[line] = sm
-            # The transfer's directory/bank work is booked at issue time;
-            # the RMW waits for the line's prior operations.
-            arrival = self._acquire_ownership(sm, line, issue)
-            if arrival < now:
-                arrival = now
-            start = self.sequencer.get(line, 0.0)
-            if start < arrival:
-                start = arrival
-            self.sequencer[line] = start + count
-            return start + count + cfg.l1_hit_latency
-        self._last_atomic_sm[line] = sm
-        # Forwarded execution: the RMWs serialize on the line at the same
-        # rate as an L2 atomic unit would, and the *message* occupies the
-        # owner core's single network ingress/atomic unit — which is what
-        # makes scattered single-lane updates (low-reuse workloads) prefer
-        # GPU coherence's 16 banked L2 units, while batched updates to hot
-        # lines amortize the ingress cost.
-        self.stats.atomics_remote_transfer += count
-        # The owner's L1 keeps the line hot: forwarded atomics refresh it.
-        self.l1s[holder].lookup(line)
-        rmw_hold = count * cfg.atomic_occupancy
-        ingress_hold = cfg.l1_atomic_occupancy + count
-        # Forwarding and the owner-unit occupancy are booked at issue
-        # time (the message travels immediately); the RMW additionally
-        # waits for the program-order floor and prior same-line work.
-        forwarded = self._forward_delay(line, issue)
-        unit = self._l1_atomic_free[holder]
-        unit_start = unit if unit > forwarded else forwarded
-        self._l1_atomic_free[holder] = unit_start + ingress_hold
-        start = self.sequencer.get(line, 0.0)
-        if unit_start > start:
-            start = unit_start
-        if now > start:
-            start = now
-        self.sequencer[line] = start + rmw_hold
-        return (start + rmw_hold
-                + self._rl1_min + abs(sm - holder) % self._rl1_span1)
-
     def acquire(self, sm: int) -> int:
         self.stats.acquires += 1
         self.l1s[sm].invalidate_valid()
         return self.config.l1_hit_latency
 
-    # ------------------------------------------------------------------
-    # Per-instruction atomics: one call per warp atomic instruction with the
-    # per-pair body of `atomic` inlined (see GPUCoherence for the same
-    # structure).  The ownership-transfer branches stay method calls —
-    # they are rare next to the local/forwarded fast paths.  Epochs and
-    # the set dicts are loop invariants: `_acquire_ownership` only ever
-    # single-line-invalidates *other* L1s.
-    # ------------------------------------------------------------------
-    def atomic_round(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[float, int]:
+    def atomics(
+        self, sm: int, pairs: tuple, floor: float, issue: float,
+        outstanding: list | None = None, window: int = 0,
+    ) -> tuple[float, float, int]:
+        # Each pair takes one of three paths: a locally-owned RMW at this
+        # L1, an ownership registration (unowned line, or migratory
+        # sharing) followed by a local RMW, or forwarded execution at the
+        # owner's L1.  Directory/bank work is booked at ``issue``; every
+        # RMW waits for the program-order floor ``t`` and for prior
+        # same-line work.  Epochs and the set dicts are loop invariants:
+        # `_acquire_ownership` only ever single-line-invalidates *other*
+        # L1s.
         cfg = self.config
         l1 = self.l1s[sm]
         l1_sets = l1._sets
@@ -465,114 +363,27 @@ class DeNovoCoherence(MemorySystem):
         acquire_ownership = self._acquire_ownership
         sequencer = self.sequencer
         seq_get = sequencer.get
+        t = floor
         done = floor
         lanes = 0
         local = 0
         remote = 0
         for line, count in pairs:
+            if window:
+                # DRFrlx: a full MLP window blocks on its oldest atomic.
+                while outstanding and outstanding[0] <= t:
+                    del outstanding[0]
+                if len(outstanding) >= window:
+                    t = outstanding.pop(0)
             lanes += count
             holder = owner_get(line)
             if holder == sm:
-                l1_set = l1_sets[line % l1_nsets]
-                entry = l1_set.get(line, -1)
-                if entry & 2 and entry >= ae4:
-                    del l1_set[line]
-                    l1_set[line] = entry  # touch LRU
-                    local += count
-                    last_sm[line] = sm
-                    start = seq_get(line, 0.0)
-                    arrival = floor + l1_lat
-                    if start < arrival:
-                        start = arrival
-                    sequencer[line] = start + count
-                    completion = start + count + l1_lat
-                    if completion > done:
-                        done = completion
-                    continue
-            if holder is None or last_get(line) == sm:
-                last_sm[line] = sm
-                arrival = acquire_ownership(sm, line, issue)
-                if arrival < floor:
-                    arrival = floor
-                start = seq_get(line, 0.0)
-                if start < arrival:
-                    start = arrival
-                sequencer[line] = start + count
-                completion = start + count + l1_lat
-                if completion > done:
-                    done = completion
-                continue
-            last_sm[line] = sm
-            remote += count
-            l1s[holder].lookup(line)
-            rmw_hold = count * atomic_occ
-            ingress_hold = l1_atomic_occ + count
-            # (inlined _forward_delay at issue time)
-            bank = line % l2_banks
-            fstart = banks_free[bank]
-            if fstart < issue:
-                fstart = issue
-            banks_free[bank] = fstart + bank_occ
-            forwarded = fstart + bank_occ
-            unit = l1_atomic_free[holder]
-            unit_start = unit if unit > forwarded else forwarded
-            l1_atomic_free[holder] = unit_start + ingress_hold
-            start = seq_get(line, 0.0)
-            if unit_start > start:
-                start = unit_start
-            if floor > start:
-                start = floor
-            sequencer[line] = start + rmw_hold
-            completion = (start + rmw_hold
-                          + rl1_min + abs(sm - holder) % rl1_span1)
-            if completion > done:
-                done = completion
-        stats = self.stats
-        stats.atomics += lanes
-        if local:
-            stats.atomics_local += local
-        if remote:
-            stats.atomics_remote_transfer += remote
-        return done, lanes
-
-    def atomic_window(
-        self, sm: int, pairs: tuple, now: float,
-        outstanding: list, window: int,
-    ) -> tuple[float, float]:
-        cfg = self.config
-        l1 = self.l1s[sm]
-        l1_sets = l1._sets
-        l1_nsets = l1.num_sets
-        ae4 = l1._all_epoch << 2
-        l1_lat = cfg.l1_hit_latency
-        atomic_occ = cfg.atomic_occupancy
-        l1_atomic_occ = cfg.l1_atomic_occupancy
-        bank_occ = cfg.l2_bank_occupancy
-        l2_banks = self._l2_banks
-        banks_free = self._l2_bank_free
-        l1_atomic_free = self._l1_atomic_free
-        rl1_min = self._rl1_min
-        rl1_span1 = self._rl1_span1
-        l1s = self.l1s
-        owner_get = self.owner.get
-        last_sm = self._last_atomic_sm
-        last_get = last_sm.get
-        acquire_ownership = self._acquire_ownership
-        sequencer = self.sequencer
-        seq_get = sequencer.get
-        t = now
-        last = now
-        lanes = 0
-        local = 0
-        remote = 0
-        for line, count in pairs:
-            while outstanding and outstanding[0] <= t:
-                del outstanding[0]
-            if len(outstanding) >= window:
-                t = outstanding.pop(0)
-            lanes += count
-            holder = owner_get(line)
-            if holder == sm:
+                # Synchronization locality: the atomic never leaves the
+                # core.  Locally-owned atomics flow through the L1's write
+                # pipeline (serialized only per line), so they are nearly
+                # as cheap as L1 stores.  Peek + LRU-touch in one probe:
+                # a live OWNED packed entry has bit 2 set and survives
+                # the ALL epoch.
                 l1_set = l1_sets[line % l1_nsets]
                 entry = l1_set.get(line, -1)
                 if entry & 2 and entry >= ae4:
@@ -586,13 +397,20 @@ class DeNovoCoherence(MemorySystem):
                         start = arrival
                     sequencer[line] = start + count
                     completion = start + count + l1_lat
-                    if completion > last:
-                        last = completion
-                    insort(outstanding, completion)
+                    if completion > done:
+                        done = completion
+                    if window:
+                        insort(outstanding, completion)
                     continue
             if holder is None or last_get(line) == sm:
+                # Unowned: register at the requester via the L2 directory.
+                # Owned elsewhere but this core also issued the line's
+                # previous atomic: the sharing is migratory (e.g. a thread
+                # block hammering its own window from a new SM), so
+                # ownership transfers.  Either way the RMW then runs
+                # locally.
                 last_sm[line] = sm
-                arrival = acquire_ownership(sm, line, now)
+                arrival = acquire_ownership(sm, line, issue)
                 if arrival < t:
                     arrival = t
                 start = seq_get(line, 0.0)
@@ -600,20 +418,29 @@ class DeNovoCoherence(MemorySystem):
                     start = arrival
                 sequencer[line] = start + count
                 completion = start + count + l1_lat
-                if completion > last:
-                    last = completion
-                insort(outstanding, completion)
+                if completion > done:
+                    done = completion
+                if window:
+                    insort(outstanding, completion)
                 continue
+            # Forwarded execution at the owner's L1 (contended lines stay
+            # put instead of ping-ponging): the RMWs serialize on the line
+            # at an L2 atomic unit's rate, and the *message* occupies the
+            # owner core's single network ingress/atomic unit — which is
+            # what makes scattered single-lane updates prefer GPU
+            # coherence's banked L2 units, while batched updates to hot
+            # lines amortize the ingress cost.  The owner's L1 keeps the
+            # line hot: forwarded atomics refresh it.
             last_sm[line] = sm
             remote += count
             l1s[holder].lookup(line)
             rmw_hold = count * atomic_occ
             ingress_hold = l1_atomic_occ + count
-            # (inlined _forward_delay at issue time)
+            # Directory forwarding: a tag lookup at the home bank.
             bank = line % l2_banks
             fstart = banks_free[bank]
-            if fstart < now:
-                fstart = now
+            if fstart < issue:
+                fstart = issue
             banks_free[bank] = fstart + bank_occ
             forwarded = fstart + bank_occ
             unit = l1_atomic_free[holder]
@@ -627,13 +454,14 @@ class DeNovoCoherence(MemorySystem):
             sequencer[line] = start + rmw_hold
             completion = (start + rmw_hold
                           + rl1_min + abs(sm - holder) % rl1_span1)
-            if completion > last:
-                last = completion
-            insort(outstanding, completion)
+            if completion > done:
+                done = completion
+            if window:
+                insort(outstanding, completion)
         stats = self.stats
         stats.atomics += lanes
         if local:
             stats.atomics_local += local
         if remote:
             stats.atomics_remote_transfer += remote
-        return t, last
+        return t, done, lanes

@@ -28,12 +28,13 @@ class GPUCoherence(MemorySystem):
 
     def load(self, sm: int, lines: tuple, now: float) -> float:
         # The per-line L1 lookup/refill below is the simulator's hottest
-        # loop, so both the cache's packed-entry protocol (see
-        # sim/cache.py) and the L2 service (see base._l2_service) are
-        # inlined here.  GPU coherence only ever holds VALID lines in an
-        # L1, so `_install_l1`'s owned-writeback path can never trigger
-        # and is skipped entirely.  Epochs are loop invariants: nothing
-        # below invalidates this L1 or the shared L2.
+        # loop, so the cache's packed-entry protocol (see sim/cache.py)
+        # and the home-bank L2 service (bank occupancy, L2 lookup and
+        # VALID fill, DRAM channel occupancy on a miss) are inlined here.
+        # GPU coherence only ever holds VALID lines in an L1, so the L1
+        # refill never evicts an owned line and needs no writeback path.
+        # Epochs are loop invariants: nothing below invalidates this L1
+        # or the shared L2.
         l1 = self.l1s[sm]
         l1_sets = l1._sets
         l1_nsets = l1.num_sets
@@ -87,7 +88,7 @@ class GPUCoherence(MemorySystem):
             if start < now:
                 start = now
             mshr_free[i] = start + l2_lat_min
-            # --- L2 service (inlined _l2_service) ---
+            # --- L2 service at the line's home bank ---
             bank = line % l2_banks
             bstart = banks_free[bank]
             if bstart < start:
@@ -178,7 +179,7 @@ class GPUCoherence(MemorySystem):
             buf_free[i] = start + hold
             if start > accept:
                 accept = start
-            # --- L2 service (inlined _l2_service) ---
+            # --- L2 service at the line's home bank ---
             bank = line % l2_banks
             bstart = banks_free[bank]
             if bstart < start:
@@ -217,79 +218,21 @@ class GPUCoherence(MemorySystem):
         stats.l2_misses += l2_misses
         return accept, drain
 
-    def atomic(
-        self, sm: int, line: int, count: int, now: float,
-        issue: float | None = None,
-    ) -> float:
-        cfg = self.config
-        if issue is None:
-            issue = now
-        stats = self.stats
-        stats.atomics += count
-        hold = count * cfg.atomic_occupancy
-        # Bank occupancy and a possible memory fill are booked at issue
-        # time (requests travel immediately; same-line fills coalesce in
-        # the L2 MSHRs).  The RMW itself waits for the program-order
-        # floor and for prior RMWs to the same line.  The L2 service is
-        # inlined as in `load` (atomics are the push hot path).
-        bank = line % self._l2_banks
-        banks_free = self._l2_bank_free
-        bstart = banks_free[bank]
-        if bstart < issue:
-            bstart = issue
-        banks_free[bank] = bstart + hold
-        latency = self._l2_lat_min + (bank + sm) % self._l2_span1
-        l2 = self.l2
-        l2_set = l2._sets[line % l2.num_sets]
-        l2_entry = l2_set.pop(line, None)
-        if l2_entry is not None and l2_entry >= l2._valid_epoch << 2:
-            l2_set[line] = l2_entry
-            stats.l2_hits += 1
-            service_ready = bstart + hold + latency
-        else:
-            stats.l2_misses += 1
-            if len(l2_set) >= l2.assoc:
-                if l2._valid_epoch or l2._all_epoch:
-                    l2.install(line, VALID)
-                else:
-                    del l2_set[next(iter(l2_set))]
-                    l2_set[line] = VALID
-            else:
-                l2_set[line] = (l2._valid_epoch << 2) | VALID
-            channels_free = self._mem_channel_free
-            channel = line % self._mem_channels
-            mstart = channels_free[channel]
-            mem_issue = bstart + hold
-            if mstart < mem_issue:
-                mstart = mem_issue
-            mem_occ = self._mem_occupancy
-            channels_free[channel] = mstart + mem_occ
-            service_ready = (mstart + mem_occ + self._mem_lat_min
-                             + (bank + sm) % self._mem_span1 + latency)
-        # When the bank's RMW slot begins (fills overlap approximately).
-        start = service_ready - latency - hold
-        seq = self.sequencer.get(line, 0.0)
-        if seq > start:
-            start = seq
-        if now > start:
-            start = now
-        self.sequencer[line] = start + hold
-        return start + hold + latency
-
     def acquire(self, sm: int) -> int:
         self.stats.acquires += 1
         self.l1s[sm].invalidate_all()
         return self.config.l1_hit_latency
 
-    # ------------------------------------------------------------------
-    # Per-instruction atomics: one call per warp atomic instruction, with the
-    # per-pair L2-side service of `atomic` inlined so the ~dozen local
-    # bindings are paid once per instruction instead of once per line.
-    # Semantics are defined by the base-class reference implementations.
-    # ------------------------------------------------------------------
-    def atomic_round(
-        self, sm: int, pairs: tuple, floor: float, issue: float
-    ) -> tuple[float, int]:
+    def atomics(
+        self, sm: int, pairs: tuple, floor: float, issue: float,
+        outstanding: list | None = None, window: int = 0,
+    ) -> tuple[float, float, int]:
+        # Every atomic executes at the line's home L2 bank.  Bank
+        # occupancy and a possible memory fill are booked at ``issue``
+        # (requests travel immediately; same-line fills coalesce in the
+        # L2 MSHRs); the RMW itself waits for the program-order floor
+        # ``t`` and for prior RMWs to the same line.  The L2 lookup and
+        # fill are inlined as in `load` (atomics are the push hot path).
         atomic_occ = self.config.atomic_occupancy
         l2_banks = self._l2_banks
         l2_span1 = self._l2_span1
@@ -309,11 +252,18 @@ class GPUCoherence(MemorySystem):
         channels_free = self._mem_channel_free
         sequencer = self.sequencer
         seq_get = sequencer.get
+        t = floor
         done = floor
         lanes = 0
         l2_hits = 0
         l2_misses = 0
         for line, count in pairs:
+            if window:
+                # DRFrlx: a full MLP window blocks on its oldest atomic.
+                while outstanding and outstanding[0] <= t:
+                    del outstanding[0]
+                if len(outstanding) >= window:
+                    t = outstanding.pop(0)
             lanes += count
             hold = count * atomic_occ
             bank = line % l2_banks
@@ -346,87 +296,7 @@ class GPUCoherence(MemorySystem):
                 channels_free[channel] = mstart + mem_occ
                 service_ready = (mstart + mem_occ + mem_lat_min
                                  + (bank + sm) % mem_span1 + latency)
-            start = service_ready - latency - hold
-            seq = seq_get(line, 0.0)
-            if seq > start:
-                start = seq
-            if floor > start:
-                start = floor
-            sequencer[line] = start + hold
-            completion = start + hold + latency
-            if completion > done:
-                done = completion
-        stats = self.stats
-        stats.atomics += lanes
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l2_misses
-        return done, lanes
-
-    def atomic_window(
-        self, sm: int, pairs: tuple, now: float,
-        outstanding: list, window: int,
-    ) -> tuple[float, float]:
-        atomic_occ = self.config.atomic_occupancy
-        l2_banks = self._l2_banks
-        l2_span1 = self._l2_span1
-        l2_lat_min = self._l2_lat_min
-        banks_free = self._l2_bank_free
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2._valid_epoch << 2
-        l2_packed_valid = l2_live_min | VALID
-        l2_install = l2.install
-        mem_channels = self._mem_channels
-        mem_lat_min = self._mem_lat_min
-        mem_span1 = self._mem_span1
-        mem_occ = self._mem_occupancy
-        channels_free = self._mem_channel_free
-        sequencer = self.sequencer
-        seq_get = sequencer.get
-        t = now
-        last = now
-        lanes = 0
-        l2_hits = 0
-        l2_misses = 0
-        for line, count in pairs:
-            while outstanding and outstanding[0] <= t:
-                del outstanding[0]
-            if len(outstanding) >= window:
-                t = outstanding.pop(0)
-            lanes += count
-            hold = count * atomic_occ
-            bank = line % l2_banks
-            bstart = banks_free[bank]
-            if bstart < now:
-                bstart = now
-            banks_free[bank] = bstart + hold
-            latency = l2_lat_min + (bank + sm) % l2_span1
-            l2_set = l2_sets[line % l2_nsets]
-            l2_entry = l2_set.pop(line, -1)
-            if l2_entry >= l2_live_min:
-                l2_set[line] = l2_entry
-                l2_hits += 1
-                service_ready = bstart + hold + latency
-            else:
-                l2_misses += 1
-                if len(l2_set) >= l2_assoc:
-                    if l2_live_min:
-                        l2_install(line, VALID)
-                    else:
-                        del l2_set[next(iter(l2_set))]
-                        l2_set[line] = VALID
-                else:
-                    l2_set[line] = l2_packed_valid
-                channel = line % mem_channels
-                mstart = channels_free[channel]
-                mem_issue = bstart + hold
-                if mstart < mem_issue:
-                    mstart = mem_issue
-                channels_free[channel] = mstart + mem_occ
-                service_ready = (mstart + mem_occ + mem_lat_min
-                                 + (bank + sm) % mem_span1 + latency)
+            # When the bank's RMW slot begins (fills overlap approximately).
             start = service_ready - latency - hold
             seq = seq_get(line, 0.0)
             if seq > start:
@@ -435,11 +305,12 @@ class GPUCoherence(MemorySystem):
                 start = t
             sequencer[line] = start + hold
             completion = start + hold + latency
-            if completion > last:
-                last = completion
-            insort(outstanding, completion)
+            if completion > done:
+                done = completion
+            if window:
+                insort(outstanding, completion)
         stats = self.stats
         stats.atomics += lanes
         stats.l2_hits += l2_hits
         stats.l2_misses += l2_misses
-        return t, last
+        return t, done, lanes

@@ -370,9 +370,9 @@ class GPUSimulator:
         # belong to *different lanes* (threads), so they always issue
         # concurrently.  Ordering constraints apply between successive
         # atomic instructions of the same thread, which warp lockstep
-        # turns into inter-round constraints.  The per-pair service loops
-        # live in the memory system (atomic_round / atomic_window) so
-        # protocols pay their local bindings once per instruction.
+        # turns into inter-round constraints.  Each model makes exactly
+        # one ``memory.atomics`` call per instruction; the models differ
+        # only in its floor and in whether a DRFrlx MLP window applies.
 
         if model.atomics_paired:
             # DRF0: every atomic is paired sync — drain outstanding
@@ -386,7 +386,7 @@ class GPUSimulator:
                 warp.atomics.clear()
             start += memory.acquire(sm)
             warp.store_drain = 0.0
-            done, lanes = memory.atomic_round(sm, pairs, start, now)
+            _, done, lanes = memory.atomics(sm, pairs, start, now)
             if not needs_value and lanes > 1:
                 # Paired atomics drain one lane at a time through the
                 # warp's single outstanding-synchronization slot.
@@ -403,7 +403,7 @@ class GPUSimulator:
                 if tail > t:
                     t = tail
                 warp.atomics.clear()
-            last_completion, lanes = memory.atomic_round(sm, pairs, t, now)
+            _, last_completion, lanes = memory.atomics(sm, pairs, t, now)
             if not needs_value and lanes > 1:
                 # One outstanding unpaired atomic per thread, and the
                 # warp's lanes share a single request slot: the lanes
@@ -416,11 +416,11 @@ class GPUSimulator:
             return t
 
         # DRFrlx: relaxed atomics overlap freely within the MLP window.
-        t, last_completion = memory.atomic_window(
-            sm, pairs, now, warp.atomics, self._window)
+        t, last_completion, _ = memory.atomics(
+            sm, pairs, now, now, warp.atomics, self._window)
         if needs_value:
             return last_completion
-        return max(t, now)
+        return t  # never below ``now``, the floor it started from
 
 
 def make_simulator(

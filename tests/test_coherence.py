@@ -1,6 +1,8 @@
 """Unit tests for the GPU and DeNovo coherence protocols."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     DeNovoCoherence,
@@ -8,6 +10,11 @@ from repro.sim import (
     SystemConfig,
     make_memory_system,
 )
+
+
+def atomic(mem, sm, line, count, t):
+    """One single-pair atomic instruction through ``atomics``."""
+    return mem.atomics(sm, ((line, count),), t, t)[1]
 
 
 @pytest.fixture
@@ -77,10 +84,10 @@ class TestGPUStoresAndAtomics:
 
     def test_same_line_atomics_serialize(self, cfg):
         mem = GPUCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)  # first access fills the line
-        base = mem.atomic(0, 5, 1, 10_000.0)
-        t1 = mem.atomic(0, 5, 1, 20_000.0)
-        t2 = mem.atomic(1, 5, 1, 20_000.0)
+        atomic(mem, 0, 5, 1, 0.0)  # first access fills the line
+        base = atomic(mem, 0, 5, 1, 10_000.0)
+        t1 = atomic(mem, 0, 5, 1, 20_000.0)
+        t2 = atomic(mem, 1, 5, 1, 20_000.0)
         # Two concurrent same-line atomics: the second queues one RMW
         # slot behind the first at the bank's atomic unit.
         later = max(t1, t2)
@@ -88,34 +95,34 @@ class TestGPUStoresAndAtomics:
 
     def test_different_line_atomics_do_not_serialize(self, cfg):
         mem = GPUCoherence(cfg)
-        t1 = mem.atomic(0, 5, 1, 0.0)
-        t2 = mem.atomic(1, 6 + cfg.l2_banks, 1, 0.0)  # different bank
+        t1 = atomic(mem, 0, 5, 1, 0.0)
+        t2 = atomic(mem, 1, 6 + cfg.l2_banks, 1, 0.0)  # different bank
         assert abs(t1 - t2) < cfg.mem_latency_max
 
     def test_count_scales_occupancy(self, cfg):
-        one = GPUCoherence(cfg).atomic(0, 5, 1, 0.0)
-        many = GPUCoherence(cfg).atomic(0, 5, 10, 0.0)
+        one = atomic(GPUCoherence(cfg), 0, 5, 1, 0.0)
+        many = atomic(GPUCoherence(cfg), 0, 5, 10, 0.0)
         assert many - one == pytest.approx(9 * cfg.atomic_occupancy)
 
 
 class TestDeNovo:
     def test_atomic_registers_ownership(self, cfg):
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
+        atomic(mem, 0, 5, 1, 0.0)
         assert mem.owner[5] == 0
         assert mem.stats.ownership_registrations == 1
 
     def test_owned_atomic_is_local_and_fast(self, cfg):
         mem = DeNovoCoherence(cfg)
-        t1 = mem.atomic(0, 5, 1, 0.0)
-        t2 = mem.atomic(0, 5, 1, t1)
+        t1 = atomic(mem, 0, 5, 1, 0.0)
+        t2 = atomic(mem, 0, 5, 1, t1)
         assert t2 - t1 < cfg.l2_latency_min  # L1-local
         assert mem.stats.atomics_local == 1
 
     def test_remote_atomic_executes_at_owner(self, cfg):
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
-        t = mem.atomic(1, 5, 1, 1000.0)
+        atomic(mem, 0, 5, 1, 0.0)
+        t = atomic(mem, 1, 5, 1, 1000.0)
         # Owner is unchanged (owner-side execution, no ping-pong).
         assert mem.owner[5] == 0
         assert mem.stats.atomics_remote_transfer == 1
@@ -123,7 +130,7 @@ class TestDeNovo:
 
     def test_owned_line_survives_acquire(self, cfg):
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
+        atomic(mem, 0, 5, 1, 0.0)
         mem.acquire(0)
         t1 = mem.load(0, (5,), 1000.0)
         assert t1 - 1000.0 <= cfg.l1_hit_latency + 1
@@ -138,7 +145,7 @@ class TestDeNovo:
 
     def test_owned_store_needs_no_flush(self, cfg):
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
+        atomic(mem, 0, 5, 1, 0.0)
         accept, drain = mem.store(0, (5,), 1000.0)
         assert drain - 1000.0 <= cfg.l1_hit_latency
 
@@ -149,7 +156,7 @@ class TestDeNovo:
 
     def test_load_from_remote_owner(self, cfg):
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
+        atomic(mem, 0, 5, 1, 0.0)
         t = mem.load(1, (5,), 1000.0)
         assert t - 1000.0 >= cfg.remote_l1_latency_min
         assert mem.owner[5] == 0  # read does not steal ownership
@@ -162,5 +169,83 @@ class TestDeNovo:
         # Fill the single L1 set with owned lines, then overflow it.
         lines = [0, tiny.l1_lines, 2 * tiny.l1_lines]
         for i, line in enumerate(lines):
-            mem.atomic(0, line, 1, float(i * 1000))
+            atomic(mem, 0, line, 1, float(i * 1000))
         assert len(mem.owner) < len(lines)
+
+
+# ----------------------------------------------------------------------
+# ``atomics`` batching: one call per warp instruction must be exactly the
+# sequence of its single-pair calls, on both protocols.
+# ----------------------------------------------------------------------
+
+# A deliberately tiny hierarchy (2-set L1s, 8-set L2) so random histories
+# hit evictions, owned writebacks, remote owners and migrations.
+_TINY = SystemConfig(num_sms=4, l1_bytes=16 * 64, l2_bytes=128 * 64)
+
+_instructions = st.lists(
+    st.tuples(
+        st.integers(0, _TINY.num_sms - 1),          # sm
+        st.lists(st.tuples(st.integers(0, 200),    # (line, count) pairs
+                           st.integers(1, 4)), max_size=8),
+        st.integers(0, 300),                        # issue gap
+        st.integers(0, 300),                        # floor above issue
+    ),
+    min_size=1, max_size=12,
+)
+_batching = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _state(mem):
+    return (mem.stats.to_dict(), mem.sequencer, mem.owner,
+            mem._l2_bank_free, mem._mem_channel_free, mem._l1_atomic_free)
+
+
+@pytest.mark.parametrize("protocol", ["gpu", "denovo"])
+class TestAtomicsBatching:
+    @_batching
+    @given(history=_instructions)
+    def test_batch_equals_single_pair_calls(self, protocol, history):
+        batched = make_memory_system(protocol, _TINY)
+        single = make_memory_system(protocol, _TINY)
+        issue = 0.0
+        for sm, pairs, gap, lift in history:
+            issue += gap
+            floor = issue + lift
+            t, done, lanes = batched.atomics(sm, tuple(pairs), floor, issue)
+            assert t == floor
+            want_done, want_lanes = floor, 0
+            for pair in pairs:
+                _, d, n = single.atomics(sm, (pair,), floor, issue)
+                want_done = max(want_done, d)
+                want_lanes += n
+            assert (done, lanes) == (want_done, want_lanes)
+            assert _state(batched) == _state(single)
+
+    @_batching
+    @given(history=_instructions, window=st.integers(1, 4))
+    def test_window_bounds_outstanding(self, protocol, history, window):
+        batched = make_memory_system(protocol, _TINY)
+        single = make_memory_system(protocol, _TINY)
+        outstanding = {sm: [] for sm in range(_TINY.num_sms)}
+        chained = {sm: [] for sm in range(_TINY.num_sms)}
+        issue = 0.0
+        for sm, pairs, gap, lift in history:
+            issue += gap
+            floor = issue + lift
+            t, done, lanes = batched.atomics(
+                sm, tuple(pairs), floor, issue, outstanding[sm], window)
+            # Chaining single-pair calls on the returned floor replays
+            # the batch pair by pair, so the window is checked after each.
+            want_t, want_done = floor, floor
+            for pair in pairs:
+                want_t, d, _ = single.atomics(
+                    sm, (pair,), want_t, issue, chained[sm], window)
+                want_done = max(want_done, d)
+                assert want_t >= floor
+                assert len(chained[sm]) <= window
+                assert chained[sm] == sorted(chained[sm])
+            assert (t, done, lanes) == (
+                want_t, want_done, sum(c for _, c in pairs))
+            assert outstanding == chained
+            assert _state(batched) == _state(single)

@@ -1,7 +1,5 @@
 """Resource-limit and contention behavior of the memory system."""
 
-import pytest
-
 from repro.sim import (
     DeNovoCoherence,
     GPUCoherence,
@@ -13,6 +11,11 @@ from repro.sim import (
     simulate,
     store,
 )
+
+
+def atomic(mem, sm, line, count, t):
+    """One single-pair atomic instruction through ``atomics``."""
+    return mem.atomics(sm, ((line, count),), t, t)[1]
 
 
 def make_cfg(**overrides):
@@ -98,29 +101,29 @@ class TestMigratoryOwnership:
     def test_second_consecutive_remote_request_migrates(self):
         cfg = make_cfg()
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
+        atomic(mem, 0, 5, 1, 0.0)
         assert mem.owner[5] == 0
-        mem.atomic(1, 5, 1, 100.0)   # forwarded, owner keeps the line
+        atomic(mem, 1, 5, 1, 100.0)   # forwarded, owner keeps the line
         assert mem.owner[5] == 0
-        mem.atomic(1, 5, 1, 200.0)   # migratory: second in a row from SM 1
+        atomic(mem, 1, 5, 1, 200.0)   # migratory: second in a row from SM 1
         assert mem.owner[5] == 1
 
     def test_interleaved_requesters_do_not_migrate(self):
         cfg = make_cfg()
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
+        atomic(mem, 0, 5, 1, 0.0)
         for t, sm in ((100, 1), (200, 0), (300, 1), (400, 0)):
-            mem.atomic(sm, 5, 1, float(t))
+            atomic(mem, sm, 5, 1, float(t))
         assert mem.owner[5] == 0  # contended line stays put
 
     def test_migrated_line_is_local_for_new_owner(self):
         cfg = make_cfg()
         mem = DeNovoCoherence(cfg)
-        mem.atomic(0, 5, 1, 0.0)
-        mem.atomic(1, 5, 1, 100.0)
-        mem.atomic(1, 5, 1, 200.0)  # migrates
+        atomic(mem, 0, 5, 1, 0.0)
+        atomic(mem, 1, 5, 1, 100.0)
+        atomic(mem, 1, 5, 1, 200.0)  # migrates
         before = mem.stats.atomics_local
-        mem.atomic(1, 5, 1, 300.0)
+        atomic(mem, 1, 5, 1, 300.0)
         assert mem.stats.atomics_local == before + 1
 
 
@@ -131,7 +134,7 @@ class TestOwnedWritebacks:
         mem = DeNovoCoherence(cfg)
         lines = [0, cfg.l1_lines, 2 * cfg.l1_lines, 3 * cfg.l1_lines]
         for i, line in enumerate(lines):
-            mem.atomic(0, line, 1, float(i * 1000))
+            atomic(mem, 0, line, 1, float(i * 1000))
         assert mem.stats.extra.get("owned_writebacks", 0) >= 1
 
     def test_gpu_coherence_never_writes_back_owned(self):

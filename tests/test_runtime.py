@@ -9,8 +9,11 @@ and every result type round-trips through ``to_dict``/``from_dict``.
 import json
 import multiprocessing
 import os
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.runner import WorkloadResult, run_workload
 from repro.harness.sweep import SweepResult, SweepRow, run_sweep
@@ -29,6 +32,23 @@ from repro.sim.engine import ExecutionResult
 from repro.sim.stalls import StallBreakdown
 
 SMALL_SCALES = {"DCT": 64, "RAJ": 32}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+# JSON-shaped MemoryStats payloads, biased towards real field names and
+# int counters so both the accepting and the rejecting paths are hit.
+_stats_payloads = st.dictionaries(
+    st.sampled_from([f.name for f in fields(MemoryStats)]) | st.text(max_size=6),
+    st.integers() | st.dictionaries(st.text(max_size=6),
+                                    st.integers() | _json_values, max_size=3)
+    | _json_values,
+    max_size=6,
+) | _json_values
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +181,30 @@ class TestSerialization:
         assert clone == stats
         with pytest.raises(ValueError, match="unknown"):
             MemoryStats.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"l1_hits": "7", "extra": {}}, "l1_hits"),
+        ({"acquires": True}, "acquires"),
+        ({"stores": 1.0}, "stores"),
+        ({"extra": 5}, "extra"),
+        ({"extra": {"owned_writebacks": "2"}}, "owned_writebacks"),
+        ([("l1_hits", 1)], "mapping"),
+        (None, "mapping"),
+    ])
+    def test_memory_stats_from_dict_fails_closed(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            MemoryStats.from_dict(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_stats_payloads)
+    def test_memory_stats_from_dict_round_trips_or_raises(self, payload):
+        try:
+            stats = MemoryStats.from_dict(payload)
+        except ValueError:
+            return
+        data = stats.to_dict()
+        assert all(data[name] == value for name, value in payload.items())
+        assert MemoryStats.from_dict(json.loads(json.dumps(data))) == stats
 
     def test_execution_result_roundtrip(self, serial_results):
         for workload in serial_results:

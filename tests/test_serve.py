@@ -338,6 +338,17 @@ class TestServerEdge:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"malformed request line" in reply
 
+    def test_overlong_request_line_gets_414(self, tmp_path):
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config):
+            # Past the stream reader's 64 KiB line limit; the daemon must
+            # answer and hang up, since the request was never framed.
+            reply = _raw_exchange(
+                config.uds, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 414 URI Too Long\r\n")
+        assert b"Connection: close" in reply
+        assert b"request line too long" in reply
+
     @pytest.mark.parametrize("length, status", [
         (b"abc", b"400"), (b"-5", b"400"), (b"99999999999", b"413")])
     def test_bad_content_length_is_rejected_before_reading(
