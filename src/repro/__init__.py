@@ -16,8 +16,8 @@ Subpackages: :mod:`repro.graph` (CSR substrate, generators, datasets),
 engine), :mod:`repro.kernels` (the six applications and trace
 generation), :mod:`repro.model` (the Figure 4 decision tree),
 :mod:`repro.harness` (runners, sweeps, and report rendering), and
-:mod:`repro.runtime` (workload specs, serial/process-pool executors, and
-the content-addressed result cache).
+:mod:`repro.runtime` (workload specs, serial and worker-node executors,
+and the content-addressed result cache).
 """
 
 from . import adaptive, graph, harness, kernels, model, runtime, sim, taxonomy

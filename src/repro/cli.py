@@ -30,7 +30,7 @@ see ``repro.model.pruning``.
 
 Observability (``repro.obs``) is off by default and never changes
 modeled numbers: ``--events PATH`` streams typed runtime events (unit
-lifecycle, retries, crashes, pool recycles, cache traffic) to a
+lifecycle, retries, worker-node crashes and leases, cache traffic) to a
 JSON-lines log that ``tools/events_to_chrometrace.py`` renders as a
 Chrome trace; ``--metrics`` prints an end-of-run metrics summary
 (counters + histograms, including the ``--profile`` collector when both
@@ -621,9 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs_flags = argparse.ArgumentParser(add_help=False)
     obs_flags.add_argument("--events", default=None, metavar="PATH",
                            help="stream runtime events (unit lifecycle, "
-                                "retries, crashes, pool recycles, cache "
-                                "traffic) to this JSON-lines log; render "
-                                "with tools/events_to_chrometrace.py")
+                                "retries, worker-node crashes and leases, "
+                                "cache traffic) to this JSON-lines log; "
+                                "render with tools/events_to_chrometrace.py")
     obs_flags.add_argument("--metrics", action="store_true",
                            help="print a metrics summary (counters + "
                                 "histograms) after the run")
@@ -657,10 +657,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
                          help="execution backend (default auto: serial "
-                              "when --jobs 1, else a process pool; "
-                              "process: a pool of exactly --jobs workers; "
-                              "multinode runs a coordinated worker fleet "
-                              "over a filesystem work queue)")
+                              "when --jobs 1, else process; process: "
+                              "exactly --jobs local worker nodes over a "
+                              "private work queue; multinode: --nodes "
+                              "worker nodes over a work queue that "
+                              "--queue-dir can share)")
     p_sweep.add_argument("--nodes", type=int, default=2, metavar="N",
                          help="worker nodes for --backend multinode "
                               "(default 2)")
@@ -742,11 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
                          help="executor backend for cold batches "
-                              "(default auto: a process pool per dispatch "
-                              "thread, alive as long as the daemon; serial "
-                              "simulates inside the daemon process)")
+                              "(default auto: --jobs worker nodes per "
+                              "dispatch thread, alive as long as the "
+                              "daemon; serial simulates inside the daemon "
+                              "process)")
     p_serve.add_argument("--jobs", type=int, default=1,
-                         help="worker processes per dispatch thread "
+                         help="worker nodes per dispatch thread "
                               "(default 1)")
     p_serve.add_argument("--batch-window", type=float, default=0.02,
                          metavar="SECONDS",

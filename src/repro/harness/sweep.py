@@ -5,8 +5,8 @@ execution times, the empirical best configuration, and the model's
 prediction — everything Figures 5/6 and Table V compare.
 
 Execution goes through :mod:`repro.runtime`: the sweep is described as an
-:class:`~repro.runtime.ExecutionPlan`, run by a serial or process-pool
-executor (``jobs``), and memoized unit-by-unit in a content-addressed
+:class:`~repro.runtime.ExecutionPlan`, run serially or on ``jobs`` local
+worker nodes, and memoized unit-by-unit in a content-addressed
 :class:`~repro.runtime.ResultCache` (``cache``), so repeated or
 interrupted sweeps only simulate what is missing.
 """

@@ -4,9 +4,9 @@ The runtime (executors, result cache), harness (sweep, runner) and
 simulator report into one process-wide :class:`Observer`:
 
 * **Events** (:mod:`repro.obs.events`) — timestamped, taxonomy-checked
-  records of discrete happenings: unit lifecycle, retries, worker
-  crashes, pool recycles, probation/quarantine, cache hits/misses/heals,
-  sweep phase boundaries.  They flow to :mod:`repro.obs.sinks` (JSONL
+  records of discrete happenings: unit lifecycle, retries, quarantine,
+  worker-node membership and leases, cache hits/misses/heals, sweep
+  phase boundaries.  They flow to :mod:`repro.obs.sinks` (JSONL
   file, in-memory ring, stdlib logging) and can be rendered as a Chrome
   trace by ``tools/events_to_chrometrace.py``.
 * **Metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
@@ -17,14 +17,13 @@ simulator report into one process-wide :class:`Observer`:
 The observer is a *strict observer*: it is disabled by default, the
 disabled path is a single attribute check, and nothing it does may
 change modeled numbers — the golden-timing tests run with events on and
-assert bit-identity.  It is also per-process: pool workers do not ship
-events back, so executor instrumentation lives in the manager loop
-(which is where retries, deadlines, and pool health are decided anyway)
-and simulator metrics cover in-process (serial) execution, mirroring
-``repro.perf``'s contract.  (On platforms whose pools fork, workers
-inherit an open JSONL sink and their ``workload.simulated`` events do
-land in the shared log — append-mode writes keep lines whole — but
-metrics counted inside a worker die with it.)
+assert bit-identity.  It is also per-process: a worker node journals its
+own events to a file in the work queue, and the coordinator forwards
+them into its own observer (:meth:`Observer.forward`), counting the unit
+lifecycle (``units.*``) and lease counters once per event.  Other
+metrics counted inside a node (simulator histograms) die with it, so
+simulator metrics cover in-process (serial) execution, mirroring
+``repro.perf``'s contract.
 """
 
 from __future__ import annotations
@@ -77,6 +76,13 @@ class Observer:
         if not self.enabled:
             return
         event = Event(kind=kind, data=data)
+        for sink in self.sinks:
+            sink.emit(event)
+
+    def forward(self, event: Event) -> None:
+        """Fan out an event another process recorded, timestamp intact."""
+        if not self.enabled:
+            return
         for sink in self.sinks:
             sink.emit(event)
 

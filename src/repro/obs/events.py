@@ -1,7 +1,7 @@
 """Typed event records for the observability layer.
 
 An :class:`Event` is one timestamped fact about the run — a unit
-started, a worker crashed, a cache entry healed — with a ``kind`` drawn
+started, a worker node died, a cache entry healed — with a ``kind`` drawn
 from the closed taxonomy :data:`EVENT_KINDS` and a flat JSON-safe
 payload.  The taxonomy is validated at construction time for the same
 reason :meth:`StallBreakdown.add` validates its category: a typo'd kind
@@ -33,24 +33,20 @@ EVENT_KINDS = (
     "unit.cached",        # digest, label
     "unit.coalesced",     # digest, label (duplicate digest within one plan)
     "unit.quarantined",   # digest, label, attempts
-    # Worker-pool health.
-    "worker.crash",       # digest, label, attempt
-    "pool.recycle",       # reason ('hang' | 'crash' | 'submit'), requeued
-    "pool.probation",     # digest, label
-    # Multi-node backend: node membership.
+    # Worker nodes: membership.
     "node.join",          # node, pid, restarts (0 on first join)
-    "node.leave",         # node, reason ('drained'|'crash'|'quarantined'
-                          #               |'stopped'), pid
-    # Multi-node backend: lease protocol over the work queue.
+    "node.leave",         # node, reason ('crash' | 'quarantined'
+                          #   | 'deadline' | 'stopped'), pid
+    # Worker nodes: lease protocol over the work queue.
     "lease.claim",        # digest, label, node, attempt
     "lease.renew",        # digest, node
     "lease.expire",       # digest, node (late owner), reason
-                          #   ('ttl' | 'node-death')
+                          #   ('ttl' | 'node-death' | 'corrupt')
     "lease.steal",        # digest, label, node (new owner), from_node,
                           #   attempt
     "lease.release",      # digest, node
     "unit.duplicate",     # digest, node (the loser of a completion race)
-    # Multi-node backend: queue lifecycle and manifest consolidation.
+    # Work queue lifecycle and manifest consolidation.
     "queue.seeded",       # units, skipped (already done on re-seed)
     "queue.drained",      # units
     "manifest.merge",     # sources, entries, torn
@@ -74,7 +70,7 @@ EVENT_KINDS = (
     "serve.admitted",     # digest, label, client, inflight
     "serve.rejected",     # digest, label, client,
                           #   reason ('capacity' | 'rate'), retry_after
-    "serve.batch",        # units, queue_depth (one dispatch to the pool)
+    "serve.batch",        # units, queue_depth (one dispatch to the nodes)
 )
 
 _KIND_SET = frozenset(EVENT_KINDS)

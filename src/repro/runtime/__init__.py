@@ -2,7 +2,7 @@
 
 Separates *what* to simulate (:class:`WorkloadSpec`,
 :class:`ExecutionPlan` — frozen, hashable, digestible descriptions) from
-*how* it runs (:class:`SerialExecutor`, :class:`ParallelExecutor`) and
+*how* it runs (:class:`SerialExecutor`, :class:`MultiNodeExecutor`) and
 *whether it needs to run at all* (:class:`ResultCache`).
 :func:`run_plan` ties the three together; ``repro.harness.sweep``, the
 CLI, and the benchmark drivers all execute through it.
@@ -14,13 +14,15 @@ Execution is fault tolerant: failing units retry under a
 :class:`RunManifest` for resumable sweeps, and a deterministic
 :class:`FaultInjector` exercises each recovery path in tests.
 
-Fault tolerance extends past the process: :func:`make_backend` selects
-among serial, process-pool, and *multi-node* execution, where a
-:class:`MultiNodeExecutor` coordinates a fleet of worker nodes over a
+Fault tolerance extends past the process with one mechanism:
+:func:`make_backend` selects serial execution or the lease executor,
+where a :class:`MultiNodeExecutor` coordinates worker nodes over a
 crash-safe filesystem :class:`WorkQueue` (atomic leases with heartbeat
-TTLs, work stealing, exclusive completion markers) publishing into a
-:class:`ShardedResultCache` — so a SIGKILLed node costs one lease
-reclaim, never a sweep.
+TTLs, preemptive deadlines, work stealing, exclusive completion markers)
+publishing into a :class:`ShardedResultCache` — so a SIGKILLed node
+costs one lease reclaim, never a sweep.  The ``process`` backend runs
+``jobs`` such nodes locally over a private queue; ``multinode`` names
+the queue so other machines' nodes can join.
 """
 
 from .backend import BACKENDS, make_backend
@@ -28,11 +30,10 @@ from .cache import ResultCache, ShardedResultCache, default_cache_dir
 from .coordinator import MultiNodeExecutor
 from .executor import (
     Executor,
-    ParallelExecutor,
     SerialExecutor,
     execute_spec,
     load_graph,
-    make_executor,
+    run_attempt,
     run_plan,
     run_unit,
 )
@@ -65,7 +66,6 @@ __all__ = [
     "ExecutionPlan",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "MultiNodeExecutor",
     "BACKENDS",
     "make_backend",
@@ -73,8 +73,8 @@ __all__ = [
     "worker_main",
     "WorkQueue",
     "DEFAULT_LEASE_TTL",
-    "make_executor",
     "execute_spec",
+    "run_attempt",
     "run_unit",
     "load_graph",
     "run_plan",

@@ -1,32 +1,30 @@
 """Named executor backends: one switch for how a plan's units run.
 
-``run_sweep``/``run_plan`` historically chose between the serial and
-process-pool executors by ``jobs``; the multi-node backend makes "how
-to execute" a real axis.  :func:`make_backend` is the one place that
-mapping lives — the harness and CLI resolve a backend *name* here
-instead of hard-coding executor classes:
+:func:`make_backend` is the one place the name → executor mapping
+lives; ``run_plan``, the harness and the CLI all resolve backends here:
 
 ``serial``
-    Everything in the calling process, in plan order.
+    Everything in the calling process, in plan order (the oracle).
 ``process``
-    The process-pool executor (``jobs`` workers, shared memory machine,
-    pool-level crash recovery).
+    The lease executor with ``jobs`` local worker nodes over a private
+    temporary work queue (lease-based crash recovery, preemptive
+    per-attempt deadlines).
 ``multinode``
-    The coordinator/worker-fleet executor over a filesystem work queue
-    (``nodes`` workers, lease-based work stealing, per-node manifests,
-    sharded shared cache).  ``queue_dir`` may name a shared directory
-    so externally launched ``repro worker`` processes — on this machine
-    or any machine mounting the same filesystem — join the sweep.
+    The same executor with ``nodes`` workers over a work queue rooted at
+    ``queue_dir`` (or a private one when None), so externally launched
+    ``repro worker`` processes — on this machine or any machine
+    mounting the same filesystem — can join the sweep.
 ``auto``
-    The historical behaviour: serial when ``jobs`` <= 1, else process.
+    Serial when ``jobs`` <= 1, else process.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .coordinator import DEFAULT_NODE_RESTARTS, MultiNodeExecutor
-from .executor import Executor, ParallelExecutor, SerialExecutor
+from .executor import Executor, SerialExecutor
 from .faults import FaultInjector
 from .retry import RetryPolicy
 from .workqueue import DEFAULT_LEASE_TTL
@@ -45,16 +43,19 @@ def make_backend(name: str = "auto",
                  queue_dir: str | Path | None = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  node_restarts: int = DEFAULT_NODE_RESTARTS) -> Executor:
-    """Build the executor for a backend name (see module docstring)."""
+    """Build the executor for a backend name (see module docstring).
+
+    ``jobs`` None means one node per core.
+    """
     if name == "auto":
-        name = "serial" if (jobs is None or jobs <= 1) else "process"
+        name = "serial" if (jobs is not None and jobs <= 1) else "process"
     if name == "serial":
         return SerialExecutor(policy=policy, injector=injector)
     if name == "process":
-        return ParallelExecutor(jobs, policy=policy, injector=injector)
-    if name == "multinode":
-        return MultiNodeExecutor(nodes=nodes, policy=policy,
-                                 injector=injector, queue_dir=queue_dir,
-                                 lease_ttl=lease_ttl,
-                                 node_restarts=node_restarts)
-    raise ValueError(f"unknown backend {name!r}; choose from {BACKENDS}")
+        nodes = (os.cpu_count() or 1) if jobs is None else jobs
+        queue_dir = None
+    elif name != "multinode":
+        raise ValueError(f"unknown backend {name!r}; choose from {BACKENDS}")
+    return MultiNodeExecutor(nodes=nodes, policy=policy, injector=injector,
+                             queue_dir=queue_dir, lease_ttl=lease_ttl,
+                             node_restarts=node_restarts)

@@ -25,7 +25,39 @@ from ..harness.runner import WorkloadResult
 from ..obs import OBSERVER as _obs
 from .spec import WorkloadSpec
 
-__all__ = ["ResultCache", "ShardedResultCache", "default_cache_dir"]
+__all__ = ["ResultCache", "ShardedResultCache", "default_cache_dir",
+           "write_json_atomic"]
+
+
+def write_json_atomic(path: Path, payload: dict,
+                      exclusive: bool = False) -> bool:
+    """Publish ``payload`` at ``path`` whole, never torn.
+
+    The payload is staged in a tmp file beside ``path``, then renamed
+    over it, or with ``exclusive`` hard-linked into place, which fails
+    for all but one racer.  Returns False only when an exclusive
+    create lost to an existing file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            # No sort_keys: a result's configuration order is part of
+            # the payload (Figure 5 presentation order).  ``dumps``, not
+            # ``dump``: only the one-shot encoder runs in C.
+            handle.write(json.dumps(payload))
+        if not exclusive:
+            os.replace(tmp, path)
+            return True
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        return True
+    finally:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass  # already renamed into place
 
 
 def default_cache_dir() -> Path:
@@ -108,19 +140,7 @@ class ResultCache:
             "spec": spec.to_dict(),
             "result": result.to_dict(),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # No sort_keys: the result's configuration order is part
-                # of the payload (Figure 5 presentation order).
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, payload)
         self.stores += 1
         _obs.emit("cache.store", digest=payload["digest"],
                   label=spec.label)

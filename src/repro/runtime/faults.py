@@ -16,14 +16,15 @@ Two halves:
   letting tests exercise each recovery path reproducibly.
 
   Beyond the process-level kinds, the injector speaks the *node-level*
-  failure vocabulary of the multi-node backend: ``node-kill`` SIGKILLs
-  the worker process mid-unit (a whole node dying, not a pool child),
+  failure vocabulary of the lease executor: ``node-kill`` SIGKILLs the
+  worker process mid-unit (a real ``SIGKILL``, not an exit),
   ``heartbeat-stall`` freezes a worker's lease renewal so its lease
   expires under it, ``torn-cache-write`` tears the result file a worker
   just stored (a non-atomic write caught mid-flight), and
   ``duplicate-claim`` makes a worker claim over a live lease (the
-  lease-race double-execution case).  Each hook keys on the *node-level*
-  attempt carried by the work queue, so chaos runs replay identically.
+  lease-race double-execution case).  Every hook keys on the unit's one
+  attempt counter, carried by the work queue, so chaos runs replay
+  identically.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 import signal
 import time
 import traceback as _traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -71,7 +71,7 @@ class UnitTimeoutError(RuntimeError):
 
 def failure_kind(exception: BaseException) -> str:
     """Classify an exception into a :class:`UnitFailure` kind."""
-    if isinstance(exception, (BrokenProcessPool, InjectedCrashError)):
+    if isinstance(exception, InjectedCrashError):
         return "crash"
     if isinstance(exception, (UnitTimeoutError, TimeoutError)):
         return "timeout"
@@ -85,8 +85,8 @@ class UnitFailure:
     Flows through ``Executor.run`` / ``run_plan`` in place of a
     :class:`~repro.harness.runner.WorkloadResult`; ``ok`` is False so
     mixed result lists partition uniformly.  ``quarantined`` marks specs
-    that kept killing worker processes and were pulled from the pool
-    rather than resubmitted.
+    that kept killing worker processes and were withdrawn rather than
+    handed to yet another node.
     """
 
     digest: str
@@ -205,36 +205,26 @@ class FaultInjector:
             f"{self.seed}:{digest}:{attempt}:{rule.kind}")
         return draw < rule.probability
 
+    def _rule(self, kinds: tuple[str, ...], spec: WorkloadSpec,
+              attempt: int) -> FaultRule | None:
+        """The first rule of one of ``kinds`` firing for (spec, attempt)."""
+        return next((rule for rule in self.rules if rule.kind in kinds
+                     and self._fires(rule, spec, attempt)), None)
+
     def select(self, spec: WorkloadSpec,
                attempt: int) -> FaultRule | None:
-        """The first execution fault that fires for (spec, attempt).
-
-        Only process-level kinds (crash/timeout/transient) are
-        execution faults; cache and node-level rules have their own
-        hooks and must not leak into ``before_execute``.
-        """
-        for rule in self.rules:
-            if rule.kind in _EXEC_KINDS and self._fires(
-                    rule, spec, attempt):
-                return rule
-        return None
-
-    def _node_rule(self, kind: str, spec: WorkloadSpec,
-                   attempt: int) -> FaultRule | None:
-        """The first rule of node-level ``kind`` firing for (spec, attempt)."""
-        for rule in self.rules:
-            if rule.kind == kind and self._fires(rule, spec, attempt):
-                return rule
-        return None
+        """The first execution fault (crash/timeout/transient) that
+        fires; cache and node-level rules have their own hooks."""
+        return self._rule(_EXEC_KINDS, spec, attempt)
 
     def before_execute(self, spec: WorkloadSpec, attempt: int,
                        in_worker: bool) -> None:
         """Apply any crash/timeout/transient fault for this attempt.
 
-        Inside a pool worker an injected crash kills the real process
-        (surfacing as ``BrokenProcessPool`` in the manager); in-process
-        it degrades to :class:`InjectedCrashError` so the test process
-        survives.
+        Inside a worker node an injected crash kills the real process
+        (the coordinator sees the node die holding the unit's lease);
+        in-process it degrades to :class:`InjectedCrashError` so the
+        calling process survives.
         """
         rule = self.select(spec, attempt)
         if rule is None:
@@ -259,11 +249,11 @@ class FaultInjector:
         A real ``SIGKILL`` — not ``os._exit`` — so the node dies the way
         an OOM-killed or fenced machine does: no atexit hooks, no
         flushes, lease left dangling, manifest possibly torn mid-line.
-        ``attempt`` is the node-level attempt from the work queue, so a
+        ``attempt`` is the unit's attempt from the work queue, so a
         single-shot rule kills the first claim and lets the steal
         succeed.
         """
-        if self._node_rule("node-kill", spec, attempt) is not None:
+        if self._rule(("node-kill",), spec, attempt) is not None:
             os.kill(os.getpid(), signal.SIGKILL)
 
     def heartbeat_stall(self, spec: WorkloadSpec, attempt: int) -> float:
@@ -275,12 +265,12 @@ class FaultInjector:
         double-execution path that exclusive completion markers must
         absorb.
         """
-        rule = self._node_rule("heartbeat-stall", spec, attempt)
+        rule = self._rule(("heartbeat-stall",), spec, attempt)
         return rule.hang if rule is not None else 0.0
 
     def duplicate_claim(self, spec: WorkloadSpec, attempt: int) -> bool:
         """Whether this worker should claim over a live foreign lease."""
-        return self._node_rule("duplicate-claim", spec, attempt) is not None
+        return self._rule(("duplicate-claim",), spec, attempt) is not None
 
     def tear_cache_entry(self, path: str | Path, spec: WorkloadSpec,
                          attempt: int = 1) -> bool:
@@ -292,8 +282,7 @@ class FaultInjector:
         the rename barrier.  Readers must treat it as a miss and
         self-heal.
         """
-        rule = self._node_rule("torn-cache-write", spec, attempt)
-        if rule is None:
+        if self._rule(("torn-cache-write",), spec, attempt) is None:
             return False
         path = Path(path)
         content = path.read_text()
@@ -303,11 +292,10 @@ class FaultInjector:
     def corrupt_cache_entry(self, path: str | Path,
                             spec: WorkloadSpec) -> bool:
         """Garble the cache entry just written for ``spec``, if a rule says so."""
-        for rule in self.rules:
-            if rule.kind == "corrupt-cache" and self._fires(rule, spec, 1):
-                Path(path).write_text("{corrupted-by-fault-injector")
-                return True
-        return False
+        if self._rule(("corrupt-cache",), spec, 1) is None:
+            return False
+        Path(path).write_text("{corrupted-by-fault-injector")
+        return True
 
     def to_dict(self) -> dict:
         return {"seed": self.seed,

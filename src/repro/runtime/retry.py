@@ -27,10 +27,11 @@ def stable_fraction(key: str) -> float:
 class RetryPolicy:
     """How a failing unit is retried and how long one attempt may run.
 
-    ``timeout`` is a per-unit wall-clock budget in seconds (None = no
-    limit).  The process-pool executor enforces it preemptively by
-    recycling hung workers; the serial executor, which cannot interrupt
-    in-process work, detects it after the attempt finishes.
+    ``timeout`` is a per-attempt wall-clock budget in seconds (None = no
+    limit).  The lease executor enforces it preemptively by killing the
+    worker node that holds the attempt; the serial executor, which
+    cannot interrupt in-process work, detects it after the attempt
+    finishes.
     """
 
     max_attempts: int = 3

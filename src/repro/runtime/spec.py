@@ -1,7 +1,7 @@
 """Workload specifications: one simulation unit described purely as data.
 
 The execution layer separates *what* to simulate from *how* it is
-scheduled (serially, across a process pool, or straight from the result
+scheduled (serially, across worker nodes, or straight from the result
 cache).  A :class:`WorkloadSpec` therefore captures everything
 :func:`repro.harness.runner.run_workload` consumes — application, graph
 identity (not the graph object), configuration codes, baseline, system

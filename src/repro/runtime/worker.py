@@ -1,39 +1,42 @@
-"""Pull-based worker nodes for the multi-node backend.
+"""Pull-based worker nodes for the lease executor.
 
 A :class:`NodeWorker` is one node's whole behaviour: claim a unit from
 the :class:`~repro.runtime.workqueue.WorkQueue` (atomic lease), renew
 the lease's heartbeat on a background thread while simulating, publish
-the result to the shared sharded cache (atomic tmp+rename), journal the
-outcome to the node's own manifest, and mark the unit done with an
-exclusive completion marker.  Process-level fault tolerance is the
-existing :func:`~repro.runtime.executor.run_unit` — retries, backoff
-(jitter seeded per (digest, attempt), so schedules are identical across
-nodes), structured :class:`UnitFailure` records — and the node level is
-layered on top: a worker that dies mid-unit leaves a lease the
-coordinator reclaims, and a worker that finishes a unit someone already
-stole simply loses the completion race.
+the result to the shared sharded cache, and mark the unit done with an
+exclusive completion marker.
 
-The worker is deliberately runnable three ways with the same code
-path: spawned by the coordinator (``multiprocessing``), launched by a
-human via ``repro worker QUEUE_DIR`` on any machine sharing the queue's
-filesystem, or stepped inline by tests (``NodeWorker.step``) where a
-SIGKILL would be unwelcome.
+A node runs **one attempt per claim**
+(:func:`~repro.runtime.executor.run_attempt`).  The attempt counter
+lives in the queue, so it counts attempts across every node that held
+the unit: a failed attempt with budget left reopens the unit with that
+attempt charged (the next claimer sleeps the backoff first), and the
+last attempt completes it as failed.
+
+The same code runs three ways: spawned by the coordinator
+(:func:`node_main`, idle between runs until stopped), launched via
+``repro worker QUEUE_DIR`` on any machine sharing the queue's
+filesystem (:func:`worker_main`, exits when the queue drains), or
+stepped inline (``NodeWorker.step``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import select
+import signal
 import threading
 import time
 
 from ..obs import OBSERVER as _obs
-from .executor import run_unit
+from . import executor as _executor
 from .faults import FaultInjector, UnitFailure
 from .retry import RetryPolicy
 from .spec import WorkloadSpec
 from .workqueue import DEFAULT_LEASE_TTL, WorkQueue
 
-__all__ = ["NodeWorker", "worker_main", "worker_config"]
+__all__ = ["NodeWorker", "worker_main", "node_main", "worker_config"]
 
 #: How long an idle worker sleeps between claim scans.
 DEFAULT_POLL = 0.05
@@ -63,19 +66,26 @@ class _Heartbeat(threading.Thread):
 
 
 class NodeWorker:
-    """One node's claim-execute-publish loop over a work queue."""
+    """One node's claim-execute-publish loop over a work queue.
+
+    ``journal`` keeps the per-node manifest (off for private queues).
+    ``in_worker`` lets an injected crash kill this process for real.
+    """
 
     def __init__(self, queue: WorkQueue, node: str,
                  policy: RetryPolicy | None = None,
                  injector: FaultInjector | None = None,
-                 poll: float = DEFAULT_POLL) -> None:
+                 poll: float = DEFAULT_POLL,
+                 journal: bool = True,
+                 in_worker: bool = False) -> None:
         self.queue = queue
         self.node = node
-        self.policy = policy
+        self.policy = policy or RetryPolicy()
         self.injector = injector
         self.poll = poll
+        self.in_worker = in_worker
         self.cache = queue.result_cache()
-        self.manifest = queue.node_manifest(node)
+        self.manifest = queue.node_manifest(node) if journal else None
         self.processed = 0
 
     def step(self) -> str:
@@ -92,6 +102,11 @@ class NodeWorker:
         self._process(spec, attempt)
         self.processed += 1
         return "ran"
+
+    def _journal(self, spec: WorkloadSpec, status: str, **fields) -> None:
+        if self.manifest is not None:
+            self.manifest.record(spec.digest(), spec.label, status,
+                                 node=self.node, **fields)
 
     def _process(self, spec: WorkloadSpec, attempt: int) -> None:
         digest = spec.digest()
@@ -116,45 +131,52 @@ class NodeWorker:
             result = self.cache.get(spec)
             if result is not None:
                 _obs.emit("unit.cached", digest=digest, label=spec.label)
-                self.manifest.record(digest, spec.label, "cached",
-                                     attempts=attempt, node=self.node)
+                self._journal(spec, "cached", attempts=attempt)
                 self.queue.complete(digest, self.node, "ok", attempt,
                                     label=spec.label)
                 return
             if injector is not None:
                 injector.maybe_kill_node(spec, attempt)  # SIGKILL, maybe
-            outcome = run_unit(spec, policy=self.policy, injector=injector)
-            if isinstance(outcome, UnitFailure):
-                self.manifest.record(
-                    digest, spec.label, "failed",
-                    attempts=outcome.attempts, kind=outcome.kind,
-                    message=outcome.message, node=self.node)
-                self.queue.complete(digest, self.node, "failed", attempt,
-                                    label=spec.label,
-                                    failure=outcome.to_dict())
+            started = time.monotonic()
+            try:
+                result = _executor.run_attempt(
+                    spec, attempt, policy=self.policy, injector=injector,
+                    in_worker=self.in_worker)
+            except Exception as exc:
+                self._fail(spec, attempt, UnitFailure.from_exception(
+                    spec, exc, attempts=attempt,
+                    elapsed=time.monotonic() - started))
                 return
-            path = self.cache.put(spec, outcome)
+            path = self.cache.put(spec, result)
             if injector is not None:
                 injector.tear_cache_entry(path, spec, attempt)
                 injector.corrupt_cache_entry(path, spec)
-            self.manifest.record(digest, spec.label, "ok",
-                                 attempts=attempt, node=self.node)
+            self._journal(spec, "ok", attempts=attempt)
             self.queue.complete(digest, self.node, "ok", attempt,
                                 label=spec.label)
         finally:
             if heartbeat is not None:
                 heartbeat.stop()
 
-    def run(self, max_units: int | None = None) -> int:
-        """Pull until the queue drains (or ``max_units`` processed)."""
-        while True:
-            status = self.step()
-            if status == "drained":
-                break
-            if status == "ran":
-                if max_units is not None and self.processed >= max_units:
-                    break
-            else:
+    def _fail(self, spec: WorkloadSpec, attempt: int,
+              failure: UnitFailure) -> None:
+        """Reopen the unit for another attempt, or settle it as failed."""
+        digest = spec.digest()
+        if attempt < self.policy.max_attempts:
+            _executor.note_retry(spec, attempt + 1, failure.kind)
+            self.queue.requeue(digest, charge_attempt=attempt,
+                               node=self.node)
+            return
+        _executor.note_failure(failure)
+        self._journal(spec, "failed", attempts=attempt, kind=failure.kind,
+                      message=failure.message)
+        self.queue.complete(digest, self.node, "failed", attempt,
+                            label=spec.label, failure=failure.to_dict())
+
+    def run(self) -> int:
+        """Pull until the queue drains; returns the units processed."""
+        while (status := self.step()) != "drained":
+            if status == "idle":
                 time.sleep(self.poll)
         return self.processed
 
@@ -164,13 +186,9 @@ def worker_config(queue_dir: str, node: str,
                   policy: RetryPolicy | None = None,
                   injector: FaultInjector | None = None,
                   poll: float = DEFAULT_POLL,
-                  events: bool = False) -> dict:
-    """The picklable config :func:`worker_main` consumes.
-
-    Everything a node needs crosses the process (or machine) boundary
-    as plain data — the same property the pool executor's payloads and
-    the fault injector already have.
-    """
+                  events: bool = False,
+                  journal: bool = True) -> dict:
+    """The plain-data config :func:`worker_main`/:func:`node_main` take."""
     return {
         "queue": str(queue_dir),
         "node": node,
@@ -179,18 +197,13 @@ def worker_config(queue_dir: str, node: str,
         "injector": injector.to_dict() if injector is not None else None,
         "poll": poll,
         "events": events,
+        "journal": journal,
     }
 
 
-def worker_main(config: dict) -> int:
-    """Run one worker node to queue exhaustion; returns units processed.
-
-    The single entry point behind coordinator-spawned processes and the
-    ``repro worker`` CLI.  With ``events`` set, the node journals its
-    own event stream to ``events/<node>.jsonl`` inside the queue
-    directory — node-local observability that the coordinator's merged
-    view picks up by file, not by IPC, so it survives the node.
-    """
+def _worker(config: dict, in_worker: bool) -> NodeWorker:
+    """Build a config's node; with ``events``, journal its event stream
+    to ``events/<node>.jsonl`` in the queue (it survives the node)."""
     queue = WorkQueue(config["queue"],
                       lease_ttl=config.get("lease_ttl", DEFAULT_LEASE_TTL))
     node = config["node"]
@@ -201,6 +214,51 @@ def worker_main(config: dict) -> int:
               if config.get("policy") else None)
     injector = (FaultInjector.from_dict(config["injector"])
                 if config.get("injector") else None)
-    worker = NodeWorker(queue, node, policy=policy, injector=injector,
-                        poll=config.get("poll", DEFAULT_POLL))
-    return worker.run(max_units=config.get("max_units"))
+    return NodeWorker(queue, node, policy=policy, injector=injector,
+                      poll=config.get("poll", DEFAULT_POLL),
+                      journal=config.get("journal", True),
+                      in_worker=in_worker)
+
+
+def worker_main(config: dict) -> int:
+    """``repro worker``: run one node until the queue drains; returns
+    the units it processed."""
+    return _worker(config, in_worker=False).run()
+
+
+def drain(fd: int) -> None:
+    """Empty a non-blocking wake-up pipe."""
+    try:
+        while os.read(fd, 4096):
+            pass
+    except BlockingIOError:
+        pass
+
+
+def node_main(config: dict, parent: int, notify: int,
+              wake: tuple[int, int]) -> None:
+    """A coordinator-spawned node: claim units until told to stop.
+
+    Between units the node sleeps on its ``wake`` pipe, which the
+    coordinator writes when there is work, for at most ``poll`` seconds;
+    it writes a byte to ``notify`` after every unit it settles or
+    reopens, which the coordinator sleeps on.  SIGTERM stops the node between units (the signal
+    itself writes to the wake pipe, ending the wait); a node whose
+    coordinator ``parent`` is gone stops too.  Signal wiring inherited
+    through ``fork`` (a serve daemon's asyncio handlers and wake-up fd)
+    is replaced first, so signals reach this node and not the daemon.
+    """
+    stopping = []
+    signal.set_wakeup_fd(wake[1])
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, lambda *_: stopping.append(True))
+    worker = _worker(config, in_worker=True)
+    while not stopping and os.getppid() == parent:
+        if worker.step() == "ran":
+            try:
+                os.write(notify, b"!")
+            except OSError:  # full (nobody is collecting) or closed
+                pass
+            continue
+        select.select([wake[0]], [], [], worker.poll)
+        drain(wake[0])

@@ -35,23 +35,32 @@ and result publication are exclusive.  That is what makes worker death
 at any instruction recoverable: the worst a SIGKILL leaves behind is a
 dangling lease (reclaimed by TTL), a staged ``.tmp`` (swept), or a torn
 manifest line (skipped and counted).
+
+Every reader fails closed, so a corrupt file cannot crash-loop the
+nodes that meet it.  A unit record that does not parse is rewritten
+from the spec when seeded again, else fails its unit at claim time; a
+completion marker that does not parse reads as its unit's failure.
+Both yield a :class:`~repro.runtime.faults.UnitFailure` (``error``,
+``CorruptRecordError``) naming the file.  A lease that does not parse
+is dropped (``lease.expire`` reason ``corrupt``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..obs import OBSERVER as _obs
-from .cache import ShardedResultCache
+from .cache import ShardedResultCache, write_json_atomic
+from .faults import UnitFailure
 from .manifest import RunManifest
 from .spec import WorkloadSpec
 
-__all__ = ["WorkQueue", "DEFAULT_LEASE_TTL"]
+__all__ = ["WorkQueue", "DEFAULT_LEASE_TTL", "CorruptRecordError"]
 
 #: Default lease time-to-live in seconds.  Workers renew at TTL/4, so a
 #: healthy node has three missed renewals of slack before it is declared
@@ -80,52 +89,85 @@ def _read_boot_id() -> str:
 _BOOT_ID = _read_boot_id()
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    """Replace ``path`` with ``payload`` atomically (tmp + rename)."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _stems(directory: Path) -> list[str]:
+    """The ``*.json`` record names in ``directory``, sorted (one
+    ``listdir``: queue scans run on every claim and coordinator wake)."""
+    return sorted(name[:-5] for name in os.listdir(directory)
+                  if name.endswith(".json"))
 
 
-def _create_json_exclusive(path: Path, payload: dict) -> bool:
-    """Create ``path`` atomically iff it does not exist.
+class CorruptRecordError(ValueError):
+    """A queue file exists but does not hold a well-formed record."""
 
-    Stages the full payload in a tmp file, then ``os.link``s it into
-    place: the link either succeeds (the file appears complete, never
-    torn) or fails with EEXIST (someone else won).  Returns whether this
-    caller won.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            return False
-        return True
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    def __init__(self, path: Path, problem: str) -> None:
+        super().__init__(f"{path}: {problem}")
+        self.path = path
 
 
 def _read_json(path: Path) -> dict | None:
-    """Parse ``path``, or None when absent or unreadable."""
+    """Parse ``path``: None when absent, :class:`CorruptRecordError` if bad."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
         return None
-    return payload if isinstance(payload, dict) else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorruptRecordError(path, f"unreadable ({exc})") from None
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        raise CorruptRecordError(path, "not JSON") from None
+    if not isinstance(payload, dict):
+        raise CorruptRecordError(path, "not a JSON object")
+    return payload
+
+
+def _field(record: dict, key: str, path: Path, types: tuple,
+           default=None):
+    """``record[key]``: one of the JSON ``types``; numbers finite, >= 0."""
+    value = record.get(key, default)
+    if type(value) not in types or (
+            type(value) in (int, float) and not 0 <= value < math.inf):
+        raise CorruptRecordError(path, f"{key!r} is {value!r}")
+    return value
+
+
+def _parse_unit(record: dict, path: Path) -> tuple[WorkloadSpec, int]:
+    """``(spec, charged attempts)`` of a unit record."""
+    try:
+        spec = WorkloadSpec.from_dict(record["spec"])
+    except Exception as exc:  # any malformed spec payload
+        raise CorruptRecordError(
+            path, f"bad spec ({type(exc).__name__}: {exc})") from None
+    return spec, _field(record, "attempts", path, (int,), 0)
+
+
+def _parse_lease(lease: dict, path: Path, digest: str) -> dict:
+    """A lease with its node, attempt and clock fields checked."""
+    _field(lease, "node", path, (str,))
+    for key in ("heartbeat", "heartbeat_mono", "claimed_mono", "ttl"):
+        _field(lease, key, path, (int, float, type(None)))
+    return dict(lease, digest=digest,
+                attempt=_field(lease, "attempt", path, (int,), 1))
+
+
+def _parse_done(record: dict, path: Path) -> dict:
+    """A completion marker with its status, attempt and failure checked."""
+    if record.get("status") not in ("ok", "failed"):
+        raise CorruptRecordError(path, f"status {record.get('status')!r}")
+    if record["status"] == "failed":
+        try:
+            UnitFailure.from_dict(record["failure"])
+        except Exception as exc:  # missing, not a dict, wrong fields
+            raise CorruptRecordError(
+                path, f"bad failure ({type(exc).__name__}: {exc})") from None
+    return dict(record, attempt=_field(record, "attempt", path, (int,), 0))
+
+
+def corrupt_failure(digest: str, error: CorruptRecordError) -> UnitFailure:
+    """The documented outcome of a unit whose queue record is corrupt."""
+    return UnitFailure(
+        digest=digest, label=f"unit {digest[:12]}", kind="error",
+        attempts=0, exception="CorruptRecordError", message=str(error))
 
 
 class WorkQueue:
@@ -143,6 +185,7 @@ class WorkQueue:
         self.results_dir = self.directory / "results"
         self.manifests_dir = self.directory / "manifests"
         self.events_dir = self.directory / "events"
+        self._seq: dict[str, int] = {}  # digest -> seed position, cached
         for path in (self.units_dir, self.leases_dir, self.done_dir,
                      self.results_dir, self.manifests_dir, self.events_dir):
             path.mkdir(parents=True, exist_ok=True)
@@ -173,22 +216,29 @@ class WorkQueue:
 
         Re-seeding an existing queue — the resume path — leaves prior
         unit records, completions, and results untouched, so a restarted
-        sweep only owes what never finished.  Returns ``{"units": new,
+        sweep only owes what never finished; a prior record that does
+        not parse is rewritten from the spec.  Returns ``{"units": new,
         "skipped": already_present}``.
         """
         added = 0
         skipped = 0
-        for spec in specs:
+        for position, spec in enumerate(specs):
             digest = spec.digest()
             path = self.units_dir / f"{digest}.json"
-            if path.exists():
-                skipped += 1
-                continue
-            _write_json_atomic(path, {
+            try:
+                record = _read_json(path)
+                if record is not None:
+                    _parse_unit(record, path)
+                    skipped += 1
+                    continue
+            except CorruptRecordError:
+                pass  # repaired below from the caller's own spec
+            write_json_atomic(path, {
                 "digest": digest,
                 "label": spec.label,
                 "spec": spec.to_dict(),
                 "attempts": 0,
+                "seq": position,
             })
             added += 1
         _obs.emit("queue.seeded", units=added, skipped=skipped)
@@ -196,31 +246,70 @@ class WorkQueue:
 
     def digests(self) -> list[str]:
         """Every registered unit digest, sorted (deterministic scan order)."""
-        return sorted(path.stem for path in self.units_dir.glob("*.json"))
+        return _stems(self.units_dir)
+
+    def _claim_order(self) -> list[str]:
+        """Unit digests in the order they were seeded (a plan's order).
+
+        Nodes start units in the order a serial run would, not in
+        digest order, so a plan's scheduling intent (say, its heaviest
+        graph first) survives parallel execution.  Each record's
+        position is read once; one without a position sorts first.
+        """
+        digests = self.digests()
+        seq = {}
+        for digest in digests:
+            if digest not in self._seq:
+                try:
+                    record = _read_json(self.units_dir / f"{digest}.json")
+                    position = (record or {}).get("seq")
+                except CorruptRecordError:
+                    position = None
+                self._seq[digest] = position if type(position) is int else 0
+            seq[digest] = self._seq[digest]
+        self._seq = seq
+        return sorted(digests, key=lambda digest: (seq[digest], digest))
 
     def unit_record(self, digest: str) -> dict | None:
+        """The raw unit record (None when absent; raises when corrupt)."""
         return _read_json(self.units_dir / f"{digest}.json")
 
-    def spec_for(self, digest: str) -> WorkloadSpec:
-        record = self.unit_record(digest)
-        if record is None:
-            raise KeyError(f"no unit with digest {digest!r}")
-        return WorkloadSpec.from_dict(record["spec"])
-
     def lease(self, digest: str) -> dict | None:
-        return _read_json(self.leases_dir / f"{digest}.json")
+        """The checked lease on ``digest``; None when absent or corrupt."""
+        path = self.leases_dir / f"{digest}.json"
+        try:
+            lease = _read_json(path)
+            return None if lease is None else _parse_lease(lease, path, digest)
+        except CorruptRecordError:
+            return None
 
     def outcome(self, digest: str) -> dict | None:
-        """The completion record for ``digest``, or None while pending."""
-        return _read_json(self.done_dir / f"{digest}.json")
+        """The completion record for ``digest``, or None while pending.
+
+        A marker that does not parse reads as a ``failed`` record (it
+        must not look done to claimers and pending to the coordinator).
+        """
+        path = self.done_dir / f"{digest}.json"
+        try:
+            record = _read_json(path)
+            return None if record is None else _parse_done(record, path)
+        except CorruptRecordError as exc:
+            return {"digest": digest, "status": "failed", "attempt": 0,
+                    "failure": corrupt_failure(digest, exc).to_dict()}
 
     def done_digests(self) -> set[str]:
-        return {path.stem for path in self.done_dir.glob("*.json")}
+        return set(_stems(self.done_dir))
 
     def drained(self) -> bool:
         """Every registered unit has a completion marker."""
         done = self.done_digests()
         return all(digest in done for digest in self.digests())
+
+    def forget(self, digest: str) -> None:
+        """Delete a settled unit's files, record first (private queues)."""
+        for directory in (self.units_dir, self.done_dir, self.leases_dir):
+            (directory / f"{digest}.json").unlink(missing_ok=True)
+        self.result_cache().entry_path(digest).unlink(missing_ok=True)
 
     # -- the lease protocol ----------------------------------------------
 
@@ -228,32 +317,42 @@ class WorkQueue:
               ) -> tuple[WorkloadSpec, int] | None:
         """Claim one unclaimed, unfinished unit for ``node``.
 
-        Returns ``(spec, node_attempt)`` or None when nothing is
-        claimable (all units done or leased).  Claims are exclusive via
-        atomic lease creation; a unit whose record shows a prior holder
-        is re-claimed as a *steal* (``lease.steal``).  ``injector`` may
-        force a duplicate claim over a live lease — the race the
-        completion markers must absorb.
+        Returns ``(spec, attempt)`` or None when nothing is claimable.
+        ``attempt`` is one more than the attempts already charged to the
+        unit, whoever ran them.  Claims are exclusive via atomic lease
+        creation; a unit whose record shows a prior holder is re-claimed
+        as a *steal* (``lease.steal``).  ``injector`` may force a
+        duplicate claim over a live lease — the race the completion
+        markers must absorb.  A unit whose record does not parse is
+        completed as failed on the spot.
         """
         done = self.done_digests()
-        for digest in self.digests():
+        for digest in self._claim_order():
             if digest in done:
                 continue
-            record = self.unit_record(digest)
-            if record is None:  # unlinked under us (concurrent clear)
+            path = self.units_dir / f"{digest}.json"
+            try:
+                record = self.unit_record(digest)
+                if record is None:  # unlinked under us (forgotten)
+                    continue
+                spec, charged = _parse_unit(record, path)
+            except CorruptRecordError as exc:
+                self.complete(digest, node, "failed", 0,
+                              failure=corrupt_failure(digest, exc).to_dict())
                 continue
-            spec = WorkloadSpec.from_dict(record["spec"])
-            attempt = int(record.get("attempts", 0)) + 1
+            attempt = charged + 1
             lease_path = self.leases_dir / f"{digest}.json"
             # Both clocks are stamped: wall for humans and cross-boot
             # readers, monotonic (+ boot identity) so same-boot expiry
-            # math survives wall-clock steps.
+            # and deadline math survive wall-clock steps.
+            now_mono = time.monotonic()
             payload = {
                 "digest": digest,
                 "node": node,
                 "attempt": attempt,
                 "heartbeat": time.time(),
-                "heartbeat_mono": time.monotonic(),
+                "heartbeat_mono": now_mono,
+                "claimed_mono": now_mono,
                 "boot": _BOOT_ID,
                 "ttl": self.lease_ttl,
             }
@@ -263,23 +362,31 @@ class WorkQueue:
                     continue
                 # Injected lease race: claim over the live lease the way
                 # a worker with a stale directory listing would.
-                _write_json_atomic(lease_path, payload)
-            elif not _create_json_exclusive(lease_path, payload):
+                write_json_atomic(lease_path, payload)
+            elif not write_json_atomic(lease_path, payload, exclusive=True):
                 continue  # lost a real race; next unit
             # We hold the lease; re-read the record.  The coordinator
             # may have charged an expired attempt between our record
             # read and the lease create (claim/reclaim race), which
             # would hand this node a stale attempt number — and a
             # deterministic per-attempt fault rule would re-fire on
-            # the redo forever.
-            current = self.unit_record(digest)
-            if current is not None:
+            # the redo forever.  A record gone by now was withdrawn, and
+            # a marker present by now means the holder we raced against
+            # finished (it publishes the marker before it releases).
+            try:
+                current = self.unit_record(digest)
+                if current is None or (
+                        self.done_dir / f"{digest}.json").exists():
+                    lease_path.unlink(missing_ok=True)
+                    continue
                 record = current
-            fresh = int(record.get("attempts", 0)) + 1
+                fresh = _parse_unit(record, path)[1] + 1
+            except CorruptRecordError:
+                fresh = attempt
             if fresh > attempt:
                 attempt = fresh
                 payload = dict(payload, attempt=attempt)
-                _write_json_atomic(lease_path, payload)
+                write_json_atomic(lease_path, payload)
             _obs.emit("lease.claim", digest=digest, label=spec.label,
                       node=node, attempt=attempt)
             if _obs.enabled:
@@ -302,25 +409,29 @@ class WorkQueue:
         someone else finished first.
         """
         lease_path = self.leases_dir / f"{digest}.json"
-        lease = _read_json(lease_path)
-        if lease is None or lease.get("node") != node:
+        lease = self.lease(digest)
+        if lease is None or lease["node"] != node:
             return False
         if self.outcome(digest) is not None:
             return False
         lease["heartbeat"] = time.time()
         lease["heartbeat_mono"] = time.monotonic()
         lease["boot"] = _BOOT_ID
-        _write_json_atomic(lease_path, lease)
+        write_json_atomic(lease_path, lease)
         _obs.emit("lease.renew", digest=digest, node=node)
         return True
 
     def release(self, digest: str, node: str) -> None:
         """Drop ``node``'s lease on ``digest`` if it still holds it."""
-        lease_path = self.leases_dir / f"{digest}.json"
-        lease = _read_json(lease_path)
-        if lease is not None and lease.get("node") == node:
-            lease_path.unlink(missing_ok=True)
+        lease = self.lease(digest)
+        if lease is not None and lease["node"] == node:
+            (self.leases_dir / f"{digest}.json").unlink(missing_ok=True)
             _obs.emit("lease.release", digest=digest, node=node)
+
+    def leases(self) -> list[dict]:
+        """Every lease that parses, sorted by digest."""
+        held = map(self.lease, _stems(self.leases_dir))
+        return [lease for lease in held if lease is not None]
 
     def reclaim_expired(self, dead_nodes: Sequence[str] = (),
                         now: float | None = None,
@@ -333,7 +444,8 @@ class WorkQueue:
         the unit the attempt that died (``attempts`` in the unit record
         advances to the lease's attempt) and records the late holder so
         the next claim is attributed as a steal.  Returns the expired
-        leases.
+        leases.  A lease that does not parse is dropped without a
+        charge and is not returned.
 
         Heartbeat age is measured on the **monotonic** clock whenever
         the lease was stamped on this same boot (see
@@ -357,42 +469,59 @@ class WorkQueue:
             mono = time.monotonic() + (now - time.time())
         dead = set(dead_nodes)
         expired = []
-        for lease_path in sorted(self.leases_dir.glob("*.json")):
-            digest = lease_path.stem
-            lease = _read_json(lease_path)
-            if lease is None:
+        for digest in _stems(self.leases_dir):
+            lease_path = self.leases_dir / f"{digest}.json"
+            try:
+                lease = _read_json(lease_path)
+                if lease is None:
+                    continue
+                lease = _parse_lease(lease, lease_path, digest)
+            except CorruptRecordError:
                 lease_path.unlink(missing_ok=True)
+                _obs.emit("lease.expire", digest=digest, node=None,
+                          reason="corrupt")
                 continue
             if self.outcome(digest) is not None:
                 # Completed; the marker, not the lease, is authoritative.
                 lease_path.unlink(missing_ok=True)
                 continue
             if _BOOT_ID and lease.get("boot") == _BOOT_ID \
-                    and "heartbeat_mono" in lease:
-                age = mono - float(lease["heartbeat_mono"])
+                    and lease.get("heartbeat_mono") is not None:
+                age = mono - lease["heartbeat_mono"]
             else:
-                age = wall - float(lease.get("heartbeat", 0.0))
-            if lease.get("node") in dead:
+                age = wall - (lease.get("heartbeat") or 0.0)
+            if lease["node"] in dead:
                 reason = "node-death"
-            elif age > float(lease.get("ttl", self.lease_ttl)):
+            elif age > (lease.get("ttl") or self.lease_ttl):
                 reason = "ttl"
             else:
                 continue
-            record = self.unit_record(digest)
-            if record is not None:
-                record["attempts"] = max(int(record.get("attempts", 0)),
-                                         int(lease.get("attempt", 1)))
-                record["last_node"] = lease.get("node")
-                _write_json_atomic(self.units_dir / f"{digest}.json",
-                                   record)
+            self._charge(digest, lease["attempt"], last_node=lease["node"])
             lease_path.unlink(missing_ok=True)
-            _obs.emit("lease.expire", digest=digest,
-                      node=lease.get("node"), reason=reason)
+            _obs.emit("lease.expire", digest=digest, node=lease["node"],
+                      reason=reason)
             if _obs.enabled:
                 _obs.metrics.counter("lease.expires").inc()
             lease["reason"] = reason
             expired.append(lease)
         return expired
+
+    def _charge(self, digest: str, attempt: int,
+                last_node: str | None = None) -> None:
+        """Advance a unit's charged attempts to at least ``attempt``
+        (a record that does not parse is left for :meth:`claim`)."""
+        path = self.units_dir / f"{digest}.json"
+        try:
+            record = _read_json(path)
+            if record is None:
+                return
+            charged = _parse_unit(record, path)[1]
+        except CorruptRecordError:
+            return
+        record["attempts"] = max(charged, attempt)
+        if last_node is not None:
+            record["last_node"] = last_node
+        write_json_atomic(path, record)
 
     # -- completion -------------------------------------------------------
 
@@ -418,8 +547,8 @@ class WorkQueue:
         }
         if failure is not None:
             payload["failure"] = failure
-        won = _create_json_exclusive(self.done_dir / f"{digest}.json",
-                                     payload)
+        won = write_json_atomic(self.done_dir / f"{digest}.json", payload,
+                                exclusive=True)
         if not won:
             _obs.emit("unit.duplicate", digest=digest, node=node)
             if _obs.enabled:
@@ -427,19 +556,18 @@ class WorkQueue:
         self.release(digest, node)
         return won
 
-    def requeue(self, digest: str, charge_attempt: int = 0) -> None:
-        """Reopen a completed unit (the torn-result recovery path).
+    def requeue(self, digest: str, charge_attempt: int = 0,
+                node: str | None = None) -> None:
+        """Reopen a unit with ``charge_attempt`` charged to it.
 
-        The coordinator calls this when a unit's completion marker says
-        'ok' but its cache entry is unreadable — the work must be
-        redone.  ``charge_attempt`` advances the unit's attempt counter
-        past the attempt whose write tore, so the re-execution is a new
-        attempt (and a deterministic first-attempt-only torn-write rule
-        cannot re-fire on it forever).
+        Callers: a node whose attempt failed with retries left (``node``
+        names it; its lease is released after the charge), and the
+        coordinator when an 'ok' marker's cache entry is unreadable.
+        The charge makes the redo a new attempt, so a deterministic
+        first-attempt-only fault rule cannot re-fire on it forever.
         """
-        record = self.unit_record(digest)
-        if record is not None and charge_attempt > 0:
-            record["attempts"] = max(int(record.get("attempts", 0)),
-                                     charge_attempt)
-            _write_json_atomic(self.units_dir / f"{digest}.json", record)
+        if charge_attempt > 0:
+            self._charge(digest, charge_attempt)
+        if node is not None:
+            self.release(digest, node)
         (self.done_dir / f"{digest}.json").unlink(missing_ok=True)

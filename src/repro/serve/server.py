@@ -67,6 +67,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     414: "URI Too Long",
     429: "Too Many Requests",
@@ -83,6 +84,12 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: with 431 and the connection is closed (a request line past the limit
 #: gets 414).
 MAX_HEADERS = 100
+
+#: Seconds a request may take from its first byte to its last; a client
+#: still sending after that (a slowloris) is answered with 408 and the
+#: connection is closed.  Idle keep-alive time between requests is not
+#: limited.
+REQUEST_READ_TIMEOUT = 10.0
 
 
 @dataclass
@@ -198,7 +205,7 @@ class ReproServer:
             self.endpoints.append(f"http://{bound[0]}:{bound[1]}")
         # Cold batches simulate in worker processes that live as long as
         # the daemon, so this process only parses, reads the cache and
-        # routes.  The pools fork here, on the event-loop thread and
+        # routes.  The nodes fork here, on the event-loop thread and
         # before any dispatch thread exists, so no fork snapshots a lock
         # another thread holds.
         backend = ("process" if self.config.backend == "auto"
@@ -226,7 +233,7 @@ class ReproServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close listeners, drain in-flight batches, release the pool."""
+        """Close listeners, drain in-flight batches, stop the nodes."""
         for server in self._servers:
             server.close()
             await server.wait_closed()
@@ -306,17 +313,36 @@ class ReproServer:
                     asyncio.CancelledError):
                 pass
 
-    @staticmethod
+    @classmethod
     async def _read_request(
-        reader: asyncio.StreamReader,
+        cls, reader: asyncio.StreamReader,
     ) -> tuple[str, str, dict, bytes] | None:
-        """Parse one HTTP/1.1 request; None on a clean EOF."""
+        """Parse one HTTP/1.1 request; None on a clean EOF.
+
+        The wait for a request's first byte is unbounded (an idle
+        keep-alive connection); the rest of the request must arrive
+        within :data:`REQUEST_READ_TIMEOUT`.
+        """
+        first = await reader.read(1)
+        if not first:
+            return None
         try:
-            line = await reader.readline()
+            return await asyncio.wait_for(cls._read_rest(reader, first),
+                                          REQUEST_READ_TIMEOUT)
+        except asyncio.TimeoutError:
+            raise _BadRequest(
+                f"request not completed within {REQUEST_READ_TIMEOUT:g}s",
+                status=408) from None
+
+    @staticmethod
+    async def _read_rest(
+        reader: asyncio.StreamReader, first: bytes,
+    ) -> tuple[str, str, dict, bytes]:
+        """The request after its first byte: line, headers and body."""
+        try:
+            line = first + await reader.readline()
         except ValueError:  # the line overran the reader's limit
             raise _BadRequest("request line too long", status=414) from None
-        if not line:
-            return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
             raise _BadRequest(f"malformed request line {line!r}")

@@ -57,20 +57,20 @@ class TestFaultFlags:
     def test_run_reports_failure_and_exits_nonzero(self, capsys,
                                                    monkeypatch):
         from repro.runtime import FaultInjector, FaultRule, RetryPolicy
-        from repro.runtime import executor as executor_module
+        from repro.runtime import backend as backend_module
 
-        real = executor_module.make_executor
+        real = backend_module.make_backend
 
-        def faulty(jobs=1, policy=None, injector=None):
+        def faulty(name="auto", jobs=1, policy=None, injector=None):
             return real(
-                jobs,
+                name, jobs,
                 policy=RetryPolicy(max_attempts=2, base_delay=0.0,
                                    jitter=0.0),
                 injector=FaultInjector(rules=(FaultRule(
                     kind="transient", match="*", attempts=10**6),)),
             )
 
-        monkeypatch.setattr(executor_module, "make_executor", faulty)
+        monkeypatch.setattr(backend_module, "make_backend", faulty)
         assert main(["run", "DCT", "MIS", "--iters", "1",
                      "--no-cache"]) == 1
         err = capsys.readouterr().err
@@ -79,20 +79,20 @@ class TestFaultFlags:
 
     def test_run_fail_fast_raises_cleanly(self, capsys, monkeypatch):
         from repro.runtime import FaultInjector, FaultRule, RetryPolicy
-        from repro.runtime import executor as executor_module
+        from repro.runtime import backend as backend_module
 
-        real = executor_module.make_executor
+        real = backend_module.make_backend
 
-        def faulty(jobs=1, policy=None, injector=None):
+        def faulty(name="auto", jobs=1, policy=None, injector=None):
             return real(
-                jobs,
+                name, jobs,
                 policy=RetryPolicy(max_attempts=2, base_delay=0.0,
                                    jitter=0.0),
                 injector=FaultInjector(rules=(FaultRule(
                     kind="transient", match="*", attempts=10**6),)),
             )
 
-        monkeypatch.setattr(executor_module, "make_executor", faulty)
+        monkeypatch.setattr(backend_module, "make_backend", faulty)
         assert main(["run", "DCT", "MIS", "--iters", "1", "--no-cache",
                      "--fail-fast"]) == 1
         err = capsys.readouterr().err

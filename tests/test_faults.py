@@ -2,8 +2,8 @@
 
 Exercises every recovery path deterministically via the seeded
 FaultInjector: transient exceptions retried to success, worker crashes
-(real ``os._exit`` in pool workers) survived by pool respawn, hung
-workers reclaimed by per-unit deadlines, corrupt cache entries healed,
+(real ``os._exit`` in worker nodes) survived by node respawn, hung
+nodes killed at per-attempt deadlines, corrupt cache entries healed,
 keep-going vs fail-fast semantics, and the manifest/cache resume flow.
 """
 
@@ -21,7 +21,6 @@ from repro.runtime import (
     FaultRule,
     InjectedCrashError,
     InjectedTransientError,
-    ParallelExecutor,
     ResultCache,
     RetryPolicy,
     RunManifest,
@@ -29,6 +28,7 @@ from repro.runtime import (
     UnitFailure,
     UnitTimeoutError,
     failure_kind,
+    make_backend,
     run_plan,
     run_unit,
 )
@@ -120,9 +120,6 @@ class TestRetryPolicy:
 
 class TestFailureRecords:
     def test_kind_classification(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        assert failure_kind(BrokenProcessPool("dead")) == "crash"
         assert failure_kind(InjectedCrashError("boom")) == "crash"
         assert failure_kind(UnitTimeoutError("slow")) == "timeout"
         assert failure_kind(TimeoutError()) == "timeout"
@@ -431,8 +428,8 @@ class TestParallelRecovery:
         assert _dicts(outcomes) == _dicts(serial_results)
 
     def test_worker_crash_respawns_pool(self, small_plan, serial_results):
-        # DCT/CC's first attempt kills its worker process with os._exit;
-        # the manager must respawn the pool and finish every unit.
+        # DCT/CC's first attempt kills its node process with os._exit;
+        # the coordinator must respawn the node and finish every unit.
         injector = FaultInjector(rules=(FaultRule(
             kind="crash", match="DCT/CC", attempts=1),))
         outcomes = run_plan(small_plan, jobs=2, policy=FAST,
@@ -455,13 +452,13 @@ class TestParallelRecovery:
 
     def test_crash_recycles_the_persistent_pool(self, small_plan,
                                                 serial_results):
-        # The first run's DCT/CC attempt kills its worker; the executor
-        # replaces its pool in place and a second run on it succeeds.
+        # The first run's DCT/CC attempt kills its node; the executor
+        # replaces that node in place and a second run on it succeeds.
         injector = FaultInjector(rules=(FaultRule(
             kind="crash", match="DCT/CC", attempts=1),))
         specs = list(small_plan)
-        with ParallelExecutor(jobs=2, policy=FAST,
-                              injector=injector) as executor:
+        with make_backend("process", jobs=2, policy=FAST,
+                          injector=injector) as executor:
             first = dict(executor.run(specs))
             second = dict(executor.run([specs[0], specs[2]]))
         assert _dicts([first[i] for i in range(4)]) == \
@@ -472,9 +469,9 @@ class TestParallelRecovery:
 
     def test_hang_recycle_kills_workers_despite_inherited_handler(
             self, small_plan):
-        # A worker forked from a process that ignores SIGTERM (as the
-        # serve daemon's asyncio handlers do) must still die when a hang
-        # recycle terminates it, instead of sleeping out its hang.
+        # A node forked from a process that ignores SIGTERM (as the
+        # serve daemon's asyncio handlers do) must still die when its
+        # deadline passes, instead of sleeping out its hang.
         import signal
 
         injector = FaultInjector(rules=(always("timeout", "DCT/PR",
@@ -482,8 +479,8 @@ class TestParallelRecovery:
         policy = RetryPolicy(max_attempts=1, timeout=0.5)
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
-            with ParallelExecutor(jobs=1, policy=policy,
-                                  injector=injector) as executor:
+            with make_backend("process", jobs=1, policy=policy,
+                              injector=injector) as executor:
                 (_, outcome), = executor.run([small_plan[0]])
         finally:
             signal.signal(signal.SIGTERM, previous)
@@ -495,11 +492,12 @@ class TestParallelRecovery:
 
     def test_generator_close_reaps_hung_workers(self, small_plan):
         # DCT/CC hangs for a minute; closing the stream after the first
-        # result must terminate the hung worker instead of leaking it.
+        # result must kill the hung node instead of leaking it.
         injector = FaultInjector(rules=(always("timeout", "DCT/CC",
                                                hang=60.0),))
-        executor = ParallelExecutor(
-            jobs=2, policy=RetryPolicy(max_attempts=1), injector=injector)
+        executor = make_backend(
+            "process", jobs=2, policy=RetryPolicy(max_attempts=1),
+            injector=injector)
         stream = executor.run(list(small_plan))
         position, outcome = next(stream)
         assert outcome.ok

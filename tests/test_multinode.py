@@ -12,9 +12,15 @@ bit-identical to serial with zero re-simulated units.
 
 import concurrent.futures as cf
 import json
+import multiprocessing
+import os
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import main
@@ -25,7 +31,6 @@ from repro.runtime import (
     FaultRule,
     MultiNodeExecutor,
     NodeWorker,
-    ParallelExecutor,
     ResultCache,
     RetryPolicy,
     RunManifest,
@@ -36,6 +41,7 @@ from repro.runtime import (
     make_backend,
     run_plan,
 )
+from repro.runtime import executor as executor_module
 from repro.sim.config import SystemConfig
 
 SMALL_SCALES = {"DCT": 64, "RAJ": 32}
@@ -438,10 +444,6 @@ class TestWorkQueue:
         assert attempt == 2
         assert queue.lease(digest)["attempt"] == 2
 
-    def test_spec_for_unknown_digest(self, queue):
-        with pytest.raises(KeyError):
-            queue.spec_for("feedface")
-
     def test_wall_clock_jump_forward_does_not_mass_expire(
             self, queue, small_plan):
         # Regression: heartbeats compared with time.time() meant a
@@ -489,20 +491,134 @@ class TestWorkQueue:
 
 
 # ---------------------------------------------------------------------------
+# Work-queue readers fail closed on any persisted bytes
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+_FIELDS = ("digest", "label", "spec", "attempts", "seq", "last_node",
+           "node", "attempt", "heartbeat", "heartbeat_mono", "claimed_mono",
+           "boot", "ttl", "status", "failure")
+
+
+def _base_record(kind, spec):
+    digest = spec.digest()
+    if kind == "units":
+        return {"digest": digest, "label": spec.label,
+                "spec": spec.to_dict(), "attempts": 0}
+    if kind == "leases":
+        return {"digest": digest, "node": "a", "attempt": 1,
+                "heartbeat": time.time(), "heartbeat_mono": time.monotonic(),
+                "claimed_mono": time.monotonic(), "boot": "", "ttl": 30.0}
+    return {"digest": digest, "label": spec.label, "node": "a",
+            "status": "ok", "attempt": 1}
+
+
+class TestWorkQueueFailsClosed:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["units", "leases", "done"]),
+           whole=st.booleans(), payload=_JSON,
+           patch=st.dictionaries(st.sampled_from(_FIELDS), _JSON,
+                                 max_size=3),
+           drop=st.sets(st.sampled_from(_FIELDS), max_size=2))
+    def test_any_json_record_proceeds_or_fails_its_unit(
+            self, small_plan, serial_results, kind, whole, payload, patch,
+            drop):
+        specs = list(small_plan)[:2]
+        with tempfile.TemporaryDirectory() as tmp:
+            queue = WorkQueue(Path(tmp) / "queue", lease_ttl=30.0)
+            queue.seed(specs)
+            target = specs[0]
+            path = getattr(queue, f"{kind}_dir") / f"{target.digest()}.json"
+            if whole:
+                record = payload
+            else:
+                record = _base_record(kind, target)
+                record.update(patch)
+                for key in drop:
+                    record.pop(key, None)
+            if kind == "done":
+                queue.result_cache().put(target, serial_results[0])
+            path.write_text(json.dumps(record))
+
+            # Drive every reader: expire, claim and finish what is
+            # claimable, expire again, read every outcome.
+            queue.reclaim_expired(dead_nodes=["a"])
+            while (claimed := queue.claim("b")) is not None:
+                spec, attempt = claimed
+                queue.complete(spec.digest(), "b", "ok", attempt,
+                               label=spec.label)
+            queue.reclaim_expired(dead_nodes=["a", "b"])
+            for spec in specs:
+                outcome = queue.outcome(spec.digest())
+                if outcome is None:
+                    continue
+                assert outcome["status"] in ("ok", "failed")
+                assert isinstance(outcome["attempt"], int)
+                if outcome["status"] == "failed":
+                    failure = UnitFailure.from_dict(outcome["failure"])
+                    assert spec is target
+                    if failure.exception == "CorruptRecordError":
+                        assert str(path) in failure.message
+            # The untouched unit always completes.
+            assert queue.outcome(specs[1].digest())["status"] == "ok"
+
+    def test_corrupt_unit_record_fails_its_unit_naming_the_file(
+            self, tmp_path, small_plan):
+        queue = WorkQueue(tmp_path / "queue")
+        queue.seed([small_plan[0]])
+        digest = small_plan[0].digest()
+        path = queue.units_dir / f"{digest}.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(record, attempts="x")))
+        assert queue.claim("a") is None
+        outcome = queue.outcome(digest)
+        failure = UnitFailure.from_dict(outcome["failure"])
+        assert failure.exception == "CorruptRecordError"
+        assert str(path) in failure.message and "attempts" in failure.message
+        # Seeding again repairs the record from the caller's own spec.
+        queue.requeue(digest)
+        assert queue.seed([small_plan[0]]) == {"units": 1, "skipped": 0}
+        assert queue.claim("a") == (small_plan[0], 1)
+
+    def test_unparseable_lease_is_dropped_not_raised(self, tmp_path,
+                                                     small_plan, ring):
+        queue = WorkQueue(tmp_path / "queue")
+        queue.seed([small_plan[0]])
+        spec, _ = queue.claim("a")
+        path = queue.leases_dir / f"{spec.digest()}.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        heartbeat_mono="soon")))
+        assert queue.reclaim_expired() == []
+        assert not path.exists()
+        (expire,) = ring.events("lease.expire")
+        assert expire.data["reason"] == "corrupt"
+        assert queue.claim("b") == (spec, 1)  # no attempt was charged
+
+
+# ---------------------------------------------------------------------------
 # Backend registry, plan resume arithmetic
 
 
 class TestBackendRegistry:
     def test_names_resolve_to_executor_types(self, tmp_path):
         assert isinstance(make_backend("serial"), SerialExecutor)
-        assert isinstance(make_backend("process", jobs=2),
-                          ParallelExecutor)
-        assert isinstance(
-            make_backend("multinode", nodes=2,
-                         queue_dir=tmp_path / "q"),
-            MultiNodeExecutor)
+        process = make_backend("process", jobs=2)
+        assert isinstance(process, MultiNodeExecutor)
+        assert process.nodes == 2 and process.queue_dir is None
+        multinode = make_backend("multinode", nodes=3,
+                                 queue_dir=tmp_path / "q")
+        assert isinstance(multinode, MultiNodeExecutor)
+        assert multinode.nodes == 3
+        assert multinode.queue_dir == tmp_path / "q"
         assert isinstance(make_backend("auto", jobs=1), SerialExecutor)
-        assert isinstance(make_backend("auto", jobs=4), ParallelExecutor)
+        auto = make_backend("auto", jobs=4)
+        assert isinstance(auto, MultiNodeExecutor) and auto.nodes == 4
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -553,6 +669,56 @@ class TestMultiNodeExecutor:
         outcomes = dict(executor.run(list(small_plan)))
         assert _dicts([outcomes[i] for i in range(len(small_plan))]) \
             == _dicts(serial_results)
+
+    def test_private_queue_forgets_units_and_survives_interrupts(
+            self, small_plan, serial_results):
+        # A long-lived executor's private queue keeps nothing of the
+        # units it served, and an interrupted run (a hung unit's node
+        # killed on generator close) leaves the executor usable.
+        injector = FaultInjector(rules=(always("timeout", "DCT/CC",
+                                               hang=60.0),))
+        specs = list(small_plan)
+        with make_backend("process", jobs=2, policy=FAST,
+                          injector=injector) as executor:
+            queue = executor._queue
+            stream = executor.run(specs)
+            position, outcome = next(stream)
+            assert outcome.ok
+            stream.close()
+            assert queue.digests() == [] and queue.leases() == []
+            rest = [0, 2, 3]
+            outcomes = dict(executor.run([specs[i] for i in rest]))
+            assert _dicts([outcomes[i] for i in range(3)]) == \
+                _dicts([serial_results[i] for i in rest])
+            assert queue.digests() == [] and not queue.done_digests()
+            assert len(queue.result_cache()) == 0
+        assert not queue.directory.exists()
+        assert not multiprocessing.active_children()
+
+    def test_restart_budget_resets_per_run(self, small_plan,
+                                           serial_results, tmp_path,
+                                           monkeypatch):
+        # One restart per run: each run's crash spends it, and the
+        # retried attempt still runs on a node, not inline in the
+        # coordinator — a long-lived executor must not degrade for good.
+        log = tmp_path / "pids"
+        real = executor_module.execute_spec
+
+        def recording(spec):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", recording)
+        injector = FaultInjector(rules=(FaultRule(
+            kind="crash", match="DCT/*", attempts=1),))
+        with make_backend("process", jobs=1, policy=FAST,
+                          injector=injector, node_restarts=1) as executor:
+            (_, first), = executor.run([small_plan[0]])
+            (_, second), = executor.run([small_plan[1]])
+        assert _dicts([first, second]) == _dicts(serial_results[:2])
+        pids = log.read_text().split()
+        assert len(pids) == 2 and str(os.getpid()) not in pids
 
     def test_torn_cache_write_is_detected_and_redone(self, tmp_path,
                                                      small_plan,

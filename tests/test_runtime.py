@@ -259,22 +259,25 @@ class TestExecutors:
 
     def test_pool_outlives_runs_and_close_reaps_it(
             self, small_plan, serial_results, tmp_path, monkeypatch):
-        from repro.runtime import ParallelExecutor
+        from repro.runtime import make_backend
 
         log = tmp_path / "pids"
         real = executor_module.execute_spec
 
-        def recording(spec):  # runs in the (forked) worker
+        def recording(spec):  # runs in the (forked) worker node
             with log.open("a") as handle:
                 handle.write(f"{os.getpid()}\n")
             return real(spec)
 
         monkeypatch.setattr(executor_module, "execute_spec", recording)
         specs = list(small_plan)
-        with ParallelExecutor(jobs=1) as executor:
+        with make_backend("process", jobs=1) as executor:
+            nodes = {slot.process.pid for slot in executor._slots}
             first = dict(executor.run(specs[:2]))
             second = dict(executor.run(specs[2:]))
+            assert {slot.process.pid for slot in executor._slots} == nodes
         pids = set(log.read_text().split())
+        assert pids == {str(pid) for pid in nodes}
         assert len(pids) == 1 and str(os.getpid()) not in pids
         outcomes = [first[0], first[1], second[0], second[1]]
         assert _dicts(outcomes) == _dicts(serial_results)
@@ -283,27 +286,16 @@ class TestExecutors:
     def test_process_backend_gets_exactly_jobs_workers(self):
         from repro.runtime import make_backend
 
-        assert make_backend("process", jobs=1).jobs == 1
-        assert make_backend("process", jobs=3).jobs == 3
-        assert make_backend("process", jobs=None).jobs == \
+        assert make_backend("process", jobs=1).nodes == 1
+        assert make_backend("process", jobs=3).nodes == 3
+        assert make_backend("process", jobs=None).nodes == \
             (os.cpu_count() or 1)
 
     def test_jobs_must_be_positive(self):
-        from repro.runtime import ParallelExecutor
+        from repro.runtime import make_backend
 
         with pytest.raises(ValueError):
-            ParallelExecutor(0)
-
-    def test_unit_elapsed_falls_back_to_attempt_start(self, small_plan):
-        # Regression: a unit that settled before any submission stamped
-        # ``first_started`` read elapsed as ``now - 0.0`` — time since
-        # the monotonic epoch, i.e. machine uptime.
-        unit = executor_module._Unit(0, small_plan[0])
-        assert unit.elapsed(123.0) == 0.0
-        unit.attempt_started = 100.0
-        assert unit.elapsed(123.0) == pytest.approx(23.0)
-        unit.first_started = 90.0  # earliest attempt wins when present
-        assert unit.elapsed(123.0) == pytest.approx(33.0)
+            make_backend("process", jobs=0)
 
 
 class TestPlanDedup:
@@ -485,7 +477,7 @@ class TestSweepIntegration:
         cache_dir = tmp_path / "cache"
         parallel = run_sweep(jobs=2, backend="process", cache=cache_dir,
                              **kwargs)
-        assert not multiprocessing.active_children()  # pool closed
+        assert not multiprocessing.active_children()  # nodes stopped
 
         def rows_dict(sweep):
             return [(r.graph, r.app, r.predicted, r.predicted_partial,

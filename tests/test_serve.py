@@ -360,6 +360,32 @@ class TestServerEdge:
                 + length + b"\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 " + status + b" ")
 
+    def test_slow_request_gets_408_and_idle_keepalive_does_not(
+            self, tmp_path, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT", 0.3)
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config):
+            # Half a request line, then silence: answered 408 and hung up.
+            started = time.monotonic()
+            reply = _raw_exchange(config.uds, b"GET /heal")
+            assert time.monotonic() - started < 5.0
+            assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+            assert b"Connection: close" in reply
+            # A keep-alive connection idle between requests past the
+            # limit is still served.
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(10)
+                sock.connect(str(config.uds))
+                time.sleep(0.6)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n"
+                             b"Connection: close\r\n\r\n")
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            assert b"".join(chunks).startswith(b"HTTP/1.1 200 ")
+
     @pytest.mark.parametrize("headers, status", [
         (b"X-Long: " + b"a" * 70_000 + b"\r\n", b"431"),
         (b"".join(b"X-H%d: v\r\n" % i for i in range(100)), b"431"),

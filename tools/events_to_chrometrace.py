@@ -10,10 +10,12 @@ Load ``trace.json`` in ``chrome://tracing`` or https://ui.perfetto.dev.
 Layout: one process ("repro run"), one timeline row per workload unit
 (label order of first appearance) plus row 0 for plan/sweep-level
 events.  ``unit.started`` .. ``unit.finished``/``unit.failed`` spans
-become duration slices; retries, deadline overruns, worker crashes,
-cache traffic, pool recycles and probation submissions appear as
-instant markers on the owning row.  Sweep phases (plan / execute /
-aggregate) are slices on row 0.
+become duration slices; retries, deadline overruns, quarantines, cache
+traffic and lease traffic appear as instant markers on the owning row,
+and worker-node joins and leaves on row 0.  Sweep phases (plan /
+execute / aggregate) are slices on row 0.  Events are laid out in
+timestamp order: a parallel run's log interleaves the coordinator's
+events with the ones it folded in from its worker nodes.
 
 The converter is tolerant by design: torn lines and unknown event kinds
 are skipped (counted in the summary), and a span left open by a killed
@@ -36,19 +38,24 @@ _UNIT_INSTANTS = (
     "unit.overrun",
     "unit.cached",
     "unit.quarantined",
-    "worker.crash",
+    "unit.duplicate",
     "cache.hit",
     "cache.miss",
     "cache.store",
     "cache.corrupt",
-    "pool.probation",
+    "lease.claim",
+    "lease.renew",
+    "lease.expire",
+    "lease.steal",
+    "lease.release",
 )
 
 # Kinds rendered as instant markers on the global (row 0) timeline.
 # (workload.simulated carries app/graph, not a unit label, so it lands
 # on the global row too.)
-_GLOBAL_INSTANTS = ("pool.recycle", "plan.started", "plan.finished",
-                    "workload.simulated")
+_GLOBAL_INSTANTS = ("plan.started", "plan.finished", "workload.simulated",
+                    "node.join", "node.leave", "queue.seeded",
+                    "queue.drained", "manifest.merge")
 
 
 def read_events(path: Path) -> tuple[list[dict], int]:
@@ -65,7 +72,7 @@ def read_events(path: Path) -> tuple[list[dict], int]:
             skipped += 1
             continue
         if not isinstance(record, dict) or "kind" not in record \
-                or "ts" not in record:
+                or type(record.get("ts")) not in (int, float):
             skipped += 1
             continue
         events.append(record)
@@ -90,6 +97,7 @@ def convert(events: list[dict]) -> dict:
             tids[label] = len(tids) + 1  # row 0 is the global timeline
         return tids[label]
 
+    events = sorted(events, key=lambda event: event["ts"])
     trace: list[dict] = []
     # (label -> (start ts, attempt)) of the currently open unit span.
     open_spans: dict[str, tuple[float, int]] = {}
