@@ -8,7 +8,7 @@ predict GRAPH APP     model prediction + decision-tree walkthrough
 run GRAPH APP         simulate the Figure 5 configurations for a workload
 sweep                 the full sweep: six graphs x the registered
                       applications (slow)
-worker QUEUE_DIR      join a multi-node sweep as one worker node
+worker QUEUE_DIR      join a sweep's named work queue as one worker node
 serve                 run the sweep-as-a-service daemon (HTTP over TCP
                       and/or a Unix socket)
 submit GRAPH APP      run one workload through a serve daemon
@@ -20,7 +20,7 @@ Table IV machine).
 ``run`` and ``sweep`` execute through the ``repro.runtime`` layer:
 results are memoized per workload in a content-addressed cache
 (``--cache-dir DIR``, ``--no-cache``), and ``sweep --jobs N`` fans
-workloads across N worker processes.  ``sweep --graphs``/``--apps``
+workloads across N worker nodes.  ``sweep --graphs``/``--apps``
 restrict the sweep to a subset of the graph x application matrix (the
 paper's six apps plus the frontier-IR additions BFS, KC, TC, LP).
 ``sweep --prune-k K [--explore N]`` prunes each workload to the
@@ -46,12 +46,13 @@ happens, so an interrupted sweep resumes from cache + manifest —
 ``sweep --resume MANIFEST`` wires that up in one flag and reports how
 much of the sweep is already banked before re-running the rest.
 
-``sweep --backend multinode`` runs the sweep across ``--nodes N``
-supervised worker processes coordinated through a crash-safe filesystem
-work queue (``--queue-dir DIR`` to place it somewhere shared and
-inspectable).  Additional nodes — on this machine or any machine
-mounting the same filesystem — join with ``repro worker QUEUE_DIR``;
-a node killed mid-unit costs one lease reclaim, never the sweep.
+``sweep --jobs N`` runs the sweep across N supervised worker nodes
+coordinated through a crash-safe filesystem work queue, private unless
+``--queue-dir DIR`` places it somewhere shared and inspectable
+(``--queue-dir`` without ``--jobs`` runs one node over it).
+Additional nodes — on this machine or any machine mounting the same
+filesystem — join with ``repro worker QUEUE_DIR``; a node killed
+mid-unit costs one lease reclaim, never the sweep.
 
 ``repro serve`` keeps the runtime resident: requests are deduplicated by
 spec digest, warm digests answer straight from the result cache, cold
@@ -456,9 +457,8 @@ def _cmd_sweep(args) -> int:
             jobs=1 if profiling else args.jobs,
             cache=None if profiling else _resolve_cache(args),
             progress=lambda label: print(f"  {label}", flush=True),
-            backend="auto" if profiling else args.backend,
-            nodes=args.nodes,
-            queue_dir=args.queue_dir,
+            backend="serial" if profiling else args.backend,
+            queue_dir=None if profiling else args.queue_dir,
             lease_ttl=args.lease_ttl,
             **_fault_kwargs(args),
         )
@@ -506,7 +506,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         uds=args.uds,
         cache_dir=args.cache_dir,
-        cache_layout=args.cache_layout,
         backend=args.backend,
         jobs=args.jobs,
         batch_window=args.batch_window,
@@ -645,9 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="full 36-workload sweep (slow)")
     p_sweep.add_argument("--iters", type=int, default=None)
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the sweep (with "
-                              "the default auto backend, 1 = in-process "
-                              "serial execution; --profile forces 1)")
+                         help="worker nodes for the sweep (with the "
+                              "default auto backend, 1 without "
+                              "--queue-dir = in-process serial "
+                              "execution; --profile forces serial)")
     p_sweep.add_argument("--graphs", default=None, metavar="KEYS",
                          help="comma-separated dataset keys to sweep "
                               "(default: all six)")
@@ -656,23 +656,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: every registered kernel)")
     p_sweep.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
-                         help="execution backend (default auto: serial "
-                              "when --jobs 1, else process; process: "
-                              "exactly --jobs local worker nodes over a "
-                              "private work queue; multinode: --nodes "
-                              "worker nodes over a work queue that "
-                              "--queue-dir can share)")
-    p_sweep.add_argument("--nodes", type=int, default=2, metavar="N",
-                         help="worker nodes for --backend multinode "
-                              "(default 2)")
+                         help="execution backend (default auto: process "
+                              "when --jobs > 1 or --queue-dir is given, "
+                              "else serial; process: exactly --jobs "
+                              "local worker nodes over the work queue)")
     p_sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                         help="work-queue directory for multinode sweeps "
+                         help="work-queue directory for the worker nodes "
                               "(default: private temp dir; name one so "
-                              "'repro worker' nodes can join and "
-                              "interrupted queues survive)")
-    p_sweep.add_argument("--lease-ttl", type=float, default=None,
-                         metavar="SECONDS",
-                         help="multinode lease time-to-live before a "
+                              "'repro worker' nodes can join, interrupted "
+                              "queues survive, and done/ records which "
+                              "node completed each unit)")
+    p_sweep.add_argument("--lease-ttl", type=float,
+                         default=DEFAULT_LEASE_TTL, metavar="SECONDS",
+                         help="worker-node lease time-to-live before a "
                               "stalled node's unit is stolen "
                               f"(default {DEFAULT_LEASE_TTL:g})")
     p_sweep.add_argument("--prune-k", type=int, default=None, metavar="K",
@@ -698,12 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser(
         "worker",
-        help="join a multinode sweep as one worker node")
+        help="join a sweep's named work queue as one worker node")
     p_worker.add_argument("queue_dir",
                           help="the sweep's work-queue directory "
                                "(the coordinator's --queue-dir)")
     p_worker.add_argument("--node", default=None, metavar="NAME",
-                          help="node name for leases/manifests/events "
+                          help="node name for leases/done markers/events "
                                "(default worker-<pid>)")
     p_worker.add_argument("--lease-ttl", type=float,
                           default=DEFAULT_LEASE_TTL, metavar="SECONDS",
@@ -737,9 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result-cache directory the daemon serves "
                               "from (default $REPRO_CACHE_DIR or "
                               "~/.cache/repro)")
-    p_serve.add_argument("--cache-layout", default="flat",
-                         choices=("flat", "sharded"),
-                         help="result-cache on-disk layout (default flat)")
     p_serve.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
                          help="executor backend for cold batches "

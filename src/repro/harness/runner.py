@@ -141,7 +141,10 @@ def run_workload(
         ))
         for config in configs
     }
-    directions = {_trace_direction(c.direction) for c in configs}
+    # A fixed realization order: the address map lays regions out on
+    # first touch, so a hash-seeded set order would move modeled cycles.
+    wanted = {_trace_direction(c.direction) for c in configs}
+    directions = [d for d in ("push", "pull") if d in wanted]
 
     # Perf collection and the observer measure our own wall clock and
     # throughput, never modeled timing: results are identical with

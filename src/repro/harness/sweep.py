@@ -25,6 +25,7 @@ from ..model import predict_configuration, predict_partial_configuration
 from ..model.pruning import LearnedRanker, PruningPolicy, sweep_baseline
 from ..obs import OBSERVER as _obs
 from ..runtime import (
+    DEFAULT_LEASE_TTL,
     ExecutionPlan,
     FaultInjector,
     GraphRef,
@@ -334,9 +335,8 @@ def run_sweep(
     keep_going: bool = True,
     manifest: RunManifest | str | Path | None = None,
     backend: str = "auto",
-    nodes: int = 2,
     queue_dir: str | Path | None = None,
-    lease_ttl: float | None = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
     prune_k: int | None = None,
     explore: int = 0,
     ranker: LearnedRanker | None = None,
@@ -348,7 +348,7 @@ def run_sweep(
     equal the full-size graphs' (see DESIGN.md).  ``max_iters`` caps the
     simulated iterations per workload (None = each kernel's default).
 
-    ``jobs`` > 1 fans the workloads across that many worker processes;
+    ``jobs`` > 1 fans the workloads across that many worker nodes;
     ``cache`` (a :class:`ResultCache` or a directory path) skips units
     whose results are already on disk.  Both paths produce results
     identical to the serial, uncached sweep.
@@ -362,12 +362,12 @@ def run_sweep(
     interrupted sweep resumes from cache + manifest, re-simulating only
     what is missing or failed.
 
-    ``backend`` selects the execution strategy by name (see
-    :func:`repro.runtime.make_backend`): ``auto`` keeps the historical
-    jobs-based choice, ``multinode`` fans units across ``nodes``
-    supervised worker processes over a crash-safe work queue (rooted at
-    ``queue_dir`` when given, so external ``repro worker`` nodes can
-    join and interrupted queues can be resumed).
+    ``backend``, ``jobs``, ``queue_dir`` and ``lease_ttl`` go to one
+    :func:`repro.runtime.make_backend` call.  Under ``auto`` a
+    ``queue_dir`` selects the lease executor even at ``jobs`` 1: its
+    ``jobs`` nodes work over a crash-safe queue rooted there, which
+    external ``repro worker`` nodes can join and an interrupted sweep
+    can resume.
 
     ``prune_k`` switches on prediction-guided pruning: each workload
     simulates only its model-ranked top-``k`` configurations plus
@@ -398,14 +398,9 @@ def run_sweep(
     _obs.emit("sweep.phase", name="plan", boundary="end")
 
     _obs.emit("sweep.phase", name="execute", boundary="begin")
-    executor = None
-    if backend != "auto":
-        backend_kwargs = {}
-        if lease_ttl is not None:
-            backend_kwargs["lease_ttl"] = lease_ttl
-        executor = make_backend(
-            backend, jobs=jobs, nodes=nodes, policy=policy,
-            injector=injector, queue_dir=queue_dir, **backend_kwargs)
+    executor = make_backend(backend, jobs=jobs, queue_dir=queue_dir,
+                            lease_ttl=lease_ttl, policy=policy,
+                            injector=injector)
     try:
         workloads = run_plan(
             plan,
@@ -419,8 +414,7 @@ def run_sweep(
             manifest=manifest,
         )
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
     _obs.emit("sweep.phase", name="execute", boundary="end")
 
     return aggregate_sweep(plan, workloads, graphs, apps,

@@ -46,10 +46,9 @@ EVENT_KINDS = (
                           #   attempt
     "lease.release",      # digest, node
     "unit.duplicate",     # digest, node (the loser of a completion race)
-    # Work queue lifecycle and manifest consolidation.
+    # Work queue lifecycle.
     "queue.seeded",       # units, skipped (already done on re-seed)
     "queue.drained",      # units
-    "manifest.merge",     # sources, entries, torn
     # Result cache.
     "cache.hit",          # digest, label
     "cache.miss",         # digest, label

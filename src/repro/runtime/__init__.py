@@ -19,14 +19,15 @@ Fault tolerance extends past the process with one mechanism:
 where a :class:`MultiNodeExecutor` coordinates worker nodes over a
 crash-safe filesystem :class:`WorkQueue` (atomic leases with heartbeat
 TTLs, preemptive deadlines, work stealing, exclusive completion markers)
-publishing into a :class:`ShardedResultCache` — so a SIGKILLed node
-costs one lease reclaim, never a sweep.  The ``process`` backend runs
-``jobs`` such nodes locally over a private queue; ``multinode`` names
-the queue so other machines' nodes can join.
+publishing into the queue's :class:`ResultCache` — so a SIGKILLed node
+costs one lease reclaim, never a sweep.  ``jobs`` and ``queue_dir``
+pick and size the executor: the ``process`` backend runs ``jobs``
+nodes locally over a private queue, or over a named ``queue_dir`` that
+other machines' nodes can join.
 """
 
 from .backend import BACKENDS, make_backend
-from .cache import ResultCache, ShardedResultCache, default_cache_dir
+from .cache import ResultCache, default_cache_dir
 from .coordinator import MultiNodeExecutor
 from .executor import (
     Executor,
@@ -79,7 +80,6 @@ __all__ = [
     "load_graph",
     "run_plan",
     "ResultCache",
-    "ShardedResultCache",
     "default_cache_dir",
     "RetryPolicy",
     "RunManifest",

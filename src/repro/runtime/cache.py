@@ -7,11 +7,10 @@ skips every unit already simulated, while any change to the spec (graph
 seed, system parameters, iteration cap, ...) or to the result schema
 misses cleanly.  Each entry is one human-inspectable JSON file holding
 the spec alongside the result, written atomically (tmp + rename) so a
-killed sweep never leaves a truncated entry behind.
-
-:class:`ShardedResultCache` keeps the same protocol but spreads entries
-across digest-prefix subdirectories — the layout the multi-node backend
-uses so a fleet of workers never contends on one directory.
+killed sweep never leaves a truncated entry behind.  Any entry that
+does not parse into a result reads as a miss, and is counted and
+deleted: a corrupt entry never raises.  The lease executor's work
+queue keeps its nodes' results in the same layout under ``results/``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from ..harness.runner import WorkloadResult
 from ..obs import OBSERVER as _obs
 from .spec import WorkloadSpec
 
-__all__ = ["ResultCache", "ShardedResultCache", "default_cache_dir",
-           "write_json_atomic"]
+__all__ = ["ResultCache", "default_cache_dir", "write_json_atomic"]
 
 
 def write_json_atomic(path: Path, payload: dict,
@@ -80,52 +78,62 @@ class ResultCache:
         self.corrupt = 0
 
     def entry_path(self, digest: str) -> Path:
-        """The entry file a digest addresses (the layout hook subclasses
-        override; everything else goes through here)."""
+        """The entry file a digest addresses."""
         return self.directory / f"{digest}.json"
 
     def path_for(self, spec: WorkloadSpec) -> Path:
         """The entry file a spec addresses."""
         return self.entry_path(spec.digest())
 
-    def get(self, spec: WorkloadSpec) -> WorkloadResult | None:
-        """The cached result for ``spec``, or None.
+    def load(self, spec: WorkloadSpec) -> WorkloadResult | None:
+        """Parse ``spec``'s entry: the result, or None when absent or corrupt.
 
-        Corrupt or schema-mismatched entries are treated as misses and
-        deleted (self-healing): the digest embeds the schema version, so
-        any unparseable payload *at this path* is garbage — a truncated
+        This is :meth:`get` without the hit/miss accounting, for readers
+        that are not cache lookups (the lease coordinator collecting a
+        node's published result).  Every entry that does not parse into
+        a :class:`WorkloadResult` is corrupt — counted and deleted
+        (self-healing): the digest embeds the schema version, so any
+        unparseable payload *at this path* is garbage — a truncated
         write from a killed process or bit rot — never a legitimate
         entry of another version.
         """
         from .spec import RESULT_SCHEMA_VERSION
 
-        digest = spec.digest()
-        path = self.entry_path(digest)
+        path = self.path_for(spec)
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema") != RESULT_SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
-            result = WorkloadResult.from_dict(payload["result"])
+            text = path.read_bytes()
         except OSError:
-            self.misses += 1
-            _obs.emit("cache.miss", digest=digest, label=spec.label)
-            if _obs.enabled:
-                _obs.metrics.counter("cache.misses").inc()
             return None
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
+        try:
+            payload = json.loads(text)
+            if payload["schema"] != RESULT_SCHEMA_VERSION:
+                raise ValueError("schema mismatch")
+            return WorkloadResult.from_dict(payload["result"])
+        except Exception:  # any shape of bad bytes fails closed
             self.corrupt += 1
             path.unlink(missing_ok=True)
-            _obs.emit("cache.corrupt", digest=digest, label=spec.label)
-            _obs.emit("cache.miss", digest=digest, label=spec.label)
             if _obs.enabled:
+                _obs.emit("cache.corrupt", digest=spec.digest(),
+                          label=spec.label)
                 _obs.metrics.counter("cache.corrupt").inc()
-                _obs.metrics.counter("cache.misses").inc()
             return None
-        self.hits += 1
-        _obs.emit("cache.hit", digest=digest, label=spec.label)
+
+    def get(self, spec: WorkloadSpec) -> WorkloadResult | None:
+        """The cached result for ``spec``, or None (a counted miss).
+
+        Corrupt entries are misses, deleted on read (see :meth:`load`).
+        """
+        result = self.load(spec)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         if _obs.enabled:
-            _obs.metrics.counter("cache.hits").inc()
+            outcome = "miss" if result is None else "hit"
+            _obs.emit(f"cache.{outcome}", digest=spec.digest(),
+                      label=spec.label)
+            _obs.metrics.counter("cache.misses" if result is None
+                                 else "cache.hits").inc()
         return result
 
     def put(self, spec: WorkloadSpec, result: WorkloadResult) -> Path:
@@ -148,15 +156,11 @@ class ResultCache:
             _obs.metrics.counter("cache.stores").inc()
         return path
 
-    #: Glob (relative to ``directory``) matching every entry file.
-    _ENTRY_GLOB = "*.json"
-    _TMP_GLOB = "*.tmp"
-
     def __len__(self) -> int:
         """Number of entries currently on disk."""
         if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.directory.glob(self._ENTRY_GLOB))
+        return sum(1 for _ in self.directory.glob("*.json"))
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed.
@@ -167,45 +171,9 @@ class ResultCache:
         """
         removed = 0
         if self.directory.is_dir():
-            for entry in self.directory.glob(self._ENTRY_GLOB):
+            for entry in self.directory.glob("*.json"):
                 entry.unlink(missing_ok=True)
                 removed += 1
-            for stray in self.directory.glob(self._TMP_GLOB):
+            for stray in self.directory.glob("*.tmp"):
                 stray.unlink(missing_ok=True)
         return removed
-
-
-class ShardedResultCache(ResultCache):
-    """A result cache sharded into subdirectories by digest prefix.
-
-    Entries live at ``directory/<digest[:prefix_len]>/<digest>.json``.
-    Sharding is the fleet-facing layout: N nodes hammering one flat
-    directory serialize on its dentry lock and make every listing O(all
-    entries), while 256 prefix shards spread both the lock and the
-    listings.  Digests are SHA-256 hex, so entries spread uniformly by
-    construction.  The atomic tmp+rename write protocol is inherited
-    unchanged — the staging file lands *inside* the shard so the rename
-    never crosses a directory (or filesystem) boundary — and a flat and
-    a sharded cache over the same directory never alias (entries sit at
-    different paths), so the layouts cannot silently mix.
-    """
-
-    _ENTRY_GLOB = "*/*.json"
-    _TMP_GLOB = "*/*.tmp"
-
-    def __init__(self, directory: str | Path | None = None,
-                 prefix_len: int = 2) -> None:
-        if not 1 <= prefix_len <= 8:
-            raise ValueError("prefix_len must be within [1, 8]")
-        super().__init__(directory)
-        self.prefix_len = prefix_len
-
-    def entry_path(self, digest: str) -> Path:
-        return self.directory / digest[: self.prefix_len] / f"{digest}.json"
-
-    def shards(self) -> list[Path]:
-        """The shard directories currently populated, sorted."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(path for path in self.directory.iterdir()
-                      if path.is_dir())

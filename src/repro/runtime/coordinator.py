@@ -3,11 +3,12 @@
 :class:`MultiNodeExecutor` is the one parallel executor.  Units flow
 through a crash-safe :class:`~repro.runtime.workqueue.WorkQueue` to
 worker *processes* that each behave like an independent node: atomic
-lease claims, heartbeat renewal, results published to a shared
-:class:`~repro.runtime.cache.ShardedResultCache`.  The ``process``
+lease claims, heartbeat renewal, results published to the queue's
+shared :class:`~repro.runtime.cache.ResultCache`.  The ``process``
 backend is this class with ``jobs`` local nodes over a private
-temporary queue; ``multinode`` names the queue directory, so external
-``repro worker`` nodes can join and a queue can be resumed.
+temporary queue, or over a named ``queue_dir`` that external ``repro
+worker`` nodes can join and an interrupted run can resume; there,
+each unit's done marker records the node that completed it.
 
 The coordinator supervises; it does not execute.  It forks the nodes
 (which idle between runs), restarts nodes that die and reclaims their
@@ -118,9 +119,6 @@ class MultiNodeExecutor(Executor):
         self.lease_ttl = lease_ttl
         self.poll = poll
         self.node_restarts = node_restarts
-        #: Stats of the last manifest merge ({"sources", "entries",
-        #: "torn"}), for callers that report on consolidation.
-        self.last_merge: dict | None = None
         self._queue: WorkQueue | None = None
         self._slots: list[_NodeSlot] = []
         self._offsets: dict[Path, int] = {}
@@ -203,7 +201,7 @@ class MultiNodeExecutor(Executor):
         config = worker_config(
             str(queue.directory), slot.name, lease_ttl=queue.lease_ttl,
             policy=self.policy, injector=self.injector, poll=idle,
-            events=_obs.enabled, journal=not self._private)
+            events=_obs.enabled)
         process = multiprocessing.get_context().Process(
             target=node_main,
             args=(config, os.getpid(), self._notify[1], slot.wake),
@@ -339,8 +337,6 @@ class MultiNodeExecutor(Executor):
                 woken = progressed or self._wait(policy)
 
             _obs.emit("queue.drained", units=len(spec_of))
-            if not self._private:
-                self._merge_manifests(queue)
         finally:
             self._fold_events()
             if pending and self._private:
@@ -380,13 +376,15 @@ class MultiNodeExecutor(Executor):
 
         An 'ok' marker whose cache entry is unreadable (a torn write) is
         not an outcome: the unit is reopened with the torn attempt
-        charged, and another node redoes the work.
+        charged, and another node redoes the work.  Results are read
+        with :meth:`~repro.runtime.cache.ResultCache.load`: collecting
+        a node's result is not a cache lookup, so it counts no hit.
         """
         record = queue.outcome(digest)
         if record is None:
             return None
         if record["status"] == "ok":
-            result = cache.get(spec)
+            result = cache.load(spec)
             if result is None:
                 attempt = record["attempt"]
                 queue.requeue(digest, charge_attempt=attempt)
@@ -448,8 +446,7 @@ class MultiNodeExecutor(Executor):
                           if rule.kind != "node-kill")
             injector = FaultInjector(rules=rules, seed=injector.seed)
         worker = NodeWorker(queue, "coordinator", policy=policy,
-                            injector=injector, poll=self.poll,
-                            journal=not self._private)
+                            injector=injector, poll=self.poll)
         while True:
             status = worker.step()
             if status == "drained":
@@ -508,11 +505,3 @@ class MultiNodeExecutor(Executor):
                 if counter is not None:
                     _obs.metrics.counter(counter).inc()
 
-    def _merge_manifests(self, queue: WorkQueue) -> None:
-        """Consolidate per-node manifests into ``<queue>/manifest.jsonl``."""
-        from .manifest import RunManifest
-
-        merged = RunManifest(queue.directory / "manifest.jsonl")
-        stats = merged.merge_from(queue.node_manifests())
-        self.last_merge = stats
-        _obs.emit("manifest.merge", **stats)

@@ -13,19 +13,13 @@ died — or was SIGKILLed — mid-append) is **skipped and counted** on
 read rather than poisoning the journal: ``entries()`` refreshes
 ``torn_lines`` with how many unparseable lines the last read stepped
 over, the same degrade-don't-raise contract as
-:class:`~repro.obs.sinks.JsonlSink` on the write side.  Counting
-matters for fleets — a nonzero ``torn_lines`` on a node manifest is
-the fingerprint of a worker killed mid-record, which
-:meth:`merge_from` surfaces in its merge stats instead of silently
-swallowing.
+:class:`~repro.obs.sinks.JsonlSink` on the write side.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Iterable
 
 __all__ = ["RunManifest"]
 
@@ -52,13 +46,8 @@ class RunManifest:
         attempts: int = 1,
         kind: str | None = None,
         message: str | None = None,
-        node: str | None = None,
     ) -> None:
-        """Append one outcome (``status`` in 'ok' | 'cached' | 'failed').
-
-        ``node`` names the worker node that produced the outcome in
-        multi-node runs; single-process runs leave it unset.
-        """
+        """Append one outcome (``status`` in 'ok' | 'cached' | 'failed')."""
         if status not in _STATUSES:
             raise ValueError(f"unknown manifest status {status!r}")
         entry: dict = {
@@ -71,12 +60,10 @@ class RunManifest:
             entry["kind"] = kind
         if message is not None:
             entry["message"] = message
-        if node is not None:
-            entry["node"] = node
         self.record_entry(entry)
 
     def record_entry(self, entry: dict) -> None:
-        """Append one pre-built record (the merge path; minimal checks)."""
+        """Append one pre-built record (minimal checks)."""
         if entry.get("status") not in _STATUSES:
             raise ValueError(f"unknown manifest status {entry.get('status')!r}")
         if "digest" not in entry:
@@ -123,32 +110,6 @@ class RunManifest:
         """Digests whose latest recorded outcome is ok or cached."""
         return {digest for digest, record in self.latest().items()
                 if record.get("status") in ("ok", "cached")}
-
-    def merge_from(
-        self, sources: Iterable["RunManifest | str | os.PathLike"],
-    ) -> dict:
-        """Append every record from ``sources`` (per-node manifests).
-
-        The coordinator calls this once a multi-node run drains, folding
-        each node's journal — including its torn tail, if the node was
-        killed mid-append — into one merged account.  Source records
-        keep all their fields (``node`` provenance included).  Returns
-        merge stats: ``sources``, ``entries``, ``torn`` (total torn
-        lines skipped across the sources) — the payload of the
-        ``manifest.merge`` event the caller emits.
-        """
-        merged = 0
-        torn = 0
-        count = 0
-        for source in sources:
-            if not isinstance(source, RunManifest):
-                source = RunManifest(source)
-            count += 1
-            for entry in source.entries():
-                self.record_entry(entry)
-                merged += 1
-            torn += source.torn_lines
-        return {"sources": count, "entries": merged, "torn": torn}
 
     def __len__(self) -> int:
         return len(self.entries())

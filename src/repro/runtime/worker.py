@@ -3,8 +3,9 @@
 A :class:`NodeWorker` is one node's whole behaviour: claim a unit from
 the :class:`~repro.runtime.workqueue.WorkQueue` (atomic lease), renew
 the lease's heartbeat on a background thread while simulating, publish
-the result to the shared sharded cache, and mark the unit done with an
-exclusive completion marker.
+the result to the queue's shared result cache, and mark the unit done
+with an exclusive completion marker (which records the node, so a
+named queue keeps who completed each unit).
 
 A node runs **one attempt per claim**
 (:func:`~repro.runtime.executor.run_attempt`).  The attempt counter
@@ -68,7 +69,6 @@ class _Heartbeat(threading.Thread):
 class NodeWorker:
     """One node's claim-execute-publish loop over a work queue.
 
-    ``journal`` keeps the per-node manifest (off for private queues).
     ``in_worker`` lets an injected crash kill this process for real.
     """
 
@@ -76,7 +76,6 @@ class NodeWorker:
                  policy: RetryPolicy | None = None,
                  injector: FaultInjector | None = None,
                  poll: float = DEFAULT_POLL,
-                 journal: bool = True,
                  in_worker: bool = False) -> None:
         self.queue = queue
         self.node = node
@@ -85,7 +84,6 @@ class NodeWorker:
         self.poll = poll
         self.in_worker = in_worker
         self.cache = queue.result_cache()
-        self.manifest = queue.node_manifest(node) if journal else None
         self.processed = 0
 
     def step(self) -> str:
@@ -102,11 +100,6 @@ class NodeWorker:
         self._process(spec, attempt)
         self.processed += 1
         return "ran"
-
-    def _journal(self, spec: WorkloadSpec, status: str, **fields) -> None:
-        if self.manifest is not None:
-            self.manifest.record(spec.digest(), spec.label, status,
-                                 node=self.node, **fields)
 
     def _process(self, spec: WorkloadSpec, attempt: int) -> None:
         digest = spec.digest()
@@ -131,7 +124,6 @@ class NodeWorker:
             result = self.cache.get(spec)
             if result is not None:
                 _obs.emit("unit.cached", digest=digest, label=spec.label)
-                self._journal(spec, "cached", attempts=attempt)
                 self.queue.complete(digest, self.node, "ok", attempt,
                                     label=spec.label)
                 return
@@ -151,7 +143,6 @@ class NodeWorker:
             if injector is not None:
                 injector.tear_cache_entry(path, spec, attempt)
                 injector.corrupt_cache_entry(path, spec)
-            self._journal(spec, "ok", attempts=attempt)
             self.queue.complete(digest, self.node, "ok", attempt,
                                 label=spec.label)
         finally:
@@ -168,8 +159,6 @@ class NodeWorker:
                                node=self.node)
             return
         _executor.note_failure(failure)
-        self._journal(spec, "failed", attempts=attempt, kind=failure.kind,
-                      message=failure.message)
         self.queue.complete(digest, self.node, "failed", attempt,
                             label=spec.label, failure=failure.to_dict())
 
@@ -186,8 +175,7 @@ def worker_config(queue_dir: str, node: str,
                   policy: RetryPolicy | None = None,
                   injector: FaultInjector | None = None,
                   poll: float = DEFAULT_POLL,
-                  events: bool = False,
-                  journal: bool = True) -> dict:
+                  events: bool = False) -> dict:
     """The plain-data config :func:`worker_main`/:func:`node_main` take."""
     return {
         "queue": str(queue_dir),
@@ -197,7 +185,6 @@ def worker_config(queue_dir: str, node: str,
         "injector": injector.to_dict() if injector is not None else None,
         "poll": poll,
         "events": events,
-        "journal": journal,
     }
 
 
@@ -216,7 +203,6 @@ def _worker(config: dict, in_worker: bool) -> NodeWorker:
                 if config.get("injector") else None)
     return NodeWorker(queue, node, policy=policy, injector=injector,
                       poll=config.get("poll", DEFAULT_POLL),
-                      journal=config.get("journal", True),
                       in_worker=in_worker)
 
 

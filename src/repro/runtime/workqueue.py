@@ -18,23 +18,24 @@ process:
     stale past its TTL, or whose node is known dead, is reclaimed by
     the coordinator; the next claim by another node is a *steal*.
 ``done/<digest>.json``
-    Exclusive completion markers (same link trick).  Duplicate
-    executions — a stalled worker finishing after its unit was stolen,
-    or an injected lease race — collapse here: the first completion
-    wins, the loser's marker is refused and counted as a duplicate.
+    Exclusive completion markers (same link trick), each naming the
+    node, status, attempt and failure of its unit: the one record of
+    who completed what.  Duplicate executions — a stalled worker
+    finishing after its unit was stolen, or an injected lease race —
+    collapse here: the first completion wins, the loser's marker is
+    refused and counted as a duplicate.
 ``results/``
-    A :class:`~repro.runtime.cache.ShardedResultCache` all nodes write
-    into (atomic tmp+rename per entry, digest-prefix shards).
-``manifests/<node>.jsonl`` / ``events/<node>.jsonl``
-    Per-node :class:`~repro.runtime.manifest.RunManifest` journals and
-    event logs, merged by the coordinator when the queue drains.
+    A :class:`~repro.runtime.cache.ResultCache` all nodes write into
+    (atomic tmp+rename per entry).
+``events/<node>.jsonl``
+    Per-node event logs, folded into the coordinator's observer.
 
 Every transition is content-addressed and idempotent, so the safety
 argument never depends on *at-most-once* execution — only completion
 and result publication are exclusive.  That is what makes worker death
 at any instruction recoverable: the worst a SIGKILL leaves behind is a
 dangling lease (reclaimed by TTL), a staged ``.tmp`` (swept), or a torn
-manifest line (skipped and counted).
+event-log line (skipped).
 
 Every reader fails closed, so a corrupt file cannot crash-loop the
 nodes that meet it.  A unit record that does not parse is rewritten
@@ -55,9 +56,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..obs import OBSERVER as _obs
-from .cache import ShardedResultCache, write_json_atomic
+from .cache import ResultCache, write_json_atomic
 from .faults import UnitFailure
-from .manifest import RunManifest
 from .spec import WorkloadSpec
 
 __all__ = ["WorkQueue", "DEFAULT_LEASE_TTL", "CorruptRecordError"]
@@ -183,31 +183,21 @@ class WorkQueue:
         self.leases_dir = self.directory / "leases"
         self.done_dir = self.directory / "done"
         self.results_dir = self.directory / "results"
-        self.manifests_dir = self.directory / "manifests"
         self.events_dir = self.directory / "events"
         self._seq: dict[str, int] = {}  # digest -> seed position, cached
         for path in (self.units_dir, self.leases_dir, self.done_dir,
-                     self.results_dir, self.manifests_dir, self.events_dir):
+                     self.results_dir, self.events_dir):
             path.mkdir(parents=True, exist_ok=True)
 
     # -- shared artifacts -------------------------------------------------
 
-    def result_cache(self) -> ShardedResultCache:
-        """The sharded cache every node publishes results into."""
-        return ShardedResultCache(self.results_dir)
-
-    def node_manifest(self, node: str) -> RunManifest:
-        """The per-node outcome journal."""
-        return RunManifest(self.manifests_dir / f"{node}.jsonl")
+    def result_cache(self) -> ResultCache:
+        """The cache every node publishes results into."""
+        return ResultCache(self.results_dir)
 
     def node_event_log(self, node: str) -> Path:
         """Where a node's JSONL event sink writes."""
         return self.events_dir / f"{node}.jsonl"
-
-    def node_manifests(self) -> list[RunManifest]:
-        """Every node manifest present, sorted by node name."""
-        return [RunManifest(path)
-                for path in sorted(self.manifests_dir.glob("*.jsonl"))]
 
     # -- seeding and inspection ------------------------------------------
 

@@ -53,7 +53,6 @@ from ..runtime import (
     ResultCache,
     RetryPolicy,
     RunManifest,
-    ShardedResultCache,
     UnitFailure,
     WorkloadSpec,
     make_backend,
@@ -100,7 +99,6 @@ class ServeConfig:
     port: int | None = None          # None: no TCP listener; 0: ephemeral
     uds: str | Path | None = None    # None: no Unix-socket listener
     cache_dir: str | Path | None = None
-    cache_layout: str = "flat"       # 'flat' | 'sharded'
     backend: str = "auto"            # make_backend name for cold batches
     jobs: int = 1
     batch_window: float = 0.02       # seconds cold units wait to batch up
@@ -117,17 +115,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.port is None and self.uds is None:
             raise ValueError("serve needs a TCP port and/or a UDS path")
-        if self.cache_layout not in ("flat", "sharded"):
-            raise ValueError("cache_layout must be 'flat' or 'sharded'")
         if self.batch_window < 0:
             raise ValueError("batch_window must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-
-    def make_cache(self) -> ResultCache:
-        cls = (ShardedResultCache if self.cache_layout == "sharded"
-               else ResultCache)
-        return cls(self.cache_dir)
 
 
 class _BadRequest(Exception):
@@ -145,7 +136,7 @@ class ReproServer:
         from .admission import AdmissionController
 
         self.config = config
-        self.cache = config.make_cache()
+        self.cache = ResultCache(config.cache_dir)
         self.admission = AdmissionController(
             max_inflight_units=config.max_inflight_units,
             client_rate=config.client_rate,

@@ -1,10 +1,10 @@
-"""Multi-node backend tests: work queue, leases, sharded cache, chaos.
+"""Lease executor tests: work queue, leases, shared cache, chaos.
 
 Covers the node-level fault-tolerance layer end to end: the crash-safe
 filesystem work queue (atomic lease claims, heartbeat TTL expiry, work
-stealing, exclusive completion markers), the digest-prefix-sharded
-result cache under concurrent writers, per-node manifests with torn-line
-accounting and coordinator merging, the supervised worker fleet of
+stealing, exclusive completion markers that record each unit's node),
+the result cache the nodes share under concurrent writers, manifests
+with torn-line accounting, the supervised worker fleet of
 ``MultiNodeExecutor`` (real SIGKILLs, restarts, quarantine, inline
 drain), and the resume path — an interrupted two-node sweep picks up
 bit-identical to serial with zero re-simulated units.
@@ -29,13 +29,13 @@ from repro.runtime import (
     ExecutionPlan,
     FaultInjector,
     FaultRule,
+    BACKENDS,
     MultiNodeExecutor,
     NodeWorker,
     ResultCache,
     RetryPolicy,
     RunManifest,
     SerialExecutor,
-    ShardedResultCache,
     UnitFailure,
     WorkQueue,
     make_backend,
@@ -115,14 +115,14 @@ def _node_events(queue):
 
 
 # ---------------------------------------------------------------------------
-# Sharded result cache
+# The result cache nodes share
 
 
-def _hammer_sharded(directory, spec_dict, result_dict, rounds):
+def _hammer(directory, spec_dict, result_dict, rounds):
     """Worker for concurrent-writer tests (module-level: picklable)."""
     from repro.runtime.spec import WorkloadSpec
 
-    cache = ShardedResultCache(directory)
+    cache = ResultCache(directory)
     spec = WorkloadSpec.from_dict(spec_dict)
     result = WorkloadResult.from_dict(result_dict)
     for _ in range(rounds):
@@ -133,7 +133,7 @@ def _hammer_corrupting(directory, spec_dict, result_dict, rounds):
     """Worker that interleaves puts, corruption, and self-healing reads."""
     from repro.runtime.spec import WorkloadSpec
 
-    cache = ShardedResultCache(directory)
+    cache = ResultCache(directory)
     spec = WorkloadSpec.from_dict(spec_dict)
     result = WorkloadResult.from_dict(result_dict)
     for index in range(rounds):
@@ -146,78 +146,39 @@ def _hammer_corrupting(directory, spec_dict, result_dict, rounds):
         cache.get(spec)  # must never raise; heals corrupt entries
 
 
-class TestShardedResultCache:
-    def test_layout_and_roundtrip(self, tmp_path, small_plan,
-                                  serial_results):
-        cache = ShardedResultCache(tmp_path / "shards")
-        spec, result = small_plan[0], serial_results[0]
-        path = cache.put(spec, result)
-        digest = spec.digest()
-        assert path.parent.name == digest[:2]
-        assert path.name == f"{digest}.json"
-        assert cache.get(spec).to_dict() == result.to_dict()
-        assert len(cache) == 1
-
-    def test_shards_listing_and_clear(self, tmp_path, small_plan,
-                                      serial_results):
-        cache = ShardedResultCache(tmp_path / "shards")
-        for spec, result in zip(small_plan, serial_results):
-            cache.put(spec, result)
-        prefixes = {spec.digest()[:2] for spec in small_plan}
-        assert [shard.name for shard in cache.shards()] == sorted(prefixes)
-        assert len(cache) == len(small_plan)
-        assert cache.clear() == len(small_plan)
-        assert len(cache) == 0
-
-    def test_prefix_len_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="prefix_len"):
-            ShardedResultCache(tmp_path, prefix_len=0)
-        with pytest.raises(ValueError, match="prefix_len"):
-            ShardedResultCache(tmp_path, prefix_len=9)
-
-    def test_flat_and_sharded_never_alias(self, tmp_path, small_plan,
-                                          serial_results):
-        # Same directory, different layouts: each sees only its own
-        # entries, so the layouts cannot silently mix.
-        spec, result = small_plan[0], serial_results[0]
-        flat = ResultCache(tmp_path / "c")
-        sharded = ShardedResultCache(tmp_path / "c")
-        flat.put(spec, result)
-        assert sharded.get(spec) is None
-        assert len(sharded) == 0
-
-    def test_concurrent_writers_same_shard(self, tmp_path, small_plan,
+class TestSharedResultCache:
+    def test_concurrent_writers_same_entry(self, tmp_path, small_plan,
                                            serial_results):
         # Four processes hammering one digest: the entry must always
         # parse (atomic replace) and no staged .tmp may survive.
         directory = tmp_path / "cache"
         spec = small_plan[0]
         with cf.ProcessPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(_hammer_sharded, str(directory),
+            futures = [pool.submit(_hammer, str(directory),
                                    spec.to_dict(),
                                    serial_results[0].to_dict(), 25)
                        for _ in range(4)]
             for future in futures:
                 future.result(timeout=60)
-        cache = ShardedResultCache(directory)
-        entries = list(directory.glob(cache._ENTRY_GLOB))
+        cache = ResultCache(directory)
+        entries = list(directory.glob("*.json"))
         assert len(entries) == 1
         json.loads(entries[0].read_text())
-        assert not list(directory.glob(cache._TMP_GLOB))
+        assert not list(directory.glob("*.tmp"))
         assert cache.get(spec).to_dict() == serial_results[0].to_dict()
 
-    def test_concurrent_writers_distinct_shards(self, tmp_path, small_plan,
-                                                serial_results):
-        # One process per unit, each landing in its own digest-prefix
-        # shard: all entries present, every shard directory intact.
+    def test_concurrent_writers_distinct_entries(self, tmp_path, small_plan,
+                                                 serial_results):
+        # One process per unit, each writing its own entry: all entries
+        # present and intact.
         directory = tmp_path / "cache"
         with cf.ProcessPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(_hammer_sharded, str(directory),
+            futures = [pool.submit(_hammer, str(directory),
                                    spec.to_dict(), result.to_dict(), 10)
                        for spec, result in zip(small_plan, serial_results)]
             for future in futures:
                 future.result(timeout=60)
-        cache = ShardedResultCache(directory)
+        cache = ResultCache(directory)
         assert len(cache) == len(small_plan)
         for spec, result in zip(small_plan, serial_results):
             assert cache.get(spec).to_dict() == result.to_dict()
@@ -235,14 +196,14 @@ class TestShardedResultCache:
                        for _ in range(3)]
             for future in futures:
                 future.result(timeout=60)
-        cache = ShardedResultCache(directory)
+        cache = ResultCache(directory)
         cache.put(spec, serial_results[0])
         assert cache.get(spec).to_dict() == serial_results[0].to_dict()
-        assert not list(directory.glob(cache._TMP_GLOB))
+        assert not list(directory.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------
-# Manifest: torn lines counted, merging
+# Manifest: torn lines counted
 
 
 class TestManifestTornLines:
@@ -250,14 +211,13 @@ class TestManifestTornLines:
         # A node SIGKILLed mid-append leaves a torn tail; reads must
         # skip it AND count it, not silently pretend it never happened.
         manifest = RunManifest(tmp_path / "run.jsonl")
-        manifest.record("d1", "DCT/PR", "ok", node="node-0")
+        manifest.record("d1", "DCT/PR", "ok")
         manifest.record("d2", "DCT/CC", "failed", kind="crash")
         with manifest.path.open("a") as handle:
             handle.write('{"digest": "d3", "label": "RAJ/PR", "sta')
         entries = manifest.entries()
         assert [e["digest"] for e in entries] == ["d1", "d2"]
         assert manifest.torn_lines == 1
-        assert entries[0]["node"] == "node-0"
         assert manifest.completed_digests() == {"d1"}
         assert manifest.failed_digests() == {"d2"}
 
@@ -281,21 +241,6 @@ class TestManifestTornLines:
         manifest.path.write_text('{"digest": "d1", "status": "ok"}\n')
         manifest.entries()
         assert manifest.torn_lines == 0
-
-    def test_merge_from_preserves_provenance_and_counts_torn(
-            self, tmp_path):
-        node0 = RunManifest(tmp_path / "manifests" / "node-0.jsonl")
-        node1 = RunManifest(tmp_path / "manifests" / "node-1.jsonl")
-        node0.record("d1", "DCT/PR", "ok", node="node-0")
-        node1.record("d2", "DCT/CC", "ok", node="node-1")
-        with node1.path.open("a") as handle:
-            handle.write('{"digest": "d3", "status": "o')  # killed here
-        merged = RunManifest(tmp_path / "merged.jsonl")
-        stats = merged.merge_from([node0, node1])
-        assert stats == {"sources": 2, "entries": 2, "torn": 1}
-        by_digest = merged.latest()
-        assert by_digest["d1"]["node"] == "node-0"
-        assert by_digest["d2"]["node"] == "node-1"
 
     def test_record_entry_validates(self, tmp_path):
         manifest = RunManifest(tmp_path / "run.jsonl")
@@ -607,18 +552,28 @@ class TestWorkQueueFailsClosed:
 
 class TestBackendRegistry:
     def test_names_resolve_to_executor_types(self, tmp_path):
+        assert BACKENDS == ("auto", "serial", "process")
         assert isinstance(make_backend("serial"), SerialExecutor)
         process = make_backend("process", jobs=2)
         assert isinstance(process, MultiNodeExecutor)
         assert process.nodes == 2 and process.queue_dir is None
-        multinode = make_backend("multinode", nodes=3,
-                                 queue_dir=tmp_path / "q")
-        assert isinstance(multinode, MultiNodeExecutor)
-        assert multinode.nodes == 3
-        assert multinode.queue_dir == tmp_path / "q"
+        named = make_backend("process", jobs=3, queue_dir=tmp_path / "q",
+                             lease_ttl=5.0)
+        assert isinstance(named, MultiNodeExecutor)
+        assert named.nodes == 3 and named.lease_ttl == 5.0
+        assert named.queue_dir == tmp_path / "q"
         assert isinstance(make_backend("auto", jobs=1), SerialExecutor)
         auto = make_backend("auto", jobs=4)
         assert isinstance(auto, MultiNodeExecutor) and auto.nodes == 4
+
+    def test_auto_runs_nodes_over_a_named_queue(self, tmp_path):
+        # A queue directory selects the lease executor even at jobs 1;
+        # the serial backend refuses one instead of ignoring it.
+        auto = make_backend("auto", jobs=1, queue_dir=tmp_path / "q")
+        assert isinstance(auto, MultiNodeExecutor)
+        assert auto.nodes == 1 and auto.queue_dir == tmp_path / "q"
+        with pytest.raises(ValueError, match="queue_dir"):
+            make_backend("serial", queue_dir=tmp_path / "q")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -712,8 +667,8 @@ class TestMultiNodeExecutor:
         monkeypatch.setattr(executor_module, "execute_spec", recording)
         injector = FaultInjector(rules=(FaultRule(
             kind="crash", match="DCT/*", attempts=1),))
-        with make_backend("process", jobs=1, policy=FAST,
-                          injector=injector, node_restarts=1) as executor:
+        with MultiNodeExecutor(nodes=1, policy=FAST, injector=injector,
+                               node_restarts=1) as executor:
             (_, first), = executor.run([small_plan[0]])
             (_, second), = executor.run([small_plan[1]])
         assert _dicts([first, second]) == _dicts(serial_results[:2])
@@ -743,6 +698,29 @@ class TestMultiNodeExecutor:
         cache = WorkQueue(tmp_path / "queue").result_cache()
         assert cache.get(small_plan[0]).to_dict() \
             == serial_results[0].to_dict()
+
+    def test_node_results_are_not_cache_hits(self, tmp_path, small_plan,
+                                            serial_results, ring):
+        # Collecting a node's result is not a lookup in the caller's
+        # cache: a fresh parallel run counts one miss and one store per
+        # unit and no hit.  A torn node result is still requeued.
+        observer = obs.OBSERVER
+        injector = FaultInjector(rules=(
+            FaultRule(kind="torn-cache-write", match="DCT/PR",
+                      attempts=1),))
+        cache = ResultCache(tmp_path / "cache")
+        results = run_plan(small_plan, jobs=2, cache=cache, policy=FAST,
+                           injector=injector)
+        assert _dicts(results) == _dicts(serial_results)
+        units = len(small_plan)
+        assert cache.hits == 0
+        assert cache.misses == cache.stores == units
+        assert observer.metrics.counter("cache.hits").value == 0
+        assert observer.metrics.counter("cache.misses").value == units
+        assert ring.events("cache.hit") == []
+        retried = [event for event in ring.events("unit.retried")
+                   if event.data.get("cause") == "torn-result"]
+        assert len(retried) == 1
 
     def test_node_killing_unit_is_quarantined(self, tmp_path, small_plan,
                                               serial_results, ring):
@@ -823,7 +801,7 @@ class TestChaosAcceptance:
             self, tmp_path, small_plan, serial_results, ring):
         queue_dir = tmp_path / "queue"
         manifest_path = tmp_path / "run-manifest.jsonl"
-        user_cache = ShardedResultCache(tmp_path / "user-cache")
+        user_cache = ResultCache(tmp_path / "user-cache")
         injector = FaultInjector(rules=(
             FaultRule(kind="node-kill", match="RAJ/CC", attempts=1),))
 
@@ -855,18 +833,10 @@ class TestChaosAcceptance:
         assert {e["digest"] for e in claims} \
             == {spec.digest() for spec in small_plan}
 
-        # The merged manifest covers every unit, with provenance.
-        merged = RunManifest(queue_dir / "manifest.jsonl")
-        assert merged.completed_digests() \
-            == {spec.digest() for spec in small_plan}
-        assert all("node" in entry for entry in merged.entries())
-        assert executor.last_merge is not None
-        assert executor.last_merge["sources"] >= 2
-
-        # Results were published into digest-prefix shards.
-        shard_cache = queue.result_cache()
-        assert [s.name for s in shard_cache.shards()] \
-            == sorted({spec.digest()[:2] for spec in small_plan})
+        # The done markers cover every unit, with per-node provenance.
+        for spec in small_plan:
+            marker = queue.outcome(spec.digest())
+            assert marker["status"] == "ok" and marker["node"]
 
         # Phase B: resume.  The run-level manifest and cache say
         # everything completed; nothing may be re-simulated — not even
@@ -902,20 +872,27 @@ class TestCLI:
             == serial_results[0].to_dict()
         kinds = [event["kind"] for event in _node_events(queue)]
         assert "lease.claim" in kinds
-        manifest = queue.node_manifest("cli-node")
-        assert manifest.completed_digests() == {small_plan[0].digest()}
+        marker = queue.outcome(small_plan[0].digest())
+        assert marker["status"] == "ok" and marker["node"] == "cli-node"
 
-    def test_sweep_multinode_backend(self, tmp_path, capsys):
+    def test_sweep_jobs_over_a_named_queue(self, tmp_path, capsys):
+        # Under the default auto backend, --queue-dir and --lease-ttl
+        # reach the nodes: the named queue holds every unit's marker.
+        from repro.harness.sweep import plan_sweep
+
         queue_dir = tmp_path / "queue"
         assert main(["sweep", "--graphs", "DCT", "--apps", "PR",
-                     "--iters", "1", "--no-cache",
-                     "--backend", "multinode", "--nodes", "2",
+                     "--iters", "1", "--no-cache", "--jobs", "2",
                      "--queue-dir", str(queue_dir),
                      "--lease-ttl", "10"]) == 0
         out = capsys.readouterr().out
         assert "Sweep summary" in out
-        assert (queue_dir / "manifest.jsonl").exists()
-        assert RunManifest(queue_dir / "manifest.jsonl").entries()
+        plan, _ = plan_sweep(("DCT",), ("PR",), max_iters=1)
+        queue = WorkQueue(queue_dir)
+        assert queue.done_digests() == {spec.digest() for spec in plan}
+        for spec in plan:
+            marker = queue.outcome(spec.digest())
+            assert marker["status"] == "ok" and marker["node"]
 
     def test_sweep_resume_reports_and_restores(self, tmp_path, capsys):
         manifest_path = tmp_path / "sweep.jsonl"

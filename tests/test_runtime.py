@@ -9,6 +9,7 @@ and every result type round-trips through ``to_dict``/``from_dict``.
 import json
 import multiprocessing
 import os
+import tempfile
 from dataclasses import fields
 
 import pytest
@@ -420,6 +421,64 @@ class TestResultCache:
         assert cache.get(spec) is None
         assert cache.corrupt == 1
         assert not path.exists()
+
+    @pytest.mark.parametrize("payload", [
+        [], 3, "x", None,
+        {"schema": 1, "result": []},
+        {"schema": 1, "result": {"app": "PR", "graph_name": "g",
+                                 "results": {"TG0": []}}},
+    ])
+    def test_any_unparseable_entry_is_a_corrupt_miss(self, small_plan,
+                                                    tmp_path, payload):
+        cache = ResultCache(tmp_path / "cache")
+        spec = small_plan[0]
+        path = cache.path_for(spec)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(payload))
+        assert cache.get(spec) is None
+        assert (cache.misses, cache.corrupt, cache.hits) == (1, 1, 0)
+        assert not path.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=_json_values | st.fixed_dictionaries(
+               {"schema": st.just(1), "result": _json_values}),
+           real=st.booleans(), patch=st.dictionaries(
+               st.sampled_from(["app", "graph_name", "baseline",
+                                "results"]), _json_values, max_size=2))
+    def test_any_json_entry_reads_as_miss_or_result(
+            self, small_plan, serial_results, payload, real, patch):
+        # Whatever JSON sits at an entry's path, get() answers None or
+        # a result and never raises.
+        spec = small_plan[0]
+        if real:
+            result = dict(serial_results[0].to_dict(), **patch)
+            payload = {"schema": 1, "result": result}
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResultCache(tmp)
+            cache.path_for(spec).write_text(json.dumps(payload))
+            hit = cache.get(spec)
+            assert hit is None or isinstance(hit, WorkloadResult)
+            assert cache.hits + cache.misses == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(index=st.integers(min_value=0, max_value=3),
+           graph_name=st.text(max_size=8), data=st.data())
+    def test_put_then_get_round_trips(self, small_plan, serial_results,
+                                      index, graph_name, data):
+        # Any name and any configuration order survive the round trip
+        # (the order is the Figure 5 presentation order).
+        real = serial_results[index]
+        codes = data.draw(st.permutations(list(real.results)))
+        result = WorkloadResult(
+            app=real.app, graph_name=graph_name, baseline=codes[0],
+            results={code: real.results[code] for code in codes})
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResultCache(tmp)
+            cache.put(small_plan[index], result)
+            restored = cache.get(small_plan[index])
+            assert restored.to_dict() == result.to_dict()
+            assert list(restored.results) == codes
+            assert cache.hits == 1 and cache.corrupt == 0
 
     def test_concurrent_writers_leave_one_clean_entry(self, small_plan,
                                                       serial_results,

@@ -3,9 +3,9 @@
 CI's standing proof that node-level fault tolerance works end to end,
 not just unit-by-unit:
 
-Phase A runs a two-node multinode sweep with a deterministic
-``node-kill`` injected into one unit — the worker holding it takes a
-real SIGKILL mid-unit.  The coordinator must notice the death, reclaim
+Phase A runs a two-node sweep over a named work queue with a
+deterministic ``node-kill`` injected into one unit — the worker holding
+it takes a real SIGKILL mid-unit.  The coordinator must notice the death, reclaim
 the lease, restart the node under a fresh incarnation, let the unit be
 stolen, and drain the queue with results bit-identical to a serial run.
 
@@ -37,6 +37,7 @@ from repro.runtime import (
     RetryPolicy,
     RunManifest,
     RESULT_SCHEMA_VERSION,  # noqa: F401  (pin: results are schema-keyed)
+    WorkQueue,
     run_plan,
 )
 from repro.sim.config import SystemConfig
@@ -109,12 +110,14 @@ def main(queue_dir=None):
           f"event accounting: claims ({len(claims)}) == units "
           f"({len(plan)}) + expires ({len(expires)})")
 
-    merged = RunManifest(queue_dir / "manifest.jsonl")
-    completed = merged.completed_digests()
-    check(completed == {spec.digest() for spec in plan},
-          "merged manifest covers every unit")
-    check(all("node" in entry for entry in merged.entries()),
-          "merged manifest keeps per-node provenance")
+    queue = WorkQueue(queue_dir)
+    markers = [queue.outcome(spec.digest()) for spec in plan]
+    check(all(marker is not None and marker["status"] == "ok"
+              for marker in markers),
+          "done markers cover every unit")
+    check(all(marker is not None and marker.get("node")
+              for marker in markers),
+          "done markers keep per-node provenance")
 
     print("phase B: resume against the same queue and cache ...")
     claims_before = len(claims)

@@ -55,7 +55,7 @@ _UNIT_INSTANTS = (
 # on the global row too.)
 _GLOBAL_INSTANTS = ("plan.started", "plan.finished", "workload.simulated",
                     "node.join", "node.leave", "queue.seeded",
-                    "queue.drained", "manifest.merge")
+                    "queue.drained")
 
 
 def read_events(path: Path) -> tuple[list[dict], int]:
