@@ -4,7 +4,10 @@ This is where the paper's Figure 1 duality lives: one :class:`EdgePhase`
 becomes either a push kernel (sources in the outer loop, hoisted source
 loads, sparse remote atomics) or a pull kernel (targets in the outer loop,
 hoisted target loads, blocking sparse remote reads, one dense non-atomic
-update per target).
+update per target).  Both are one edge loop over one adjacency or its
+transpose: :meth:`TraceBuilder._edge` picks the adjacency, region names,
+masks, hoisted/neighbour arrays and per-edge compute from the direction,
+and a single round emitter realizes either form.
 
 Warp lockstep is modeled by *rounds*: in round ``r`` every lane whose
 vertex has more than ``r`` edges processes its ``r``-th edge, so a warp's
@@ -14,9 +17,12 @@ how degree imbalance inflates execution (Section III-A3).
 Performance notes (see DESIGN.md §Performance engineering).  Realization
 is one of the two hot phases of a sweep, so this module:
 
-* converts each adjacency structure to Python lists **once** per builder
-  and runs the per-round lane loops in pure Python — a warp slice is at
-  most 32 elements, far below the numpy call-overhead break-even;
+* converts each adjacency structure to Python lists **once** per builder;
+* has one round emitter fed by two round producers (:func:`_rounds`):
+  warps with at least ``_VEC_THRESHOLD`` edges get all their rounds from
+  numpy tables (:func:`_round_tables`), smaller warps walk rounds in pure
+  Python, where numpy's call overhead would dominate.  Both yield the
+  same per-round values, so the emitted ops are identical;
 * walks rounds over a degree-descending lane prefix, so round ``r`` costs
   O(lanes still active) instead of O(warp width) — the dedup/sort
   downstream consumers make lane order within a round irrelevant;
@@ -36,6 +42,7 @@ those calls would reorder base assignment and change modeled line ids.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from bisect import bisect_right
 
@@ -70,8 +77,8 @@ STATE_ARRAY = "vstate"
 _MEMO_CAPACITY = 16
 
 #: Minimum total edge count in a warp before the vectorized round-table
-#: path pays for its numpy call overhead; smaller warps run the plain
-#: per-round Python loop.  Both paths emit identical ops.
+#: producer pays for its numpy call overhead; smaller warps walk rounds
+#: in plain Python.  Both producers yield identical rounds.
 _VEC_THRESHOLD = 256
 
 
@@ -137,6 +144,61 @@ def _round_tables(offs_desc, degs_desc, neigh_np, epl):
             nbq_vals, nbq_counts, nbq_cuts)
 
 
+def _quotient_counts(indices, epl):
+    """Sorted-unique line quotients of ``indices`` and their multiplicities."""
+    counts: dict[int, int] = {}
+    for i in indices:
+        x = i // epl
+        counts[x] = counts.get(x, 0) + 1
+    quots = sorted(counts)
+    return quots, [counts[x] for x in quots]
+
+
+def _rounds(offs, degs, nbr_list, nbr_np, epl, want_counts):
+    """Yield ``(qe, nbrs, nbq, counts)`` for each round of one warp's edges.
+
+    ``offs``/``degs`` are the active lanes' edge offsets and degrees;
+    ``nbr_list``/``nbr_np`` the neighbour index array as a list and as an
+    ndarray.  Per round: ``qe`` the sorted-unique edge-position line
+    quotients, ``nbrs`` the neighbours the round's lanes reach, ``nbq``
+    their sorted-unique line quotients and ``counts`` the multiplicity of
+    each.  The Python walk computes ``counts`` only when ``want_counts``
+    (it is None otherwise); the numpy tables always carry it.
+    """
+    max_deg = max(degs)
+    if not max_deg:
+        return
+    order = sorted(range(len(degs)), key=degs.__getitem__, reverse=True)
+    offs_desc = [offs[i] for i in order]
+    if sum(degs) >= _VEC_THRESHOLD:
+        (ends, qe_vals, qe_cuts, nb_vals, nbq_vals, nbq_counts,
+         nbq_cuts) = _round_tables(
+            offs_desc, [degs[i] for i in order], nbr_np, epl)
+        e0 = q0 = n0 = 0
+        for r in range(max_deg):
+            e1 = ends[r]
+            q1 = qe_cuts[r]
+            n1 = nbq_cuts[r]
+            yield (qe_vals[q0:q1], nb_vals[e0:e1], nbq_vals[n0:n1],
+                   nbq_counts[n0:n1])
+            e0 = e1
+            q0 = q1
+            n0 = n1
+        return
+    degs_asc = sorted(degs)
+    nlanes = len(degs)
+    for r in range(max_deg):
+        k = nlanes - bisect_right(degs_asc, r)
+        epos = [o + r for o in offs_desc[:k]]
+        nbrs = [nbr_list[e] for e in epos]
+        if want_counts:
+            nbq, counts = _quotient_counts(nbrs, epl)
+        else:
+            nbq = sorted({t // epl for t in nbrs})
+            counts = None
+        yield sorted({e // epl for e in epos}), nbrs, nbq, counts
+
+
 def _check_mask(mask, phase_name: str, role: str, num_vertices: int) -> None:
     """Reject malformed active masks before they poison a realization.
 
@@ -181,20 +243,20 @@ class TraceBuilder:
         self._memo: dict[tuple, KernelTrace] = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        self._out_adj: tuple[list, list] | None = None
-        self._in_adj: tuple[list, list] | None = None
+        self._adj: dict[str, tuple[list, list, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def realize(self, phase, direction: str) -> KernelTrace:
         """Build (or recall) the trace of one phase in the given direction.
 
         Realized traces are memoized on a content fingerprint — phase
-        kind, name, scalars, array names, and SHA-1 digests of every mask
-        and index array (plus the direction for edge phases; vertex and
-        dynamic phases realize identically in both directions).  Unchanged
-        phases (dense PR phases, converged frontiers, the shared vertex
-        phases of a push+pull sweep) are therefore realized once per
-        workload and the cached :class:`KernelTrace` object is returned.
+        kind and every field value, with SHA-1 digests standing in for
+        masks and index arrays (plus the direction for edge phases; vertex
+        and dynamic phases realize identically in both directions).
+        Unchanged phases (dense PR phases, converged frontiers, the shared
+        vertex phases of a push+pull sweep) are therefore realized once
+        per workload and the cached :class:`KernelTrace` object is
+        returned.
         """
         self._validate(phase)
         key = self._fingerprint(phase, direction)
@@ -225,29 +287,19 @@ class TraceBuilder:
             _check_mask(phase.active, phase.name, "active", n)
 
     def _fingerprint(self, phase, direction: str) -> tuple:
-        if isinstance(phase, VertexPhase):
-            return ("vertex", phase.name, tuple(phase.read_arrays),
-                    tuple(phase.write_arrays), phase.compute,
-                    _digest(phase.active))
-        if isinstance(phase, DynamicPhase):
-            return ("dynamic", phase.name, phase.array,
-                    phase.compute_per_vertex, phase.store_self,
-                    _digest(phase.chain_offsets),
-                    _digest(phase.chain_values),
-                    _digest(phase.cas_targets), _digest(phase.active),
-                    _digest(phase.col_offsets), _digest(phase.col_values))
+        if not isinstance(phase, (EdgePhase, VertexPhase, DynamicPhase)):
+            raise TypeError(f"unknown phase type {type(phase).__name__}")
+        key = [type(phase).__name__]
         if isinstance(phase, EdgePhase):
-            return ("edge", direction, phase.name,
-                    tuple(phase.source_arrays), tuple(phase.target_arrays),
-                    tuple(phase.update_arrays), phase.uses_weights,
-                    phase.atomic_needs_value,
-                    phase.check_target_pred_in_push,
-                    phase.compute_per_edge,
-                    phase.pull_extra_compute_per_edge,
-                    phase.push_hoisted_compute,
-                    _digest(phase.source_active),
-                    _digest(phase.target_active))
-        raise TypeError(f"unknown phase type {type(phase).__name__}")
+            key.append(direction)
+        for f in dataclasses.fields(phase):
+            value = getattr(phase, f.name)
+            if value is None or isinstance(value, np.ndarray):
+                value = _digest(value)
+            elif isinstance(value, list):
+                value = tuple(value)
+            key.append(value)
+        return tuple(key)
 
     def _build(self, phase, direction: str) -> KernelTrace:
         if isinstance(phase, VertexPhase):
@@ -255,28 +307,24 @@ class TraceBuilder:
         if isinstance(phase, DynamicPhase):
             return self._dynamic(phase)
         # EdgePhase (anything else was rejected by _fingerprint).
-        if direction == "push":
-            return self._edge_push(phase)
-        if direction == "pull":
-            return self._edge_pull(phase)
-        raise ValueError(
-            f"direction must be 'push' or 'pull', got {direction!r}"
-        )
+        return self._edge(phase, direction)
 
     # ------------------------------------------------------------------
-    def _out_lists(self) -> tuple[list, list]:
-        if self._out_adj is None:
-            g = self.graph
-            self._out_adj = (g.indptr.tolist(), g.indices.tolist())
-        return self._out_adj
+    def _adjacency(self, direction: str) -> tuple[list, list, np.ndarray]:
+        """``(indptr, indices)`` as lists, plus the indices ndarray.
 
-    def _in_lists(self) -> tuple[list, list]:
-        if self._in_adj is None:
+        Push walks the out-CSR, pull the in-CSR; the list mirrors are
+        built once per builder (the first pull also materializes the
+        graph's CSC view).
+        """
+        adj = self._adj.get(direction)
+        if adj is None:
             g = self.graph
-            # First pull realization materializes the CSC view (and its
-            # list mirror) once; later pulls reuse it.
-            self._in_adj = (g.in_indptr.tolist(), g.in_indices.tolist())
-        return self._in_adj
+            indptr, indices = ((g.indptr, g.indices) if direction == "push"
+                               else (g.in_indptr, g.in_indices))
+            adj = self._adj[direction] = (
+                indptr.tolist(), indices.tolist(), indices)
+        return adj
 
     def _warp_ranges(self):
         cfg = self.config
@@ -289,312 +337,125 @@ class TraceBuilder:
             ]
             yield warps
 
-    # ------------------------------------------------------------------
-    def _edge_push(self, ph: EdgePhase) -> KernelTrace:
-        indptr, indices = self._out_lists()
-        indices_np = self.graph.indices
-        amap = self.amap
-        rb = amap.region_base
-        epl = amap.elements_per_line
-        pool_op = self._pool.op
-        src_list = (ph.source_active.tolist()
-                    if ph.source_active is not None else None)
-        tgt_mask = ph.target_active
-        check_tpred = tgt_mask is not None and ph.check_target_pred_in_push
-        tgt_list = tgt_mask.tolist() if tgt_mask is not None else None
-        src_arrays = ph.source_arrays
-        tgt_arrays = ph.target_arrays
-        upd_arrays = ph.update_arrays
-        uses_weights = ph.uses_weights
-        needs_value = ph.atomic_needs_value
-        compute_op = pool_op((OP_COMPUTE, ph.compute_per_edge))
-        hoist = ph.push_hoisted_compute
-        hoist_op = pool_op((OP_COMPUTE, hoist)) if hoist else None
-        trace = KernelTrace(f"{ph.name}:push")
-        for warp_ranges in self._warp_ranges():
-            warps = []
-            for w_start, w_end in warp_ranges:
-                b = rb("row_ptr")
-                ops = [_ACQUIRE,
-                       pool_op((OP_LOAD, tuple(range(
-                           b + w_start // epl, b + w_end // epl + 1))))]
-                if src_list is not None:
-                    b = rb(STATE_ARRAY)
-                    ops.append(pool_op((OP_LOAD, tuple(range(
-                        b + w_start // epl, b + (w_end - 1) // epl + 1)))))
-                    act = [v for v in range(w_start, w_end) if src_list[v]]
-                else:
-                    act = list(range(w_start, w_end))
-                if act:
-                    offs = [indptr[v] for v in act]
-                    degs = [indptr[v + 1] - o for v, o in zip(act, offs)]
-                    if src_arrays:
-                        q = sorted({v // epl for v in act})
-                        for arr in src_arrays:
-                            b = rb(arr)
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple(b + x for x in q))))
-                    if hoist_op is not None:
-                        ops.append(hoist_op)
-                    max_deg = max(degs)
-                    if max_deg and sum(degs) >= _VEC_THRESHOLD:
-                        # Lanes in degree-descending order: round r's
-                        # active set is a prefix.  Lane order within a
-                        # round is irrelevant — every consumer below
-                        # sorts/dedups.
-                        order = sorted(range(len(act)),
-                                       key=degs.__getitem__, reverse=True)
-                        (ends, qe_vals, qe_cuts, nb_vals, nbq_vals,
-                         nbq_counts, nbq_cuts) = _round_tables(
-                            [offs[i] for i in order],
-                            [degs[i] for i in order], indices_np, epl)
-                        e0 = q0 = n0 = 0
-                        for r in range(max_deg):
-                            q1 = qe_cuts[r]
-                            qe = qe_vals[q0:q1]
-                            q0 = q1
-                            b = rb("col_idx")
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple([b + x for x in qe]))))
-                            if uses_weights:
-                                b = rb("weights")
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple([b + x for x in qe]))))
-                            e1 = ends[r]
-                            n1 = nbq_cuts[r]
-                            if check_tpred:
-                                qt = nbq_vals[n0:n1]
-                                b = rb(STATE_ARRAY)
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple([b + x for x in qt]))))
-                                targets = [t for t in nb_vals[e0:e1]
-                                           if tgt_list[t]]
-                                if targets:
-                                    qt = sorted({t // epl
-                                                 for t in targets})
-                                    for arr in tgt_arrays:
-                                        b = rb(arr)
-                                        ops.append(pool_op(
-                                            (OP_LOAD,
-                                             tuple([b + x for x in qt]))))
-                                ops.append(compute_op)
-                                if targets:
-                                    counts: dict[int, int] = {}
-                                    for t in targets:
-                                        x = t // epl
-                                        counts[x] = counts.get(x, 0) + 1
-                                    items = sorted(counts.items())
-                                    for arr in upd_arrays:
-                                        b = rb(arr)
-                                        ops.append(pool_op((
-                                            OP_ATOMIC,
-                                            tuple((b + x, c)
-                                                  for x, c in items),
-                                            needs_value)))
-                            else:
-                                qt = nbq_vals[n0:n1]
-                                for arr in tgt_arrays:
-                                    b = rb(arr)
-                                    ops.append(pool_op(
-                                        (OP_LOAD,
-                                         tuple([b + x for x in qt]))))
-                                ops.append(compute_op)
-                                if upd_arrays:
-                                    cts = nbq_counts[n0:n1]
-                                    for arr in upd_arrays:
-                                        b = rb(arr)
-                                        ops.append(pool_op((
-                                            OP_ATOMIC,
-                                            tuple(zip(
-                                                [b + x for x in qt],
-                                                cts)),
-                                            needs_value)))
-                            e0 = e1
-                            n0 = n1
-                    elif max_deg:
-                        order = sorted(range(len(act)),
-                                       key=degs.__getitem__, reverse=True)
-                        offs_desc = [offs[i] for i in order]
-                        degs_asc = sorted(degs)
-                        nlanes = len(act)
-                        for r in range(max_deg):
-                            k = nlanes - bisect_right(degs_asc, r)
-                            epos = [o + r for o in offs_desc[:k]]
-                            qe = sorted({e // epl for e in epos})
-                            b = rb("col_idx")
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple(b + x for x in qe))))
-                            if uses_weights:
-                                b = rb("weights")
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple(b + x for x in qe))))
-                            targets = [indices[e] for e in epos]
-                            if check_tpred:
-                                qt = sorted({t // epl for t in targets})
-                                b = rb(STATE_ARRAY)
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple(b + x for x in qt))))
-                                targets = [t for t in targets
-                                           if tgt_list[t]]
-                            if targets:
-                                qt = sorted({t // epl for t in targets})
-                                for arr in tgt_arrays:
-                                    b = rb(arr)
-                                    ops.append(pool_op(
-                                        (OP_LOAD,
-                                         tuple(b + x for x in qt))))
-                            ops.append(compute_op)
-                            if targets:
-                                counts = {}
-                                for t in targets:
-                                    x = t // epl
-                                    counts[x] = counts.get(x, 0) + 1
-                                items = sorted(counts.items())
-                                for arr in upd_arrays:
-                                    b = rb(arr)
-                                    ops.append(pool_op((
-                                        OP_ATOMIC,
-                                        tuple((b + x, c)
-                                              for x, c in items),
-                                        needs_value)))
-                ops.append(_RELEASE)
-                warps.append(ops)
-            trace.add_block(warps)
-        return trace
+    def _lanes(self, ops, mask, w_start, w_end) -> list:
+        """Active vertices of one warp; a masked warp first loads its state.
 
-    def _edge_pull(self, ph: EdgePhase) -> KernelTrace:
-        in_indptr, in_indices = self._in_lists()
-        in_indices_np = self.graph.in_indices
+        ``mask`` is the phase's active mask as a list (None: all active).
+        """
+        if mask is None:
+            return list(range(w_start, w_end))
+        epl = self.amap.elements_per_line
+        b = self.amap.region_base(STATE_ARRAY)
+        ops.append(self._pool.op((OP_LOAD, tuple(range(
+            b + w_start // epl, b + (w_end - 1) // epl + 1)))))
+        return [v for v in range(w_start, w_end) if mask[v]]
+
+    # ------------------------------------------------------------------
+    def _edge(self, ph: EdgePhase, direction: str) -> KernelTrace:
+        """Realize one edge phase as a push or a pull kernel.
+
+        Push walks out-edges of active sources, hoists the source loads
+        (and ``push_hoisted_compute``), optionally checks the target
+        predicate per edge, and issues one atomic per update array per
+        round.  Pull walks in-edges of active targets, hoists the target
+        loads, checks the source predicate per edge (the blocking sparse
+        remote reads of Figure 1), and stores each update array once per
+        target after the loop.
+        """
+        if direction not in ("push", "pull"):
+            raise ValueError(
+                f"direction must be 'push' or 'pull', got {direction!r}"
+            )
+        indptr, indices, indices_np = self._adjacency(direction)
+        if direction == "push":
+            ptr_region, col_region, wt_region = (
+                "row_ptr", "col_idx", "weights")
+            outer_mask = ph.source_active
+            nbr_mask = (ph.target_active if ph.check_target_pred_in_push
+                        else None)
+            hoisted, nbr_arrays = ph.source_arrays, ph.target_arrays
+            compute = ph.compute_per_edge
+            hoist = ph.push_hoisted_compute
+            atomics, stores = ph.update_arrays, ()
+        else:
+            ptr_region, col_region, wt_region = (
+                "in_row_ptr", "in_col_idx", "in_weights")
+            outer_mask = ph.target_active
+            nbr_mask = ph.source_active
+            hoisted, nbr_arrays = ph.target_arrays, ph.source_arrays
+            compute = ph.compute_per_edge + ph.pull_extra_compute_per_edge
+            hoist = 0
+            atomics, stores = (), ph.update_arrays
+        if not ph.uses_weights:
+            wt_region = None
         amap = self.amap
         rb = amap.region_base
         epl = amap.elements_per_line
         pool_op = self._pool.op
-        tgt_list = (ph.target_active.tolist()
-                    if ph.target_active is not None else None)
-        src_mask = ph.source_active
-        src_list = src_mask.tolist() if src_mask is not None else None
-        src_arrays = ph.source_arrays
-        tgt_arrays = ph.target_arrays
-        upd_arrays = ph.update_arrays
-        uses_weights = ph.uses_weights
-        compute_op = pool_op((
-            OP_COMPUTE,
-            ph.compute_per_edge + ph.pull_extra_compute_per_edge))
-        trace = KernelTrace(f"{ph.name}:pull")
+        outer_list = outer_mask.tolist() if outer_mask is not None else None
+        nbr_list = nbr_mask.tolist() if nbr_mask is not None else None
+        # Unfiltered rounds hand their neighbour counts straight to the
+        # atomics; filtered rounds recount what survives the predicate.
+        want_counts = bool(atomics) and nbr_list is None
+        needs_value = ph.atomic_needs_value
+        compute_op = pool_op((OP_COMPUTE, compute))
+        hoist_op = pool_op((OP_COMPUTE, hoist)) if hoist else None
+        trace = KernelTrace(f"{ph.name}:{direction}")
         for warp_ranges in self._warp_ranges():
             warps = []
             for w_start, w_end in warp_ranges:
-                b = rb("in_row_ptr")
+                b = rb(ptr_region)
                 ops = [_ACQUIRE,
                        pool_op((OP_LOAD, tuple(range(
                            b + w_start // epl, b + w_end // epl + 1))))]
-                if tgt_list is not None:
-                    b = rb(STATE_ARRAY)
-                    ops.append(pool_op((OP_LOAD, tuple(range(
-                        b + w_start // epl, b + (w_end - 1) // epl + 1)))))
-                    act = [v for v in range(w_start, w_end) if tgt_list[v]]
-                else:
-                    act = list(range(w_start, w_end))
+                act = self._lanes(ops, outer_list, w_start, w_end)
                 if act:
-                    offs = [in_indptr[v] for v in act]
-                    degs = [in_indptr[v + 1] - o
-                            for v, o in zip(act, offs)]
-                    if tgt_arrays:
-                        q = sorted({v // epl for v in act})
-                        for arr in tgt_arrays:
-                            b = rb(arr)
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple(b + x for x in q))))
-                    max_deg = max(degs)
-                    if max_deg and sum(degs) >= _VEC_THRESHOLD:
-                        order = sorted(range(len(act)),
-                                       key=degs.__getitem__, reverse=True)
-                        (ends, qe_vals, qe_cuts, nb_vals, nbq_vals,
-                         _nbq_counts, nbq_cuts) = _round_tables(
-                            [offs[i] for i in order],
-                            [degs[i] for i in order], in_indices_np, epl)
-                        e0 = q0 = n0 = 0
-                        for r in range(max_deg):
-                            q1 = qe_cuts[r]
-                            qe = qe_vals[q0:q1]
-                            q0 = q1
-                            b = rb("in_col_idx")
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple([b + x for x in qe]))))
-                            if uses_weights:
-                                b = rb("in_weights")
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple([b + x for x in qe]))))
-                            e1 = ends[r]
-                            n1 = nbq_cuts[r]
-                            if src_list is not None:
-                                qs = nbq_vals[n0:n1]
-                                b = rb(STATE_ARRAY)
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple([b + x for x in qs]))))
-                                sources = [s for s in nb_vals[e0:e1]
-                                           if src_list[s]]
-                                if sources:
-                                    qs = sorted({s // epl
-                                                 for s in sources})
-                                    for arr in src_arrays:
-                                        b = rb(arr)
-                                        ops.append(pool_op(
-                                            (OP_LOAD,
-                                             tuple([b + x for x in qs]))))
-                            else:
-                                # The blocking sparse remote reads of
-                                # Figure 1.
-                                qs = nbq_vals[n0:n1]
-                                for arr in src_arrays:
-                                    b = rb(arr)
-                                    ops.append(pool_op(
-                                        (OP_LOAD,
-                                         tuple([b + x for x in qs]))))
-                            ops.append(compute_op)
-                            e0 = e1
-                            n0 = n1
-                    elif max_deg:
-                        order = sorted(range(len(act)),
-                                       key=degs.__getitem__, reverse=True)
-                        offs_desc = [offs[i] for i in order]
-                        degs_asc = sorted(degs)
-                        nlanes = len(act)
-                        for r in range(max_deg):
-                            k = nlanes - bisect_right(degs_asc, r)
-                            epos = [o + r for o in offs_desc[:k]]
-                            qe = sorted({e // epl for e in epos})
-                            b = rb("in_col_idx")
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple(b + x for x in qe))))
-                            if uses_weights:
-                                b = rb("in_weights")
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple(b + x for x in qe))))
-                            sources = [in_indices[e] for e in epos]
-                            if src_list is not None:
-                                qs = sorted({s // epl for s in sources})
-                                b = rb(STATE_ARRAY)
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple(b + x for x in qs))))
-                                sources = [s for s in sources
-                                           if src_list[s]]
-                            if sources:
-                                # The blocking sparse remote reads of
-                                # Figure 1.
-                                qs = sorted({s // epl for s in sources})
-                                for arr in src_arrays:
-                                    b = rb(arr)
-                                    ops.append(pool_op(
-                                        (OP_LOAD,
-                                         tuple(b + x for x in qs))))
-                            ops.append(compute_op)
-                    # Dense, non-atomic local updates (one per target).
                     q = sorted({v // epl for v in act})
-                    for arr in upd_arrays:
+                    for arr in hoisted:
                         b = rb(arr)
                         ops.append(pool_op(
-                            (OP_STORE, tuple(b + x for x in q))))
+                            (OP_LOAD, tuple([b + x for x in q]))))
+                    if hoist_op is not None:
+                        ops.append(hoist_op)
+                    offs = [indptr[v] for v in act]
+                    degs = [indptr[v + 1] - o for v, o in zip(act, offs)]
+                    for qe, nbrs, nbq, counts in _rounds(
+                            offs, degs, indices, indices_np, epl,
+                            want_counts):
+                        b = rb(col_region)
+                        ops.append(pool_op(
+                            (OP_LOAD, tuple([b + x for x in qe]))))
+                        if wt_region is not None:
+                            b = rb(wt_region)
+                            ops.append(pool_op(
+                                (OP_LOAD, tuple([b + x for x in qe]))))
+                        if nbr_list is not None:
+                            b = rb(STATE_ARRAY)
+                            ops.append(pool_op(
+                                (OP_LOAD, tuple([b + x for x in nbq]))))
+                            nbrs = [t for t in nbrs if nbr_list[t]]
+                            if atomics:
+                                nbq, counts = _quotient_counts(nbrs, epl)
+                            else:
+                                nbq = sorted({t // epl for t in nbrs})
+                        if nbrs:
+                            for arr in nbr_arrays:
+                                b = rb(arr)
+                                ops.append(pool_op(
+                                    (OP_LOAD, tuple([b + x for x in nbq]))))
+                        ops.append(compute_op)
+                        if nbrs:
+                            for arr in atomics:
+                                b = rb(arr)
+                                ops.append(pool_op((
+                                    OP_ATOMIC,
+                                    tuple(zip([b + x for x in nbq], counts)),
+                                    needs_value)))
+                    # Pull: dense, non-atomic local updates (one per target).
+                    for arr in stores:
+                        b = rb(arr)
+                        ops.append(pool_op(
+                            (OP_STORE, tuple([b + x for x in q]))))
                 ops.append(_RELEASE)
                 warps.append(ops)
             trace.add_block(warps)
@@ -602,9 +463,8 @@ class TraceBuilder:
 
     # ------------------------------------------------------------------
     def _vertex(self, ph: VertexPhase) -> KernelTrace:
-        amap = self.amap
-        rb = amap.region_base
-        epl = amap.elements_per_line
+        rb = self.amap.region_base
+        epl = self.amap.elements_per_line
         pool_op = self._pool.op
         act_list = ph.active.tolist() if ph.active is not None else None
         compute_op = pool_op((OP_COMPUTE, ph.compute))
@@ -613,13 +473,7 @@ class TraceBuilder:
             warps = []
             for w_start, w_end in warp_ranges:
                 ops = [_ACQUIRE]
-                if act_list is not None:
-                    b = rb(STATE_ARRAY)
-                    ops.append(pool_op((OP_LOAD, tuple(range(
-                        b + w_start // epl, b + (w_end - 1) // epl + 1)))))
-                    act = [v for v in range(w_start, w_end) if act_list[v]]
-                else:
-                    act = list(range(w_start, w_end))
+                act = self._lanes(ops, act_list, w_start, w_end)
                 if act:
                     q = sorted({v // epl for v in act})
                     for arr in ph.read_arrays:
@@ -638,9 +492,8 @@ class TraceBuilder:
 
     # ------------------------------------------------------------------
     def _dynamic(self, ph: DynamicPhase) -> KernelTrace:
-        amap = self.amap
-        rb = amap.region_base
-        epl = amap.elements_per_line
+        rb = self.amap.region_base
+        epl = self.amap.elements_per_line
         pool_op = self._pool.op
         offsets = ph.chain_offsets.tolist()
         values = ph.chain_values.tolist()
@@ -657,13 +510,7 @@ class TraceBuilder:
             warps = []
             for w_start, w_end in warp_ranges:
                 ops = [_ACQUIRE]
-                if act_list is not None:
-                    b = rb(STATE_ARRAY)
-                    ops.append(pool_op((OP_LOAD, tuple(range(
-                        b + w_start // epl, b + (w_end - 1) // epl + 1)))))
-                    act = [v for v in range(w_start, w_end) if act_list[v]]
-                else:
-                    act = list(range(w_start, w_end))
+                act = self._lanes(ops, act_list, w_start, w_end)
                 if act:
                     chain_off = [offsets[v] for v in act]
                     chain_len = [offsets[v + 1] - o
@@ -714,15 +561,11 @@ class TraceBuilder:
                         if cas:
                             # CAS results steer control flow: always
                             # blocking.
-                            counts: dict[int, int] = {}
-                            for c in cas:
-                                x = c // epl
-                                counts[x] = counts.get(x, 0) + 1
-                            items = sorted(counts.items())
+                            q, counts = _quotient_counts(cas, epl)
                             b = rb(ph.array)
                             ops.append(pool_op((
                                 OP_ATOMIC,
-                                tuple((b + x, c) for x, c in items),
+                                tuple(zip([b + x for x in q], counts)),
                                 True)))
                 ops.append(_RELEASE)
                 warps.append(ops)

@@ -11,9 +11,11 @@ Records are append-only: a digest may appear multiple times across
 re-runs, and the *latest* record wins.  A torn final line (the process
 died — or was SIGKILLed — mid-append) is **skipped and counted** on
 read rather than poisoning the journal: ``entries()`` refreshes
-``torn_lines`` with how many unparseable lines the last read stepped
+``torn_lines`` with how many unusable lines the last read stepped
 over, the same degrade-don't-raise contract as
-:class:`~repro.obs.sinks.JsonlSink` on the write side.
+:class:`~repro.obs.sinks.JsonlSink` on the write side.  The reader fails
+closed: a line counts only if it is UTF-8 JSON for a dict with a string
+``digest`` and a known ``status``; anything else is torn.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class RunManifest:
         """Append one pre-built record (minimal checks)."""
         if entry.get("status") not in _STATUSES:
             raise ValueError(f"unknown manifest status {entry.get('status')!r}")
-        if "digest" not in entry:
-            raise ValueError("manifest entry needs a digest")
+        if not isinstance(entry.get("digest"), str):
+            raise ValueError("manifest entry needs a string digest")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry) + "\n")
@@ -79,16 +81,17 @@ class RunManifest:
         if not self.path.exists():
             return []
         records = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        for line in self.path.read_bytes().splitlines():
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except ValueError:
-                self.torn_lines += 1
-                continue
-            if isinstance(record, dict) and "digest" in record:
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
+                record = None
+            if (isinstance(record, dict)
+                    and isinstance(record.get("digest"), str)
+                    and record.get("status") in _STATUSES):
                 records.append(record)
             else:
                 self.torn_lines += 1

@@ -9,8 +9,6 @@ the line size).
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["AddressMap"]
 
 _REGION_SPACING_LINES = 1 << 24
@@ -19,8 +17,9 @@ _REGION_SPACING_LINES = 1 << 24
 class AddressMap:
     """Maps (region, element index) pairs to cache-line ids.
 
-    Regions are created on first use; element indices within a region map
-    to lines assuming densely packed ``element_bytes``-sized elements.
+    Regions are created on first use; element ``i`` of a region lives on
+    line ``region_base(region) + i // elements_per_line`` (densely packed
+    ``element_bytes``-sized elements).
     """
 
     def __init__(self, line_bytes: int = 64, element_bytes: int = 4) -> None:
@@ -36,35 +35,3 @@ class AddressMap:
         if region not in self._regions:
             self._regions[region] = len(self._regions) * _REGION_SPACING_LINES
         return self._regions[region]
-
-    def line(self, region: str, index: int) -> int:
-        """Line id holding element ``index`` of ``region``."""
-        return self.region_base(region) + index // self.elements_per_line
-
-    def lines(self, region: str, indices) -> np.ndarray:
-        """Sorted unique line ids covering the given element indices."""
-        base = self.region_base(region)
-        indices = np.asarray(indices, dtype=np.int64)
-        return np.unique(base + indices // self.elements_per_line)
-
-    def line_range(self, region: str, start: int, stop: int) -> np.ndarray:
-        """Line ids covering the contiguous element range [start, stop)."""
-        if stop <= start:
-            return np.empty(0, dtype=np.int64)
-        base = self.region_base(region)
-        first = start // self.elements_per_line
-        last = (stop - 1) // self.elements_per_line
-        return base + np.arange(first, last + 1, dtype=np.int64)
-
-    def line_counts(self, region: str, indices) -> list[tuple[int, int]]:
-        """(line, count) pairs for the given element indices.
-
-        Used for atomic ops, where multiple updates to the same line
-        serialize at the owning cache.
-        """
-        base = self.region_base(region)
-        indices = np.asarray(indices, dtype=np.int64)
-        lines, counts = np.unique(
-            base + indices // self.elements_per_line, return_counts=True
-        )
-        return list(zip(lines.tolist(), counts.tolist()))

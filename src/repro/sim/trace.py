@@ -21,10 +21,10 @@ them):
 
 Compact IR.  The *shape* of an op is unchanged (the engine still sees
 tuples), but a realized trace holds only references into a shared pool:
-:class:`OpInterner` dedups line tuples and whole op tuples, so the
-~10⁶-op traces of a large workload store each distinct op object once
-(graph kernels repeat the same coalesced access patterns heavily across
-rounds, warps, and iterations).  The ``compute()/load()/...``
+:class:`OpInterner` dedups whole op tuples, so the ~10⁶-op traces of a
+large workload store each distinct op object once (graph kernels repeat
+the same coalesced access patterns heavily across rounds, warps, and
+iterations).  The ``compute()/load()/...``
 constructors remain as the compatibility layer for hand-built traces;
 bulk producers (``kernels/tracegen.py``) go through an interner.
 """
@@ -100,7 +100,7 @@ def barrier() -> tuple:
 
 
 class OpInterner:
-    """Shared pool that dedups line tuples and op tuples (the trace IR).
+    """Shared pool that dedups op tuples (the trace IR).
 
     Interning is purely a storage/construction optimization: the pooled
     objects are ordinary tuples, bit-identical to what the compatibility
@@ -109,19 +109,10 @@ class OpInterner:
     so every iteration and direction of a workload shares it.
     """
 
-    __slots__ = ("lines", "ops")
+    __slots__ = ("ops",)
 
     def __init__(self) -> None:
-        self.lines: dict = {}
         self.ops: dict = {}
-
-    def lines_tuple(self, key: tuple) -> tuple:
-        """Intern a tuple of line ids."""
-        got = self.lines.get(key)
-        if got is None:
-            self.lines[key] = key
-            return key
-        return got
 
     def op(self, op_tuple: tuple) -> tuple:
         """Intern a complete op tuple (any opcode)."""

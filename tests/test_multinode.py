@@ -546,6 +546,78 @@ class TestWorkQueueFailsClosed:
         assert queue.claim("b") == (spec, 1)  # no attempt was charged
 
 
+_STATUSES = ("ok", "cached", "failed")
+
+#: Manifest journal lines: raw bytes (torn writes, invalid UTF-8), any
+#: JSON value, and record-shaped dicts whose digest/status may be wrong.
+_MANIFEST_LINE = st.one_of(
+    st.binary(max_size=24),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries(
+        {"digest": _JSON | st.text(max_size=8),
+         "status": st.sampled_from(_STATUSES + ("bogus",)) | _JSON},
+        optional={"label": _JSON, "attempts": _JSON},
+    ).map(lambda v: json.dumps(v).encode()),
+)
+
+
+class TestManifestFailsClosed:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_MANIFEST_LINE, max_size=6))
+    def test_any_bytes_read_without_raising(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = RunManifest(Path(tmp) / "m.jsonl")
+            manifest.path.write_bytes(b"\n".join(lines))
+            entries = manifest.entries()
+            latest = manifest.latest()
+            completed = manifest.completed_digests()
+            failed = manifest.failed_digests()
+        for entry in entries:
+            assert isinstance(entry["digest"], str)
+            assert entry["status"] in _STATUSES
+        assert completed | failed <= set(latest)
+        assert not completed & failed
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(st.tuples(
+        st.text(max_size=8), st.text(max_size=8),
+        st.sampled_from(_STATUSES), st.integers(1, 5),
+        st.none() | st.text(max_size=8), st.none() | st.text(max_size=8),
+    ), max_size=5))
+    def test_record_round_trips(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = RunManifest(Path(tmp) / "m.jsonl")
+            expected = []
+            for digest, label, status, attempts, kind, message in records:
+                manifest.record(digest, label, status, attempts=attempts,
+                                kind=kind, message=message)
+                entry = {"digest": digest, "label": label, "status": status,
+                         "attempts": attempts}
+                if kind is not None:
+                    entry["kind"] = kind
+                if message is not None:
+                    entry["message"] = message
+                expected.append(entry)
+            assert manifest.entries() == expected
+            assert manifest.torn_lines == 0
+            latest = {e["digest"]: e for e in expected}
+            assert manifest.latest() == latest
+            assert manifest.completed_digests() == {
+                d for d, e in latest.items() if e["status"] != "failed"}
+
+    def test_unhashable_digest_bad_utf8_and_deep_nesting_are_torn(
+            self, tmp_path):
+        manifest = RunManifest(tmp_path / "m.jsonl")
+        manifest.record("d1", "A/PR", "ok")
+        with manifest.path.open("ab") as handle:
+            handle.write(b'{"digest": [1], "status": "ok"}\n')
+            handle.write(b'{"digest": {"a": 1}, "status": "ok"}\n')
+            handle.write(b"\xff\xfe\n")
+            handle.write(b"[" * 100_000 + b"\n")
+        assert manifest.completed_digests() == {"d1"}
+        assert manifest.torn_lines == 4
+
+
 # ---------------------------------------------------------------------------
 # Backend registry, plan resume arithmetic
 

@@ -7,17 +7,30 @@ against the committed fixture, the memoization/interning semantics, the
 vectorized trace-generation branch, and the O(1) trace counters.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.kernels.tracegen as tracegen
 from repro.configs import parse_config
 from repro.graph.datasets import load_dataset
+from repro.graph.generators import (
+    DegreeDistribution,
+    GraphSpec,
+    generate_graph,
+)
 from repro.harness.runner import run_workload
-from repro.kernels import EdgePhase, TraceBuilder, VertexPhase
+from repro.kernels import (
+    DynamicPhase,
+    EdgePhase,
+    TraceBuilder,
+    VertexPhase,
+)
 from repro.sim import KernelTrace, SystemConfig, compute, load
 from repro.sim.config import scaled_system
 from repro.sim.trace import OpInterner, op_count
@@ -54,10 +67,13 @@ class TestGoldenEquivalence:
                 f"{wl['app']}/{wl['dataset']}/{code} drifted from golden"
 
 
+_CFG = SystemConfig(num_sms=2, tb_size=64, l1_bytes=4096,
+                    l2_bytes=64 * 1024)
+
+
 @pytest.fixture
 def cfg():
-    return SystemConfig(num_sms=2, tb_size=64, l1_bytes=4096,
-                        l2_bytes=64 * 1024)
+    return _CFG
 
 
 class TestRealizationMemo:
@@ -84,6 +100,32 @@ class TestRealizationMemo:
         builder.realize(EdgePhase(name="p"), "pull")
         assert builder.memo_misses == 2
         assert builder.memo_hits == 0
+
+    @pytest.mark.parametrize("phase", [
+        EdgePhase(name="p"), VertexPhase(name="v"),
+        DynamicPhase(name="d", array="x")], ids=lambda p: type(p).__name__)
+    def test_every_field_is_part_of_the_key(self, small_random, cfg, phase):
+        # The key is built from dataclasses.fields, so a phase differing
+        # in any one field must miss the memo.
+        builder = TraceBuilder(small_random, cfg)
+        base = builder._fingerprint(phase, "push")
+        n = small_random.num_vertices
+        for f in dataclasses.fields(phase):
+            value = getattr(phase, f.name)
+            if value is None:
+                value = np.zeros(n, dtype=bool)
+            elif isinstance(value, np.ndarray):
+                value = np.append(value, 1)
+            elif isinstance(value, bool):
+                value = not value
+            elif isinstance(value, tuple):
+                value = value + ("z",)
+            elif isinstance(value, str):
+                value = value + "z"
+            else:
+                value = value + 1
+            changed = dataclasses.replace(phase, **{f.name: value})
+            assert builder._fingerprint(changed, "push") != base, f.name
 
     def test_vertex_phases_ignore_direction(self, small_random, cfg):
         builder = TraceBuilder(small_random, cfg)
@@ -121,12 +163,6 @@ class TestOpInternerPool:
         assert a is b
         assert pool.op(compute(4)) is not a
 
-    def test_dedups_line_tuples(self):
-        pool = OpInterner()
-        a = pool.lines_tuple((1, 2, 3))
-        b = pool.lines_tuple((1, 2, 3))
-        assert a is b
-
     def test_interned_ops_equal_constructor_ops(self):
         pool = OpInterner()
         assert pool.op(load([7, 8])) == load([7, 8])
@@ -141,30 +177,73 @@ class TestOpInternerPool:
         assert len(distinct) == len(unique) < len(ops)
 
 
+_ARRAYS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=2,
+                   unique=True).map(tuple)
+
+
+@st.composite
+def _small_graphs(draw):
+    """Small generated graphs, some with hub warps past the threshold."""
+    kind = draw(st.sampled_from(["constant", "geometric", "zipf"]))
+    hubs = draw(st.none() | st.tuples(st.integers(1, 3),
+                                      st.sampled_from([0.3, 0.8])))
+    spec = GraphSpec(
+        num_vertices=draw(st.integers(1, 200)),
+        degrees=DegreeDistribution(kind, a=2.0 if kind != "zipf" else 1.8,
+                                   max_draws=draw(st.integers(0, 40))),
+        locality=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        arrangement=draw(st.sampled_from(["natural", "shuffled", "sorted"])),
+        seed=draw(st.integers(0, 2**16)),
+        hubs=hubs,
+    )
+    return generate_graph(spec)
+
+
+def _mask(n, seed, density):
+    return np.random.default_rng(seed).random(n) < density
+
+
 class TestVectorizedRoundTables:
-    """The numpy per-round slicing must match the scalar path op-for-op."""
+    """The numpy round producer must match the Python walk op-for-op."""
 
     @pytest.mark.parametrize("direction", ["push", "pull"])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_scalar_path(self, small_random, cfg, monkeypatch,
-                                 direction, masked):
-        n = small_random.num_vertices
-        kwargs = {}
+    @settings(max_examples=25, deadline=None)
+    @given(graph=_small_graphs(), seed=st.integers(0, 2**16),
+           densities=st.tuples(st.sampled_from([0.0, 0.3, 1.0]),
+                               st.sampled_from([0.0, 0.5, 1.0])),
+           source_arrays=_ARRAYS, target_arrays=_ARRAYS,
+           update_arrays=_ARRAYS, flags=st.tuples(
+               st.booleans(), st.booleans(), st.booleans()),
+           computes=st.tuples(st.integers(1, 3), st.integers(0, 2),
+                              st.integers(0, 2)))
+    def test_matches_scalar_path(self, direction, masked, graph, seed,
+                                 densities, source_arrays, target_arrays,
+                                 update_arrays, flags, computes):
+        n = graph.num_vertices
+        masks = {}
         if masked:
-            mask = np.zeros(n, dtype=bool)
-            mask[::2] = True
-            key = ("target_active" if direction == "push"
-                   else "source_active")
-            kwargs[key] = mask
-            if direction == "push":
-                kwargs["check_target_pred_in_push"] = True
-        phase = EdgePhase(name="p", **kwargs)
+            masks = {"source_active": _mask(n, seed, densities[0]),
+                     "target_active": _mask(n, seed + 1, densities[1])}
+        uses_weights, needs_value, check_tpred = flags
+        phase = EdgePhase(
+            name="p", **masks,
+            source_arrays=source_arrays, target_arrays=target_arrays,
+            update_arrays=update_arrays, uses_weights=uses_weights,
+            atomic_needs_value=needs_value,
+            check_target_pred_in_push=check_tpred,
+            compute_per_edge=computes[0],
+            pull_extra_compute_per_edge=computes[1],
+            push_hoisted_compute=computes[2])
 
-        monkeypatch.setattr(tracegen, "_VEC_THRESHOLD", 0)
-        vectorized = TraceBuilder(small_random, cfg).realize(
-            phase, direction)
-        monkeypatch.setattr(tracegen, "_VEC_THRESHOLD", 1 << 60)
-        scalar = TraceBuilder(small_random, cfg).realize(phase, direction)
+        realized = []
+        for threshold in (0, 1 << 60):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tracegen, "_VEC_THRESHOLD", threshold)
+                realized.append(TraceBuilder(graph, _CFG).realize(
+                    phase, direction))
+        vectorized, scalar = realized
+        assert vectorized.name == scalar.name
         assert vectorized.blocks == scalar.blocks
 
 

@@ -1,9 +1,19 @@
 """Unit tests for push/pull/dynamic trace realization."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.kernels import DynamicPhase, EdgePhase, TraceBuilder, VertexPhase
+from repro.kernels import (
+    KERNELS,
+    DynamicPhase,
+    EdgePhase,
+    TraceBuilder,
+    VertexPhase,
+)
 from repro.sim import SystemConfig
 from repro.sim.trace import (
     OP_ACQUIRE,
@@ -12,6 +22,19 @@ from repro.sim.trace import (
     OP_RELEASE,
     OP_STORE,
 )
+
+
+DIGESTS = Path(__file__).parent / "data" / "trace_digests.json"
+_TOOL = Path(__file__).parent.parent / "tools" / "make_golden_fixture.py"
+
+
+@pytest.fixture(scope="module")
+def fixture_tool():
+    """``tools/make_golden_fixture.py``, which wrote the digests."""
+    spec = importlib.util.spec_from_file_location("make_golden_fixture", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -209,3 +232,26 @@ class TestDynamicRealization:
         )
         stores = ops_of_kind(trace, OP_STORE)
         assert len(stores) == -(-n // cfg.warp_size)
+
+
+class TestTraceDigests:
+    """Every app's realized traces match the committed digests exactly.
+
+    Regenerate with ``PYTHONPATH=src python tools/make_golden_fixture.py``
+    only when a trace change is intentional.
+    """
+
+    PAYLOAD = json.loads(DIGESTS.read_text())
+
+    def test_every_registered_app_is_pinned(self, fixture_tool):
+        pinned = {key.split("/")[0] for key in self.PAYLOAD["workloads"]}
+        assert pinned == set(KERNELS)
+        assert self.PAYLOAD["max_iters"] == fixture_tool.MAX_ITERS
+
+    @pytest.mark.parametrize("key", sorted(PAYLOAD["workloads"]))
+    def test_traces_match_fixture(self, fixture_tool, key):
+        app, rest = key.split("/")
+        dataset, scale = rest.split("@")
+        got = fixture_tool.trace_digests(app, dataset, int(scale))
+        assert got == self.PAYLOAD["workloads"][key], \
+            f"{key} realized different traces than the committed digests"

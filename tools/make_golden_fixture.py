@@ -1,4 +1,7 @@
-"""Regenerate tests/data/golden_timing.json from the current simulator.
+"""Regenerate the golden fixtures in tests/data from the current code.
+
+``golden_timing.json`` pins modeled timing; ``trace_digests.json`` pins
+the realized traces themselves.
 
 The golden-equivalence test (TestGoldenEquivalence in
 tests/test_perf_hotpath.py) pins exact cycle counts, stall breakdowns,
@@ -7,24 +10,34 @@ hardware/software points (DRF0/DRF1/DRFrlx x GPU/DeNovo x push/pull) plus
 the 6 dynamic ones for CC.  Any simulator or trace-pipeline change that
 alters modeled timing fails that test loudly.
 
-Run this ONLY when a timing change is intentional, and say so in the
-commit message:
+The trace-digest test (TestTraceDigests in tests/test_tracegen.py) pins
+the sha256 of every realized ``(trace.name, trace.blocks)`` for every
+registered app on three small graphs, each direction the app's traversal
+allows, plus the realization memo's hit/miss counts.  It catches a
+trace-realization change before it reaches the simulator, including on
+the apps the timing matrix does not cover.
+
+Run this ONLY when a timing or trace change is intentional, and say so
+in the commit message:
 
     PYTHONPATH=src python tools/make_golden_fixture.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from repro.graph.datasets import load_dataset
 from repro.harness.runner import run_workload
 from repro.configs import parse_config
+from repro.kernels import KERNELS, TraceBuilder, make_kernel
 from repro.sim.config import scaled_system
 
-FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "data" / \
-    "golden_timing.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+FIXTURE = DATA / "golden_timing.json"
+DIGESTS = DATA / "trace_digests.json"
 
 #: The full 12-point design space for static apps: push/pull x GPU/DeNovo
 #: x DRF0/DRF1/DRFrlx.  (Figure 5 only shows a subset; the fixture pins
@@ -40,6 +53,9 @@ MATRIX = [
 ]
 
 MAX_ITERS = 2
+
+#: (dataset key, scale) graphs whose traces ``trace_digests.json`` pins.
+DIGEST_GRAPHS = [("DCT", 32), ("WNG", 32), ("EML", 64)]
 
 
 def build() -> dict:
@@ -65,12 +81,55 @@ def build() -> dict:
     return {"version": 1, "workloads": workloads}
 
 
+def trace_digests(app: str, key: str, scale: int) -> dict:
+    """Digest every trace of one workload, realized as ``run_workload`` does.
+
+    One builder serves both directions, interleaved per iteration, so the
+    first-touch region layout and the memo see the sweep's exact order.
+    """
+    graph = load_dataset(key, scale=scale)
+    kernel = make_kernel(app, graph)
+    builder = TraceBuilder(graph, scaled_system(scale))
+    directions = ("push", "pull") if kernel.traversal == "static" \
+        else ("push",)
+    hashers = {d: hashlib.sha256() for d in directions}
+    for iteration in kernel.iterations(MAX_ITERS):
+        for direction in directions:
+            for trace in builder.realize_iteration(iteration, direction):
+                hashers[direction].update(
+                    repr((trace.name, trace.blocks)).encode())
+    return {
+        "digests": {d: h.hexdigest() for d, h in hashers.items()},
+        "memo_hits": builder.memo_hits,
+        "memo_misses": builder.memo_misses,
+    }
+
+
+def build_digests() -> dict:
+    return {
+        "version": 1,
+        "max_iters": MAX_ITERS,
+        "workloads": {
+            f"{app}/{key}@{scale}": trace_digests(app, key, scale)
+            for app in KERNELS
+            for key, scale in DIGEST_GRAPHS
+        },
+    }
+
+
+def _write(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
 def main() -> None:
     payload = build()
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _write(FIXTURE, payload)
     total = sum(len(w["configs"]) for w in payload["workloads"])
     print(f"wrote {FIXTURE} ({total} pinned configurations)")
+    digests = build_digests()
+    _write(DIGESTS, digests)
+    print(f"wrote {DIGESTS} ({len(digests['workloads'])} pinned workloads)")
 
 
 if __name__ == "__main__":
