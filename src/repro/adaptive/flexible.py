@@ -4,9 +4,11 @@ The paper's "need for flexibility" result motivates hardware that can
 switch coherence protocol and consistency model between kernels (Spandex
 [20] provides the integration layer).  :class:`FlexibleSimulator` models
 such a system: every kernel launch names its (coherence, consistency)
-pair; switching coherence invalidates the L1s (the protocols' L1 states
-are not interchangeable) and pays a reconfiguration penalty, while the
-shared L2 stays warm.
+pair; switching coherence invalidates the incoming protocol's L1s and
+ownership registrations (the protocols' L1 states are not
+interchangeable) and pays a reconfiguration penalty.  Each protocol has
+its own memory system, L2 included: an L2 keeps what it held when its
+protocol last ran.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ class _ProtocolLane:
 class FlexibleSimulator:
     """Runs kernels on per-launch configurations with switching costs.
 
-    One memory system exists per coherence protocol (hardware tables for
-    both protocols exist on a Spandex-like chip); they share a global
-    clock.  A coherence switch self-invalidates the incoming protocol's
-    L1s and costs ``reconfig_cycles``; consistency switches are free
-    (they only change ordering enforcement).
+    One memory system (L1s, L2 and ownership directory) exists per
+    coherence protocol (hardware tables for both protocols exist on a
+    Spandex-like chip); they share a global clock.  A coherence switch
+    self-invalidates the incoming protocol's L1s, clears its ownership
+    directory (no L1 holds a registered line any more) and costs
+    ``reconfig_cycles``; consistency switches are free (they only change
+    ordering enforcement).
     """
 
     def __init__(
@@ -93,9 +97,12 @@ class FlexibleSimulator:
                 to_consistency=consistency.name,
             ))
             if coherence != self._current[0]:
-                # The incoming protocol starts with cold L1s.
-                for l1 in self._lane(coherence).simulator.memory.l1s:
+                # The incoming protocol starts with cold L1s, so none
+                # of them still owns a line.
+                memory = self._lane(coherence).simulator.memory
+                for l1 in memory.l1s:
                     l1.invalidate_all()
+                memory.owner.clear()
                 self._clock += self.reconfig_cycles
         self._current = choice
 

@@ -6,7 +6,8 @@
   all — synchronization locality turns pushed updates into core-local
   work.  Non-owned atomics pay an ownership transfer: from the current
   owner's remote L1 (ping-pong) or from the L2 directory.
-* Loads of remotely-owned lines are serviced by the owner's L1.
+* Loads of remotely-owned lines are serviced by the owner's L1 (the
+  shared ``MemorySystem.load``); other misses by the home L2 bank.
 * Acquires self-invalidate only the VALID (non-owned) lines.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from ..cache import OWNED, VALID
+from ..cache import OWNED
 from .base import MemorySystem
 
 __all__ = ["DeNovoCoherence"]
@@ -34,257 +35,25 @@ class DeNovoCoherence(MemorySystem):
     def _acquire_ownership(self, sm: int, line: int, now: float) -> float:
         """Register ownership at ``sm``; return registration-complete time.
 
-        The directory forward, the home-bank L2 service and the OWNED L1
-        install are inlined: this runs once per ownership registration
-        and is the hottest call in the DeNovo atomic paths.  The shared L2 is
-        never epoch-invalidated, so its liveness check collapses to a
-        single packed-entry compare (as in ``load``).
+        The line comes from its current owner's L1 (which loses it) or
+        from the home L2 bank, and is installed in ``sm``'s L1 as OWNED.
         """
-        stats = self.stats
-        banks_free = self._l2_bank_free
-        bank_occ = self.config.l2_bank_occupancy
-        bank = line % self._l2_banks
         owner = self.owner
         holder = owner.get(line)
         if holder is not None and holder != sm:
-            stats.atomics_remote_transfer += 1
+            self.stats.atomics_remote_transfer += 1
             self.l1s[holder].invalidate(line)
-            # Directory forwarding: a tag lookup at the home bank.
-            start = banks_free[bank]
-            if start < now:
-                start = now
-            banks_free[bank] = start + bank_occ
-            ready = (start + bank_occ
-                     + self._rl1_min + abs(sm - holder) % self._rl1_span1)
+            ready = self._forward(sm, holder, line, now)
         else:
-            # L2 service at the home bank, held for one bank occupancy.
-            bstart = banks_free[bank]
-            if bstart < now:
-                bstart = now
-            banks_free[bank] = bstart + bank_occ
-            l2 = self.l2
-            l2_lat = self._l2_lat_min + (bank + sm) % self._l2_span1
-            l2_set = l2._sets[line % l2.num_sets]
-            l2_live_min = l2._valid_epoch << 2
-            l2_entry = l2_set.pop(line, -1)
-            if l2_entry >= l2_live_min:
-                l2_set[line] = l2_entry
-                stats.l2_hits += 1
-                ready = bstart + bank_occ + l2_lat
-            else:
-                stats.l2_misses += 1
-                if len(l2_set) >= l2.assoc:
-                    if l2_live_min:
-                        l2.install(line, VALID)
-                    else:
-                        del l2_set[next(iter(l2_set))]
-                        l2_set[line] = l2_live_min | VALID
-                else:
-                    l2_set[line] = l2_live_min | VALID
-                channels_free = self._mem_channel_free
-                channel = line % self._mem_channels
-                mem_start = channels_free[channel]
-                issue = bstart + bank_occ
-                if mem_start < issue:
-                    mem_start = issue
-                mem_occ = self._mem_occupancy
-                channels_free[channel] = mem_start + mem_occ
-                ready = (mem_start + mem_occ
-                         + self._mem_lat_min + (bank + sm) % self._mem_span1
-                         + l2_lat)
-        stats.ownership_registrations += 1
+            ready = self._l2_service(sm, line, now,
+                                     self.config.l2_bank_occupancy)
+        self.stats.ownership_registrations += 1
         owner[line] = sm
-        # L1 install of the line as OWNED (SetAssocCache.install inlined).
         l1 = self.l1s[sm]
         cache_set = l1._sets[line % l1.num_sets]
-        ve = l1._valid_epoch
-        ae = l1._all_epoch
-        packed = ((ve if ve > ae else ae) << 2) | OWNED
-        if line in cache_set:
-            del cache_set[line]
-        elif len(cache_set) >= l1.assoc:
-            victim = None
-            if ve or ae:
-                ve4 = ve << 2
-                ae4 = ae << 2
-                for cand, entry in cache_set.items():
-                    if entry < ae4 or (entry & 3 == VALID
-                                       and entry < ve4):
-                        victim = cand
-                        break
-            if victim is None:
-                victim = next(iter(cache_set))
-                v_entry = cache_set[victim]
-                del cache_set[victim]
-                if v_entry & 3 == OWNED:
-                    # Owned-victim writeback returns registration to
-                    # the L2: data + directory update at its home bank.
-                    owner.pop(victim, None)
-                    vbank = victim % self._l2_banks
-                    vstart = banks_free[vbank]
-                    if vstart < now:
-                        vstart = now
-                    banks_free[vbank] = vstart + bank_occ
-                    stats.extra["owned_writebacks"] = (
-                        stats.extra.get("owned_writebacks", 0) + 1)
-            else:
-                del cache_set[victim]
-        cache_set[line] = packed
+        cache_set.pop(line, None)
+        self._fill(sm, cache_set, (l1._valid_epoch << 2) | OWNED, line, now)
         return ready
-
-    def load(self, sm: int, lines: tuple, now: float) -> float:
-        # Hit path inlined against the packed cache entries exactly as in
-        # GPUCoherence.load, and the miss path inlines the home-bank L2
-        # service, directory forwarding, and the VALID L1 refill.  A
-        # DeNovo L1 can hold OWNED lines, so an evicted live OWNED victim
-        # books its ownership writeback, as in `_acquire_ownership`.
-        # Epochs are loop invariants: nothing below invalidates this L1
-        # or the shared L2.
-        l1 = self.l1s[sm]
-        l1_sets = l1._sets
-        l1_nsets = l1.num_sets
-        l1_assoc = l1.assoc
-        # ``invalidate_valid``/``invalidate_all`` keep valid_epoch >=
-        # all_epoch, so a packed entry is live iff it survives the VALID
-        # epoch (any state), or it is OWNED (bit 2) and survives the ALL
-        # epoch — two integer compares on the packed value.
-        ve4 = l1._valid_epoch << 2
-        ae4 = l1._all_epoch << 2
-        packed_valid = ve4 | VALID
-        cfg = self.config
-        l1_lat = cfg.l1_hit_latency
-        l2_lat_min = cfg.l2_latency_min
-        bank_occ = cfg.l2_bank_occupancy
-        rl1_min = self._rl1_min
-        rl1_span1 = self._rl1_span1
-        l2 = self.l2
-        l2_sets = l2._sets
-        l2_nsets = l2.num_sets
-        l2_assoc = l2.assoc
-        l2_live_min = l2._valid_epoch << 2
-        l2_packed_valid = l2_live_min | VALID
-        l2_install = l2.install
-        l2_banks = self._l2_banks
-        l2_span1 = self._l2_span1
-        banks_free = self._l2_bank_free
-        mem_channels = self._mem_channels
-        mem_lat_min = self._mem_lat_min
-        mem_span1 = self._mem_span1
-        mem_occ = self._mem_occupancy
-        channels_free = self._mem_channel_free
-        owner = self.owner
-        owner_get = owner.get
-        owner_pop = owner.pop
-        mshrs = self._mshrs[sm]
-        mshr_free = mshrs.free_at
-        mshr_n = mshrs.n
-        worst = now + l1_lat
-        hits = 0
-        misses = 0
-        l2_hits = 0
-        l2_misses = 0
-        owned_wb = 0
-        for line in lines:
-            cache_set = l1_sets[line % l1_nsets]
-            # -1 sentinel: -1 >= ve4 is false (ve4 >= 0), and though
-            # -1 & 2 is truthy, -1 >= ae4 is false too — a missing line
-            # always falls through without an explicit None check.
-            entry = cache_set.pop(line, -1)
-            if entry >= ve4 or (entry & 2 and entry >= ae4):
-                cache_set[line] = entry
-                hits += 1
-                continue
-            misses += 1
-            i = mshrs.idx
-            mshrs.idx = (i + 1) % mshr_n
-            start = mshr_free[i]
-            if start < now:
-                start = now
-            mshr_free[i] = start + l2_lat_min
-            holder = owner_get(line)
-            if holder is not None and holder != sm:
-                # Data is forwarded from the owning L1; ownership stays.
-                # Directory forwarding: a tag lookup at the home bank.
-                bank = line % l2_banks
-                bstart = banks_free[bank]
-                if bstart < start:
-                    bstart = start
-                banks_free[bank] = bstart + bank_occ
-                done = (bstart + bank_occ
-                        + rl1_min + abs(sm - holder) % rl1_span1 + l1_lat)
-            else:
-                # --- L2 service at the line's home bank ---
-                bank = line % l2_banks
-                bstart = banks_free[bank]
-                if bstart < start:
-                    bstart = start
-                banks_free[bank] = bstart + bank_occ
-                l2_lat = l2_lat_min + (bank + sm) % l2_span1
-                l2_set = l2_sets[line % l2_nsets]
-                l2_entry = l2_set.pop(line, -1)
-                if l2_entry >= l2_live_min:
-                    l2_set[line] = l2_entry
-                    l2_hits += 1
-                    done = bstart + bank_occ + l2_lat + l1_lat
-                else:
-                    l2_misses += 1
-                    if len(l2_set) >= l2_assoc:
-                        if l2_live_min:
-                            l2_install(line, VALID)
-                        else:
-                            del l2_set[next(iter(l2_set))]
-                            l2_set[line] = l2_packed_valid
-                    else:
-                        l2_set[line] = l2_packed_valid
-                    channel = line % mem_channels
-                    mstart = channels_free[channel]
-                    issue = bstart + bank_occ
-                    if mstart < issue:
-                        mstart = issue
-                    channels_free[channel] = mstart + mem_occ
-                    done = (mstart + mem_occ
-                            + mem_lat_min + (bank + sm) % mem_span1
-                            + l2_lat + l1_lat)
-            # --- L1 refill as VALID (SetAssocCache.install inlined) ---
-            if len(cache_set) >= l1_assoc:
-                victim = None
-                if ve4:
-                    for cand, cand_entry in cache_set.items():
-                        if cand_entry < ve4 and (
-                            not cand_entry & 2 or cand_entry < ae4
-                        ):
-                            victim = cand
-                            break
-                if victim is None:
-                    victim = next(iter(cache_set))
-                    v_entry = cache_set[victim]
-                    del cache_set[victim]
-                    if v_entry & 3 == OWNED:
-                        # Ownership writeback: registration returns to
-                        # the L2 and occupies the victim's home bank.
-                        owner_pop(victim, None)
-                        vbank = victim % l2_banks
-                        vstart = banks_free[vbank]
-                        if vstart < now:
-                            vstart = now
-                        banks_free[vbank] = vstart + bank_occ
-                        owned_wb += 1
-                else:
-                    del cache_set[victim]
-            cache_set[line] = packed_valid
-            if done > worst:
-                worst = done
-        stats = self.stats
-        stats.l1_hits += hits
-        stats.l1_misses += misses
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l2_misses
-        if owned_wb:
-            extra = stats.extra
-            extra["owned_writebacks"] = (
-                extra.get("owned_writebacks", 0) + owned_wb
-            )
-        return worst
 
     def store(self, sm: int, lines: tuple, now: float) -> tuple[float, float]:
         cfg = self.config

@@ -1,7 +1,13 @@
 """Shared fixtures: small deterministic graphs for fast tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+_FIXTURE_TOOL = (Path(__file__).parent.parent / "tools"
+                 / "make_golden_fixture.py")
 
 
 @pytest.fixture(autouse=True)
@@ -13,6 +19,16 @@ def _hermetic_result_cache(tmp_path, monkeypatch):
     user's real cache.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "result-cache"))
+
+
+@pytest.fixture(scope="session")
+def fixture_tool():
+    """``tools/make_golden_fixture.py``, which wrote tests/data."""
+    spec = importlib.util.spec_from_file_location("make_golden_fixture",
+                                                  _FIXTURE_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 from repro.graph import (
     CSRGraph,

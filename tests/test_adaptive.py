@@ -80,6 +80,20 @@ class TestFlexibleSimulator:
         assert len(result.kernel_cycles) == 2
         assert set(result.memory_stats) == {"gpu", "denovo"}
 
+    def test_coherence_switch_drops_stale_owners(self, cfg):
+        flexible = FlexibleSimulator(cfg)
+        flexible.feed(kernel_with_atomics(name="k0"), "denovo", "drf1")
+        memory = flexible._lane("denovo").simulator.memory
+        assert memory.owner
+        flexible.feed(kernel_with_atomics(name="k1"), "gpu", "drf1")
+        # Loads only, away from the lines the first kernel owned.
+        k2 = KernelTrace("k2")
+        k2.add_block([[load([100 + i]) for i in range(8)]])
+        flexible.feed(k2, "denovo", "drf1")
+        # Every registration names an L1 that really owns the line.
+        for line, sm in memory.owner.items():
+            assert line in memory.l1s[sm].owned_lines()
+
 
 class TestOnlineSelector:
     def _candidates(self):

@@ -1,5 +1,8 @@
 """Unit tests for the GPU and DeNovo coherence protocols."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -249,3 +252,76 @@ class TestAtomicsBatching:
                 want_t, want_done, sum(c for _, c in pairs))
             assert outstanding == chained
             assert _state(batched) == _state(single)
+
+
+# ----------------------------------------------------------------------
+# One ``load`` serves both protocols: with no stores or atomics there are
+# no owners and no OWNED lines, so GPU coherence and DeNovo read alike.
+# ----------------------------------------------------------------------
+
+_reads = st.lists(
+    st.one_of(
+        st.tuples(st.just("load"),
+                  st.integers(0, _TINY.num_sms - 1),
+                  st.lists(st.integers(0, 200), min_size=1, max_size=4,
+                           unique=True),
+                  st.integers(0, 300)),
+        st.tuples(st.just("acquire"), st.integers(0, _TINY.num_sms - 1)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestReadInvariant:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(history=_reads)
+    def test_gpu_and_denovo_read_alike(self, history):
+        gpu = GPUCoherence(_TINY)
+        denovo = DeNovoCoherence(_TINY)
+        now = 0.0
+        for kind, sm, *rest in history:
+            if kind == "acquire":
+                assert gpu.acquire(sm) == denovo.acquire(sm)
+                continue
+            lines, gap = rest
+            now += gap
+            lines = tuple(sorted(lines))
+            assert gpu.load(sm, lines, now) == denovo.load(sm, lines, now)
+        assert _state(gpu) == _state(denovo)
+        for a, b in zip(gpu._mshrs, denovo._mshrs):
+            assert (a.free_at, a.idx) == (b.free_at, b.idx)
+        for a, b in zip([*gpu.l1s, gpu.l2], [*denovo.l1s, denovo.l2]):
+            assert [list(s.items()) for s in a._sets] == \
+                [list(s.items()) for s in b._sets]
+
+
+# ----------------------------------------------------------------------
+# Seeded call histories pinned below the engine (memory_digests.json).
+# ----------------------------------------------------------------------
+
+MEMORY_DIGESTS = Path(__file__).parent / "data" / "memory_digests.json"
+
+
+class TestMemoryDigests:
+    """Every protocol's call histories match the committed digests exactly.
+
+    Regenerate with ``PYTHONPATH=src python tools/make_golden_fixture.py``
+    only when a memory-system change is intentional.
+    """
+
+    PAYLOAD = json.loads(MEMORY_DIGESTS.read_text())
+
+    def test_fixture_covers_both_protocols_and_systems(self, fixture_tool):
+        assert set(self.PAYLOAD["digests"]) == {
+            f"{p}/{s}" for p in ("gpu", "denovo")
+            for s in fixture_tool.MEMORY_SYSTEMS}
+        assert self.PAYLOAD["seeds"] == fixture_tool.MEMORY_SEEDS
+        assert self.PAYLOAD["calls"] == fixture_tool.MEMORY_CALLS
+
+    @pytest.mark.parametrize("key", sorted(PAYLOAD["digests"]))
+    def test_histories_match_fixture(self, fixture_tool, key):
+        protocol, system = key.split("/")
+        assert fixture_tool.memory_digest(protocol, system) == \
+            self.PAYLOAD["digests"][key], \
+            f"{key} histories drifted from the committed digests"

@@ -1,6 +1,5 @@
 """Unit tests for push/pull/dynamic trace realization."""
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -25,16 +24,6 @@ from repro.sim.trace import (
 
 
 DIGESTS = Path(__file__).parent / "data" / "trace_digests.json"
-_TOOL = Path(__file__).parent.parent / "tools" / "make_golden_fixture.py"
-
-
-@pytest.fixture(scope="module")
-def fixture_tool():
-    """``tools/make_golden_fixture.py``, which wrote the digests."""
-    spec = importlib.util.spec_from_file_location("make_golden_fixture", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture

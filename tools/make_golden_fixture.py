@@ -1,7 +1,8 @@
 """Regenerate the golden fixtures in tests/data from the current code.
 
 ``golden_timing.json`` pins modeled timing; ``trace_digests.json`` pins
-the realized traces themselves.
+the realized traces themselves; ``memory_digests.json`` pins the memory
+system on its own.
 
 The golden-equivalence test (TestGoldenEquivalence in
 tests/test_perf_hotpath.py) pins exact cycle counts, stall breakdowns,
@@ -17,8 +18,18 @@ allows, plus the realization memo's hit/miss counts.  It catches a
 trace-realization change before it reaches the simulator, including on
 the apps the timing matrix does not cover.
 
-Run this ONLY when a timing or trace change is intentional, and say so
-in the commit message:
+The memory-digest test (TestMemoryDigests in tests/test_coherence.py)
+pins the sha256 of seeded random ``load``/``store``/``acquire``/
+``atomics`` histories run straight against each coherence protocol, on
+a tiny power-of-two hierarchy and on one whose L1 and L2 set counts are
+not powers of two: every return value, then the final stats, sequencer,
+ownership directory, bank/channel/L1-atomic free times, MSHR and
+store-buffer rings, and every L1/L2 set's entries in LRU order.  It
+catches a coherence change below the engine, including state the
+end-to-end numbers do not show yet.
+
+Run this ONLY when a timing, trace or memory-system change is
+intentional, and say so in the commit message:
 
     PYTHONPATH=src python tools/make_golden_fixture.py
 """
@@ -27,17 +38,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from repro.graph.datasets import load_dataset
 from repro.harness.runner import run_workload
 from repro.configs import parse_config
 from repro.kernels import KERNELS, TraceBuilder, make_kernel
-from repro.sim.config import scaled_system
+from repro.sim.coherence import make_memory_system
+from repro.sim.config import SystemConfig, scaled_system
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 FIXTURE = DATA / "golden_timing.json"
 DIGESTS = DATA / "trace_digests.json"
+MEMORY_DIGESTS = DATA / "memory_digests.json"
 
 #: The full 12-point design space for static apps: push/pull x GPU/DeNovo
 #: x DRF0/DRF1/DRFrlx.  (Figure 5 only shows a subset; the fixture pins
@@ -117,6 +131,91 @@ def build_digests() -> dict:
     }
 
 
+#: Systems the memory histories run on.  ``tiny`` is the hierarchy of
+#: tests/test_coherence.py (2-set L1s, 8-set L2); ``odd`` has 3-set L1s,
+#: a 7-set L2, 5 banks, 3 channels and 4-entry MSHR/store-buffer rings,
+#: so no modulus aliases another and both rings wrap.
+MEMORY_SYSTEMS = {
+    "tiny": SystemConfig(num_sms=4, l1_bytes=16 * 64, l2_bytes=128 * 64),
+    "odd": SystemConfig(num_sms=3, l1_bytes=24 * 64, l2_bytes=112 * 64,
+                        l2_banks=5, mem_channels=3, l1_mshrs=4,
+                        store_buffer_entries=4),
+}
+MEMORY_SEEDS = 40
+MEMORY_CALLS = 80
+MEMORY_LINES = 200
+MEMORY_HOT = 24
+
+
+def memory_history(protocol: str, config: SystemConfig, seed: int,
+                   sink) -> None:
+    """Run one seeded call history, feeding ``sink`` every result.
+
+    The calls depend only on ``seed`` (never on what the protocol
+    returns), so both protocols see the same history.  ``seed % 5`` is
+    the DRFrlx window of every ``atomics`` call: 0 (DRF0/DRF1) or 1-4.
+    """
+    rng = random.Random(seed)
+    mem = make_memory_system(protocol, config)
+    window = seed % 5
+    outstanding = [[] for _ in range(config.num_sms)]
+    now = 0.0
+    for _ in range(MEMORY_CALLS):
+        now += rng.randint(0, 200)
+        sm = rng.randrange(config.num_sms)
+        kind = rng.random()
+        # Half the calls stay on a few hot lines so that L1 hits, local
+        # atomics and remote owners are common, not just misses.
+        pool = range(MEMORY_HOT if rng.random() < 0.5 else MEMORY_LINES)
+        lines = tuple(sorted(rng.sample(pool, rng.randint(1, 4))))
+        if kind < 0.4:
+            sink(("load", mem.load(sm, lines, now)))
+        elif kind < 0.6:
+            sink(("store", mem.store(sm, lines, now)))
+        elif kind < 0.9:
+            pairs = tuple((line, rng.randint(1, 4)) for line in lines)
+            floor = now + rng.randint(0, 300)
+            got = mem.atomics(sm, pairs, floor, now, outstanding[sm], window)
+            sink(("atomics", got, outstanding[sm]))
+        else:
+            sink(("acquire", mem.acquire(sm)))
+    caches = [*mem.l1s, mem.l2]
+    sink((
+        mem.stats.to_dict(),
+        sorted(mem.sequencer.items()),
+        sorted(mem.owner.items()),
+        sorted(getattr(mem, "_last_atomic_sm", {}).items()),
+        mem._l2_bank_free,
+        mem._mem_channel_free,
+        mem._l1_atomic_free,
+        [(r.free_at, r.idx) for r in (*mem._mshrs, *mem._store_buffers)],
+        [(c._valid_epoch, c._all_epoch, [list(s.items()) for s in c._sets])
+         for c in caches],
+    ))
+
+
+def memory_digest(protocol: str, system: str) -> str:
+    """sha256 over every seeded history of one protocol on one system."""
+    hasher = hashlib.sha256()
+    for seed in range(MEMORY_SEEDS):
+        memory_history(protocol, MEMORY_SYSTEMS[system], seed,
+                       lambda item: hasher.update(repr(item).encode()))
+    return hasher.hexdigest()
+
+
+def build_memory_digests() -> dict:
+    return {
+        "version": 1,
+        "seeds": MEMORY_SEEDS,
+        "calls": MEMORY_CALLS,
+        "digests": {
+            f"{protocol}/{system}": memory_digest(protocol, system)
+            for protocol in ("gpu", "denovo")
+            for system in MEMORY_SYSTEMS
+        },
+    }
+
+
 def _write(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -130,6 +229,10 @@ def main() -> None:
     digests = build_digests()
     _write(DIGESTS, digests)
     print(f"wrote {DIGESTS} ({len(digests['workloads'])} pinned workloads)")
+    memory = build_memory_digests()
+    _write(MEMORY_DIGESTS, memory)
+    print(f"wrote {MEMORY_DIGESTS} "
+          f"({len(memory['digests'])} pinned protocol/system pairs)")
 
 
 if __name__ == "__main__":
