@@ -41,10 +41,9 @@ Execution is fault tolerant: failing workloads are retried
 ``--timeout``.  Under ``--keep-going`` (the default) a sweep completes
 with the failed workloads reported separately (exit status 1);
 ``--fail-fast`` aborts on the first workload that exhausts its retries.
-``--manifest PATH`` journals every outcome to a JSON-lines file as it
-happens, so an interrupted sweep resumes from cache + manifest —
-``sweep --resume MANIFEST`` wires that up in one flag and reports how
-much of the sweep is already banked before re-running the rest.
+To resume an interrupted sweep, re-run the same command against the
+same ``--cache-dir``: every completed workload prints ``(cached)``
+before the first one still owed starts simulating.
 
 ``sweep --jobs N`` runs the sweep across N supervised worker nodes
 coordinated through a crash-safe filesystem work queue, private unless
@@ -132,7 +131,6 @@ def _fault_kwargs(args) -> dict:
     return {
         "policy": _resolve_policy(args),
         "keep_going": args.keep_going,
-        "manifest": args.manifest,
     }
 
 
@@ -324,44 +322,6 @@ def _resolve_prune(args):
     return PruningPolicy(k=args.prune_k, explore=args.explore)
 
 
-def _build_sweep_plan(args, graphs, apps):
-    """The sweep's execution plan, honoring any ``--prune-k`` restriction.
-
-    The resume and server paths must construct plans exactly as the
-    local ``run_sweep`` path does — same subsets, same digests — or
-    manifest resume and serve dedup would miss every pruned unit.
-    """
-    from .harness.sweep import plan_sweep
-
-    plan, _ = plan_sweep(graphs, apps, max_iters=args.iters,
-                         prune=_resolve_prune(args))
-    return plan
-
-
-def _report_resume(args, graphs, apps) -> None:
-    """Wire ``--resume MANIFEST`` and report what the sweep still owes.
-
-    Resuming is manifest + cache + plan subset: the manifest names what
-    completed, the cache restores those results without simulation, and
-    :meth:`ExecutionPlan.remaining` is the authoritative list of units
-    left to run — printed here so an operator sees the resume actually
-    engaging before the first (slow) unit starts.
-    """
-    from .runtime import RunManifest
-
-    if args.no_cache:
-        raise SystemExit("--resume restores completed units from the "
-                         "result cache; drop --no-cache")
-    args.manifest = args.resume
-    manifest = RunManifest(args.resume)
-    plan = _build_sweep_plan(args, graphs, apps)
-    remaining = plan.remaining(manifest)
-    print(f"resuming from {args.resume}: {len(plan) - len(remaining)} of "
-          f"{len(plan)} unit(s) already complete, {len(remaining)} to go"
-          + (f" ({manifest.torn_lines} torn manifest line(s) skipped)"
-             if manifest.torn_lines else ""))
-
-
 def _print_sweep(sweep) -> int:
     """Render a completed sweep (local or served); 1 if units failed."""
     from .harness import flexibility_stats, format_pct
@@ -400,10 +360,13 @@ def _sweep_via_server(args, graphs, apps):
     aggregation (profiles + model predictions) runs here.
     """
     from .harness.runner import WorkloadResult
-    from .harness.sweep import aggregate_sweep
+    from .harness.sweep import aggregate_sweep, plan_sweep
     from .serve import ServeClient, ServeUnavailable
 
-    plan = _build_sweep_plan(args, graphs, apps)
+    # Planned exactly as run_sweep plans it (same subsets, same digests),
+    # so the daemon's cache and dedup see the units a local run caches.
+    plan, _ = plan_sweep(graphs, apps, max_iters=args.iters,
+                         prune=_resolve_prune(args))
     try:
         with ServeClient(args.server, client_id="cli-sweep") as client:
             client.health()
@@ -443,8 +406,6 @@ def _cmd_sweep(args) -> int:
         if sweep is not None:
             return _print_sweep(sweep)
         # unreachable daemon: fall through to the local path
-    if args.resume:
-        _report_resume(args, graphs, apps)
     profiling = _start_profile(args)
     observer = _start_obs(args)
     try:
@@ -513,7 +474,6 @@ def _cmd_serve(args) -> int:
         max_inflight_units=args.max_inflight,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
-        manifest=args.manifest,
         policy=_resolve_policy(args),
     )
     observer = _start_obs(args)
@@ -607,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="SECONDS",
                              help="per-workload wall-clock limit "
                                   "(default: none)")
-    fault_flags.add_argument("--manifest", default=None, metavar="PATH",
-                             help="append per-workload outcomes to this "
-                                  "JSON-lines journal (resume aid)")
 
     perf_flags = argparse.ArgumentParser(add_help=False)
     perf_flags.add_argument("--profile", action="store_true",
@@ -681,11 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "deterministically sampled configurations "
                               "outside the top-K (active-learning "
                               "exploration budget; default 0)")
-    p_sweep.add_argument("--resume", default=None, metavar="MANIFEST",
-                         help="resume an interrupted sweep from its "
-                              "manifest journal: completed units restore "
-                              "from the result cache, the rest re-run, "
-                              "and the journal keeps growing in place")
     p_sweep.add_argument("--server", default=None, metavar="URL",
                          help="run the sweep through a serve daemon "
                               "(http://host:port or unix:///path.sock); "
@@ -760,9 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--client-burst", type=float, default=16.0,
                          metavar="N",
                          help="per-client token-bucket burst (default 16)")
-    p_serve.add_argument("--manifest", default=None, metavar="PATH",
-                         help="journal served outcomes to this JSON-lines "
-                              "file")
     p_serve.add_argument("--retries", type=int, default=None, metavar="N",
                          help="attempts per workload (default 3)")
     p_serve.add_argument("--timeout", type=float, default=None,

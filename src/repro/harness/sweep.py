@@ -31,7 +31,6 @@ from ..runtime import (
     GraphRef,
     ResultCache,
     RetryPolicy,
-    RunManifest,
     UnitFailure,
     load_graph,
     make_backend,
@@ -282,10 +281,10 @@ def plan_sweep(
     Returns ``(plan, subsets)`` where ``subsets`` maps ``(graph, app)``
     to the kept codes (None for an unpruned plan).
 
-    Every consumer that must agree on unit digests — local execution,
-    ``sweep --server`` submission, ``--resume`` accounting — builds its
-    plan here, so a pruned sweep resumes and dedups exactly like a full
-    one.  Emits one ``sweep.pruned`` event per restricted workload.
+    Every consumer that must agree on unit digests — local execution
+    and ``sweep --server`` submission — builds its plan here, so a
+    pruned sweep hits the cache and dedups exactly like a full one.
+    Emits one ``sweep.pruned`` event per restricted workload.
     """
     graphs = tuple(graphs)
     apps = tuple(apps)
@@ -333,7 +332,6 @@ def run_sweep(
     policy: RetryPolicy | None = None,
     injector: FaultInjector | None = None,
     keep_going: bool = True,
-    manifest: RunManifest | str | Path | None = None,
     backend: str = "auto",
     queue_dir: str | Path | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -358,9 +356,8 @@ def run_sweep(
     units still returns, reporting them in ``SweepResult.failures``,
     while ``keep_going=False`` raises
     :class:`~repro.runtime.UnitExecutionError` on the first terminal
-    failure.  ``manifest`` journals outcomes incrementally so an
-    interrupted sweep resumes from cache + manifest, re-simulating only
-    what is missing or failed.
+    failure.  Re-running an interrupted sweep against the same
+    ``cache`` resumes it, re-simulating only what is missing or failed.
 
     ``backend``, ``jobs``, ``queue_dir`` and ``lease_ttl`` go to one
     :func:`repro.runtime.make_backend` call.  Under ``auto`` a
@@ -411,7 +408,6 @@ def run_sweep(
             policy=policy,
             injector=injector,
             keep_going=keep_going,
-            manifest=manifest,
         )
     finally:
         executor.close()

@@ -40,7 +40,8 @@ EVENT_KINDS = (
     # Worker nodes: lease protocol over the work queue.
     "lease.claim",        # digest, label, node, attempt
     "lease.renew",        # digest, node
-    "lease.expire",       # digest, node (late owner), reason
+    "lease.expire",       # digest, label (None if unreadable), node
+                          #   (late owner), reason
                           #   ('ttl' | 'node-death' | 'corrupt')
     "lease.steal",        # digest, label, node (new owner), from_node,
                           #   attempt

@@ -4,8 +4,8 @@ A sink is anything with ``emit(event)`` and ``close()``.  Three are
 provided:
 
 * :class:`JsonlSink` — append-only JSON-lines file, flushed per event so
-  a crashed run leaves a readable log (the same torn-tail contract as
-  :class:`~repro.runtime.manifest.RunManifest`).
+  a crashed run leaves a readable log whose worst damage is a torn
+  last line, which readers skip.
 * :class:`RingBufferSink` — bounded in-memory buffer keeping the most
   recent events; cheap enough to leave attached in tests and services.
 * :class:`LoggingSink` — bridge into stdlib ``logging`` for codebases

@@ -10,8 +10,8 @@ CLI, and the benchmark drivers all execute through it.
 Execution is fault tolerant: failing units retry under a
 :class:`RetryPolicy`, terminal failures surface as structured
 :class:`UnitFailure` records instead of aborting the batch
-(``keep_going``), every outcome can be journaled to a
-:class:`RunManifest` for resumable sweeps, and a deterministic
+(``keep_going``), a re-run against the same :class:`ResultCache`
+resumes an interrupted sweep, and a deterministic
 :class:`FaultInjector` exercises each recovery path in tests.
 
 Fault tolerance extends past the process with one mechanism:
@@ -49,7 +49,6 @@ from .faults import (
     UnitTimeoutError,
     failure_kind,
 )
-from .manifest import RunManifest
 from .retry import RetryPolicy
 from .spec import (
     RESULT_SCHEMA_VERSION,
@@ -82,7 +81,6 @@ __all__ = [
     "ResultCache",
     "default_cache_dir",
     "RetryPolicy",
-    "RunManifest",
     "FaultInjector",
     "FaultRule",
     "InjectedFaultError",

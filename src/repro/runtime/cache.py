@@ -2,10 +2,11 @@
 
 Entries are keyed by :meth:`WorkloadSpec.digest` — a SHA-256 over the
 spec's canonical JSON plus :data:`~repro.runtime.spec.RESULT_SCHEMA_VERSION`
-— so a repeated sweep, a benchmark re-run, or a resumed interrupted sweep
-skips every unit already simulated, while any change to the spec (graph
-seed, system parameters, iteration cap, ...) or to the result schema
-misses cleanly.  Each entry is one human-inspectable JSON file holding
+— so a repeated sweep, a benchmark re-run, or an interrupted sweep run
+again (which is how a sweep resumes) skips every unit already
+simulated, while any change to the spec (graph seed, system
+parameters, iteration cap, ...) or to the result schema misses
+cleanly.  Each entry is one human-inspectable JSON file holding
 the spec alongside the result, written atomically (tmp + rename) so a
 killed sweep never leaves a truncated entry behind.  Any entry that
 does not parse into a result reads as a miss, and is counted and

@@ -19,7 +19,6 @@ apps on one dataset generates it once.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from collections import OrderedDict
 from typing import Callable, Iterator, Sequence
@@ -30,7 +29,6 @@ from ..harness.runner import WorkloadResult
 from ..obs import OBSERVER as _obs
 from .cache import ResultCache
 from .faults import FaultInjector, UnitExecutionError, UnitFailure
-from .manifest import RunManifest
 from .retry import RetryPolicy
 from .spec import ExecutionPlan, GraphRef, WorkloadSpec
 
@@ -95,9 +93,8 @@ def run_attempt(
 
     A retry first sleeps the policy's backoff.  ``in_worker`` lets the
     injector kill this process for real (a worker node).  An overrun of
-    ``policy.timeout`` detected afterwards keeps the result: it is
-    recorded as a ``unit.overrun`` event and a ``deadline_overrun``
-    attribute (in-memory only) that :func:`run_plan` journals.
+    ``policy.timeout`` detected afterwards keeps the result and is
+    recorded as a ``unit.overrun`` event.
     """
     policy = policy or RetryPolicy()
     digest = spec.digest()
@@ -117,10 +114,6 @@ def run_attempt(
                   elapsed=elapsed, budget=policy.timeout, attempt=attempt)
         if _obs.enabled:
             _obs.metrics.counter("units.overrun").inc()
-        try:
-            result.deadline_overrun = elapsed
-        except AttributeError:
-            pass  # slotted/bare result doubles cannot carry the marker
     _obs.emit("unit.finished", digest=digest, label=spec.label,
               attempt=attempt, elapsed=elapsed)
     if _obs.enabled:
@@ -230,14 +223,6 @@ class SerialExecutor(Executor):
                                   injector=self.injector)
 
 
-def _as_manifest(
-    manifest: RunManifest | str | os.PathLike | None,
-) -> RunManifest | None:
-    if manifest is None or isinstance(manifest, RunManifest):
-        return manifest
-    return RunManifest(manifest)
-
-
 def run_plan(
     plan: ExecutionPlan | Sequence[WorkloadSpec],
     jobs: int | None = 1,
@@ -247,7 +232,6 @@ def run_plan(
     policy: RetryPolicy | None = None,
     injector: FaultInjector | None = None,
     keep_going: bool = True,
-    manifest: RunManifest | str | os.PathLike | None = None,
 ) -> list[WorkloadResult | UnitFailure]:
     """Execute a plan; return outcomes in plan order.
 
@@ -264,12 +248,13 @@ def run_plan(
     ``keep_going=False`` the first terminal failure raises
     :class:`UnitExecutionError` and outstanding work is cancelled.  A
     failed ``cache.put`` (read-only directory, disk full) logs a warning
-    and continues — losing memoization, never results.  ``manifest``
-    (a :class:`RunManifest` or path) journals every outcome
-    incrementally, so an interrupted sweep resumes from cache + manifest.
+    and continues — losing memoization, never results.
+
+    Resuming an interrupted plan is running it again against the same
+    cache: every unit that completed is restored (and reported) before
+    the first cold unit starts.
     """
     units = list(plan)
-    manifest = _as_manifest(manifest)
     results: list[WorkloadResult | UnitFailure | None] = [None] * len(units)
     _obs.emit("plan.started", units=len(units), jobs=jobs)
 
@@ -282,8 +267,6 @@ def run_plan(
                       label=spec.label)
             if _obs.enabled:
                 _obs.metrics.counter("units.cached").inc()
-            if manifest is not None:
-                manifest.record(spec.digest(), spec.label, "cached")
             if progress is not None:
                 progress(f"{spec.label} (cached)")
         else:
@@ -292,9 +275,9 @@ def run_plan(
 
     # Coalesce duplicate digests within the cold batch: the first
     # occurrence simulates, later occurrences share its outcome object.
-    # A sweep grid (or a --resume replay) can legitimately contain the
-    # same spec twice; simulating it twice wastes a slot and races both
-    # writers at the same cache path.
+    # A sweep grid can legitimately contain the same spec twice;
+    # simulating it twice wastes a slot and races both writers at the
+    # same cache path.
     primary_at: dict[str, int] = {}
     followers: dict[int, list[int]] = {}
     deduped: list[int] = []
@@ -334,11 +317,6 @@ def run_plan(
                 spec = units[index]
                 results[index] = outcome
                 if isinstance(outcome, UnitFailure):
-                    if manifest is not None:
-                        manifest.record(
-                            spec.digest(), spec.label, "failed",
-                            attempts=outcome.attempts, kind=outcome.kind,
-                            message=outcome.message)
                     if progress is not None:
                         progress(f"{spec.label} (failed: {outcome.kind})")
                     settle_followers(position, outcome)
@@ -355,19 +333,6 @@ def run_plan(
                     else:
                         if injector is not None:
                             injector.corrupt_cache_entry(path, spec)
-                if manifest is not None:
-                    # A serial deadline overrun kept its (valid) result;
-                    # the manifest carries the overrun alongside the ok
-                    # so resumed sweeps neither re-run nor forget it.
-                    overrun = getattr(outcome, "deadline_overrun", None)
-                    if overrun is not None:
-                        manifest.record(
-                            spec.digest(), spec.label, "ok",
-                            kind="timeout",
-                            message=f"deadline overrun: kept result "
-                                    f"after {overrun:.3f}s")
-                    else:
-                        manifest.record(spec.digest(), spec.label, "ok")
                 if progress is not None:
                     progress(spec.label)
                 settle_followers(position, outcome)

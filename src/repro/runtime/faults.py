@@ -248,7 +248,7 @@ class FaultInjector:
 
         A real ``SIGKILL`` — not ``os._exit`` — so the node dies the way
         an OOM-killed or fenced machine does: no atexit hooks, no
-        flushes, lease left dangling, manifest possibly torn mid-line.
+        flushes, lease left dangling, event log possibly torn mid-line.
         ``attempt`` is the unit's attempt from the work queue, so a
         single-shot rule kills the first claim and lets the steal
         succeed.

@@ -39,6 +39,18 @@ __all__ = [
 RESULT_SCHEMA_VERSION = 1
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an int >= ``minimum``.
+
+    A bool is never an int here: ``seed=True`` would digest differently
+    from ``seed=1`` while simulating the same unit.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, "
+                         f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphRef:
     """A graph identified by recipe, not by object.
@@ -59,10 +71,17 @@ class GraphRef:
     def __post_init__(self) -> None:
         if self.kind not in ("dataset", "mtx"):
             raise ValueError(f"unknown graph kind {self.kind!r}")
+        if not isinstance(self.source, str):
+            raise ValueError(f"graph source must be a str, "
+                             f"got {self.source!r}")
         if self.kind == "dataset" and self.source not in PAPER_DATASETS:
             raise ValueError(f"unknown dataset {self.source!r}")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
+        _check_int("scale", self.scale, 1)
+        _check_int("graph seed", self.seed, 0)
+        if self.fingerprint is not None \
+                and not isinstance(self.fingerprint, str):
+            raise ValueError(f"fingerprint must be a str or None, "
+                             f"got {self.fingerprint!r}")
 
     @classmethod
     def dataset(cls, key: str, scale: int | None = None,
@@ -126,17 +145,23 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.app not in KERNELS:
+        if not isinstance(self.app, str) or self.app not in KERNELS:
             raise ValueError(f"unknown application {self.app!r}")
         if not self.configs:
             raise ValueError("spec needs at least one configuration")
         for code in self.configs:
+            if not isinstance(code, str):
+                raise ValueError(f"configuration code must be a str, "
+                                 f"got {code!r}")
             parse_config(code)  # validates
         if self.baseline not in self.configs:
             raise ValueError(
                 f"baseline {self.baseline!r} not among configs "
                 f"{self.configs}"
             )
+        if self.max_iters is not None:
+            _check_int("max_iters", self.max_iters, 1)
+        _check_int("seed", self.seed, 0)
 
     @classmethod
     def for_workload(
@@ -256,11 +281,11 @@ class ExecutionPlan:
         iterable of configuration codes (a pruned sweep — see
         :class:`repro.model.pruning.PruningPolicy`).  Units absent from
         the mapping (or mapped to None) keep the full grid and therefore
-        exactly the digest an unrestricted plan gives them, so result
-        caches, manifests, ``--resume``, and serve dedup keyed on unit
-        digests work unchanged across pruned and full sweeps.  Restricted
-        units pin the Figure-5 baseline explicitly (TG0 / DG1) rather
-        than inheriting whatever subset position happens to come first;
+        exactly the digest an unrestricted plan gives them, so the result
+        cache and serve dedup, both keyed on unit digests, work unchanged
+        across pruned and full sweeps.  Restricted units pin the
+        Figure-5 baseline explicitly (TG0 / DG1) rather than inheriting
+        whatever subset position happens to come first;
         :class:`WorkloadSpec` rejects a subset that dropped its baseline.
         """
         scales = scales or DEFAULT_SIM_SCALE
@@ -292,35 +317,3 @@ class ExecutionPlan:
         """Digest over the ordered unit digests."""
         joined = "\n".join(unit.digest() for unit in self.units)
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-    def unit_for(self, digest: str) -> WorkloadSpec:
-        """The unit whose content digest is ``digest`` (KeyError if absent)."""
-        for unit in self.units:
-            if unit.digest() == digest:
-                return unit
-        raise KeyError(f"no unit with digest {digest!r}")
-
-    def subset(self, digests: Iterable[str]) -> "ExecutionPlan":
-        """The sub-plan covering ``digests``, in plan order.
-
-        The resume helper: feed it a manifest's ``failed_digests()`` to
-        rebuild exactly the units an interrupted or partially failed
-        sweep still owes.
-        """
-        wanted = set(digests)
-        return ExecutionPlan(units=tuple(
-            unit for unit in self.units if unit.digest() in wanted))
-
-    def remaining(self, manifest) -> "ExecutionPlan":
-        """The sub-plan a manifest does not record as completed.
-
-        ``manifest`` is a :class:`~repro.runtime.manifest.RunManifest`
-        (or anything with ``completed_digests()``); units whose latest
-        journaled status is ``ok`` or ``cached`` are dropped, leaving
-        exactly what an interrupted sweep still owes — never-started
-        units and units whose last attempt failed.
-        """
-        completed = manifest.completed_digests()
-        return ExecutionPlan(units=tuple(
-            unit for unit in self.units
-            if unit.digest() not in completed))

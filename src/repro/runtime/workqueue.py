@@ -142,8 +142,9 @@ def _parse_unit(record: dict, path: Path) -> tuple[WorkloadSpec, int]:
 
 
 def _parse_lease(lease: dict, path: Path, digest: str) -> dict:
-    """A lease with its node, attempt and clock fields checked."""
+    """A lease with its node, label, attempt and clock fields checked."""
     _field(lease, "node", path, (str,))
+    _field(lease, "label", path, (str, type(None)))
     for key in ("heartbeat", "heartbeat_mono", "claimed_mono", "ttl"):
         _field(lease, key, path, (int, float, type(None)))
     return dict(lease, digest=digest,
@@ -338,6 +339,7 @@ class WorkQueue:
             now_mono = time.monotonic()
             payload = {
                 "digest": digest,
+                "label": spec.label,
                 "node": node,
                 "attempt": attempt,
                 "heartbeat": time.time(),
@@ -468,8 +470,8 @@ class WorkQueue:
                 lease = _parse_lease(lease, lease_path, digest)
             except CorruptRecordError:
                 lease_path.unlink(missing_ok=True)
-                _obs.emit("lease.expire", digest=digest, node=None,
-                          reason="corrupt")
+                _obs.emit("lease.expire", digest=digest, label=None,
+                          node=None, reason="corrupt")
                 continue
             if self.outcome(digest) is not None:
                 # Completed; the marker, not the lease, is authoritative.
@@ -488,7 +490,8 @@ class WorkQueue:
                 continue
             self._charge(digest, lease["attempt"], last_node=lease["node"])
             lease_path.unlink(missing_ok=True)
-            _obs.emit("lease.expire", digest=digest, node=lease["node"],
+            _obs.emit("lease.expire", digest=digest,
+                      label=lease.get("label"), node=lease["node"],
                       reason=reason)
             if _obs.enabled:
                 _obs.metrics.counter("lease.expires").inc()

@@ -8,7 +8,7 @@ cache stores.  The daemon's whole job is making repeated queries cheap
 and overload boring:
 
 * **Normalization** — every request becomes a spec *digest*, the one key
-  the entire runtime already shares (cache entries, manifests, leases).
+  the entire runtime already shares (cache entries, leases).
 * **Cache fast path** — a digest with an on-disk entry is answered by
   reading that entry's raw JSON straight back out; no simulation pool,
   no object reconstruction, microseconds not minutes.
@@ -52,7 +52,6 @@ from ..runtime import (
     ExecutionPlan,
     ResultCache,
     RetryPolicy,
-    RunManifest,
     UnitFailure,
     WorkloadSpec,
     make_backend,
@@ -108,7 +107,6 @@ class ServeConfig:
     client_rate: float = 4.0         # cold-unit tokens per second per client
     client_burst: float = 16.0
     capacity_retry_after: float = 1.0
-    manifest: str | Path | None = None
     policy: RetryPolicy | None = None
     default_client: str = "anon"
 
@@ -143,8 +141,6 @@ class ReproServer:
             client_burst=config.client_burst,
             capacity_retry_after=config.capacity_retry_after,
         )
-        self._manifest = (RunManifest(config.manifest)
-                          if config.manifest is not None else None)
         self._inflight: dict[str, asyncio.Future] = {}
         self._queue: asyncio.Queue | None = None
         self._stop_event: asyncio.Event | None = None
@@ -575,17 +571,15 @@ class ReproServer:
         """Worker-thread body: one ExecutionPlan through run_plan.
 
         ``run_plan`` re-checks the cache per unit (a digest another
-        batch finished moments ago restores instead of re-simulating)
-        and journals to the manifest when configured; its in-plan digest
-        dedup means even a pathological batch of equal specs simulates
-        once.
+        batch finished moments ago restores instead of re-simulating),
+        and its in-plan digest dedup means even a pathological batch of
+        equal specs simulates once.
         """
         plan = ExecutionPlan(units=tuple(specs))
         executor = self._executors.get()
         try:
             return run_plan(plan, cache=self.cache, executor=executor,
-                            policy=self.config.policy, keep_going=True,
-                            manifest=self._manifest)
+                            policy=self.config.policy, keep_going=True)
         finally:
             self._executors.put(executor)
 

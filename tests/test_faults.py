@@ -4,7 +4,8 @@ Exercises every recovery path deterministically via the seeded
 FaultInjector: transient exceptions retried to success, worker crashes
 (real ``os._exit`` in worker nodes) survived by node respawn, hung
 nodes killed at per-attempt deadlines, corrupt cache entries healed,
-keep-going vs fail-fast semantics, and the manifest/cache resume flow.
+keep-going vs fail-fast semantics, and resuming by re-running against
+the same cache.
 """
 
 import logging
@@ -23,7 +24,6 @@ from repro.runtime import (
     InjectedTransientError,
     ResultCache,
     RetryPolicy,
-    RunManifest,
     UnitExecutionError,
     UnitFailure,
     UnitTimeoutError,
@@ -227,67 +227,6 @@ class TestFaultInjector:
         injector.before_execute(small_plan[0], 1, in_worker=False)  # no-op
 
 
-class TestManifest:
-    def test_record_and_read_back(self, tmp_path):
-        manifest = RunManifest(tmp_path / "runs" / "m.jsonl")
-        manifest.record("d1", "A/PR", "ok")
-        manifest.record("d2", "A/CC", "failed", attempts=3, kind="crash",
-                        message="boom")
-        manifest.record("d3", "B/PR", "cached")
-        assert len(manifest) == 3
-        assert manifest.failed_digests() == {"d2"}
-        latest = manifest.latest()
-        assert latest["d2"]["kind"] == "crash"
-        assert latest["d2"]["attempts"] == 3
-
-    def test_latest_record_wins(self, tmp_path):
-        manifest = RunManifest(tmp_path / "m.jsonl")
-        manifest.record("d1", "A/PR", "failed", attempts=3, kind="error")
-        manifest.record("d1", "A/PR", "ok")
-        assert manifest.failed_digests() == set()
-
-    def test_torn_lines_are_skipped(self, tmp_path):
-        manifest = RunManifest(tmp_path / "m.jsonl")
-        manifest.record("d1", "A/PR", "ok")
-        with manifest.path.open("a") as handle:
-            handle.write('{"digest": "d2", "label": "A/CC", "sta')
-        assert [record["digest"] for record in manifest.entries()] == ["d1"]
-
-    def test_bad_status_rejected(self, tmp_path):
-        manifest = RunManifest(tmp_path / "m.jsonl")
-        with pytest.raises(ValueError, match="status"):
-            manifest.record("d1", "A/PR", "exploded")
-
-    def test_missing_file_reads_empty(self, tmp_path):
-        manifest = RunManifest(tmp_path / "nope.jsonl")
-        assert manifest.entries() == []
-        assert manifest.failed_digests() == set()
-
-
-class TestPlanResumeHelpers:
-    def test_subset_preserves_plan_order(self, small_plan):
-        digests = [small_plan[3].digest(), small_plan[1].digest()]
-        sub = small_plan.subset(digests)
-        assert [unit.label for unit in sub] == [small_plan[1].label,
-                                                small_plan[3].label]
-
-    def test_unit_for(self, small_plan):
-        spec = small_plan[2]
-        assert small_plan.unit_for(spec.digest()) == spec
-        with pytest.raises(KeyError):
-            small_plan.unit_for("feedbeef")
-
-    def test_manifest_to_subset_flow(self, small_plan, tmp_path):
-        manifest = RunManifest(tmp_path / "m.jsonl")
-        failed = small_plan[1]
-        manifest.record(failed.digest(), failed.label, "failed",
-                        attempts=3, kind="timeout")
-        for unit in (small_plan[0], small_plan[2], small_plan[3]):
-            manifest.record(unit.digest(), unit.label, "ok")
-        retry_plan = small_plan.subset(manifest.failed_digests())
-        assert [unit.label for unit in retry_plan] == [failed.label]
-
-
 class TestSerialRecovery:
     def test_transient_fault_retried_to_success(self, small_plan):
         spec = small_plan[0]
@@ -318,8 +257,9 @@ class TestSerialRecovery:
     def test_post_hoc_overrun_keeps_result(self, small_plan):
         # Serial execution cannot be preempted, so an overrun is only
         # detected after the attempt already produced a valid result.
-        # That result must be returned (with the overrun recorded), not
-        # discarded and re-simulated into a UnitFailure.
+        # That result must be returned (the overrun is recorded as a
+        # unit.overrun event), not discarded and re-simulated into a
+        # UnitFailure.
         spec = small_plan[0]
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
                              timeout=0.005)
@@ -337,27 +277,6 @@ class TestSerialRecovery:
         assert not isinstance(outcome, UnitFailure)
         assert isinstance(outcome, Result)
         assert calls == [spec.label]  # one attempt, no re-simulation
-        assert outcome.deadline_overrun > policy.timeout
-
-    def test_overrun_result_journaled_ok_with_timeout_kind(
-            self, small_plan, tmp_path):
-        # Through run_plan the kept result lands in the manifest as an
-        # "ok" carrying the overrun, so a resume neither re-runs nor
-        # forgets that the deadline was blown.
-        spec = small_plan[0]
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
-                             timeout=1e-6)
-        manifest = RunManifest(tmp_path / "m.jsonl")
-        outcomes = run_plan([spec], jobs=1, policy=policy,
-                            manifest=manifest)
-        assert isinstance(outcomes[0], WorkloadResult)
-        assert outcomes[0].ok
-        record = manifest.latest()[spec.digest()]
-        assert record["status"] == "ok"
-        assert record["kind"] == "timeout"
-        assert "deadline overrun" in record["message"]
-        # The marker never reaches the serialized form.
-        assert "deadline_overrun" not in outcomes[0].to_dict()
 
     def test_injected_hang_times_out_serially(self, small_plan):
         spec = small_plan[0]
@@ -529,10 +448,9 @@ class TestAcceptance:
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
                              timeout=3.0)
         cache = ResultCache(tmp_path / "cache")
-        manifest = RunManifest(tmp_path / "manifest.jsonl")
 
         sweep = run_sweep(jobs=2, cache=cache, policy=policy,
-                          injector=injector, manifest=manifest, **kwargs)
+                          injector=injector, **kwargs)
 
         # Keep-going: exactly the non-failed rows, failures recorded.
         assert not sweep.complete
@@ -543,11 +461,10 @@ class TestAcceptance:
                  for failure in sweep.failures}
         assert kinds == {"DCT/PR": "crash", "RAJ/CC": "timeout"}
         assert all(failure.attempts > 1 for failure in sweep.failures)
-        assert manifest.failed_digests() == {
-            failure.digest for failure in sweep.failures}
 
-        # Re-run after the "faults are fixed": cache + manifest resume
-        # simulates only the two failed units.
+        # Re-run after the "faults are fixed" against the same cache:
+        # the two completed units restore, and exactly the two failed
+        # units simulate.
         calls = []
         real = executor_module.execute_spec
 
@@ -556,13 +473,8 @@ class TestAcceptance:
             return real(spec)
 
         monkeypatch.setattr(executor_module, "execute_spec", counting)
-        resumed = run_sweep(jobs=1, cache=cache, manifest=manifest,
-                            **kwargs)
-        assert sorted(calls) == ["DCT/PR", "RAJ/CC"]
+        resumed = run_sweep(jobs=1, cache=cache, **kwargs)
+        assert sorted(calls) == sorted(
+            failure.label for failure in sweep.failures)
         assert resumed.complete
         assert len(resumed.rows) == 4
-        assert manifest.failed_digests() == set()
-        statuses = [record["status"] for record in manifest.entries()]
-        assert statuses.count("failed") == 2
-        assert statuses.count("cached") == 2
-        assert statuses.count("ok") == 4

@@ -3,10 +3,10 @@
 Covers the node-level fault-tolerance layer end to end: the crash-safe
 filesystem work queue (atomic lease claims, heartbeat TTL expiry, work
 stealing, exclusive completion markers that record each unit's node),
-the result cache the nodes share under concurrent writers, manifests
-with torn-line accounting, the supervised worker fleet of
-``MultiNodeExecutor`` (real SIGKILLs, restarts, quarantine, inline
-drain), and the resume path — an interrupted two-node sweep picks up
+the result cache the nodes share under concurrent writers, the
+supervised worker fleet of ``MultiNodeExecutor`` (real SIGKILLs,
+restarts, quarantine, inline drain), and the resume path — an
+interrupted two-node sweep run again against the same cache picks up
 bit-identical to serial with zero re-simulated units.
 """
 
@@ -34,7 +34,6 @@ from repro.runtime import (
     NodeWorker,
     ResultCache,
     RetryPolicy,
-    RunManifest,
     SerialExecutor,
     UnitFailure,
     WorkQueue,
@@ -200,54 +199,6 @@ class TestSharedResultCache:
         cache.put(spec, serial_results[0])
         assert cache.get(spec).to_dict() == serial_results[0].to_dict()
         assert not list(directory.glob("*.tmp"))
-
-
-# ---------------------------------------------------------------------------
-# Manifest: torn lines counted
-
-
-class TestManifestTornLines:
-    def test_torn_final_line_skipped_and_counted(self, tmp_path):
-        # A node SIGKILLed mid-append leaves a torn tail; reads must
-        # skip it AND count it, not silently pretend it never happened.
-        manifest = RunManifest(tmp_path / "run.jsonl")
-        manifest.record("d1", "DCT/PR", "ok")
-        manifest.record("d2", "DCT/CC", "failed", kind="crash")
-        with manifest.path.open("a") as handle:
-            handle.write('{"digest": "d3", "label": "RAJ/PR", "sta')
-        entries = manifest.entries()
-        assert [e["digest"] for e in entries] == ["d1", "d2"]
-        assert manifest.torn_lines == 1
-        assert manifest.completed_digests() == {"d1"}
-        assert manifest.failed_digests() == {"d2"}
-
-    def test_non_record_lines_count_as_torn(self, tmp_path):
-        manifest = RunManifest(tmp_path / "run.jsonl")
-        manifest.record("d1", "DCT/PR", "ok")
-        with manifest.path.open("a") as handle:
-            handle.write('[1, 2, 3]\n')       # parses, not a record
-            handle.write('{"label": "no-digest"}\n')
-        assert len(manifest.entries()) == 1
-        assert manifest.torn_lines == 2
-
-    def test_torn_count_refreshes_per_read(self, tmp_path):
-        manifest = RunManifest(tmp_path / "run.jsonl")
-        manifest.record("d1", "x", "ok")
-        with manifest.path.open("a") as handle:
-            handle.write('{"torn')
-        manifest.entries()
-        assert manifest.torn_lines == 1
-        # The torn tail is overwritten by a clean journal: count drops.
-        manifest.path.write_text('{"digest": "d1", "status": "ok"}\n')
-        manifest.entries()
-        assert manifest.torn_lines == 0
-
-    def test_record_entry_validates(self, tmp_path):
-        manifest = RunManifest(tmp_path / "run.jsonl")
-        with pytest.raises(ValueError, match="status"):
-            manifest.record_entry({"digest": "d", "status": "bogus"})
-        with pytest.raises(ValueError, match="digest"):
-            manifest.record_entry({"status": "ok"})
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +408,8 @@ def _base_record(kind, spec):
         return {"digest": digest, "label": spec.label,
                 "spec": spec.to_dict(), "attempts": 0}
     if kind == "leases":
-        return {"digest": digest, "node": "a", "attempt": 1,
+        return {"digest": digest, "label": spec.label, "node": "a",
+                "attempt": 1,
                 "heartbeat": time.time(), "heartbeat_mono": time.monotonic(),
                 "claimed_mono": time.monotonic(), "boot": "", "ttl": 30.0}
     return {"digest": digest, "label": spec.label, "node": "a",
@@ -543,83 +495,12 @@ class TestWorkQueueFailsClosed:
         assert not path.exists()
         (expire,) = ring.events("lease.expire")
         assert expire.data["reason"] == "corrupt"
+        assert expire.data["label"] is None
         assert queue.claim("b") == (spec, 1)  # no attempt was charged
 
 
-_STATUSES = ("ok", "cached", "failed")
-
-#: Manifest journal lines: raw bytes (torn writes, invalid UTF-8), any
-#: JSON value, and record-shaped dicts whose digest/status may be wrong.
-_MANIFEST_LINE = st.one_of(
-    st.binary(max_size=24),
-    _JSON.map(lambda v: json.dumps(v).encode()),
-    st.fixed_dictionaries(
-        {"digest": _JSON | st.text(max_size=8),
-         "status": st.sampled_from(_STATUSES + ("bogus",)) | _JSON},
-        optional={"label": _JSON, "attempts": _JSON},
-    ).map(lambda v: json.dumps(v).encode()),
-)
-
-
-class TestManifestFailsClosed:
-    @settings(max_examples=150, deadline=None)
-    @given(lines=st.lists(_MANIFEST_LINE, max_size=6))
-    def test_any_bytes_read_without_raising(self, lines):
-        with tempfile.TemporaryDirectory() as tmp:
-            manifest = RunManifest(Path(tmp) / "m.jsonl")
-            manifest.path.write_bytes(b"\n".join(lines))
-            entries = manifest.entries()
-            latest = manifest.latest()
-            completed = manifest.completed_digests()
-            failed = manifest.failed_digests()
-        for entry in entries:
-            assert isinstance(entry["digest"], str)
-            assert entry["status"] in _STATUSES
-        assert completed | failed <= set(latest)
-        assert not completed & failed
-
-    @settings(max_examples=60, deadline=None)
-    @given(records=st.lists(st.tuples(
-        st.text(max_size=8), st.text(max_size=8),
-        st.sampled_from(_STATUSES), st.integers(1, 5),
-        st.none() | st.text(max_size=8), st.none() | st.text(max_size=8),
-    ), max_size=5))
-    def test_record_round_trips(self, records):
-        with tempfile.TemporaryDirectory() as tmp:
-            manifest = RunManifest(Path(tmp) / "m.jsonl")
-            expected = []
-            for digest, label, status, attempts, kind, message in records:
-                manifest.record(digest, label, status, attempts=attempts,
-                                kind=kind, message=message)
-                entry = {"digest": digest, "label": label, "status": status,
-                         "attempts": attempts}
-                if kind is not None:
-                    entry["kind"] = kind
-                if message is not None:
-                    entry["message"] = message
-                expected.append(entry)
-            assert manifest.entries() == expected
-            assert manifest.torn_lines == 0
-            latest = {e["digest"]: e for e in expected}
-            assert manifest.latest() == latest
-            assert manifest.completed_digests() == {
-                d for d, e in latest.items() if e["status"] != "failed"}
-
-    def test_unhashable_digest_bad_utf8_and_deep_nesting_are_torn(
-            self, tmp_path):
-        manifest = RunManifest(tmp_path / "m.jsonl")
-        manifest.record("d1", "A/PR", "ok")
-        with manifest.path.open("ab") as handle:
-            handle.write(b'{"digest": [1], "status": "ok"}\n')
-            handle.write(b'{"digest": {"a": 1}, "status": "ok"}\n')
-            handle.write(b"\xff\xfe\n")
-            handle.write(b"[" * 100_000 + b"\n")
-        assert manifest.completed_digests() == {"d1"}
-        assert manifest.torn_lines == 4
-
-
 # ---------------------------------------------------------------------------
-# Backend registry, plan resume arithmetic
+# Backend registry
 
 
 class TestBackendRegistry:
@@ -656,24 +537,6 @@ class TestBackendRegistry:
             MultiNodeExecutor(nodes=0)
         with pytest.raises(ValueError, match="node_restarts"):
             MultiNodeExecutor(node_restarts=-1)
-
-
-class TestPlanRemaining:
-    def test_remaining_drops_completed_keeps_failed_and_unseen(
-            self, tmp_path, small_plan):
-        manifest = RunManifest(tmp_path / "run.jsonl")
-        digests = [spec.digest() for spec in small_plan]
-        manifest.record(digests[0], small_plan[0].label, "ok")
-        manifest.record(digests[1], small_plan[1].label, "cached")
-        manifest.record(digests[2], small_plan[2].label, "failed",
-                        kind="crash")
-        # digests[3] never ran.
-        remaining = small_plan.remaining(manifest)
-        assert [spec.digest() for spec in remaining] == digests[2:]
-        # Latest record wins: the failure later succeeded.
-        manifest.record(digests[2], small_plan[2].label, "ok")
-        assert [spec.digest()
-                for spec in small_plan.remaining(manifest)] == digests[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +719,8 @@ class TestMultiNodeExecutor:
         ordered = [outcomes[i] for i in range(len(small_plan))]
         assert _dicts(ordered) == _dicts(serial_results)
         expires = ring.events("lease.expire")
-        assert [event.data["reason"] for event in expires] == ["ttl"]
+        assert [(event.data["reason"], event.data["label"])
+                for event in expires] == [("ttl", "DCT/PR")]
         queue = WorkQueue(tmp_path / "queue")
         steals = [event for event in _node_events(queue)
                   if event["kind"] == "lease.steal"]
@@ -872,7 +736,6 @@ class TestChaosAcceptance:
     def test_interrupted_sweep_resumes_bit_identical_with_zero_resim(
             self, tmp_path, small_plan, serial_results, ring):
         queue_dir = tmp_path / "queue"
-        manifest_path = tmp_path / "run-manifest.jsonl"
         user_cache = ResultCache(tmp_path / "user-cache")
         injector = FaultInjector(rules=(
             FaultRule(kind="node-kill", match="RAJ/CC", attempts=1),))
@@ -884,7 +747,7 @@ class TestChaosAcceptance:
                                      injector=injector,
                                      queue_dir=queue_dir, lease_ttl=10.0)
         results = run_plan(small_plan, executor=executor, cache=user_cache,
-                           policy=FAST, manifest=manifest_path)
+                           policy=FAST)
         assert _dicts(results) == _dicts(serial_results)
 
         queue = WorkQueue(queue_dir)
@@ -898,6 +761,7 @@ class TestChaosAcceptance:
         # died with the lease (no duplicates in the kill scenario).
         assert len(expires) == 1
         assert expires[0].data["reason"] == "node-death"
+        assert expires[0].data["label"] == "RAJ/CC"
         assert len(claims) == len(small_plan) + len(expires)
         assert len(steals) == 1
         assert steals[0]["label"] == "RAJ/CC"
@@ -910,24 +774,24 @@ class TestChaosAcceptance:
             marker = queue.outcome(spec.digest())
             assert marker["status"] == "ok" and marker["node"]
 
-        # Phase B: resume.  The run-level manifest and cache say
-        # everything completed; nothing may be re-simulated — not even
-        # executor construction should be needed.
-        resumed = run_plan(small_plan.remaining(RunManifest(manifest_path)),
-                           cache=user_cache, policy=FAST)
-        assert resumed == []
-        restored = run_plan(small_plan, cache=user_cache, policy=FAST,
-                            manifest=manifest_path)
+        # Phase B: resume by running the same plan against the same
+        # cache and queue.  Every unit restores from the cache; none
+        # re-enters a worker.
+        assert ring.events("unit.cached") == []
+        executor = MultiNodeExecutor(nodes=2, policy=FAST,
+                                     queue_dir=queue_dir, lease_ttl=10.0)
+        restored = run_plan(small_plan, executor=executor, cache=user_cache,
+                            policy=FAST)
         assert _dicts(restored) == _dicts(serial_results)
-        cached = ring.events("unit.cached")
-        assert len(cached) >= len(small_plan)
-        # Zero units re-entered a worker during the resume phase.
+        assert [e.data["digest"] for e in ring.events("unit.cached")] \
+            == [spec.digest() for spec in small_plan]
+        # Zero new lease claims in the workers' event logs.
         assert len([e for e in _node_events(queue)
                     if e["kind"] == "lease.claim"]) == len(claims)
 
 
 # ---------------------------------------------------------------------------
-# CLI: worker command, multinode sweep, --resume
+# CLI: worker command, multinode sweep, re-run as resume
 
 
 class TestCLI:
@@ -966,26 +830,33 @@ class TestCLI:
             marker = queue.outcome(spec.digest())
             assert marker["status"] == "ok" and marker["node"]
 
-    def test_sweep_resume_reports_and_restores(self, tmp_path, capsys):
-        manifest_path = tmp_path / "sweep.jsonl"
-        assert main(["sweep", "--graphs", "DCT", "--apps", "PR",
-                     "--iters", "1",
-                     "--manifest", str(manifest_path)]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "--graphs", "DCT", "--apps", "PR",
-                     "--iters", "1",
-                     "--resume", str(manifest_path)]) == 0
-        out = capsys.readouterr().out
-        assert "resuming from" in out
-        assert "1 of 1 unit(s) already complete, 0 to go" in out
-        assert "(cached)" in out
-        # The journal kept growing in place across both runs.
-        manifest = RunManifest(manifest_path)
-        statuses = [entry["status"] for entry in manifest.entries()]
-        assert statuses == ["ok", "cached"]
+    def test_sweep_rerun_on_same_cache_simulates_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # Resuming is re-running the same command against the same
+        # cache: every completed unit prints (cached) and none is
+        # simulated.  A fresh cache restores nothing and simulates all.
+        simulated = []
+        real = executor_module.execute_spec
 
-    def test_sweep_resume_refuses_no_cache(self, tmp_path):
-        with pytest.raises(SystemExit, match="--resume"):
-            main(["sweep", "--graphs", "DCT", "--apps", "PR",
-                  "--iters", "1", "--no-cache",
-                  "--resume", str(tmp_path / "none.jsonl")])
+        def counting(spec):
+            simulated.append(spec.label)
+            return real(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", counting)
+        argv = ["sweep", "--graphs", "DCT", "--apps", "PR,CC",
+                "--iters", "1"]
+        first = tmp_path / "c1"
+        assert main(argv + ["--cache-dir", str(first)]) == 0
+        assert sorted(simulated) == ["DCT/CC", "DCT/PR"]
+        capsys.readouterr()
+
+        simulated.clear()
+        assert main(argv + ["--cache-dir", str(first)]) == 0
+        out = capsys.readouterr().out
+        assert simulated == []
+        assert "DCT/PR (cached)" in out and "DCT/CC (cached)" in out
+
+        assert main(argv + ["--cache-dir", str(tmp_path / "c2")]) == 0
+        out = capsys.readouterr().out
+        assert sorted(simulated) == ["DCT/CC", "DCT/PR"]
+        assert "(cached)" not in out

@@ -3,7 +3,7 @@
 The observer is a *strict observer*: disabled by default, and — enabled
 or not — it may never change modeled numbers.  This file pins that
 contract (golden bit-identity with events on), the event taxonomy and
-JSONL round-trip, the metrics registry, the metrics-vs-manifest
+JSONL round-trip, the metrics registry, the metrics-vs-outcomes
 agreement under fault injection, the Chrome-trace converter, and the
 CLI ``--events``/``--metrics`` surface.
 """
@@ -33,7 +33,7 @@ from repro.runtime import (
     FaultRule,
     ResultCache,
     RetryPolicy,
-    RunManifest,
+    UnitFailure,
     run_plan,
     run_unit,
 )
@@ -277,31 +277,36 @@ class TestJsonlRoundTrip:
         assert counters["units.overrun"] == 1
 
 
-class TestMetricsMatchManifest:
+class TestMetricsMatchOutcomes:
     def test_crash_and_retry_sweep_counts_agree(self, small_plan,
                                                 tmp_path):
         # Every unit's first attempt dies of a transient fault; RAJ/CC
         # then crashes its worker node for good.  The metrics the
         # coordinator counted (its own plus those folded in from the
-        # node event logs) must agree with what the manifest journaled.
+        # node event logs) must agree with the outcomes run_plan
+        # returned.
         injector = FaultInjector(rules=(
             FaultRule(kind="transient", match="*", attempts=1),
             FaultRule(kind="crash", match="RAJ/CC", attempts=10**6),
         ))
         observer = obs.enable(ring=4096)
         cache = ResultCache(tmp_path / "cache")
-        manifest = RunManifest(tmp_path / "manifest.jsonl")
-        run_plan(small_plan, jobs=2, cache=cache, policy=FAST,
-                 injector=injector, manifest=manifest)
-        # Faults "fixed": the resume serves survivors from cache and
+        first = run_plan(small_plan, jobs=2, cache=cache, policy=FAST,
+                         injector=injector)
+        # Faults "fixed": the re-run serves survivors from cache and
         # re-simulates only the failed unit.
-        run_plan(small_plan, jobs=1, cache=cache, manifest=manifest)
+        second = run_plan(small_plan, jobs=1, cache=cache)
 
-        statuses = [record["status"] for record in manifest.entries()]
+        failed = [outcome for outcome in first
+                  if isinstance(outcome, UnitFailure)]
+        assert [failure.label for failure in failed] == ["RAJ/CC"]
+        assert not any(isinstance(outcome, UnitFailure)
+                       for outcome in second)
+        survivors = len(first) - len(failed)
         counters = observer.metrics.snapshot()["counters"]
-        assert counters["units.finished"] == statuses.count("ok") == 4
-        assert counters["units.failed"] == statuses.count("failed") == 1
-        assert counters["units.cached"] == statuses.count("cached") == 3
+        assert counters["units.finished"] == survivors + len(failed) == 4
+        assert counters["units.failed"] == len(failed) == 1
+        assert counters["units.cached"] == survivors == 3
         # Attempt-1 transients alone account for four retries; RAJ/CC's
         # attempt-2 crash adds one more.
         assert counters["units.retried"] >= 4

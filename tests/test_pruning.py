@@ -32,7 +32,6 @@ from repro.model.pruning import (
 from repro.runtime import (
     ExecutionPlan,
     ResultCache,
-    RunManifest,
     UnitFailure,
     WorkloadSpec,
     run_plan,
@@ -162,17 +161,16 @@ class TestRestrictedPlans:
                 configs_for={("RAJ", "MIS"): ("SGR", "SDR")})
 
     def test_plan_sweep_matches_run_sweep_digests(self, tmp_path):
-        # The resume/server paths rebuild the plan through plan_sweep;
-        # its digests must be exactly what the executed sweep journaled.
-        manifest = tmp_path / "m.jsonl"
-        run_sweep(cache=tmp_path / "cache", manifest=manifest,
-                  prune_k=1, explore=1, **MINI)
+        # The server path rebuilds the plan through plan_sweep; its
+        # digests must be exactly what the executed sweep cached.
+        run_sweep(cache=tmp_path / "cache", prune_k=1, explore=1, **MINI)
         plan, subsets = plan_sweep(
             ("RAJ",), ("MIS", "CC"), max_iters=1, scales={"RAJ": 32},
             prune=PruningPolicy(k=1, explore=1))
         assert set(subsets) == {("RAJ", "MIS"), ("RAJ", "CC")}
-        remaining = plan.remaining(RunManifest(manifest))
-        assert len(remaining) == 0
+        cache = ResultCache(tmp_path / "cache")
+        assert all(cache.get(spec) is not None for spec in plan)
+        assert cache.hits == len(plan) == 2
 
 
 class TestPrunedSweep:

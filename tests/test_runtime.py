@@ -13,7 +13,7 @@ import tempfile
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.harness.runner import WorkloadResult, run_workload
@@ -167,6 +167,87 @@ class TestSpecs:
     def test_plan_digest_is_order_sensitive(self, small_plan):
         reversed_plan = ExecutionPlan(units=small_plan.units[::-1])
         assert reversed_plan.digest() != small_plan.digest()
+
+
+#: Any JSON value, the payload a queue record or a serve body can carry.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+_SPEC_FIELDS = ("app", "configs", "baseline", "system", "max_iters", "seed",
+                "graph", "graph.kind", "graph.source", "graph.scale",
+                "graph.seed", "graph.fingerprint")
+
+
+def _is_int(value, minimum):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum)
+
+
+def _well_typed(spec):
+    """Every field of ``spec`` holds a value of its declared type."""
+    graph = spec.graph
+    return (isinstance(spec.app, str)
+            and isinstance(graph, GraphRef)
+            and isinstance(graph.kind, str)
+            and isinstance(graph.source, str)
+            and _is_int(graph.scale, 1)
+            and _is_int(graph.seed, 0)
+            and (graph.fingerprint is None
+                 or isinstance(graph.fingerprint, str))
+            and isinstance(spec.configs, tuple)
+            and all(isinstance(code, str) for code in spec.configs)
+            and isinstance(spec.baseline, str)
+            and isinstance(spec.system, SystemConfig)
+            and (spec.max_iters is None or _is_int(spec.max_iters, 1))
+            and _is_int(spec.seed, 0))
+
+
+class TestSpecFromDictFailsClosed:
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(_SPEC_FIELDS), value=_JSON)
+    @example(field="max_iters", value="abc")
+    @example(field="max_iters", value=-5)
+    @example(field="max_iters", value=0)
+    @example(field="seed", value="x")
+    @example(field="seed", value=[1])
+    @example(field="seed", value=True)
+    @example(field="graph.scale", value=True)
+    @example(field="graph.seed", value=1.0)
+    @example(field="graph.fingerprint", value=7)
+    @example(field="configs", value=["TG0", 5])
+    def test_one_field_set_to_any_json_raises_or_round_trips(
+            self, small_plan, field, value):
+        data = json.loads(json.dumps(small_plan[0].to_dict()))
+        *parents, key = field.split(".")
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        try:
+            spec = WorkloadSpec.from_dict(data)
+        except (ValueError, TypeError):
+            return
+        assert _well_typed(spec)
+        clone = WorkloadSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone.digest() == spec.digest()
+
+    def test_valid_digests_unchanged(self):
+        # Field validation only rejects: well-formed specs keep the
+        # content addresses existing caches were written under.
+        spec = WorkloadSpec.for_workload(
+            "PR", GraphRef.dataset("DCT", scale=64, seed=3), max_iters=2,
+            seed=3)
+        assert spec.digest() == ("3cfff7c8cf2ef8119e5f15ec1806f09c"
+                                 "55f09c1718b60aa6ecbf13c880d6562c")
+        plan = ExecutionPlan.for_sweep(("DCT", "RAJ", "OLS"),
+                                       ("PR", "CC", "BFS"), max_iters=2)
+        assert plan.digest() == ("6804d776379fc6de6e03f32f84bbb1f0"
+                                 "a1ed81edd442842817d629edf388b2b8")
 
 
 class TestSerialization:

@@ -24,6 +24,7 @@ from repro.serve import (
     AdmissionController,
     ServeClient,
     ServeConfig,
+    ServeError,
     ServeRejected,
     ServeUnavailable,
     ThreadedServer,
@@ -400,6 +401,17 @@ class TestServerEdge:
                 config.uds, b"GET /healthz HTTP/1.1\r\n"
                 b"Connection: close\r\n" + headers + b"\r\n")
         assert reply.startswith(b"HTTP/1.1 " + status + b" ")
+
+
+    def test_ill_typed_spec_field_gets_400(self, tmp_path, small_plan):
+        payload = dict(small_plan[0].to_dict(), max_iters="abc")
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0]) as client:
+                with pytest.raises(ServeError,
+                                   match="submit returned 400.*max_iters"):
+                    client.submit(payload)
+                assert client.stats()["requests"] == 0
 
 
 class TestServerObservability:

@@ -11,8 +11,9 @@ stolen, and drain the queue with results bit-identical to a serial run.
 
 Phase B re-runs the same sweep against the same queue and cache — the
 resume path.  Every unit must restore from the shared cache with ZERO
-re-simulation, proven by the work queue's own event logs: no new
-``lease.claim`` appears anywhere in phase B.
+re-simulation, proven by the work queue's own records: no new
+``lease.claim`` appears anywhere in phase B's event logs, and every
+done marker phase A wrote is left byte-for-byte unchanged.
 
 The event accounting identity is checked across both phases: with kills
 as the only chaos, every claim ends in exactly one completion win or
@@ -35,7 +36,6 @@ from repro.runtime import (
     FaultRule,
     MultiNodeExecutor,
     RetryPolicy,
-    RunManifest,
     RESULT_SCHEMA_VERSION,  # noqa: F401  (pin: results are schema-keyed)
     WorkQueue,
     run_plan,
@@ -92,8 +92,7 @@ def main(queue_dir=None):
     ring = observer.sinks[0]
     executor = MultiNodeExecutor(nodes=2, policy=POLICY, injector=injector,
                                  queue_dir=queue_dir, lease_ttl=10.0)
-    results = run_plan(plan, executor=executor, policy=POLICY,
-                       manifest=queue_dir / "run.jsonl")
+    results = run_plan(plan, executor=executor, policy=POLICY)
     obs.disable()
 
     check([r.to_dict() for r in results] == baseline,
@@ -121,21 +120,23 @@ def main(queue_dir=None):
 
     print("phase B: resume against the same queue and cache ...")
     claims_before = len(claims)
+    done_before = {path.name: path.read_bytes()
+                   for path in queue.done_dir.glob("*.json")}
     # Observer on again: with it off, workers would not journal events
     # and the no-new-claims check below would pass vacuously.
     obs.enable(ring=1024)
     executor = MultiNodeExecutor(nodes=2, policy=POLICY,
                                  queue_dir=queue_dir, lease_ttl=10.0)
-    resumed = run_plan(plan, executor=executor, policy=POLICY,
-                       manifest=queue_dir / "run.jsonl")
+    resumed = run_plan(plan, executor=executor, policy=POLICY)
     obs.disable()
     check([r.to_dict() for r in resumed] == baseline,
           "resumed results bit-identical to serial")
     check(len(worker_claims(queue_dir)) == claims_before,
           "zero re-simulated units on resume (no new lease claims)")
-    journal = RunManifest(queue_dir / "run.jsonl")
-    check(journal.completed_digests() == {spec.digest() for spec in plan},
-          "run manifest records every unit completed across both phases")
+    done_after = {path.name: path.read_bytes()
+                  for path in queue.done_dir.glob("*.json")}
+    check(len(done_before) == len(plan) and done_after == done_before,
+          "resume leaves every done marker unchanged")
 
     if owns_dir and not _failures:
         shutil.rmtree(queue_dir, ignore_errors=True)
