@@ -1,8 +1,8 @@
-"""Generalization study: the decision tree on the four frontier-IR workloads.
+"""Generalization study: the decision tree on the four added workloads.
 
 The model (and its thresholds) were fit to the paper's six applications.
-BFS, KC, TC, and LP arrived later through the frontier IR and were never
-consulted while building the tree — so comparing the tree's predictions
+BFS, KC, TC, and LP were added later (the report's title still calls
+them the frontier-IR workloads) and were never consulted while building the tree — so comparing the tree's predictions
 against each new workload's *realized* best configuration measures how
 well the taxonomy generalizes beyond its training matrix (the experiment
 the paper's Table V performs for its own six apps).

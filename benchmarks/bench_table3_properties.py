@@ -1,7 +1,7 @@
-"""Table III: algorithmic properties, paper rows plus IR additions.
+"""Table III: algorithmic properties, paper rows plus four additions.
 
 The first six rows must match the paper's Table III cell for cell; the
-frontier-IR workloads (BFS, KC, TC, LP) extend the table with the
+added workloads (BFS, KC, TC, LP) extend the table with the
 properties their kernel classes declare, which the generalization study
 feeds to the unmodified decision tree.
 """

@@ -29,7 +29,7 @@ def get_sweep():
 
     Pinned to ``PAPER_APPS``: these benchmarks reproduce the paper's
     figures and regression baselines, which cover exactly the original
-    six applications (the frontier-IR additions are evaluated by
+    six applications (the BFS/KC/TC/LP additions are evaluated by
     ``bench_generalization.py`` with its own sweep).
 
     The sweep executes through ``repro.runtime``: set

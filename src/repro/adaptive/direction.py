@@ -1,13 +1,14 @@
-"""Frontier-driven push/pull direction switching.
+"""Density-driven push/pull direction switching.
 
-Frontier applications (SSSP, BC's forward sweep) propagate from an
+Applications such as SSSP and BC's forward sweep propagate from an
 active set whose density swings across iterations.  Direction-optimizing
 frameworks (Beamer-style, Besta et al. [17]) push while the frontier is
 sparse — eliding the untouched majority — and pull once the frontier is
 dense enough that gather loads beat scattered atomics.  This module
-implements that policy on top of the phase/trace machinery, with the
-hardware configuration chosen per direction by the specialization model's
-coherence/consistency sub-decisions.
+holds that heuristic once, as :class:`DirectionPolicy` over the kernel
+phases, and runs it on top of the phase/trace machinery, with the
+hardware configuration chosen per direction by the specialization
+model's coherence/consistency sub-decisions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ..configs import Configuration
 from ..graph.csr import CSRGraph
 from ..kernels import TraceBuilder, make_kernel
 from ..kernels.base import EdgePhase
-from ..kernels.frontier import DensityPolicy, Frontier
 from ..sim.config import DEFAULT_SYSTEM, SystemConfig
 from ..sim.engine import GPUSimulator
 from .flexible import FlexibleSimulator
@@ -28,21 +28,47 @@ __all__ = ["DirectionPolicy", "DirectionAdaptiveResult",
 
 
 @dataclass(frozen=True)
-class DirectionPolicy(DensityPolicy):
-    """Per-phase façade over the IR's Beamer-style density policy.
+class DirectionPolicy:
+    """Beamer-style density switching from per-edge cost estimates.
 
-    The heuristic itself lives in
-    :class:`repro.kernels.frontier.DensityPolicy` as a first-class
-    frontier policy (see that class for the cost model and the default
-    calibration); this subclass merely adapts it to already-lowered
-    :class:`EdgePhase` objects for the adaptive runtime below.
+    A push iteration touches only the source frontier's out-edges, but
+    each of those costs an atomic (``push_edge_cost``); a pull iteration
+    scans every in-edge regardless of the frontier, at plain-load cost
+    (``pull_edge_cost``).  Pull wins once the frontier's edge share
+    exceeds ``pull_edge_cost / push_edge_cost`` of the graph.
+
+    The defaults are deliberately conservative (pull only for nearly
+    fully dense phases): on the modeled system, pull's blocking
+    scattered reads cost about as much per edge as push's relaxed
+    atomics, so elision is the dominant term.  Systems without DRFrlx
+    should raise ``push_edge_cost`` — serialized atomics shift the
+    crossover far toward pull (Section IV-B's interdependence).
     """
 
-    def choose(self, phase, graph: CSRGraph) -> str:
-        if isinstance(phase, Frontier):
-            return super().choose(phase, graph)
-        frontier = Frontier(graph.num_vertices, phase.source_active)
-        return super().choose(frontier, graph)
+    push_edge_cost: float = 1.05
+    pull_edge_cost: float = 1.0
+
+    def choose(self, phase: EdgePhase, graph: CSRGraph) -> str:
+        """Return ``'push'`` or ``'pull'`` for one edge phase."""
+        if graph.num_edges == 0:
+            return "push"
+        if phase.source_active is None:
+            return "pull"  # every vertex active -> dense by definition
+        active_edges = int(graph.out_degrees[phase.source_active].sum())
+        push_cost = active_edges * self.push_edge_cost
+        pull_cost = graph.num_edges * self.pull_edge_cost
+        return "pull" if pull_cost < push_cost else "push"
+
+    def choose_iteration(self, iteration, graph: CSRGraph) -> str:
+        """The direction of one iteration: its first edge phase decides.
+
+        Iterations without an :class:`EdgePhase` push — vertex and
+        dynamic phases realize identically in both directions.
+        """
+        for phase in iteration:
+            if isinstance(phase, EdgePhase):
+                return self.choose(phase, graph)
+        return "push"
 
 
 @dataclass
@@ -100,9 +126,7 @@ def run_direction_adaptive(
 
     directions: list[str] = []
     for iteration in kernel.iterations(max_iters):
-        edge_phases = [p for p in iteration if isinstance(p, EdgePhase)]
-        direction = (policy.choose(edge_phases[0], graph)
-                     if edge_phases else "push")
+        direction = policy.choose_iteration(iteration, graph)
         directions.append(direction)
         for phase in iteration:
             adaptive_trace = builder.realize(phase, direction)

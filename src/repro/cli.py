@@ -22,7 +22,7 @@ results are memoized per workload in a content-addressed cache
 (``--cache-dir DIR``, ``--no-cache``), and ``sweep --jobs N`` fans
 workloads across N worker nodes.  ``sweep --graphs``/``--apps``
 restrict the sweep to a subset of the graph x application matrix (the
-paper's six apps plus the frontier-IR additions BFS, KC, TC, LP).
+paper's six apps plus the added BFS, KC, TC, LP).
 ``sweep --prune-k K [--explore N]`` prunes each workload to the
 model's top-K configurations (plus the normalization baseline and N
 deterministic exploration picks) instead of the full Figure 5 grid —

@@ -1,10 +1,10 @@
 """Graph kernels: the application matrix plus phase/trace machinery.
 
-Applications are written against the frontier/operator IR
-(:mod:`repro.kernels.frontier`); their operator programs lower to the
-phase dataclasses in :mod:`repro.kernels.base`, which the trace
-generator (:mod:`repro.kernels.tracegen`) realizes as push or pull
-memory traces.
+Every application yields its work directly as lists of the phase
+dataclasses in :mod:`repro.kernels.base` (``EdgePhase`` for an advance,
+``VertexPhase`` for a filter or compute step, ``DynamicPhase`` for a
+data-dependent traversal), which the trace generator
+(:mod:`repro.kernels.tracegen`) realizes as push or pull memory traces.
 """
 
 from .base import (
@@ -17,16 +17,6 @@ from .bc import BCResult, BetweennessCentrality
 from .bfs import BFS
 from .cc import ConnectedComponents
 from .coloring import GraphColoring
-from .frontier import (
-    Advance,
-    Compute,
-    DensityPolicy,
-    Filter,
-    Frontier,
-    FrontierKernel,
-    FrontierPolicy,
-    lower,
-)
 from .kcore import KCore
 from .labelprop import LabelPropagation
 from .mis import MIS
@@ -41,14 +31,6 @@ __all__ = [
     "EdgePhase",
     "VertexPhase",
     "DynamicPhase",
-    "Frontier",
-    "Advance",
-    "Filter",
-    "Compute",
-    "lower",
-    "FrontierKernel",
-    "FrontierPolicy",
-    "DensityPolicy",
     "PageRank",
     "SSSP",
     "MIS",

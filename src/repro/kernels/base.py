@@ -1,4 +1,4 @@
-"""Kernel abstractions shared by all six applications.
+"""Kernel abstractions shared by every application.
 
 Each application yields a sequence of **iterations**; each iteration is a
 list of **phases** (kernel launches).  Phases are abstract descriptions of
@@ -21,6 +21,13 @@ Phase kinds:
 * :class:`DynamicPhase` — data-dependent traversal (CC): explicit
   per-vertex read chains plus compare-and-swap targets; direction is not a
   choice for these (Section III-B1).
+
+These phases are the kernel layer's only IR: in Gunrock's operator
+vocabulary an *advance* is an :class:`EdgePhase` and a *filter* or
+*compute* step is a :class:`VertexPhase`.  An active set is a bool mask
+of shape ``(num_vertices,)``, or ``None`` for every vertex.  The two are
+not interchangeable: a masked phase pays per-warp predicate loads, so a
+full frontier must stay ``None``.
 """
 
 from __future__ import annotations
@@ -115,7 +122,7 @@ Iteration = Sequence  # a list of phases
 
 
 class GraphKernel(abc.ABC):
-    """Base class for the six applications."""
+    """Base class for the applications; each yields its own phases."""
 
     #: Short name matching Table III ('PR', 'SSSP', ...).
     app: str = "?"

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel
 
 __all__ = ["BetweennessCentrality", "BCResult"]
 
@@ -36,7 +36,7 @@ class BCResult:
         return self.delta
 
 
-class BetweennessCentrality(FrontierKernel):
+class BetweennessCentrality(GraphKernel):
     """Level-synchronous single-source Brandes from the max-degree vertex."""
 
     app = "BC"
@@ -102,33 +102,30 @@ class BetweennessCentrality(FrontierKernel):
         return BCResult(level=level, sigma=sigma, delta=delta)
 
     # ------------------------------------------------------------------
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         limit = (max_iters if max_iters is not None
                  else self.default_sim_iterations())
         level, sigma = self._forward()
         max_level = int(level.max())
         forward_levels = list(range(min(max_level, limit)))
         for depth in forward_levels:
-            frontier = level == depth
             unvisited = level > depth  # discovered at depth+1 or later
             yield [
-                Advance(
+                EdgePhase(
                     name=f"bc_fwd{depth}",
-                    source=Frontier.from_mask(frontier),
-                    target=Frontier.from_mask(unvisited | (level == -1)),
+                    source_active=level == depth,
+                    target_active=unvisited | (level == -1),
                     source_arrays=("sigma",),
                     update_arrays=("sigma",),
                 )
             ]
         backward_depths = list(range(max_level, 0, -1))[:limit]
         for depth in backward_depths:
-            pushers = level == depth
-            receivers = level == depth - 1
             yield [
-                Advance(
+                EdgePhase(
                     name=f"bc_bwd{depth}",
-                    source=Frontier.from_mask(pushers),
-                    target=Frontier.from_mask(receivers),
+                    source_active=level == depth,
+                    target_active=level == depth - 1,
                     source_arrays=("sigma", "delta"),
                     target_arrays=("sigma",),
                     update_arrays=("delta",),

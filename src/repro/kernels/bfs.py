@@ -15,11 +15,15 @@ BFS the interesting generalization probe: the taxonomy must weigh
 frontier elision (favoring push + relaxation) against the
 value-consuming atomic (muting relaxation's benefit).
 
-The frontier's density swings violently across levels — a handful of
-vertices, then most of the graph, then stragglers — which is exactly
-the regime the IR's :class:`~repro.kernels.frontier.DensityPolicy`
-targets; :meth:`FrontierKernel.direction_schedule` yields the classic
-push→pull→push schedule on small-diameter graphs.
+Each level is one :class:`~repro.kernels.base.EdgePhase` whose
+``source_active`` mask is exactly that level's vertex set and whose
+``target_active`` mask is the unvisited set.  The frontier's density
+swings violently across levels — a handful of vertices, then most of
+the graph, then stragglers — which is exactly the regime
+:class:`repro.adaptive.DirectionPolicy` targets: choosing a direction
+per iteration of :meth:`BFS.iterations` yields the classic
+push→pull→push schedule once atomics cost enough more than loads
+(e.g. ``push_edge_cost=3.0`` on the EML, RAJ and AMZ stand-ins).
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel
 
 __all__ = ["BFS"]
 
 
-class BFS(FrontierKernel):
+class BFS(GraphKernel):
     """Level-synchronous BFS from the highest-degree vertex."""
 
     app = "BFS"
@@ -75,7 +79,7 @@ class BFS(FrontierKernel):
             level = new_level
         return level
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         limit = (max_iters if max_iters is not None
                  else self.default_sim_iterations())
         level = np.full(self.graph.num_vertices, -1, dtype=np.int64)
@@ -84,12 +88,11 @@ class BFS(FrontierKernel):
             frontier = level == depth
             if not frontier.any():
                 break
-            unvisited = level == -1
             yield [
-                Advance(
+                EdgePhase(
                     name=f"bfs{depth}",
-                    source=Frontier.from_mask(frontier),
-                    target=Frontier.from_mask(unvisited),
+                    source_active=frontier,
+                    target_active=level == -1,
                     source_arrays=("level",),
                     update_arrays=("level",),
                     # The CAS claiming a target returns whether the claim

@@ -16,6 +16,11 @@ Each iteration runs two kernels, after Jaiganesh & Burtscher:
   root entries — the constricting reuse the paper's model exploits by
   choosing DeNovo (ownership keeps the hot root lines in the L1).
 * **compress** — pointer jumping: ``parent[v] = parent[parent[v]]``.
+
+Both kernels are :class:`~repro.kernels.base.DynamicPhase` objects
+yielded directly by :meth:`ConnectedComponents.iterations`: the reads
+follow data-dependent parent chains, so there is no static frontier and
+no push/pull choice to encode.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .base import DynamicPhase
-from .frontier import FrontierKernel
+from .base import DynamicPhase, GraphKernel
 
 __all__ = ["ConnectedComponents"]
 
@@ -40,7 +44,7 @@ def _roots(parent: np.ndarray) -> np.ndarray:
         roots = nxt
 
 
-class ConnectedComponents(FrontierKernel):
+class ConnectedComponents(GraphKernel):
     """Parallel union-find with hooking and pointer jumping."""
 
     app = "CC"
@@ -105,10 +109,7 @@ class ConnectedComponents(FrontierKernel):
             values[position[live] + d] = stacked[d][live]
         return offsets, values
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
-        # Dynamic phases are already in lowered form: data-dependent
-        # traversal has no static frontier, so the operator vocabulary
-        # passes them through (see repro.kernels.frontier.lower).
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         g = self.graph
         n = g.num_vertices
         limit = (max_iters if max_iters is not None

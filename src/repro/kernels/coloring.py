@@ -17,14 +17,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Compute, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel, VertexPhase
 
 __all__ = ["GraphColoring"]
 
 UNCOLORED = -1
 
 
-class GraphColoring(FrontierKernel):
+class GraphColoring(GraphKernel):
     """Max-min independent-set graph coloring."""
 
     app = "CLR"
@@ -67,29 +67,29 @@ class GraphColoring(FrontierKernel):
             color = self._round(color, value, r)
         return color
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         n = self.graph.num_vertices
         limit = (max_iters if max_iters is not None
                  else self.default_sim_iterations())
         value = self._values()
         color = np.full(n, UNCOLORED, dtype=np.int64)
         for r in range(limit):
-            uncolored = Frontier.from_mask(color == UNCOLORED)
+            uncolored = color == UNCOLORED
             if not uncolored.any():
                 break
             yield [
-                Advance(
+                EdgePhase(
                     name="clr_minmax",
-                    source=uncolored,
-                    target=uncolored,
+                    source_active=uncolored,
+                    target_active=uncolored,
                     source_arrays=("value",),
                     target_arrays=("color",),
                     update_arrays=("nbr_max",),
                     check_target_pred_in_push=False,
                 ),
-                Compute(
+                VertexPhase(
                     name="clr_assign",
-                    frontier=uncolored,
+                    active=uncolored,
                     read_arrays=("value", "nbr_max"),
                     write_arrays=("color", "vstate"),
                 ),

@@ -21,12 +21,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Filter, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel, VertexPhase
 
 __all__ = ["KCore"]
 
 
-class KCore(FrontierKernel):
+class KCore(GraphKernel):
     """Iterative peeling; returns the core number of every vertex."""
 
     app = "KC"
@@ -72,7 +72,7 @@ class KCore(FrontierKernel):
             degree = self._decrement(degree, peeled)
         return core
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         g = self.graph
         n = g.num_vertices
         limit = (max_iters if max_iters is not None
@@ -90,16 +90,17 @@ class KCore(FrontierKernel):
                 continue
             survivors = alive & ~peeled
             yield [
-                Advance(
+                EdgePhase(
                     name=f"kc_peel{rounds}",
-                    source=Frontier.from_mask(peeled),
-                    target=Frontier.from_mask(survivors),
+                    source_active=peeled,
+                    target_active=survivors,
                     update_arrays=("degree",),
                 ),
-                Filter(
+                VertexPhase(
                     name=f"kc_scan{rounds}",
-                    frontier=Frontier.from_mask(survivors),
+                    active=survivors,
                     read_arrays=("degree",),
+                    write_arrays=("vstate",),
                 ),
             ]
             alive = survivors

@@ -19,12 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Compute, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel, VertexPhase
 
 __all__ = ["LabelPropagation"]
 
 
-class LabelPropagation(FrontierKernel):
+class LabelPropagation(GraphKernel):
     """Synchronous mode-of-neighbors label propagation."""
 
     app = "LP"
@@ -71,18 +71,15 @@ class LabelPropagation(FrontierKernel):
             labels = new_labels
         return labels
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         n = self.graph.num_vertices
         limit = (max_iters if max_iters is not None
                  else self.default_sim_iterations())
-        everyone = Frontier.full(n)
         labels = np.arange(n, dtype=np.int64)
         for _ in range(limit):
             yield [
-                Advance(
+                EdgePhase(
                     name="lp_vote",
-                    source=everyone,
-                    target=everyone,
                     source_arrays=("label",),
                     update_arrays=("label_hist",),
                     check_target_pred_in_push=False,
@@ -91,9 +88,8 @@ class LabelPropagation(FrontierKernel):
                     pull_extra_compute_per_edge=2,
                     push_hoisted_compute=2,
                 ),
-                Compute(
+                VertexPhase(
                     name="lp_assign",
-                    frontier=everyone,
                     read_arrays=("label_hist",),
                     write_arrays=("label",),
                 ),

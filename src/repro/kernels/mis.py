@@ -18,14 +18,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Filter, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel, VertexPhase
 
 __all__ = ["MIS"]
 
 UNDECIDED, IN_SET, OUT = 0, 1, 2
 
 
-class MIS(FrontierKernel):
+class MIS(GraphKernel):
     """Luby's randomized maximal independent set."""
 
     app = "MIS"
@@ -74,29 +74,30 @@ class MIS(FrontierKernel):
             state = self._round(state, priority)
         return state
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         n = self.graph.num_vertices
         limit = (max_iters if max_iters is not None
                  else self.default_sim_iterations())
         priority = self._priorities()
         state = np.zeros(n, dtype=np.int64)
         for _ in range(limit):
-            undecided = Frontier.from_mask(state == UNDECIDED)
+            undecided = state == UNDECIDED
             if not undecided.any():
                 break
             yield [
-                Advance(
+                EdgePhase(
                     name="mis_max",
-                    source=undecided,
-                    target=undecided,
+                    source_active=undecided,
+                    target_active=undecided,
                     source_arrays=("priority",),
                     update_arrays=("neighbor_max",),
                     check_target_pred_in_push=False,
                 ),
-                Filter(
+                VertexPhase(
                     name="mis_decide",
-                    frontier=undecided,
+                    active=undecided,
                     read_arrays=("priority", "neighbor_max"),
+                    write_arrays=("vstate",),
                 ),
             ]
             state = self._round(state, priority)

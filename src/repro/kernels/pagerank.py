@@ -17,12 +17,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel
 
 __all__ = ["PageRank"]
 
 
-class PageRank(FrontierKernel):
+class PageRank(GraphKernel):
     """Damped PageRank over the symmetric input graph."""
 
     app = "PR"
@@ -61,18 +61,15 @@ class PageRank(FrontierKernel):
                 break
         return rank
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         limit = max_iters if max_iters is not None else self.default_sim_iterations()
-        everyone = Frontier.full(self.graph.num_vertices)
         for i in range(limit):
             # Double-buffered ranks: read this iteration's buffer, update
             # the other (Figure 1's i / i+1 property indexing).
             read_buf, write_buf = ("rank_a", "rank_b")[:: 1 if i % 2 == 0 else -1]
             yield [
-                Advance(
+                EdgePhase(
                     name="pr",
-                    source=everyone,
-                    target=everyone,
                     # Each edge reads the source's rank and out-degree
                     # (rank/outdeg is the propagated contribution); push
                     # hoists both loads, pull re-reads them per edge.

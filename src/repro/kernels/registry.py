@@ -19,7 +19,8 @@ __all__ = ["KERNELS", "make_kernel"]
 
 #: The first six entries are the paper's Table III applications (order
 #: matters: paper-pinned reports index into this prefix); the rest are
-#: frontier-IR workloads added to probe the model's generalization.
+#: workloads added to probe the model's generalization.  Every class
+#: yields its work as kernel phases from ``iterations()``.
 KERNELS: dict[str, type[GraphKernel]] = {
     "PR": PageRank,
     "SSSP": SSSP,

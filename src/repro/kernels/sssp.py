@@ -17,15 +17,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel
 
 __all__ = ["SSSP"]
 
 INF = np.float64(np.inf)
 
 
-class SSSP(FrontierKernel):
-    """Frontier-based Bellman-Ford from the highest-degree vertex."""
+class SSSP(GraphKernel):
+    """Bellman-Ford over a changed-vertex frontier, from the max-degree vertex."""
 
     app = "SSSP"
     traversal = "static"
@@ -81,7 +81,7 @@ class SSSP(FrontierKernel):
                 break
         return dist
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         g = self.graph
         limit = (max_iters if max_iters is not None
                  else self.default_sim_iterations() + 1)
@@ -89,15 +89,13 @@ class SSSP(FrontierKernel):
         dist[self.source] = 0.0
         frontier = np.zeros(g.num_vertices, dtype=bool)
         frontier[self.source] = True
-        everyone = Frontier.full(g.num_vertices)
         for _ in range(limit):
             if not frontier.any():
                 break
             yield [
-                Advance(
+                EdgePhase(
                     name="sssp",
-                    source=Frontier.from_mask(frontier),
-                    target=everyone,
+                    source_active=frontier,
                     source_arrays=("dist",),
                     update_arrays=("dist",),
                     uses_weights=True,

@@ -21,12 +21,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .frontier import Advance, Frontier, FrontierKernel
+from .base import EdgePhase, GraphKernel
 
 __all__ = ["TriangleCounting"]
 
 
-class TriangleCounting(FrontierKernel):
+class TriangleCounting(GraphKernel):
     """Per-vertex triangle counts on the symmetric input graph."""
 
     app = "TC"
@@ -61,13 +61,10 @@ class TriangleCounting(FrontierKernel):
         # to all three corners -> counts are 3x the per-corner incidence.
         return counts // 3
 
-    def frontier_iterations(self, max_iters: int | None = None) -> Iterator[list]:
-        everyone = Frontier.full(self.graph.num_vertices)
+    def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         yield [
-            Advance(
+            EdgePhase(
                 name="tc",
-                source=everyone,
-                target=everyone,
                 source_arrays=("adj_bound",),
                 target_arrays=("adj_bound",),
                 update_arrays=("tri_count",),

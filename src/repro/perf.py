@@ -9,8 +9,9 @@ process-wide :class:`PerfCollector` that `repro ... --profile` and
 
 Collection is disabled by default; when enabled it costs two
 ``perf_counter`` calls per phase per iteration.  The collector is
-per-process: parallel (process-pool) execution only records the parent's
-share, so profiling callers run serially.
+per-process: a parallel run's lease worker nodes time their own units,
+so the parent records only its share, and profiling callers run
+serially.
 
 The collector is not a reporting channel of its own: :mod:`repro.obs`
 registers :func:`metrics_source` as the ``perf`` source of its metrics

@@ -51,6 +51,20 @@ def _check_int(name: str, value, minimum: int) -> None:
                          f"got {value!r}")
 
 
+def _check_code(name: str, code) -> None:
+    """Raise ValueError unless ``code`` is a canonical configuration code.
+
+    ``"tg0"`` parses like ``"TG0"`` but would digest differently while
+    simulating the same configuration.
+    """
+    if not isinstance(code, str):
+        raise ValueError(f"{name} must be a str, got {code!r}")
+    canonical = parse_config(code).code
+    if code != canonical:
+        raise ValueError(f"{name} {code!r} is not canonical; "
+                         f"write {canonical!r}")
+
+
 @dataclass(frozen=True)
 class GraphRef:
     """A graph identified by recipe, not by object.
@@ -150,10 +164,8 @@ class WorkloadSpec:
         if not self.configs:
             raise ValueError("spec needs at least one configuration")
         for code in self.configs:
-            if not isinstance(code, str):
-                raise ValueError(f"configuration code must be a str, "
-                                 f"got {code!r}")
-            parse_config(code)  # validates
+            _check_code("configuration code", code)
+        _check_code("baseline", self.baseline)
         if self.baseline not in self.configs:
             raise ValueError(
                 f"baseline {self.baseline!r} not among configs "

@@ -501,7 +501,7 @@ class WorkQueue:
 
     def _charge(self, digest: str, attempt: int,
                 last_node: str | None = None) -> None:
-        """Advance a unit's charged attempts to at least ``attempt``
+        """Raise a unit's charged attempts to at least ``attempt``
         (a record that does not parse is left for :meth:`claim`)."""
         path = self.units_dir / f"{digest}.json"
         try:

@@ -11,7 +11,7 @@ dataset so every taxonomy volume class is preserved (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["SystemConfig", "DEFAULT_SYSTEM", "scaled_system"]
 
@@ -68,14 +68,22 @@ class SystemConfig:
     kernel_launch_cycles: int = 1500
 
     def __post_init__(self) -> None:
+        # Every field is an int: ``num_sms=4.0`` (or ``True``) would
+        # digest differently from ``num_sms=4`` while modeling the same
+        # machine, and a str would fail later as a TypeError.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+        for name in ("num_sms", "warp_size", "element_bytes", "l1_bytes",
+                     "l2_bytes", "l1_mshrs", "store_buffer_entries",
+                     "max_tbs_per_sm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.tb_size % self.warp_size != 0:
             raise ValueError("tb_size must be a multiple of warp_size")
         if self.line_bytes % self.element_bytes != 0:
             raise ValueError("line_bytes must be a multiple of element_bytes")
-        for name in ("num_sms", "l1_bytes", "l2_bytes", "l1_mshrs",
-                     "store_buffer_entries", "max_tbs_per_sm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     # ------------------------------------------------------------------
     # Derived geometry

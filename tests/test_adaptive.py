@@ -10,6 +10,7 @@ from repro.adaptive import (
     run_direction_adaptive,
 )
 from repro.configs import Configuration, parse_config
+from repro.kernels import make_kernel
 from repro.kernels.base import EdgePhase
 from repro.sim import (
     GPUSimulator,
@@ -165,14 +166,56 @@ class TestDirectionPolicy:
         assert DirectionPolicy().choose(
             EdgePhase(name="p"), small_random) == "pull"
 
-    def test_cost_ratio_moves_crossover(self, small_random):
-        half = np.zeros(small_random.num_vertices, dtype=bool)
-        half[: small_random.num_vertices // 2] = True
-        phase = EdgePhase(name="p", source_active=half)
+    def test_cost_ratio_moves_crossover(self, star):
+        # Star: the hub's 5 out-edges are half of the 10.  Cheap atomics
+        # keep pushing; expensive atomics cross over to pull.
+        hub = np.zeros(star.num_vertices, dtype=bool)
+        hub[0] = True
+        phase = EdgePhase(name="p", source_active=hub)
         cheap_atomics = DirectionPolicy(push_edge_cost=1.0)
         dear_atomics = DirectionPolicy(push_edge_cost=10.0)
-        assert cheap_atomics.choose(phase, small_random) == "push"
-        assert dear_atomics.choose(phase, small_random) == "pull"
+        assert cheap_atomics.choose(phase, star) == "push"
+        assert dear_atomics.choose(phase, star) == "pull"
+
+    def test_pull_cost_moves_crossover(self, star):
+        # The other cost field: cheap gathers pull the hub's half of the
+        # edges, dear gathers keep pushing even an all-True mask.
+        hub = np.zeros(star.num_vertices, dtype=bool)
+        hub[0] = True
+        everyone = np.ones(star.num_vertices, dtype=bool)
+        cheap_gathers = DirectionPolicy(pull_edge_cost=0.5)
+        dear_gathers = DirectionPolicy(pull_edge_cost=2.0)
+        assert DirectionPolicy().choose(
+            EdgePhase(name="p", source_active=hub), star) == "push"
+        assert cheap_gathers.choose(
+            EdgePhase(name="p", source_active=hub), star) == "pull"
+        assert DirectionPolicy().choose(
+            EdgePhase(name="p", source_active=everyone), star) == "pull"
+        assert dear_gathers.choose(
+            EdgePhase(name="p", source_active=everyone), star) == "push"
+
+    def test_full_frontier_pulls(self, small_random):
+        # The edge phases the every-vertex apps yield carry no mask.
+        for app in ("PR", "LP", "TC"):
+            for iteration in make_kernel(app, small_random).iterations(2):
+                for phase in iteration:
+                    if isinstance(phase, EdgePhase):
+                        assert DirectionPolicy().choose(
+                            phase, small_random) == "pull", app
+
+    def test_single_source_frontier_pushes(self, small_random):
+        # The single-source apps open with a one-vertex frontier.
+        for app in ("BFS", "SSSP", "BC"):
+            first = next(make_kernel(app, small_random).iterations())
+            phase = next(p for p in first if isinstance(p, EdgePhase))
+            assert int(phase.source_active.sum()) == 1, app
+            assert DirectionPolicy().choose(phase, small_random) == "push"
+
+    def test_edgeless_graph_pushes(self):
+        from repro.graph import from_edge_list
+
+        empty = from_edge_list(3, [], [], name="empty")
+        assert DirectionPolicy().choose(EdgePhase(name="p"), empty) == "push"
 
 
 class TestRunDirectionAdaptive:

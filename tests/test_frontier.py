@@ -1,24 +1,27 @@
-"""Tests for the frontier/operator IR and its lowering to phases."""
+"""Kernel-layer tests: every app's pinned phase stream, frontier masks,
+the one direction rule over ``iterations()``, and mask validation."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.adaptive import DirectionPolicy
+from repro.graph import DEFAULT_SIM_SCALE
 from repro.kernels import (
     BFS,
-    Advance,
-    Compute,
-    DensityPolicy,
-    DynamicPhase,
+    KERNELS,
     EdgePhase,
-    Filter,
-    Frontier,
     LabelPropagation,
     TraceBuilder,
     TriangleCounting,
     VertexPhase,
-    lower,
+    make_kernel,
 )
 from repro.sim import SystemConfig
+
+PHASE_DIGESTS = Path(__file__).parent / "data" / "phase_digests.json"
 
 
 @pytest.fixture
@@ -27,190 +30,118 @@ def cfg():
                         l2_bytes=64 * 1024)
 
 
+def masks(phase):
+    if isinstance(phase, EdgePhase):
+        return phase.source_active, phase.target_active
+    return (phase.active,)
+
+
+def schedule(kernel, policy=None, max_iters=None):
+    policy = policy or DirectionPolicy()
+    return [policy.choose_iteration(iteration, kernel.graph)
+            for iteration in kernel.iterations(max_iters)]
+
+
 class TestFrontier:
-    def test_full_has_no_mask(self):
-        f = Frontier.full(10)
-        assert f.is_full
-        assert f.mask is None
-        assert f.count == 10
-        assert f.density == 1.0
-        assert f.any()
+    def test_full_has_no_mask(self, small_random):
+        # Every-vertex frontiers stay None, never an all-True mask: a
+        # mask adds per-warp predicate loads and changes modeled cycles.
+        for app in ("PR", "LP", "TC"):
+            for iteration in make_kernel(app, small_random).iterations(2):
+                for phase in iteration:
+                    assert all(m is None for m in masks(phase)), app
+        (sssp,) = next(make_kernel("SSSP", small_random).iterations())
+        assert sssp.target_active is None
+        assert sssp.source_active.dtype == np.bool_
 
-    def test_from_mask_keeps_identity(self):
-        # The no-copy contract matters for bit-identity: lowering must
-        # hand the simulator the exact array the kernel built.
-        mask = np.zeros(8, dtype=bool)
-        mask[3] = True
-        f = Frontier.from_mask(mask)
-        assert f.mask is mask
-        assert f.num_vertices == 8
-        assert f.count == 1
-        assert f.density == pytest.approx(1 / 8)
+    def test_empty_frontier(self, small_random):
+        # A drained source frontier ends the app instead of launching
+        # an edge kernel with nothing to propagate.
+        for app in ("SSSP", "MIS", "CLR", "BC", "BFS", "KC"):
+            for iteration in make_kernel(app, small_random).iterations(50):
+                for phase in iteration:
+                    if isinstance(phase, EdgePhase):
+                        assert phase.source_active.any(), app
 
-    def test_from_indices(self):
-        f = Frontier.from_indices([1, 4], num_vertices=6)
-        assert f.count == 2
-        assert f.mask.tolist() == [False, True, False, False, True, False]
+    def test_rejects_non_bool_mask(self, star, cfg):
+        # Every mask slot, in both directions, rejects an int mask: its
+        # ``tolist()`` would still "work" with the wrong predicate.
+        builder = TraceBuilder(star, cfg)
+        ints = np.ones(star.num_vertices, dtype=np.int64)
+        for direction in ("push", "pull"):
+            for phase in (EdgePhase(name="e", source_active=ints),
+                          EdgePhase(name="e", target_active=ints),
+                          VertexPhase(name="v", active=ints)):
+                with pytest.raises(ValueError, match="bool"):
+                    builder.realize(phase, direction)
 
-    def test_empty_frontier(self):
-        f = Frontier(5, np.zeros(5, dtype=bool))
-        assert not f.any()
-        assert f.count == 0
-
-    def test_rejects_non_bool_mask(self):
-        with pytest.raises(ValueError, match="bool"):
-            Frontier(4, np.zeros(4, dtype=np.int64))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            Frontier(4, np.zeros(5, dtype=bool))
-
-    def test_edge_accounting(self, star):
-        # Star: hub 0 has 5 out-edges, each leaf has 1, 10 edges total.
-        hub_only = Frontier.from_indices([0], star.num_vertices)
-        assert hub_only.edge_count(star) == 5
-        assert hub_only.edge_share(star) == pytest.approx(0.5)
-        assert Frontier.full(star.num_vertices).edge_count(star) == 10
+    def test_rejects_wrong_shape(self, star, cfg):
+        builder = TraceBuilder(star, cfg)
+        long = np.ones(star.num_vertices + 1, dtype=bool)
+        for direction in ("push", "pull"):
+            for phase in (EdgePhase(name="e", source_active=long),
+                          EdgePhase(name="e", target_active=long),
+                          VertexPhase(name="v", active=long)):
+                with pytest.raises(ValueError, match="shape"):
+                    builder.realize(phase, direction)
 
 
 class TestLowering:
-    def test_advance_lowers_field_for_field(self):
-        src = np.array([True, False, True])
-        tgt = np.array([False, True, False])
-        op = Advance(
-            name="adv",
-            source=Frontier.from_mask(src),
-            target=Frontier.from_mask(tgt),
-            source_arrays=("a",),
-            target_arrays=("b",),
-            update_arrays=("u", "v"),
-            uses_weights=True,
-            atomic_needs_value=True,
-            check_target_pred_in_push=False,
-            compute_per_edge=3,
-            pull_extra_compute_per_edge=2,
-            push_hoisted_compute=1,
-        )
-        phase = op.lower()
-        assert isinstance(phase, EdgePhase)
-        assert phase.name == "adv"
-        assert phase.source_active is src
-        assert phase.target_active is tgt
-        assert phase.source_arrays == ("a",)
-        assert phase.target_arrays == ("b",)
-        assert phase.update_arrays == ("u", "v")
-        assert phase.uses_weights is True
-        assert phase.atomic_needs_value is True
-        assert phase.check_target_pred_in_push is False
-        assert phase.compute_per_edge == 3
-        assert phase.pull_extra_compute_per_edge == 2
-        assert phase.push_hoisted_compute == 1
+    """How a frontier lowers into a realized trace."""
 
-    def test_full_frontier_lowers_to_no_mask(self):
-        op = Advance(name="adv", source=Frontier.full(4),
-                     target=Frontier.full(4))
-        phase = op.lower()
-        # None (not an all-True array) so dense kernels skip the
-        # predicate loads — the bit-identity guarantee of the port.
-        assert phase.source_active is None
-        assert phase.target_active is None
-
-    def test_filter_lowers_to_vertex_phase(self):
-        mask = np.array([True, False])
-        phase = Filter(name="f", frontier=Frontier.from_mask(mask),
-                       read_arrays=("deg",), compute=2).lower()
-        assert isinstance(phase, VertexPhase)
-        assert phase.active is mask
-        assert phase.read_arrays == ("deg",)
-        assert phase.write_arrays == ("vstate",)
-        assert phase.compute == 2
-
-    def test_compute_lowers_to_vertex_phase(self):
-        phase = Compute(name="c", frontier=Frontier.full(3),
-                        read_arrays=("x",), write_arrays=("y",)).lower()
-        assert isinstance(phase, VertexPhase)
-        assert phase.active is None
-        assert phase.write_arrays == ("y",)
-
-    def test_lower_passes_phases_through(self):
-        for phase in (EdgePhase(name="e"), VertexPhase(name="v"),
-                      DynamicPhase(name="d", array="parent")):
-            assert lower(phase) is phase
-
-    def test_lower_rejects_unknown(self):
-        with pytest.raises(TypeError, match="lower"):
-            lower(object())
+    def test_full_frontier_lowers_to_no_mask(self, star, cfg):
+        # None (not an all-True array) is the full frontier: an all-True
+        # mask realizes the same edges plus per-warp predicate loads.
+        builder = TraceBuilder(star, cfg)
+        everyone = np.ones(star.num_vertices, dtype=bool)
+        for direction in ("push", "pull"):
+            full = builder.realize(EdgePhase(name="e"), direction)
+            masked = builder.realize(
+                EdgePhase(name="e", source_active=everyone), direction)
+            assert full.op_count < masked.op_count, direction
+        assert builder.realize(VertexPhase(name="v"), "push").op_count < \
+            builder.realize(VertexPhase(name="v", active=everyone),
+                            "push").op_count
 
 
-class TestDensityPolicy:
-    def test_full_frontier_pulls(self, small_random):
-        policy = DensityPolicy()
-        assert policy.choose(Frontier.full(small_random.num_vertices),
-                             small_random) == "pull"
-
-    def test_sparse_frontier_pushes(self, small_random):
-        policy = DensityPolicy()
-        one = Frontier.from_indices([0], small_random.num_vertices)
-        assert policy.choose(one, small_random) == "push"
-
-    def test_cost_ratio_moves_crossover(self, star):
-        # Hub-only frontier covers half the edges: cheap atomics keep
-        # pushing, expensive atomics cross over to pull.
-        hub = Frontier.from_indices([0], star.num_vertices)
-        assert DensityPolicy(push_edge_cost=1.0).choose(hub, star) == "push"
-        assert DensityPolicy(push_edge_cost=10.0).choose(hub, star) == "pull"
-
-    def test_edgeless_graph_pushes(self, two_components):
-        from repro.graph import from_edge_list
-
-        empty = from_edge_list(3, [], [], name="empty")
-        policy = DensityPolicy()
-        assert policy.choose(Frontier.full(3), empty) == "push"
-
-    def test_direction_policy_accepts_frontier(self, small_random):
-        # The adaptive layer's DirectionPolicy is now a facade over
-        # DensityPolicy; both phase and frontier arguments must work.
-        from repro.adaptive import DirectionPolicy
-
-        n = small_random.num_vertices
-        assert DirectionPolicy().choose(Frontier.full(n),
-                                        small_random) == "pull"
-        assert DirectionPolicy().choose(
-            EdgePhase(name="p"), small_random) == "pull"
-
-
-class TestFrontierKernel:
-    def test_iterations_lower_frontier_iterations(self, small_random):
-        kernel = BFS(small_random)
-        for ops, phases in zip(kernel.frontier_iterations(max_iters=3),
-                               kernel.iterations(max_iters=3)):
-            assert len(ops) == len(phases)
-            for op, phase in zip(ops, phases):
-                assert isinstance(op, Advance)
-                assert isinstance(phase, EdgePhase)
-                assert phase.name == op.name
-
-    def test_direction_schedule_valid(self, small_random):
-        schedule = BFS(small_random).direction_schedule(max_iters=8)
-        assert schedule
-        assert set(schedule) <= {"push", "pull"}
+class TestDirectionRule:
+    def test_schedule_valid(self, small_random):
+        directions = schedule(BFS(small_random), max_iters=8)
+        assert directions
+        assert set(directions) <= {"push", "pull"}
         # Level 0 is a single vertex: always push.
-        assert schedule[0] == "push"
+        assert directions[0] == "push"
 
     def test_dense_kernels_schedule_pull(self, small_random):
-        # LP and TC run on full frontiers, so a density policy always
+        # LP and TC run on full frontiers, so the density policy always
         # chooses pull for them.
-        assert set(LabelPropagation(small_random)
-                   .direction_schedule(max_iters=2)) == {"pull"}
-        assert TriangleCounting(small_random).direction_schedule() == ["pull"]
+        assert set(schedule(LabelPropagation(small_random),
+                            max_iters=2)) == {"pull"}
+        assert schedule(TriangleCounting(small_random)) == ["pull"]
 
     def test_schedule_honors_policy(self, small_random):
         # Absurdly expensive atomics push every masked frontier across
         # the crossover: the whole BFS schedule flips to pull.
-        policy = DensityPolicy(push_edge_cost=1e9)
-        schedule = BFS(small_random).direction_schedule(
-            policy=policy, max_iters=4)
-        assert set(schedule) == {"pull"}
+        policy = DirectionPolicy(push_edge_cost=1e9)
+        directions = schedule(BFS(small_random), policy=policy, max_iters=4)
+        assert set(directions) == {"pull"}
+
+    def test_first_edge_phase_decides(self, small_random):
+        n = small_random.num_vertices
+        sparse = np.zeros(n, dtype=bool)
+        sparse[0] = True
+        policy = DirectionPolicy()
+        iteration = [VertexPhase(name="v"), EdgePhase(name="dense"),
+                     EdgePhase(name="sparse", source_active=sparse)]
+        assert policy.choose_iteration(iteration, small_random) == "pull"
+        assert policy.choose_iteration(iteration[::-1],
+                                       small_random) == "push"
+
+    def test_iterations_without_edge_phase_push(self, small_random):
+        assert DirectionPolicy().choose_iteration(
+            [VertexPhase(name="v")], small_random) == "push"
+        assert set(schedule(make_kernel("CC", small_random),
+                            max_iters=3)) == {"push"}
 
 
 class TestTracegenValidation:
@@ -240,3 +171,25 @@ class TestTracegenValidation:
         trace = builder.realize(EdgePhase(name="ok", source_active=mask),
                                 "push")
         assert trace.num_blocks > 0
+
+
+class TestPhaseDigests:
+    """Every app's phase stream matches the committed digests exactly.
+
+    Regenerate with ``PYTHONPATH=src python tools/make_golden_fixture.py``
+    only when a kernel change is intentional.
+    """
+
+    PAYLOAD = json.loads(PHASE_DIGESTS.read_text())
+
+    def test_every_app_and_dataset_is_pinned(self):
+        assert set(self.PAYLOAD["digests"]) == {
+            f"{app}/{key}@{scale}" for app in KERNELS
+            for key, scale in DEFAULT_SIM_SCALE.items()}
+
+    @pytest.mark.parametrize("key", sorted(PAYLOAD["digests"]))
+    def test_phases_match_fixture(self, fixture_tool, key):
+        app, dataset = key.split("@")[0].split("/")
+        assert fixture_tool.phase_digest(app, dataset) == \
+            self.PAYLOAD["digests"][key], \
+            f"{key} yielded different phases than the committed digests"

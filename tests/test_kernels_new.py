@@ -1,8 +1,8 @@
 """Functional correctness and push/pull equivalence of the IR workloads.
 
-The four frontier-IR applications (BFS, KC, TC, LP) are checked against
-independent references (networkx / hand-rolled numpy), and their
-operator programs are realized in *both* directions through the trace
+The four applications added beyond the paper's six (BFS, KC, TC, LP)
+are checked against independent references (networkx / hand-rolled
+numpy), and their phase streams are realized in *both* directions through the trace
 generator and simulator — push and pull must describe the same
 computation (same launches, same iteration structure) even though their
 modeled timing differs.
@@ -17,10 +17,12 @@ from repro.graph import normalize
 from repro.harness import run_workload
 from repro.kernels import (
     BFS,
+    EdgePhase,
     KCore,
     LabelPropagation,
     TriangleCounting,
     TraceBuilder,
+    VertexPhase,
     make_kernel,
 )
 from repro.sim import SystemConfig
@@ -65,15 +67,15 @@ class TestBFS:
         assert BFS(star).source == 0
 
     def test_frontier_program_is_levels(self, path4):
-        # One Advance per level; the frontier is exactly that level's
-        # vertex set and the target is the unvisited set.
-        its = list(BFS(path4, source=0).frontier_iterations(max_iters=10))
+        # One EdgePhase per level; its source frontier is exactly that
+        # level's vertex set and its target is the unvisited set.
+        its = list(BFS(path4, source=0).iterations(max_iters=10))
         # One launch per non-empty level (the last one discovers nothing).
-        assert len(its) == 4
-        (adv,) = its[0]
-        assert adv.source.count == 1
-        assert adv.target.count == 3
-        assert adv.atomic_needs_value  # CAS claim feeds frontier insertion
+        assert [np.flatnonzero(phase.source_active).tolist()
+                for (phase,) in its] == [[0], [1], [2], [3]]
+        (phase,) = its[0]
+        assert phase.target_active.tolist() == [False, True, True, True]
+        assert phase.atomic_needs_value  # CAS claim feeds frontier insertion
 
 
 class TestKCore:
@@ -98,11 +100,14 @@ class TestKCore:
     def test_only_peeling_rounds_launch(self, path4):
         # path4 peels in two rounds (ends first, then the middle pair);
         # threshold bumps that remove nothing must not become launches.
-        its = list(KCore(path4).frontier_iterations(max_iters=50))
+        its = list(KCore(path4).iterations(max_iters=50))
         assert len(its) == 2
-        advance, scan = its[0]
-        assert advance.source.count == 2  # vertices 0 and 3
-        assert scan.frontier.count == 2   # survivors 1 and 2
+        peel, scan = its[0]
+        assert isinstance(peel, EdgePhase) and isinstance(scan, VertexPhase)
+        assert peel.source_active.tolist() == [True, False, False, True]
+        assert peel.target_active.tolist() == [False, True, True, False]
+        assert scan.active.tolist() == [False, True, True, False]
+        assert scan.write_arrays == ("vstate",)  # the filter's flags
 
 
 class TestTriangleCounting:
@@ -124,10 +129,11 @@ class TestTriangleCounting:
         assert counts.sum() == sum(total.values())
 
     def test_single_launch(self, sym_random):
-        its = list(TriangleCounting(sym_random).frontier_iterations())
+        its = list(TriangleCounting(sym_random).iterations())
         assert len(its) == 1
-        (adv,) = its[0]
-        assert adv.source.is_full and adv.target.is_full
+        (phase,) = its[0]
+        # The full frontier is None on both sides, never an all-True mask.
+        assert phase.source_active is None and phase.target_active is None
 
 
 class TestLabelPropagation:

@@ -181,6 +181,7 @@ _JSON = st.recursive(
 _SPEC_FIELDS = ("app", "configs", "baseline", "system", "max_iters", "seed",
                 "graph", "graph.kind", "graph.source", "graph.scale",
                 "graph.seed", "graph.fingerprint")
+_SYSTEM_FIELDS = tuple(f"system.{f.name}" for f in fields(SystemConfig))
 
 
 def _is_int(value, minimum):
@@ -203,13 +204,16 @@ def _well_typed(spec):
             and all(isinstance(code, str) for code in spec.configs)
             and isinstance(spec.baseline, str)
             and isinstance(spec.system, SystemConfig)
+            and all(_is_int(getattr(spec.system, f.name), -float("inf"))
+                    for f in fields(SystemConfig))
             and (spec.max_iters is None or _is_int(spec.max_iters, 1))
             and _is_int(spec.seed, 0))
 
 
 class TestSpecFromDictFailsClosed:
-    @settings(max_examples=300, deadline=None)
-    @given(field=st.sampled_from(_SPEC_FIELDS), value=_JSON)
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(_SPEC_FIELDS) | st.sampled_from(_SYSTEM_FIELDS),
+           value=_JSON)
     @example(field="max_iters", value="abc")
     @example(field="max_iters", value=-5)
     @example(field="max_iters", value=0)
@@ -220,6 +224,12 @@ class TestSpecFromDictFailsClosed:
     @example(field="graph.seed", value=1.0)
     @example(field="graph.fingerprint", value=7)
     @example(field="configs", value=["TG0", 5])
+    @example(field="configs", value=["TG0", "sgr"])
+    @example(field="baseline", value="tg0")
+    @example(field="system.num_sms", value=4.0)
+    @example(field="system.num_sms", value="4")
+    @example(field="system.l2_banks", value=True)
+    @example(field="system.warp_size", value=0)
     def test_one_field_set_to_any_json_raises_or_round_trips(
             self, small_plan, field, value):
         data = json.loads(json.dumps(small_plan[0].to_dict()))
@@ -235,6 +245,16 @@ class TestSpecFromDictFailsClosed:
         assert _well_typed(spec)
         clone = WorkloadSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone.digest() == spec.digest()
+
+    def test_non_canonical_codes_rejected(self, small_plan):
+        # ("tg0", "sgr") parses like ("TG0", "SGR") but would digest
+        # differently while simulating the same configurations.
+        data = json.loads(json.dumps(small_plan[0].to_dict()))
+        data["configs"], data["baseline"] = ["tg0", "sgr"], "tg0"
+        with pytest.raises(ValueError, match="'tg0' is not canonical.*'TG0'"):
+            WorkloadSpec.from_dict(data)
+        data["configs"], data["baseline"] = ["TG0", "SGR"], "TG0"
+        assert WorkloadSpec.from_dict(data).configs == ("TG0", "SGR")
 
     def test_valid_digests_unchanged(self):
         # Field validation only rejects: well-formed specs keep the

@@ -413,6 +413,21 @@ class TestServerEdge:
                     client.submit(payload)
                 assert client.stats()["requests"] == 0
 
+    def test_non_canonical_spec_gets_400(self, tmp_path, small_plan):
+        spec = small_plan[0].to_dict()
+        lowercase = dict(spec, configs=["tg0", "sgr"], baseline="tg0")
+        float_sms = dict(spec, system=dict(spec["system"], num_sms=4.0))
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0]) as client:
+                with pytest.raises(ServeError,
+                                   match="submit returned 400.*'TG0'"):
+                    client.submit(lowercase)
+                with pytest.raises(ServeError,
+                                   match="submit returned 400.*num_sms"):
+                    client.submit(float_sms)
+                assert client.stats()["requests"] == 0
+
 
 class TestServerObservability:
     def test_serve_events_stream_without_drops(self, tmp_path, small_plan):

@@ -43,6 +43,13 @@ class TestDerivedGeometry:
         with pytest.raises(ValueError, match="multiple"):
             SystemConfig(tb_size=100)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_sms", 4.0), ("num_sms", "4"), ("l2_banks", True),
+        ("kernel_launch_cycles", None)])
+    def test_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
     def test_positive_resources(self):
         with pytest.raises(ValueError):
             SystemConfig(num_sms=0)

@@ -1,8 +1,9 @@
 """Regenerate the golden fixtures in tests/data from the current code.
 
 ``golden_timing.json`` pins modeled timing; ``trace_digests.json`` pins
-the realized traces themselves; ``memory_digests.json`` pins the memory
-system on its own.
+the realized traces themselves; ``phase_digests.json`` pins the phase
+streams the applications yield before any realization;
+``memory_digests.json`` pins the memory system on its own.
 
 The golden-equivalence test (TestGoldenEquivalence in
 tests/test_perf_hotpath.py) pins exact cycle counts, stall breakdowns,
@@ -17,6 +18,14 @@ registered app on three small graphs, each direction the app's traversal
 allows, plus the realization memo's hit/miss counts.  It catches a
 trace-realization change before it reaches the simulator, including on
 the apps the timing matrix does not cover.
+
+The phase-digest test (TestPhaseDigests in tests/test_frontier.py) pins
+the sha256 of every phase each registered app yields on each of the six
+datasets at its timing-simulation scale and the app's default iteration
+cap: the phase's class name and every field, with an array hashed as
+its dtype, shape and bytes (``None`` stays ``None``, so a full frontier
+written as an all-True mask shows).  It catches a kernel-layer change
+whose traces the two-iteration trace digests do not reach.
 
 The memory-digest test (TestMemoryDigests in tests/test_coherence.py)
 pins the sha256 of seeded random ``load``/``store``/``acquire``/
@@ -36,12 +45,15 @@ intentional, and say so in the commit message:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 from pathlib import Path
 
-from repro.graph.datasets import load_dataset
+import numpy as np
+
+from repro.graph.datasets import DEFAULT_SIM_SCALE, load_dataset, sim_dataset
 from repro.harness.runner import run_workload
 from repro.configs import parse_config
 from repro.kernels import KERNELS, TraceBuilder, make_kernel
@@ -51,6 +63,7 @@ from repro.sim.config import SystemConfig, scaled_system
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 FIXTURE = DATA / "golden_timing.json"
 DIGESTS = DATA / "trace_digests.json"
+PHASE_DIGESTS = DATA / "phase_digests.json"
 MEMORY_DIGESTS = DATA / "memory_digests.json"
 
 #: The full 12-point design space for static apps: push/pull x GPU/DeNovo
@@ -127,6 +140,35 @@ def build_digests() -> dict:
             f"{app}/{key}@{scale}": trace_digests(app, key, scale)
             for app in KERNELS
             for key, scale in DIGEST_GRAPHS
+        },
+    }
+
+
+def phase_digest(app: str, key: str) -> str:
+    """sha256 over every phase ``app`` yields on ``key`` at sim scale."""
+    kernel = make_kernel(app, sim_dataset(key))
+    hasher = hashlib.sha256()
+    for iteration in kernel.iterations():
+        for phase in iteration:
+            hasher.update(type(phase).__name__.encode())
+            for f in dataclasses.fields(phase):
+                value = getattr(phase, f.name)
+                if isinstance(value, np.ndarray):
+                    hasher.update(repr((f.name, value.dtype.str,
+                                        value.shape)).encode())
+                    hasher.update(np.ascontiguousarray(value).tobytes())
+                else:
+                    hasher.update(repr((f.name, value)).encode())
+    return hasher.hexdigest()
+
+
+def build_phase_digests() -> dict:
+    return {
+        "version": 1,
+        "digests": {
+            f"{app}/{key}@{DEFAULT_SIM_SCALE[key]}": phase_digest(app, key)
+            for app in KERNELS
+            for key in DEFAULT_SIM_SCALE
         },
     }
 
@@ -229,6 +271,10 @@ def main() -> None:
     digests = build_digests()
     _write(DIGESTS, digests)
     print(f"wrote {DIGESTS} ({len(digests['workloads'])} pinned workloads)")
+    phases = build_phase_digests()
+    _write(PHASE_DIGESTS, phases)
+    print(f"wrote {PHASE_DIGESTS} ({len(phases['digests'])} pinned "
+          f"app/dataset phase streams)")
     memory = build_memory_digests()
     _write(MEMORY_DIGESTS, memory)
     print(f"wrote {MEMORY_DIGESTS} "
