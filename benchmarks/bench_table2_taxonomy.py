@@ -9,6 +9,7 @@ import pytest
 
 from repro.graph import DEFAULT_SIM_SCALE, PAPER_DATASETS, load_dataset
 from repro.harness import render_table
+from repro.sim.config import scaled_system
 from repro.taxonomy import profile_graph
 
 from .conftest import emit
@@ -23,12 +24,7 @@ def graphs():
 
 
 def _profile(key, graph):
-    scale = DEFAULT_SIM_SCALE[key]
-    return profile_graph(
-        graph,
-        l1_bytes=32 * 1024 // scale,
-        l2_bytes=4 * 1024 * 1024 // scale,
-    )
+    return profile_graph(graph, scaled_system(DEFAULT_SIM_SCALE[key]))
 
 
 def test_table2_taxonomy(benchmark, results_dir, graphs):

@@ -11,6 +11,7 @@ from repro.graph.stats import DegreeStats
 from repro.harness import PAPER_APPS as APPS
 from repro.harness import render_table
 from repro.model import predict_configuration
+from repro.sim.config import scaled_system
 from repro.taxonomy import (
     GraphProfile,
     Level,
@@ -80,12 +81,8 @@ def test_table5_predictions_from_measured_classes(benchmark, results_dir):
     profiles = {}
     for key in PAPER_DATASETS:
         scale = DEFAULT_SIM_SCALE[key]
-        graph = load_dataset(key, scale=scale)
-        profiles[key] = profile_graph(
-            graph,
-            l1_bytes=32 * 1024 // scale,
-            l2_bytes=4 * 1024 * 1024 // scale,
-        )
+        profiles[key] = profile_graph(load_dataset(key, scale=scale),
+                                      scaled_system(scale))
 
     def predict_grid():
         rows = []

@@ -9,8 +9,6 @@ The partial design-space model (Section IV-B) captures exactly this.
 Usage: python examples/partial_hardware.py
 """
 
-from dataclasses import replace
-
 from repro import (
     predict_configuration,
     predict_partial_configuration,
@@ -21,7 +19,6 @@ from repro import (
 )
 from repro.graph import DEFAULT_SIM_SCALE
 from repro.harness import render_bar
-from repro.sim.config import DEFAULT_SYSTEM
 
 
 def main() -> None:
@@ -29,11 +26,7 @@ def main() -> None:
     scale = DEFAULT_SIM_SCALE["RAJ"]
     system = scaled_system(scale)
 
-    profile = workload_profile(graph, "MIS", system=replace(
-        DEFAULT_SYSTEM,
-        l1_bytes=DEFAULT_SYSTEM.l1_bytes // scale,
-        l2_bytes=DEFAULT_SYSTEM.l2_bytes // scale,
-    ))
+    profile = workload_profile(graph, "MIS", system=system)
     full = predict_configuration(profile)
     partial = predict_partial_configuration(profile)
     print("MIS on RAJ (low volume, high reuse, HIGH imbalance)")

@@ -8,8 +8,6 @@ timing simulation of the Figure 5 configuration set.
 Usage: python examples/quickstart.py
 """
 
-from dataclasses import replace
-
 from repro import (
     predict_configuration,
     run_workload,
@@ -20,7 +18,6 @@ from repro import (
 from repro.graph import DEFAULT_SIM_SCALE
 from repro.harness import render_breakdown_bars
 from repro.model import explain_prediction
-from repro.sim.config import DEFAULT_SYSTEM
 
 
 def main() -> None:
@@ -32,14 +29,11 @@ def main() -> None:
           f"|E|={graph.num_edges}")
 
     # 2. Profile it.  The volume thresholds compare the working set to
-    #    the cache sizes, so the profile uses caches scaled like the
-    #    dataset (DESIGN.md explains the scaling contract).
-    thresholds_system = replace(
-        DEFAULT_SYSTEM,
-        l1_bytes=DEFAULT_SYSTEM.l1_bytes // scale,
-        l2_bytes=DEFAULT_SYSTEM.l2_bytes // scale,
-    )
-    profile = workload_profile(graph, "PR", system=thresholds_system)
+    #    the cache sizes, so the profile uses the machine the graph
+    #    simulates on: caches scaled like the dataset (DESIGN.md explains
+    #    the scaling contract).
+    system = scaled_system(scale)
+    profile = workload_profile(graph, "PR", system=system)
     print()
     for line in explain_prediction(profile):
         print(" ", line)
@@ -47,7 +41,7 @@ def main() -> None:
 
     # 3. Simulate the Figure 5 configurations and compare.
     print("\nsimulating the Figure 5 configurations ...")
-    result = run_workload("PR", graph, system=scaled_system(scale))
+    result = run_workload("PR", graph, system=system)
     print(f"\n{'config':>6s} |{'execution time, normalized to TG0':^42s}|")
     for code, value in result.normalized().items():
         breakdown = result.results[code].breakdown

@@ -6,7 +6,7 @@ Quick tour
 >>> from repro import sim_dataset, run_workload, workload_profile
 >>> from repro import predict_configuration, scaled_system
 >>> graph = sim_dataset("RAJ")
->>> profile = workload_profile(graph, "PR")
+>>> profile = workload_profile(graph, "PR", scaled_system(2))
 >>> predict_configuration(profile).code
 'SDR'
 

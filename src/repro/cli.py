@@ -68,11 +68,9 @@ import math
 import sys
 
 from .configs import parse_config
-from .graph import DEFAULT_SIM_SCALE, PAPER_DATASETS, load_dataset, load_mtx
-from .graph.builders import normalize
-from .graph.generators import attach_random_weights
+from .graph import DEFAULT_SIM_SCALE, PAPER_DATASETS
 from .harness import render_breakdown_bars, render_table
-from .model import explain_prediction, predict_configuration
+from .model import explain_prediction, predict_configuration, workload_profile
 from .runtime import (
     BACKENDS,
     DEFAULT_LEASE_TTL,
@@ -82,22 +80,13 @@ from .runtime import (
     UnitExecutionError,
     UnitFailure,
     WorkloadSpec,
+    load_graph,
     run_plan,
 )
-from .sim.config import DEFAULT_SYSTEM, scaled_system
-from .taxonomy import APP_PROPERTIES, profile_graph, profile_workload
+from .sim.config import scaled_system
+from .taxonomy import APP_PROPERTIES, profile_graph
 
 __all__ = ["main"]
-
-
-def _resolve_graph(name: str):
-    """Return (graph, scale) for a dataset key or a .mtx path."""
-    if name.upper() in PAPER_DATASETS:
-        key = name.upper()
-        scale = DEFAULT_SIM_SCALE[key]
-        return load_dataset(key, scale=scale), scale
-    graph = attach_random_weights(normalize(load_mtx(name)))
-    return graph, 1
 
 
 def _resolve_ref(name: str) -> GraphRef:
@@ -140,16 +129,6 @@ def _print_failure(failure: UnitFailure) -> None:
           file=sys.stderr)
 
 
-def _profile_for(graph, scale):
-    return profile_graph(
-        graph,
-        num_sms=DEFAULT_SYSTEM.num_sms,
-        l1_bytes=DEFAULT_SYSTEM.l1_bytes // scale,
-        l2_bytes=DEFAULT_SYSTEM.l2_bytes // scale,
-        tb_size=DEFAULT_SYSTEM.tb_size,
-    )
-
-
 def _cmd_datasets(_args) -> int:
     rows = []
     for key, dataset in PAPER_DATASETS.items():
@@ -168,20 +147,22 @@ def _cmd_datasets(_args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    graph, scale = _resolve_graph(args.graph)
-    profile = _profile_for(graph, scale)
-    print(render_table([profile.as_row()], title=f"Profile of {graph.name}"))
+    ref = _resolve_ref(args.graph)
+    profile = profile_graph(load_graph(ref), scaled_system(ref.scale))
+    print(render_table([profile.as_row()],
+                       title=f"Profile of {profile.name}"))
     return 0
 
 
 def _cmd_predict(args) -> int:
-    graph, scale = _resolve_graph(args.graph)
+    ref = _resolve_ref(args.graph)
     app = args.app.upper()
     if app not in APP_PROPERTIES:
         print(f"unknown app {app!r}; choose from {sorted(APP_PROPERTIES)}",
               file=sys.stderr)
         return 2
-    workload = profile_workload(_profile_for(graph, scale), app)
+    workload = workload_profile(load_graph(ref), app,
+                                scaled_system(ref.scale))
     for line in explain_prediction(workload):
         print(line)
     print(f"\nrecommended configuration: "

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from ..graph.datasets import DEFAULT_SIM_SCALE
 from ..model import predict_configuration
 from ..runtime import GraphRef, load_graph
-from ..sim.config import DEFAULT_SYSTEM
+from ..sim.config import scaled_system
 from ..taxonomy import (
     DEFAULT_THRESHOLDS,
     Level,
@@ -67,21 +66,17 @@ def graph_profiles_for_sweep(
 ) -> dict[str, GraphProfile]:
     """Profile each distinct graph of a sweep under the given thresholds.
 
+    Each graph is profiled at its simulation scale against
+    ``scaled_system(scale)``, the machine its sweep units ran on.
+
     Graphs are materialized through the runtime's memoized loader, so
     scoring many threshold variants rebuilds each dataset only once.
     """
     profiles: dict[str, GraphProfile] = {}
     for key in {row.graph for row in sweep.rows}:
-        scale = DEFAULT_SIM_SCALE[key]
-        graph = load_graph(GraphRef.dataset(key, scale=scale, seed=seed))
-        profiles[key] = profile_graph(
-            graph,
-            num_sms=DEFAULT_SYSTEM.num_sms,
-            l1_bytes=DEFAULT_SYSTEM.l1_bytes // scale,
-            l2_bytes=DEFAULT_SYSTEM.l2_bytes // scale,
-            tb_size=DEFAULT_SYSTEM.tb_size,
-            thresholds=thresholds,
-        )
+        ref = GraphRef.dataset(key, seed=seed)
+        profiles[key] = profile_graph(load_graph(ref),
+                                      scaled_system(ref.scale), thresholds)
     return profiles
 
 

@@ -14,12 +14,11 @@ interrupted sweeps only simulate what is missing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
 from ..configs import figure5_configurations
-from ..graph.datasets import DEFAULT_SIM_SCALE
 from ..kernels.registry import KERNELS
 from ..model import predict_configuration, predict_partial_configuration
 from ..model.pruning import LearnedRanker, PruningPolicy, sweep_baseline
@@ -28,7 +27,6 @@ from ..runtime import (
     DEFAULT_LEASE_TTL,
     ExecutionPlan,
     FaultInjector,
-    GraphRef,
     ResultCache,
     RetryPolicy,
     UnitFailure,
@@ -36,7 +34,7 @@ from ..runtime import (
     make_backend,
     run_plan,
 )
-from ..sim.config import DEFAULT_SYSTEM, SystemConfig, scaled_system
+from ..sim.config import DEFAULT_SYSTEM, SystemConfig
 from ..taxonomy import profile_graph, profile_workload
 from .runner import WorkloadResult
 
@@ -250,19 +248,6 @@ def _resolve_cache(
     return ResultCache(cache)
 
 
-def _graph_profile(graph_key: str, scale: int, seed: int,
-                   base_system: SystemConfig):
-    """Profile one dataset at its simulation scale (aggregation's view)."""
-    ref = GraphRef.dataset(graph_key, scale=scale, seed=seed)
-    return profile_graph(
-        load_graph(ref),
-        num_sms=base_system.num_sms,
-        l1_bytes=base_system.l1_bytes // scale,
-        l2_bytes=base_system.l2_bytes // scale,
-        tb_size=base_system.tb_size,
-    )
-
-
 def plan_sweep(
     graphs: Iterable[str],
     apps: Iterable[str],
@@ -274,12 +259,16 @@ def plan_sweep(
 ) -> tuple[ExecutionPlan, dict | None]:
     """Build the sweep's :class:`ExecutionPlan`, optionally pruned.
 
-    With ``prune`` set, each workload is profiled, its Figure-5 config
-    space ranked by the policy (tree first, analytic tie-break, learned
-    ranker when installed), and the unit restricted to the selected
-    subset — the baseline always included so rows stay normalizable.
-    Returns ``(plan, subsets)`` where ``subsets`` maps ``(graph, app)``
-    to the kept codes (None for an unpruned plan).
+    The full grid comes from :meth:`ExecutionPlan.for_sweep`.  With
+    ``prune`` set, each graph is profiled once against the system its
+    first unit simulates on, each workload's Figure-5 config space is
+    ranked by the policy (tree first, analytic tie-break, learned ranker
+    when installed), and the unit is restricted to the selected subset
+    with its Figure-5 baseline pinned (TG0 / DG1), so rows stay
+    normalizable; :class:`~repro.runtime.WorkloadSpec` rejects a subset
+    that dropped its baseline.  Returns ``(plan, subsets)`` where
+    ``subsets`` maps ``(graph, app)`` to the kept codes (None for an
+    unpruned plan).
 
     Every consumer that must agree on unit digests — local execution
     and ``sweep --server`` submission — builds its plan here, so a
@@ -288,35 +277,38 @@ def plan_sweep(
     """
     graphs = tuple(graphs)
     apps = tuple(apps)
-    scales = scales or DEFAULT_SIM_SCALE
-    subsets: dict | None = None
-    if prune is not None:
-        subsets = {}
-        for graph_key in graphs:
-            scale = scales[graph_key]
-            graph_profile = _graph_profile(graph_key, scale, seed,
-                                           base_system)
-            system = scaled_system(scale, base_system)
-            for app in apps:
-                profile = profile_workload(graph_profile, app)
-                subset = prune.subset(profile, system)
-                subsets[(graph_key, app)] = subset
-                grid = figure5_configurations(KERNELS[app].traversal)
-                _obs.emit(
-                    "sweep.pruned", graph=graph_key, app=app,
-                    k=prune.k, explore=prune.explore,
-                    kept=list(subset),
-                    dropped=[c.code for c in grid
-                             if c.code not in subset])
     plan = ExecutionPlan.for_sweep(
         graphs, apps,
         max_iters=max_iters,
         seed=seed,
         scales=scales,
         base_system=base_system,
-        configs_for=subsets,
     )
-    return plan, subsets
+    if prune is None:
+        return plan, None
+    subsets: dict = {}
+    units = []
+    specs = iter(plan)
+    for graph_key in graphs:
+        graph_profile = None
+        for app in apps:
+            spec = next(specs)
+            if graph_profile is None:
+                graph_profile = profile_graph(load_graph(spec.graph),
+                                              spec.system)
+            profile = profile_workload(graph_profile, app)
+            subset = prune.subset(profile, spec.system)
+            subsets[(graph_key, app)] = subset
+            units.append(replace(
+                spec, configs=subset,
+                baseline=sweep_baseline(KERNELS[spec.app].traversal)))
+            _obs.emit(
+                "sweep.pruned", graph=graph_key, app=app,
+                k=prune.k, explore=prune.explore,
+                kept=list(subset),
+                dropped=[code for code in spec.configs
+                         if code not in subset])
+    return ExecutionPlan(units=tuple(units)), subsets
 
 
 def run_sweep(
@@ -377,7 +369,6 @@ def run_sweep(
     """
     graphs = tuple(graphs)
     apps = tuple(apps)
-    scales = scales or DEFAULT_SIM_SCALE
     prune = None
     if prune_k is not None:
         prune = PruningPolicy(k=prune_k, explore=explore, seed=seed,
@@ -413,8 +404,7 @@ def run_sweep(
         executor.close()
     _obs.emit("sweep.phase", name="execute", boundary="end")
 
-    return aggregate_sweep(plan, workloads, graphs, apps,
-                           scales=scales, base_system=base_system)
+    return aggregate_sweep(plan, workloads, graphs, apps)
 
 
 def aggregate_sweep(
@@ -422,8 +412,6 @@ def aggregate_sweep(
     workloads: Iterable,
     graphs: Iterable[str],
     apps: Iterable[str],
-    scales: dict[str, int] | None = None,
-    base_system: SystemConfig = DEFAULT_SYSTEM,
 ) -> SweepResult:
     """Fold plan-ordered workload outcomes into a :class:`SweepResult`.
 
@@ -434,7 +422,9 @@ def aggregate_sweep(
     is why this lives apart from :func:`run_sweep`: aggregation must not
     care where the simulations ran.  Failures
     (:class:`~repro.runtime.UnitFailure`) land in ``failures`` and leave
-    no row.
+    no row.  Each graph is profiled once, against the system its first
+    completed unit simulated on (``spec.system``), so a row's prediction
+    sees the caches the simulator used.
 
     Both sequences must cover the full ``graphs`` x ``apps`` grid; a
     short ``workloads`` (a truncated ``sweep --server`` response stream)
@@ -444,7 +434,6 @@ def aggregate_sweep(
     """
     graphs = tuple(graphs)
     apps = tuple(apps)
-    scales = scales or DEFAULT_SIM_SCALE
     plan_units = list(plan)
     outcomes = list(workloads)
     expected = len(graphs) * len(apps)
@@ -458,7 +447,6 @@ def aggregate_sweep(
     result = SweepResult()
     units = iter(zip(plan_units, outcomes))
     for graph_key in graphs:
-        scale = scales[graph_key]
         graph_profile = None
         for app in apps:
             spec, workload = next(units)
@@ -466,13 +454,8 @@ def aggregate_sweep(
                 result.failures.append(workload)
                 continue
             if graph_profile is None:
-                graph_profile = profile_graph(
-                    load_graph(spec.graph),
-                    num_sms=base_system.num_sms,
-                    l1_bytes=base_system.l1_bytes // scale,
-                    l2_bytes=base_system.l2_bytes // scale,
-                    tb_size=base_system.tb_size,
-                )
+                graph_profile = profile_graph(load_graph(spec.graph),
+                                              spec.system)
             workload_profile = profile_workload(graph_profile, app)
             predicted = predict_configuration(workload_profile)
             partial = predict_partial_configuration(workload_profile)

@@ -35,17 +35,12 @@ def workload_profile(
     system: SystemConfig = DEFAULT_SYSTEM,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> WorkloadProfile:
-    """Profile a (graph, app) pair under a hardware description."""
-    graph_profile = profile_graph(
-        graph,
-        num_sms=system.num_sms,
-        l1_bytes=system.l1_bytes,
-        l2_bytes=system.l2_bytes,
-        tb_size=system.tb_size,
-        element_bytes=system.element_bytes,
-        thresholds=thresholds,
-    )
-    return profile_workload(graph_profile, app)
+    """Profile a (graph, app) pair on ``system``, the machine it runs on.
+
+    See :func:`~repro.taxonomy.profile.profile_graph`: pass
+    ``scaled_system(scale)`` for a dataset built at ``scale``.
+    """
+    return profile_workload(profile_graph(graph, system, thresholds), app)
 
 
 def extract_features(profile: WorkloadProfile) -> ModelFeatures:

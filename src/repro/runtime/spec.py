@@ -281,24 +281,13 @@ class ExecutionPlan:
         seed: int = 0,
         scales: dict[str, int] | None = None,
         base_system: SystemConfig = DEFAULT_SYSTEM,
-        configs_for: dict | None = None,
     ) -> "ExecutionPlan":
         """The evaluation sweep as a plan: graphs outer, apps inner.
 
         Mirrors the ordering of :func:`repro.harness.sweep.run_sweep` so
-        plan position maps one-to-one onto sweep rows.
-
-        ``configs_for`` optionally restricts individual units to a subset
-        of their Figure-5 grid: a mapping from ``(graph_key, app)`` to an
-        iterable of configuration codes (a pruned sweep — see
-        :class:`repro.model.pruning.PruningPolicy`).  Units absent from
-        the mapping (or mapped to None) keep the full grid and therefore
-        exactly the digest an unrestricted plan gives them, so the result
-        cache and serve dedup, both keyed on unit digests, work unchanged
-        across pruned and full sweeps.  Restricted units pin the
-        Figure-5 baseline explicitly (TG0 / DG1) rather than inheriting
-        whatever subset position happens to come first;
-        :class:`WorkloadSpec` rejects a subset that dropped its baseline.
+        plan position maps one-to-one onto sweep rows.  Every unit runs
+        its app's full Figure-5 grid on ``scaled_system(scale,
+        base_system)``.
         """
         scales = scales or DEFAULT_SIM_SCALE
         units = []
@@ -307,18 +296,8 @@ class ExecutionPlan:
             ref = GraphRef.dataset(graph_key, scale=scale, seed=seed)
             system = scaled_system(scale, base_system)
             for app in apps:
-                configs = None
-                baseline = None
-                if configs_for is not None:
-                    subset = configs_for.get((graph_key, app))
-                    if subset is not None:
-                        configs = tuple(subset)
-                        baseline = figure5_configurations(
-                            KERNELS[app.upper()].traversal)[0].code
                 units.append(WorkloadSpec.for_workload(
                     app, ref,
-                    configs=configs,
-                    baseline=baseline,
                     system=system,
                     max_iters=max_iters,
                     seed=seed,

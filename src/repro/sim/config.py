@@ -15,6 +15,19 @@ from dataclasses import dataclass, fields, replace
 
 __all__ = ["SystemConfig", "DEFAULT_SYSTEM", "scaled_system"]
 
+#: Fields where 0 is a machine that can exist: a free L1 hit or kernel
+#: launch, a zero-latency range, an unbooked unit.  Every other field is
+#: a count or a size and must be positive.
+_NON_NEGATIVE = frozenset({
+    "l1_hit_latency",
+    "remote_l1_latency_min", "remote_l1_latency_max",
+    "l2_latency_min", "l2_latency_max",
+    "mem_latency_min", "mem_latency_max",
+    "atomic_occupancy", "l1_atomic_occupancy", "l2_bank_occupancy",
+    "mem_occupancy",
+    "kernel_launch_cycles",
+})
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -70,16 +83,22 @@ class SystemConfig:
     def __post_init__(self) -> None:
         # Every field is an int: ``num_sms=4.0`` (or ``True``) would
         # digest differently from ``num_sms=4`` while modeling the same
-        # machine, and a str would fail later as a TypeError.
+        # machine, and a str would fail later as a TypeError.  A zero
+        # count crashes the engine and a negative latency models a
+        # machine that cannot exist, so both fail here instead.
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
-        for name in ("num_sms", "warp_size", "element_bytes", "l1_bytes",
-                     "l2_bytes", "l1_mshrs", "store_buffer_entries",
-                     "max_tbs_per_sm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if f.name in _NON_NEGATIVE:
+                if value < 0:
+                    raise ValueError(
+                        f"{f.name} must be >= 0, got {value!r}")
+            elif value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
+        for low in ("remote_l1_latency", "l2_latency", "mem_latency"):
+            if getattr(self, f"{low}_min") > getattr(self, f"{low}_max"):
+                raise ValueError(f"{low}_min must be <= {low}_max")
         if self.tb_size % self.warp_size != 0:
             raise ValueError("tb_size must be a multiple of warp_size")
         if self.line_bytes % self.element_bytes != 0:
@@ -142,16 +161,21 @@ DEFAULT_SYSTEM = SystemConfig()
 def scaled_system(scale: int, base: SystemConfig = DEFAULT_SYSTEM) -> SystemConfig:
     """Scale cache capacities down by ``scale`` to pair with scaled datasets.
 
-    Latencies, core counts, and resource limits are left untouched: they
-    model per-access behaviour, not capacity.  Caches are clamped to at
-    least one full set so the geometry stays legal at extreme scales.
+    This is the one cache-scaling rule: the simulator runs a dataset built
+    at ``scale`` on this machine, and the taxonomy profiles it against the
+    same machine.  Latencies, core counts, and resource limits are left
+    untouched: they model per-access behaviour, not capacity.  Caches are
+    clamped to at least one full set so the geometry stays legal at
+    extreme scales (above 64 on the Table IV machine).
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    min_l1 = base.l1_assoc * base.line_bytes
-    min_l2 = base.l2_assoc * base.line_bytes
+
+    def shrink(capacity: int, assoc: int) -> int:
+        return max(assoc * base.line_bytes, capacity // scale)
+
     return replace(
         base,
-        l1_bytes=max(min_l1, base.l1_bytes // scale),
-        l2_bytes=max(min_l2, base.l2_bytes // scale),
+        l1_bytes=shrink(base.l1_bytes, base.l1_assoc),
+        l2_bytes=shrink(base.l2_bytes, base.l2_assoc),
     )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..graph.csr import CSRGraph
 from ..graph.stats import DegreeStats, degree_stats
+from ..sim.config import DEFAULT_SYSTEM, SystemConfig
 from .algorithmic import APP_PROPERTIES, AlgorithmicProperties
 from .classify import DEFAULT_THRESHOLDS, Level, Thresholds
 from .imbalance import imbalance_metric
@@ -71,25 +72,22 @@ class WorkloadProfile:
 
 def profile_graph(
     graph: CSRGraph,
-    *,
-    num_sms: int = 15,
-    l1_bytes: int = 32 * 1024,
-    l2_bytes: int = 4 * 1024 * 1024,
-    tb_size: int = 256,
-    element_bytes: int = 4,
+    system: SystemConfig = DEFAULT_SYSTEM,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> GraphProfile:
-    """Compute the full Table II profile of a graph.
+    """Compute the full Table II profile of a graph on ``system``.
 
-    Cache and SM parameters default to the paper's Table IV machine; pass
-    scaled values (``repro.sim.config.scaled_system``) when profiling a
-    scaled dataset so the volume classes match the full-size graph.
+    Volume is classed against ``system``'s L1/L2 capacities and SM count,
+    reuse and imbalance use its thread-block size.  Pass the machine the
+    graph simulates on — ``scaled_system(scale)`` for a dataset built at
+    ``scale`` — so the profile and the simulator agree on the caches.
     """
-    vol = volume_bytes(graph, num_sms=num_sms, element_bytes=element_bytes)
-    reuse = reuse_metrics(graph, tb_size=tb_size)
+    vol = volume_bytes(graph, num_sms=system.num_sms,
+                       element_bytes=system.element_bytes)
+    reuse = reuse_metrics(graph, tb_size=system.tb_size)
     imbalance = imbalance_metric(
         graph,
-        tb_size=tb_size,
+        tb_size=system.tb_size,
         centroid_diff_threshold=thresholds.kmeans_centroid_diff,
     )
     return GraphProfile(
@@ -99,7 +97,7 @@ def profile_graph(
         reuse=reuse,
         imbalance=imbalance,
         volume_class=thresholds.classify_volume(
-            vol, l1_bytes, l2_bytes, num_sms
+            vol, system.l1_bytes, system.l2_bytes, system.num_sms
         ),
         reuse_class=thresholds.classify_reuse(reuse.reuse),
         imbalance_class=thresholds.classify_imbalance(imbalance),

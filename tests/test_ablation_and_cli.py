@@ -24,26 +24,21 @@ def mini_sweep():
         predict_configuration,
         predict_partial_configuration,
     )
-    from repro.sim.config import DEFAULT_SYSTEM, scaled_system
+    from repro.sim.config import scaled_system
     from repro.taxonomy import profile_graph, profile_workload
     from repro.graph.datasets import DEFAULT_SIM_SCALE
 
     result = SweepResult()
     for key in ("DCT", "RAJ"):
-        scale = DEFAULT_SIM_SCALE[key]
-        graph = load_dataset(key, scale=scale)
-        profile = profile_graph(
-            graph,
-            l1_bytes=DEFAULT_SYSTEM.l1_bytes // scale,
-            l2_bytes=DEFAULT_SYSTEM.l2_bytes // scale,
-        )
+        system = scaled_system(DEFAULT_SIM_SCALE[key])
+        graph = load_dataset(key, scale=DEFAULT_SIM_SCALE[key])
+        profile = profile_graph(graph, system)
         for app in ("SSSP", "CC"):
             wp = profile_workload(profile, app)
             result.rows.append(SweepRow(
                 graph=key,
                 app=app,
-                workload=run_workload(app, graph,
-                                      system=scaled_system(scale),
+                workload=run_workload(app, graph, system=system,
                                       max_iters=2),
                 predicted=predict_configuration(wp).code,
                 predicted_partial=predict_partial_configuration(wp).code,

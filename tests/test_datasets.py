@@ -9,6 +9,7 @@ from repro.graph import (
     load_dataset,
     sim_dataset,
 )
+from repro.sim.config import scaled_system
 from repro.taxonomy import profile_graph
 
 
@@ -33,13 +34,8 @@ class TestRegistry:
 @pytest.mark.parametrize("key", DATASET_KEYS)
 class TestSimScaleClasses:
     def test_classes_match_paper(self, key):
-        scale = DEFAULT_SIM_SCALE[key]
-        graph = sim_dataset(key)
-        profile = profile_graph(
-            graph,
-            l1_bytes=32 * 1024 // scale,
-            l2_bytes=4 * 1024 * 1024 // scale,
-        )
+        profile = profile_graph(sim_dataset(key),
+                                scaled_system(DEFAULT_SIM_SCALE[key]))
         ref = PAPER_DATASETS[key].paper
         assert profile.volume_class.value == ref.volume_class
         assert profile.reuse_class.value == ref.reuse_class

@@ -13,6 +13,7 @@ fix):
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -134,31 +135,38 @@ class TestPruningPolicy:
 
 
 class TestRestrictedPlans:
+    PLAN = dict(max_iters=1, scales={"RAJ": 32})
+
     def test_unpruned_units_keep_digests(self):
-        full = ExecutionPlan.for_sweep(("RAJ",), ("MIS", "CC"),
-                                       max_iters=1, scales={"RAJ": 32})
-        mixed = ExecutionPlan.for_sweep(
-            ("RAJ",), ("MIS", "CC"), max_iters=1, scales={"RAJ": 32},
-            configs_for={("RAJ", "MIS"): ("TG0", "SDR")})
-        assert mixed[0].digest() != full[0].digest()  # restricted
-        assert mixed[1].digest() == full[1].digest()  # untouched
+        # An unpruned plan is exactly the full grid; pruning changes a
+        # unit's configs and nothing else, so every other field — and
+        # the digest an unrestricted plan gives it — is untouched.
+        full = ExecutionPlan.for_sweep(("RAJ",), ("MIS", "CC"), **self.PLAN)
+        plan, subsets = plan_sweep(("RAJ",), ("MIS", "CC"), **self.PLAN)
+        assert subsets is None
+        assert [u.digest() for u in plan] == [u.digest() for u in full]
+        pruned, subsets = plan_sweep(("RAJ",), ("MIS", "CC"),
+                                     prune=PruningPolicy(k=1), **self.PLAN)
+        for unit, restricted in zip(full, pruned):
+            assert restricted.configs == subsets[("RAJ", unit.app)]
+            assert restricted.digest() != unit.digest()
+            assert replace(restricted, configs=unit.configs) == unit
 
     def test_restricted_spec_round_trips(self):
-        plan = ExecutionPlan.for_sweep(
-            ("RAJ",), ("MIS",), max_iters=1, scales={"RAJ": 32},
-            configs_for={("RAJ", "MIS"): ("TG0", "SDR")})
+        plan, _ = plan_sweep(("RAJ",), ("MIS",), prune=PruningPolicy(k=1),
+                             **self.PLAN)
         spec = plan[0]
-        assert spec.configs == ("TG0", "SDR")
+        assert len(spec.configs) < len(_static_grid())
         assert spec.baseline == "TG0"
         clone = WorkloadSpec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.digest() == spec.digest()
 
     def test_subset_dropping_baseline_rejected(self):
+        plan, _ = plan_sweep(("RAJ",), ("MIS",), prune=PruningPolicy(k=1),
+                             **self.PLAN)
         with pytest.raises(ValueError, match="baseline"):
-            ExecutionPlan.for_sweep(
-                ("RAJ",), ("MIS",), max_iters=1, scales={"RAJ": 32},
-                configs_for={("RAJ", "MIS"): ("SGR", "SDR")})
+            replace(plan[0], configs=("SGR", "SDR"))
 
     def test_plan_sweep_matches_run_sweep_digests(self, tmp_path):
         # The server path rebuilds the plan through plan_sweep; its

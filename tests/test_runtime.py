@@ -189,8 +189,28 @@ def _is_int(value, minimum):
             and value >= minimum)
 
 
+#: SystemConfig fields where 0 is a machine that can exist; every other
+#: field is a count or a size and must be positive.
+_ZERO_OK = {"l1_hit_latency", "remote_l1_latency_min",
+            "remote_l1_latency_max", "l2_latency_min", "l2_latency_max",
+            "mem_latency_min", "mem_latency_max", "atomic_occupancy",
+            "l1_atomic_occupancy", "l2_bank_occupancy", "mem_occupancy",
+            "kernel_launch_cycles"}
+
+
+def _possible_machine(system):
+    """Positive counts, non-negative latencies, every range min <= max."""
+    return (all(_is_int(getattr(system, f.name),
+                        0 if f.name in _ZERO_OK else 1)
+                for f in fields(SystemConfig))
+            and all(getattr(system, f"{name}_min")
+                    <= getattr(system, f"{name}_max")
+                    for name in ("remote_l1_latency", "l2_latency",
+                                 "mem_latency")))
+
+
 def _well_typed(spec):
-    """Every field of ``spec`` holds a value of its declared type."""
+    """Every field of ``spec`` holds a value of its declared type and range."""
     graph = spec.graph
     return (isinstance(spec.app, str)
             and isinstance(graph, GraphRef)
@@ -204,8 +224,7 @@ def _well_typed(spec):
             and all(isinstance(code, str) for code in spec.configs)
             and isinstance(spec.baseline, str)
             and isinstance(spec.system, SystemConfig)
-            and all(_is_int(getattr(spec.system, f.name), -float("inf"))
-                    for f in fields(SystemConfig))
+            and _possible_machine(spec.system)
             and (spec.max_iters is None or _is_int(spec.max_iters, 1))
             and _is_int(spec.seed, 0))
 
@@ -230,6 +249,17 @@ class TestSpecFromDictFailsClosed:
     @example(field="system.num_sms", value="4")
     @example(field="system.l2_banks", value=True)
     @example(field="system.warp_size", value=0)
+    @example(field="system.tb_size", value=0)
+    @example(field="system.line_bytes", value=0)
+    @example(field="system.l1_assoc", value=0)
+    @example(field="system.l2_assoc", value=0)
+    @example(field="system.l2_banks", value=0)
+    @example(field="system.mem_channels", value=0)
+    @example(field="system.l1_hit_latency", value=-1)
+    @example(field="system.mem_occupancy", value=-6)
+    @example(field="system.l2_latency_min", value=70)
+    @example(field="system.relaxed_atomic_window", value=0)
+    @example(field="system.kernel_launch_cycles", value=0)
     def test_one_field_set_to_any_json_raises_or_round_trips(
             self, small_plan, field, value):
         data = json.loads(json.dumps(small_plan[0].to_dict()))

@@ -429,6 +429,21 @@ class TestServerEdge:
                 assert client.stats()["requests"] == 0
 
 
+    def test_impossible_system_gets_400(self, tmp_path, small_plan):
+        spec = small_plan[0].to_dict()
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0]) as client:
+                for field, value in (("tb_size", 0), ("l1_hit_latency", -1),
+                                     ("l2_latency_min", 70)):
+                    bad = dict(spec, system=dict(spec["system"],
+                                                 **{field: value}))
+                    with pytest.raises(ServeError,
+                                       match=f"submit returned 400.*{field}"):
+                        client.submit(bad)
+                assert client.stats()["requests"] == 0
+
+
 class TestServerObservability:
     def test_serve_events_stream_without_drops(self, tmp_path, small_plan):
         spec = small_plan[0]

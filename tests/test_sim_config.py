@@ -54,6 +54,36 @@ class TestDerivedGeometry:
         with pytest.raises(ValueError):
             SystemConfig(num_sms=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # zero geometry used to crash inside the engine
+        ("tb_size", 0, "tb_size must be positive"),
+        ("line_bytes", 0, "line_bytes must be positive"),
+        ("l1_assoc", 0, "l1_assoc must be positive"),
+        ("l2_assoc", 0, "l2_assoc must be positive"),
+        ("l2_banks", 0, "l2_banks must be positive"),
+        ("mem_channels", 0, "mem_channels must be positive"),
+        ("relaxed_atomic_window", 0, "relaxed_atomic_window must be positive"),
+        # negative latencies and occupancies used to run and return numbers
+        ("l1_hit_latency", -1, "l1_hit_latency must be >= 0"),
+        ("mem_occupancy", -6, "mem_occupancy must be >= 0"),
+        ("kernel_launch_cycles", -1, "kernel_launch_cycles must be >= 0"),
+        # an inverted latency range
+        ("l2_latency_min", 70, "l2_latency_min must be <= l2_latency_max"),
+        ("mem_latency_max", 100, "mem_latency_min must be <= mem_latency_max"),
+    ])
+    def test_impossible_machines_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "kernel_launch_cycles", "l1_hit_latency", "mem_occupancy"])
+    def test_zero_is_legal_where_it_means_something(self, field):
+        assert getattr(SystemConfig(**{field: 0}), field) == 0
+
+    def test_equal_latency_bounds_are_legal(self):
+        cfg = SystemConfig(l2_latency_min=40, l2_latency_max=40)
+        assert cfg.l2_latency(3, 17) == 40
+
 
 class TestLatencyModel:
     def test_l2_latency_in_range(self):

@@ -1,9 +1,21 @@
 """Unit tests for the taxonomy metrics (Equations 1-7) and classification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.graph import from_edge_list, grid_torus, shuffle_labels
+from repro.graph import (
+    DEFAULT_SIM_SCALE,
+    from_edge_list,
+    load_dataset,
+    shuffle_labels,
+    sim_dataset,
+)
+from repro.harness import run_sweep
+from repro.model import workload_profile
+from repro.sim.config import scaled_system
 from repro.taxonomy import (
     APP_PROPERTIES,
     DEFAULT_THRESHOLDS,
@@ -222,3 +234,56 @@ class TestProfile:
         for col in ("Graph", "Vertices", "Edges", "Volume (KB)", "ANL",
                     "ANR", "Reuse", "Imbalance"):
             assert col in row
+
+
+PROFILE_DIGESTS = Path(__file__).parent / "data" / "profile_digests.json"
+
+
+class TestProfilePin:
+    """Every dataset's full profile at sim scale matches the committed pin.
+
+    Regenerate with ``PYTHONPATH=src python tools/make_golden_fixture.py``
+    only when a taxonomy change is intentional.
+    """
+
+    PAYLOAD = json.loads(PROFILE_DIGESTS.read_text())
+
+    def test_every_dataset_is_pinned(self):
+        assert set(self.PAYLOAD["profiles"]) == {
+            f"{key}@{scale}" for key, scale in DEFAULT_SIM_SCALE.items()}
+
+    @pytest.mark.parametrize("key", sorted(PAYLOAD["profiles"]))
+    def test_sweep_profile_matches_pin(self, fixture_tool, key):
+        dataset = key.split("@")[0]
+        assert fixture_tool.profile_record(dataset) == \
+            self.PAYLOAD["profiles"][key]
+
+    @pytest.mark.parametrize("key", sorted(PAYLOAD["profiles"]))
+    def test_model_profile_matches_pin(self, fixture_tool, key):
+        # The model's entry point, given the machine the unit simulates
+        # on, sees the same profile as the sweep.
+        dataset, scale = key.split("@")
+        profile = workload_profile(sim_dataset(dataset), "PR",
+                                   scaled_system(int(scale))).graph
+        assert fixture_tool.profile_as_dict(profile) == \
+            self.PAYLOAD["profiles"][key]
+
+
+class TestProfileAgainstSimulatedSystem:
+    def test_row_volume_class_uses_the_unit_system(self):
+        # At scale 128 scaled_system clamps each cache to one full set:
+        # WNG runs on a 512-byte L1 (not 32 KiB / 128 = 256 bytes), and
+        # its per-SM volume of ~645 bytes is under 1.5 x 512, so the
+        # row's class is L, judged against the machine it simulated on.
+        system = scaled_system(128)
+        assert system.l1_bytes == 512
+        sweep = run_sweep(graphs=("WNG",), apps=("PR",), max_iters=1,
+                          scales={"WNG": 128})
+        (row,) = sweep.rows
+        assert row.workload.results  # simulated
+        graph = row.profile.graph
+        assert graph.volume_bytes < 1.5 * system.l1_bytes
+        assert graph.volume_class is Level.LOW
+        expected = workload_profile(load_dataset("WNG", scale=128), "PR",
+                                    system)
+        assert row.profile == expected

@@ -45,17 +45,12 @@ def main(keys):
 
     units = iter(zip(plan, results))
     for key in keys:
-        scale = DEFAULT_SIM_SCALE[key]
         profile = None
         print("===", key, flush=True)
         for app in APPS:
             spec, result = next(units)
             if profile is None:
-                profile = profile_graph(
-                    load_graph(spec.graph),
-                    l1_bytes=32 * 1024 // scale,
-                    l2_bytes=4 * 1024 * 1024 // scale,
-                )
+                profile = profile_graph(load_graph(spec.graph), spec.system)
             pred = predict_configuration(profile_workload(profile, app)).code
             norm = result.normalized()
             total += 1

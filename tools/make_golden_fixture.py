@@ -3,7 +3,8 @@
 ``golden_timing.json`` pins modeled timing; ``trace_digests.json`` pins
 the realized traces themselves; ``phase_digests.json`` pins the phase
 streams the applications yield before any realization;
-``memory_digests.json`` pins the memory system on its own.
+``memory_digests.json`` pins the memory system on its own;
+``profile_digests.json`` pins the taxonomy profile of every dataset.
 
 The golden-equivalence test (TestGoldenEquivalence in
 tests/test_perf_hotpath.py) pins exact cycle counts, stall breakdowns,
@@ -37,7 +38,13 @@ store-buffer rings, and every L1/L2 set's entries in LRU order.  It
 catches a coherence change below the engine, including state the
 end-to-end numbers do not show yet.
 
-Run this ONLY when a timing, trace or memory-system change is
+The profile pin (TestProfilePin in tests/test_taxonomy.py) holds each
+of the six datasets' full ``GraphProfile`` at its simulation scale:
+degree statistics, volume, ANL/ANR/reuse and imbalance at full float
+precision, plus the three H/M/L classes.  It catches a change to the
+metrics or to the machine a graph is profiled against.
+
+Run this ONLY when a timing, trace, memory-system or profile change is
 intentional, and say so in the commit message:
 
     PYTHONPATH=src python tools/make_golden_fixture.py
@@ -59,12 +66,14 @@ from repro.configs import parse_config
 from repro.kernels import KERNELS, TraceBuilder, make_kernel
 from repro.sim.coherence import make_memory_system
 from repro.sim.config import SystemConfig, scaled_system
+from repro.taxonomy import profile_graph
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 FIXTURE = DATA / "golden_timing.json"
 DIGESTS = DATA / "trace_digests.json"
 PHASE_DIGESTS = DATA / "phase_digests.json"
 MEMORY_DIGESTS = DATA / "memory_digests.json"
+PROFILE_DIGESTS = DATA / "profile_digests.json"
 
 #: The full 12-point design space for static apps: push/pull x GPU/DeNovo
 #: x DRF0/DRF1/DRFrlx.  (Figure 5 only shows a subset; the fixture pins
@@ -258,6 +267,28 @@ def build_memory_digests() -> dict:
     }
 
 
+def profile_as_dict(profile) -> dict:
+    """A ``GraphProfile`` as plain JSON values, floats at full precision."""
+    return json.loads(json.dumps(dataclasses.asdict(profile)))
+
+
+def profile_record(key: str) -> dict:
+    """``key``'s full profile at sim scale, on the system it simulates on."""
+    scale = DEFAULT_SIM_SCALE[key]
+    return profile_as_dict(profile_graph(load_dataset(key, scale=scale),
+                                         scaled_system(scale)))
+
+
+def build_profile_digests() -> dict:
+    return {
+        "version": 1,
+        "profiles": {
+            f"{key}@{scale}": profile_record(key)
+            for key, scale in DEFAULT_SIM_SCALE.items()
+        },
+    }
+
+
 def _write(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -279,6 +310,10 @@ def main() -> None:
     _write(MEMORY_DIGESTS, memory)
     print(f"wrote {MEMORY_DIGESTS} "
           f"({len(memory['digests'])} pinned protocol/system pairs)")
+    profiles = build_profile_digests()
+    _write(PROFILE_DIGESTS, profiles)
+    print(f"wrote {PROFILE_DIGESTS} ({len(profiles['profiles'])} pinned "
+          f"dataset profiles)")
 
 
 if __name__ == "__main__":
