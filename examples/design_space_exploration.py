@@ -12,7 +12,7 @@ Usage: python examples/design_space_exploration.py [APP] [GRAPH]
 
 import sys
 
-from repro import parse_config, run_workload, scaled_system, sim_dataset
+from repro import run_workload, scaled_system, sim_dataset
 from repro.configs import Configuration
 from repro.graph import DEFAULT_SIM_SCALE
 from repro.harness import render_breakdown_bars

@@ -13,7 +13,7 @@ protocol last ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..sim.config import SystemConfig
 from ..sim.consistency import ConsistencyModel, get_model

@@ -362,7 +362,7 @@ def _sweep_via_server(args, graphs, apps):
     for spec, envelope in zip(plan, envelopes):
         status = envelope.get("status")
         if status == "ok":
-            workloads.append(WorkloadResult.from_dict(envelope["result"]))
+            workloads.append(WorkloadResult.from_dict(envelope.get("result")))
         elif status == "failed":
             workloads.append(UnitFailure.from_dict(envelope["failure"]))
         else:  # still rejected after the client's retry budget
@@ -383,7 +383,12 @@ def _cmd_sweep(args) -> int:
     apps = _split_choices(args.apps, APPS, "app") or APPS
     _resolve_prune(args)  # validates --prune-k/--explore up front
     if args.server:
-        sweep = _sweep_via_server(args, graphs, apps)
+        try:
+            sweep = _sweep_via_server(args, graphs, apps)
+        except ValueError as exc:  # a served result that does not parse
+            print(f"error: malformed result from {args.server}: {exc}",
+                  file=sys.stderr)
+            return 1
         if sweep is not None:
             return _print_sweep(sweep)
         # unreachable daemon: fall through to the local path
@@ -483,7 +488,12 @@ def _cmd_submit(args) -> int:
     if envelope.get("status") == "failed":
         _print_failure(UnitFailure.from_dict(envelope["failure"]))
         return 1
-    result = WorkloadResult.from_dict(envelope["result"])
+    try:
+        result = WorkloadResult.from_dict(envelope.get("result"))
+    except ValueError as exc:
+        print(f"error: malformed result from {args.server}: {exc}",
+              file=sys.stderr)
+        return 1
     _print_workload(spec, result, source=envelope.get("source"))
     return 0
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .csr import CSRGraph
 from .generators import (
     DegreeDistribution,

@@ -18,7 +18,7 @@ meshes (:func:`grid_torus`) for the FEM/mesh-structured inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .csr import CSRGraph
 
 __all__ = ["DegreeStats", "degree_stats"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sweep import SweepResult, SweepRow, is_dynamic_app
+from .sweep import SweepResult, is_dynamic_app
 
 __all__ = ["Figure6Row", "figure6_rows", "FlexibilityStats",
            "flexibility_stats", "interdependence_rows"]

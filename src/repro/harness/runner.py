@@ -7,6 +7,7 @@ cost once per workload, not once per bar.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..configs import Configuration, figure5_configurations
@@ -16,6 +17,7 @@ from ..obs import OBSERVER as _obs
 from ..perf import collector as _perf
 from ..sim.config import DEFAULT_SYSTEM, SystemConfig
 from ..sim.engine import ExecutionResult, make_simulator
+from ..sim.stalls import read_fields
 
 __all__ = ["WorkloadResult", "run_workload"]
 
@@ -88,15 +90,25 @@ class WorkloadResult:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadResult":
-        """Inverse of :meth:`to_dict`; preserves configuration order."""
-        return cls(
-            app=data["app"],
-            graph_name=data["graph_name"],
-            baseline=data.get("baseline"),
-            results={code: ExecutionResult.from_dict(result)
-                     for code, result in data["results"].items()},
-        )
+    def from_dict(cls, data: Mapping) -> "WorkloadResult":
+        """Inverse of :meth:`to_dict`; preserves configuration order.
+
+        Malformed input raises ``ValueError`` naming the field (see
+        :func:`~repro.sim.stalls.read_fields`).
+        """
+        data = read_fields(
+            "WorkloadResult", data,
+            {"app": str, "graph_name": str, "baseline": (str, type(None)),
+             "results": dict}, required=("app", "graph_name", "results"))
+        results = {}
+        for code, result in data["results"].items():
+            try:
+                results[code] = ExecutionResult.from_dict(result)
+            except ValueError as exc:
+                raise ValueError(
+                    f"WorkloadResult results[{code!r}]: {exc}") from None
+        return cls(app=data["app"], graph_name=data["graph_name"],
+                   baseline=data.get("baseline"), results=results)
 
 
 def _trace_direction(config_direction: str) -> str:
@@ -182,7 +194,6 @@ def run_workload(
         outcome.results[code] = simulator.result()
     if obs:
         metrics = obs.metrics
-        metrics.counter("sim.workloads").inc()
         metrics.counter("sim.ops").inc(sim_ops)
         metrics.histogram("sim.rounds").observe(rounds)
         for code, result in outcome.results.items():

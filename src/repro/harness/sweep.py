@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -27,6 +28,7 @@ from ..runtime import (
     DEFAULT_LEASE_TTL,
     ExecutionPlan,
     FaultInjector,
+    GraphRef,
     ResultCache,
     RetryPolicy,
     UnitFailure,
@@ -35,7 +37,7 @@ from ..runtime import (
     run_plan,
 )
 from ..sim.config import DEFAULT_SYSTEM, SystemConfig
-from ..taxonomy import profile_graph, profile_workload
+from ..taxonomy import GraphProfile, profile_graph, profile_workload
 from .runner import WorkloadResult
 
 __all__ = ["SweepRow", "SweepResult", "run_sweep", "plan_sweep",
@@ -248,6 +250,13 @@ def _resolve_cache(
     return ResultCache(cache)
 
 
+@lru_cache(maxsize=8)
+def _graph_profile(ref: GraphRef, system: SystemConfig) -> GraphProfile:
+    """``ref``'s profile against ``system``, memoized per process: a
+    pruned sweep's planning and aggregation profile the same graphs."""
+    return profile_graph(load_graph(ref), system)
+
+
 def plan_sweep(
     graphs: Iterable[str],
     apps: Iterable[str],
@@ -294,8 +303,7 @@ def plan_sweep(
         for app in apps:
             spec = next(specs)
             if graph_profile is None:
-                graph_profile = profile_graph(load_graph(spec.graph),
-                                              spec.system)
+                graph_profile = _graph_profile(spec.graph, spec.system)
             profile = profile_workload(graph_profile, app)
             subset = prune.subset(profile, spec.system)
             subsets[(graph_key, app)] = subset
@@ -454,8 +462,7 @@ def aggregate_sweep(
                 result.failures.append(workload)
                 continue
             if graph_profile is None:
-                graph_profile = profile_graph(load_graph(spec.graph),
-                                              spec.system)
+                graph_profile = _graph_profile(spec.graph, spec.system)
             workload_profile = profile_workload(graph_profile, app)
             predicted = predict_configuration(workload_profile)
             partial = predict_partial_configuration(workload_profile)

@@ -6,31 +6,32 @@ simulator report into one process-wide :class:`Observer`:
 * **Events** (:mod:`repro.obs.events`) — timestamped, taxonomy-checked
   records of discrete happenings: unit lifecycle, retries, quarantine,
   worker-node membership and leases, cache hits/misses/heals, sweep
-  phase boundaries.  They flow to :mod:`repro.obs.sinks` (JSONL
-  file, in-memory ring, stdlib logging) and can be rendered as a Chrome
-  trace by ``tools/events_to_chrometrace.py``.
+  phase boundaries.  They flow to :mod:`repro.obs.sinks` (JSONL file,
+  in-memory ring) and can be rendered as a Chrome trace by
+  ``tools/events_to_chrometrace.py``.
 * **Metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
-  with a JSON ``snapshot()``.  The :mod:`repro.perf` phase-timing
-  collector is folded in as the ``perf`` source rather than remaining a
-  parallel reporting channel.
+  with a JSON ``snapshot()``.  Each counter but ``sim.ops`` and
+  ``sim.kernels`` counts events: the taxonomy names the counter each
+  event kind bumps.
+  The :mod:`repro.perf` phase-timing collector is folded in as the
+  ``perf`` source rather than remaining a parallel reporting channel.
 
 The observer is a *strict observer*: it is disabled by default, the
 disabled path is a single attribute check, and nothing it does may
 change modeled numbers — the golden-timing tests run with events on and
 assert bit-identity.  It is also per-process: a worker node journals its
 own events to a file in the work queue, and the coordinator forwards
-them into its own observer (:meth:`Observer.forward`), counting the unit
-lifecycle (``units.*``) and lease counters once per event.  Other
-metrics counted inside a node (simulator histograms) die with it, so
-simulator metrics cover in-process (serial) execution, mirroring
-``repro.perf``'s contract.
+them into its own observer (:meth:`Observer.forward`), where they count
+exactly like local events.  Metrics that are not event counts
+(simulator histograms, ``sim.ops``) die with the node, so they cover
+in-process (serial) execution, mirroring ``repro.perf``'s contract.
 """
 
 from __future__ import annotations
 
 from .events import EVENT_KINDS, Event
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .sinks import JsonlSink, LoggingSink, RingBufferSink, Sink
+from .sinks import JsonlSink, RingBufferSink, Sink
 
 __all__ = [
     "Event",
@@ -42,7 +43,6 @@ __all__ = [
     "Sink",
     "JsonlSink",
     "RingBufferSink",
-    "LoggingSink",
     "Observer",
     "OBSERVER",
     "enable",
@@ -72,17 +72,18 @@ class Observer:
         return sink
 
     def emit(self, kind: str, **data) -> None:
-        """Fan one event out to every sink (no-op while disabled)."""
-        if not self.enabled:
-            return
-        event = Event(kind=kind, data=data)
-        for sink in self.sinks:
-            sink.emit(event)
+        """Record one event here and now (no-op while disabled)."""
+        if self.enabled:
+            self.forward(Event(kind=kind, data=data))
 
     def forward(self, event: Event) -> None:
-        """Fan out an event another process recorded, timestamp intact."""
+        """Count ``event`` and fan it out to every sink, timestamp intact
+        (also for events another process recorded)."""
         if not self.enabled:
             return
+        counter = event.counter()
+        if counter is not None:
+            self.metrics.counter(counter).inc()
         for sink in self.sinks:
             sink.emit(event)
 

@@ -6,7 +6,8 @@ from the closed taxonomy :data:`EVENT_KINDS` and a flat JSON-safe
 payload.  The taxonomy is validated at construction time for the same
 reason :meth:`StallBreakdown.add` validates its category: a typo'd kind
 must fail loudly at the emit site, not silently produce an event no
-consumer ever looks for.
+consumer ever looks for.  The taxonomy also names the counter each kind
+bumps, so a metrics counter is defined once, as a count of events.
 """
 
 from __future__ import annotations
@@ -17,63 +18,67 @@ from dataclasses import dataclass, field
 
 __all__ = ["Event", "EVENT_KINDS"]
 
-#: The closed event taxonomy.  Consumers (sinks, the Chrome-trace
-#: converter, tests) may rely on every event carrying one of these kinds.
-EVENT_KINDS = (
+#: The closed event taxonomy, and the one definition of every event
+#: counter: each kind maps to the counter one such event bumps — a name,
+#: ``None``, or a dict from the event's ``reason`` to a name.  Consumers
+#: (sinks, the Chrome-trace converter, tests) may rely on every event
+#: carrying one of these kinds.  Payloads in the comments; ``unit.*``,
+#: ``lease.*``, ``cache.*`` and per-request ``serve.*`` events also
+#: carry the unit's ``digest`` and (but for renew/release/duplicate)
+#: ``label``.
+EVENT_KINDS: dict[str, str | dict[str, str] | None] = {
     # Plan / sweep lifecycle.
-    "plan.started",       # units, jobs
-    "plan.finished",      # ok, failed, cached
-    "sweep.phase",        # name, boundary ('begin' | 'end')
+    "plan.started": None,  # units, jobs
+    "plan.finished": None,  # ok, failed, cached
+    "sweep.phase": None,  # name, boundary ('begin' | 'end')
     # Per-unit lifecycle.
-    "unit.started",       # digest, label, attempt
-    "unit.finished",      # digest, label, attempt, elapsed
-    "unit.retried",       # digest, label, attempt (the upcoming one), cause
-    "unit.failed",        # digest, label, attempts, cause, message
-    "unit.overrun",       # digest, label, elapsed, budget, attempt
-    "unit.cached",        # digest, label
-    "unit.coalesced",     # digest, label (duplicate digest within one plan)
-    "unit.quarantined",   # digest, label, attempts
+    "unit.started": "units.started",  # attempt
+    "unit.finished": "units.finished",  # attempt, elapsed
+    "unit.retried": "units.retried",  # attempt (the upcoming one), cause
+    "unit.failed": "units.failed",  # attempts, cause, message
+    "unit.overrun": "units.overrun",  # elapsed, budget, attempt
+    "unit.cached": "units.cached",
+    "unit.coalesced": "units.coalesced",  # (duplicate digest in one plan)
+    "unit.quarantined": "units.quarantined",  # attempts
     # Worker nodes: membership.
-    "node.join",          # node, pid, restarts (0 on first join)
-    "node.leave",         # node, reason ('crash' | 'quarantined'
-                          #   | 'deadline' | 'stopped'), pid
+    "node.join": "nodes.joined",  # node, pid, restarts (0 on first join)
+    "node.leave": {  # node, pid, reason (also 'deadline' | 'stopped')
+        "crash": "nodes.crashed", "quarantined": "nodes.quarantined"},
     # Worker nodes: lease protocol over the work queue.
-    "lease.claim",        # digest, label, node, attempt
-    "lease.renew",        # digest, node
-    "lease.expire",       # digest, label (None if unreadable), node
-                          #   (late owner), reason
-                          #   ('ttl' | 'node-death' | 'corrupt')
-    "lease.steal",        # digest, label, node (new owner), from_node,
-                          #   attempt
-    "lease.release",      # digest, node
-    "unit.duplicate",     # digest, node (the loser of a completion race)
+    "lease.claim": "lease.claims",  # node, attempt
+    "lease.renew": None,  # node
+    "lease.expire": "lease.expires",  # node (late owner), reason ('ttl' |
+                                      #   'node-death' | 'corrupt': label
+                                      #   and node are None)
+    "lease.steal": "lease.steals",  # node (new owner), from_node, attempt
+    "lease.release": None,  # node
+    "unit.duplicate": "units.duplicate",  # node (lost a completion race)
     # Work queue lifecycle.
-    "queue.seeded",       # units, skipped (already done on re-seed)
-    "queue.drained",      # units
+    "queue.seeded": None,  # units, skipped (already done on re-seed)
+    "queue.drained": None,  # units
     # Result cache.
-    "cache.hit",          # digest, label
-    "cache.miss",         # digest, label
-    "cache.store",        # digest, label
-    "cache.corrupt",      # digest, label (entry unlinked / self-healed)
+    "cache.hit": "cache.hits",
+    "cache.miss": "cache.misses",
+    "cache.store": "cache.stores",
+    "cache.corrupt": "cache.corrupt",  # (entry unlinked / self-healed)
     # Prediction-guided sweep pruning (repro.model.pruning).
-    "sweep.pruned",       # graph, app, k, explore, kept, dropped
-    "model.retrain",      # examples, train, holdout, accuracy, round
+    "sweep.pruned": None,  # graph, app, k, explore, kept, dropped
+    "model.retrain": None,  # examples, train, holdout, accuracy, round
     # Simulation.
-    "workload.simulated",  # app, graph, ops, rounds, configs
+    "workload.simulated": "sim.workloads",  # app, graph, ops, rounds,
+                                            #   configs
     # Serve daemon (repro.serve): request lifecycle and admission.
-    "serve.started",      # endpoints (list of listening addresses)
-    "serve.stopped",      # requests, uptime
-    "serve.request",      # digest, label, client
-    "serve.hit",          # digest, label (answered from the result cache)
-    "serve.miss",         # digest, label (needs simulation)
-    "serve.coalesced",    # digest, label (joined an in-flight request)
-    "serve.admitted",     # digest, label, client, inflight
-    "serve.rejected",     # digest, label, client,
-                          #   reason ('capacity' | 'rate'), retry_after
-    "serve.batch",        # units, queue_depth (one dispatch to the nodes)
-)
-
-_KIND_SET = frozenset(EVENT_KINDS)
+    "serve.started": None,  # endpoints (list of listening addresses)
+    "serve.stopped": None,  # requests, uptime
+    "serve.request": None,  # client
+    "serve.hit": "serve.hits",  # (answered from the result cache)
+    "serve.miss": "serve.misses",  # (needs simulation)
+    "serve.coalesced": "serve.coalesced",  # (joined an in-flight request)
+    "serve.admitted": "serve.admitted",  # client, inflight
+    "serve.rejected": "serve.rejected",  # client, reason ('capacity' |
+                                         #   'rate'), retry_after
+    "serve.batch": None,  # units, queue_depth (one dispatch to the nodes)
+}
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class Event:
     data: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_SET:
+        if self.kind not in EVENT_KINDS:
             raise ValueError(
                 f"unknown event kind {self.kind!r}; "
                 f"choose from EVENT_KINDS")
@@ -99,6 +104,13 @@ class Event:
             # the envelope in to_dict — the same typo class the stall
             # categories fix guards against.
             raise ValueError("event payload may not shadow 'kind'/'ts'")
+
+    def counter(self) -> str | None:
+        """The metrics counter this event bumps (see :data:`EVENT_KINDS`)."""
+        name = EVENT_KINDS[self.kind]
+        if isinstance(name, dict):
+            return name.get(self.data.get("reason"))
+        return name
 
     def to_dict(self) -> dict:
         """JSON-safe mapping; payload keys are inlined next to kind/ts."""

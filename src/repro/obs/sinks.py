@@ -1,6 +1,6 @@
 """Pluggable event sinks: where emitted :class:`Event` records go.
 
-A sink is anything with ``emit(event)`` and ``close()``.  Three are
+A sink is anything with ``emit(event)`` and ``close()``.  Two are
 provided:
 
 * :class:`JsonlSink` — append-only JSON-lines file, flushed per event so
@@ -8,8 +8,6 @@ provided:
   last line, which readers skip.
 * :class:`RingBufferSink` — bounded in-memory buffer keeping the most
   recent events; cheap enough to leave attached in tests and services.
-* :class:`LoggingSink` — bridge into stdlib ``logging`` for codebases
-  that already aggregate logs.
 
 Sinks must never raise into the instrumented code path: an observer is a
 strict observer, so a full disk or closed handle degrades to dropping
@@ -18,13 +16,12 @@ events (counted in ``dropped``), never to failing the simulation.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from pathlib import Path
 
 from .events import Event
 
-__all__ = ["Sink", "JsonlSink", "RingBufferSink", "LoggingSink"]
+__all__ = ["Sink", "JsonlSink", "RingBufferSink"]
 
 
 class Sink:
@@ -91,16 +88,3 @@ class RingBufferSink(Sink):
     def __len__(self) -> int:
         return len(self._buffer)
 
-
-class LoggingSink(Sink):
-    """Forward events to a stdlib logger (default ``repro.obs.events``)."""
-
-    def __init__(self, logger: logging.Logger | None = None,
-                 level: int = logging.INFO) -> None:
-        self.logger = logger or logging.getLogger("repro.obs.events")
-        self.level = level
-        self.dropped = 0
-
-    def emit(self, event: Event) -> None:
-        self.logger.log(self.level, "%s %s", event.kind,
-                        event.data if event.data else "")

@@ -91,12 +91,12 @@ class ResultCache:
 
         This is :meth:`get` without the hit/miss accounting, for readers
         that are not cache lookups (the lease coordinator collecting a
-        node's published result).  Every entry that does not parse into
-        a :class:`WorkloadResult` is corrupt — counted and deleted
-        (self-healing): the digest embeds the schema version, so any
-        unparseable payload *at this path* is garbage — a truncated
-        write from a killed process or bit rot — never a legitimate
-        entry of another version.
+        node's published result, a node checking for one).  Every entry
+        that does not parse into a :class:`WorkloadResult` is corrupt —
+        counted and deleted (self-healing): the digest embeds the schema
+        version, so any unparseable payload *at this path* is garbage — a
+        truncated write from a killed process or bit rot — never a
+        legitimate entry of another version.
         """
         from .spec import RESULT_SCHEMA_VERSION
 
@@ -113,10 +113,8 @@ class ResultCache:
         except Exception:  # any shape of bad bytes fails closed
             self.corrupt += 1
             path.unlink(missing_ok=True)
-            if _obs.enabled:
-                _obs.emit("cache.corrupt", digest=spec.digest(),
-                          label=spec.label)
-                _obs.metrics.counter("cache.corrupt").inc()
+            _obs.emit("cache.corrupt", digest=spec.digest(),
+                      label=spec.label)
             return None
 
     def get(self, spec: WorkloadSpec) -> WorkloadResult | None:
@@ -130,11 +128,8 @@ class ResultCache:
         else:
             self.hits += 1
         if _obs.enabled:
-            outcome = "miss" if result is None else "hit"
-            _obs.emit(f"cache.{outcome}", digest=spec.digest(),
-                      label=spec.label)
-            _obs.metrics.counter("cache.misses" if result is None
-                                 else "cache.hits").inc()
+            _obs.emit("cache.miss" if result is None else "cache.hit",
+                      digest=spec.digest(), label=spec.label)
         return result
 
     def put(self, spec: WorkloadSpec, result: WorkloadResult) -> Path:
@@ -153,8 +148,6 @@ class ResultCache:
         self.stores += 1
         _obs.emit("cache.store", digest=payload["digest"],
                   label=spec.label)
-        if _obs.enabled:
-            _obs.metrics.counter("cache.stores").inc()
         return path
 
     def __len__(self) -> int:

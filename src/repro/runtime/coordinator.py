@@ -16,7 +16,8 @@ leases at once, SIGKILLs a node whose attempt outlives its deadline,
 expires leases whose heartbeat went stale, charges every lost attempt
 to the unit's one attempt counter in the queue, fails a unit whose
 budget is spent, streams outcomes back in completion order, and folds
-the nodes' event logs into its own observer.  Each node runs one unit
+the nodes' event logs into its own observer, where node events count
+exactly like its own.  Each node runs one unit
 at a time, so the unit a dead node held *is* the suspect: blame needs
 no probation and a deadline kill hits no innocent unit.  DESIGN.md §8.1
 and §12 give the full failure semantics.
@@ -50,20 +51,6 @@ __all__ = ["MultiNodeExecutor", "DEFAULT_NODE_RESTARTS"]
 #: before the slot is quarantined (the retry budget's "give up
 #: eventually" at node level).
 DEFAULT_NODE_RESTARTS = 2
-
-#: Node-side events whose counters the coordinator keeps when it folds
-#: the node event logs in (the metrics a node counts die with it).
-_FOLDED_COUNTERS = {
-    "unit.started": "units.started",
-    "unit.finished": "units.finished",
-    "unit.retried": "units.retried",
-    "unit.failed": "units.failed",
-    "unit.quarantined": "units.quarantined",
-    "unit.overrun": "units.overrun",
-    "unit.duplicate": "units.duplicate",
-    "lease.claim": "lease.claims",
-    "lease.steal": "lease.steals",
-}
 
 
 def _pipe() -> tuple[int, int]:
@@ -210,8 +197,6 @@ class MultiNodeExecutor(Executor):
         slot.process = process
         _obs.emit("node.join", node=slot.name, pid=process.pid,
                   restarts=slot.incarnation)
-        if _obs.enabled:
-            _obs.metrics.counter("nodes.joined").inc()
 
     def _kill(self, slot: _NodeSlot, reason: str) -> str:
         """SIGKILL ``slot``'s node now; returns the dead incarnation."""
@@ -239,15 +224,11 @@ class MultiNodeExecutor(Executor):
             if slot.restarts < self.node_restarts:
                 _obs.emit("node.leave", node=slot.name, reason="crash",
                           pid=process.pid)
-                if _obs.enabled:
-                    _obs.metrics.counter("nodes.crashed").inc()
                 slot.restarts += 1
                 self._spawn(slot)
             else:
                 _obs.emit("node.leave", node=slot.name,
                           reason="quarantined", pid=process.pid)
-                if _obs.enabled:
-                    _obs.metrics.counter("nodes.quarantined").inc()
         return dead
 
     def _kill_overdue(self, policy: RetryPolicy) -> list[str]:
@@ -501,7 +482,3 @@ class MultiNodeExecutor(Executor):
                 except (ValueError, TypeError, KeyError, AttributeError):
                     continue
                 _obs.forward(event)
-                counter = _FOLDED_COUNTERS.get(event.kind)
-                if counter is not None:
-                    _obs.metrics.counter(counter).inc()
-

@@ -102,8 +102,6 @@ def run_attempt(
         time.sleep(policy.delay_for(attempt - 1, digest))
     _obs.emit("unit.started", digest=digest, label=spec.label,
               attempt=attempt)
-    if _obs.enabled:
-        _obs.metrics.counter("units.started").inc()
     started = time.monotonic()
     if injector is not None:
         injector.before_execute(spec, attempt, in_worker=in_worker)
@@ -112,12 +110,8 @@ def run_attempt(
     if policy.timeout is not None and elapsed > policy.timeout:
         _obs.emit("unit.overrun", digest=digest, label=spec.label,
                   elapsed=elapsed, budget=policy.timeout, attempt=attempt)
-        if _obs.enabled:
-            _obs.metrics.counter("units.overrun").inc()
     _obs.emit("unit.finished", digest=digest, label=spec.label,
               attempt=attempt, elapsed=elapsed)
-    if _obs.enabled:
-        _obs.metrics.counter("units.finished").inc()
     return result
 
 
@@ -125,8 +119,6 @@ def note_retry(spec: WorkloadSpec, attempt: int, cause: str) -> None:
     """Count a unit reopened for ``attempt`` after a ``cause`` failure."""
     _obs.emit("unit.retried", digest=spec.digest(), label=spec.label,
               attempt=attempt, cause=cause)
-    if _obs.enabled:
-        _obs.metrics.counter("units.retried").inc()
 
 
 def note_failure(failure: UnitFailure) -> None:
@@ -134,13 +126,9 @@ def note_failure(failure: UnitFailure) -> None:
     _obs.emit("unit.failed", digest=failure.digest, label=failure.label,
               attempts=failure.attempts, cause=failure.kind,
               message=failure.message)
-    if _obs.enabled:
-        _obs.metrics.counter("units.failed").inc()
     if failure.quarantined:
         _obs.emit("unit.quarantined", digest=failure.digest,
                   label=failure.label, attempts=failure.attempts)
-        if _obs.enabled:
-            _obs.metrics.counter("units.quarantined").inc()
 
 
 def run_unit(
@@ -265,8 +253,6 @@ def run_plan(
             results[index] = hit
             _obs.emit("unit.cached", digest=spec.digest(),
                       label=spec.label)
-            if _obs.enabled:
-                _obs.metrics.counter("units.cached").inc()
             if progress is not None:
                 progress(f"{spec.label} (cached)")
         else:
@@ -291,8 +277,6 @@ def run_plan(
         else:
             followers.setdefault(position, []).append(index)
             _obs.emit("unit.coalesced", digest=digest, label=spec.label)
-            if _obs.enabled:
-                _obs.metrics.counter("units.coalesced").inc()
     pending = deduped
 
     if pending:

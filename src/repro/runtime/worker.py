@@ -120,9 +120,9 @@ class NodeWorker:
             # Another node may already have published this digest (a
             # resumed queue, or the first half of a duplicate claim):
             # results are content-addressed, so adopt instead of
-            # re-simulating.
-            result = self.cache.get(spec)
-            if result is not None:
+            # re-simulating.  A check, not a lookup: it counts no hit
+            # or miss.
+            if self.cache.load(spec) is not None:
                 _obs.emit("unit.cached", digest=digest, label=spec.label)
                 self.queue.complete(digest, self.node, "ok", attempt,
                                     label=spec.label)

@@ -381,14 +381,10 @@ class WorkQueue:
                 write_json_atomic(lease_path, payload)
             _obs.emit("lease.claim", digest=digest, label=spec.label,
                       node=node, attempt=attempt)
-            if _obs.enabled:
-                _obs.metrics.counter("lease.claims").inc()
             previous = record.get("last_node")
             if previous is not None and previous != node and attempt > 1:
                 _obs.emit("lease.steal", digest=digest, label=spec.label,
                           node=node, from_node=previous, attempt=attempt)
-                if _obs.enabled:
-                    _obs.metrics.counter("lease.steals").inc()
             return spec, attempt
         return None
 
@@ -493,8 +489,6 @@ class WorkQueue:
             _obs.emit("lease.expire", digest=digest,
                       label=lease.get("label"), node=lease["node"],
                       reason=reason)
-            if _obs.enabled:
-                _obs.metrics.counter("lease.expires").inc()
             lease["reason"] = reason
             expired.append(lease)
         return expired
@@ -544,8 +538,6 @@ class WorkQueue:
                                 exclusive=True)
         if not won:
             _obs.emit("unit.duplicate", digest=digest, node=node)
-            if _obs.enabled:
-                _obs.metrics.counter("units.duplicate").inc()
         self.release(digest, node)
         return won
 

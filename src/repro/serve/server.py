@@ -436,30 +436,22 @@ class ReproServer:
             # Someone is already simulating this digest: join them.
             self.stats["coalesced"] += 1
             _obs.emit("serve.coalesced", digest=digest, label=spec.label)
-            if _obs.enabled:
-                _obs.metrics.counter("serve.coalesced").inc()
             outcome = await asyncio.shield(future)
             return self._envelope(spec, digest, outcome, "coalesced")
         raw = self._cached_payload(digest)
         if raw is not None:
             self.stats["hits"] += 1
             _obs.emit("serve.hit", digest=digest, label=spec.label)
-            if _obs.enabled:
-                _obs.metrics.counter("serve.hits").inc()
             return {"digest": digest, "label": spec.label, "status": "ok",
                     "source": "cache", "result": raw}
         self.stats["misses"] += 1
         _obs.emit("serve.miss", digest=digest, label=spec.label)
-        if _obs.enabled:
-            _obs.metrics.counter("serve.misses").inc()
         admission = self.admission.try_admit(client)
         if not admission:
             self.stats["rejected"] += 1
             _obs.emit("serve.rejected", digest=digest, label=spec.label,
                       client=client, reason=admission.reason,
                       retry_after=admission.retry_after)
-            if _obs.enabled:
-                _obs.metrics.counter("serve.rejected").inc()
             return {"digest": digest, "label": spec.label,
                     "status": "rejected", "reason": admission.reason,
                     "retry_after": admission.retry_after}
@@ -467,8 +459,6 @@ class ReproServer:
         _obs.emit("serve.admitted", digest=digest, label=spec.label,
                   client=client,
                   inflight=self.admission.inflight_units)
-        if _obs.enabled:
-            _obs.metrics.counter("serve.admitted").inc()
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[digest] = future

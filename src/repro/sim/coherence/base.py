@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 
 from ..cache import OWNED, VALID, SetAssocCache
 from ..config import SystemConfig
+from ..stalls import read_fields
 
 __all__ = ["MemoryStats", "MemorySystem"]
 
@@ -65,21 +66,10 @@ class MemoryStats:
         ``int`` (``bool`` included), and an ``extra`` that is not a dict
         of ``int`` counters are all rejected, naming the field.
         """
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"MemoryStats payload must be a mapping, "
-                f"not {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown MemoryStats fields: {sorted(map(str, unknown))}")
-        payload = dict(data)
+        payload = read_fields("MemoryStats", data,
+                              {f.name: None for f in fields(cls)}
+                              | {"extra": dict})
         extra = payload.pop("extra", {})
-        if not isinstance(extra, dict):
-            raise ValueError(
-                f"MemoryStats field 'extra' must be a dict, "
-                f"not {type(extra).__name__}")
         counters = [(repr(name), value) for name, value in payload.items()]
         counters += [(f"extra[{key!r}]", value) for key, value in extra.items()]
         for name, value in counters:

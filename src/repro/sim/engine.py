@@ -19,13 +19,13 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ..obs import OBSERVER as _obs
 from .coherence import MemorySystem, make_memory_system
 from .config import SystemConfig
 from .consistency import ConsistencyModel, get_model
-from .stalls import StallBreakdown
+from .stalls import StallBreakdown, read_cycles, read_fields
 from .trace import (
     OP_ACQUIRE,
     OP_ATOMIC,
@@ -70,15 +70,22 @@ class ExecutionResult:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionResult":
-        """Inverse of :meth:`to_dict`."""
+    def from_dict(cls, data: Mapping) -> "ExecutionResult":
+        """Inverse of :meth:`to_dict`; malformed input raises ``ValueError``
+        naming the field (see :func:`~repro.sim.stalls.read_fields`)."""
         from .coherence import MemoryStats
 
+        data = read_fields(
+            "ExecutionResult", data,
+            {"cycles": None, "breakdown": None, "kernel_cycles": list,
+             "memory_stats": None}, required=("cycles", "breakdown"))
         stats = data.get("memory_stats")
         return cls(
-            cycles=float(data["cycles"]),
+            cycles=read_cycles("ExecutionResult", "cycles", data["cycles"]),
             breakdown=StallBreakdown.from_dict(data["breakdown"]),
-            kernel_cycles=[float(c) for c in data.get("kernel_cycles", [])],
+            kernel_cycles=[
+                read_cycles("ExecutionResult", f"kernel_cycles[{i}]", c)
+                for i, c in enumerate(data.get("kernel_cycles", []))],
             memory_stats=(MemoryStats.from_dict(stats)
                           if stats is not None else None),
         )

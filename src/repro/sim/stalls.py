@@ -9,11 +9,45 @@
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 
-__all__ = ["StallBreakdown", "CATEGORIES"]
+__all__ = ["StallBreakdown", "CATEGORIES", "read_fields", "read_cycles"]
 
 CATEGORIES = ("busy", "comp", "data", "sync", "idle")
+
+
+def read_fields(owner: str, data, known: Mapping[str, type | tuple | None],
+                required: Iterable[str] = ()) -> dict:
+    """``data`` as a dict of ``owner``'s fields; ``ValueError`` naming
+    the field unless it is a mapping of ``known`` fields (each of its
+    type; None: any) with every ``required`` one present."""
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"{owner} payload must be a mapping, not {type(data).__name__}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(
+            f"unknown {owner} fields: {sorted(map(str, unknown))}")
+    for name in required:
+        if name not in data:
+            raise ValueError(f"{owner} field {name!r} is missing")
+    for name, value in data.items():
+        if known[name] is not None and not isinstance(value, known[name]):
+            raise ValueError(f"{owner} field {name!r} has the wrong type: "
+                             f"{value!r}")
+    return dict(data)
+
+
+def read_cycles(owner: str, name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` naming ``owner``'s field
+    ``name`` unless it is a finite number (a ``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(
+            f"{owner} field {name!r} must be a finite number, not {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -77,7 +111,10 @@ class StallBreakdown:
         return {name: getattr(self, name) for name in CATEGORIES}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "StallBreakdown":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{name: float(data.get(name, 0.0))
+    def from_dict(cls, data: Mapping) -> "StallBreakdown":
+        """Inverse of :meth:`to_dict` (a missing category reads as 0);
+        malformed input raises ``ValueError`` naming the field."""
+        data = read_fields("StallBreakdown", data, dict.fromkeys(CATEGORIES))
+        return cls(**{name: read_cycles("StallBreakdown", name,
+                                        data.get(name, 0.0))
                       for name in CATEGORIES})

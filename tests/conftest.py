@@ -6,6 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.graph import (
+    CSRGraph,
+    DegreeDistribution,
+    GraphSpec,
+    attach_random_weights,
+    from_edge_list,
+    generate_graph,
+    grid_torus,
+    normalize,
+)
+
 _FIXTURE_TOOL = (Path(__file__).parent.parent / "tools"
                  / "make_golden_fixture.py")
 
@@ -29,17 +40,6 @@ def fixture_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-from repro.graph import (
-    CSRGraph,
-    DegreeDistribution,
-    GraphSpec,
-    attach_random_weights,
-    from_edge_list,
-    generate_graph,
-    grid_torus,
-    normalize,
-)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.adaptive import (
     run_adaptive,
     run_direction_adaptive,
 )
-from repro.configs import Configuration, parse_config
+from repro.configs import parse_config
 from repro.kernels import make_kernel
 from repro.kernels.base import EdgePhase
 from repro.sim import (

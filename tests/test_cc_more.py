@@ -1,7 +1,6 @@
 """Additional CC scenarios: convergence behavior at scale and edge shapes."""
 
 import numpy as np
-import pytest
 
 from repro.graph import (
     DegreeDistribution,

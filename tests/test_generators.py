@@ -6,7 +6,6 @@ import pytest
 from repro.graph import (
     DegreeDistribution,
     GraphSpec,
-    attach_random_weights,
     attach_unit_weights,
     generate_graph,
     grid_torus,

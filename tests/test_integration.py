@@ -1,6 +1,5 @@
 """Cross-module integration tests: end-to-end workload simulations."""
 
-import numpy as np
 import pytest
 
 from repro.configs import parse_config
@@ -10,7 +9,6 @@ from repro.graph import (
     attach_random_weights,
     generate_graph,
     grid_torus,
-    shuffle_labels,
 )
 from repro.harness import run_workload
 from repro.model import predict_configuration, workload_profile

@@ -8,7 +8,6 @@ from repro.graph import (
     from_edge_list,
     load_mtx,
     save_mtx,
-    symmetrize,
 )
 
 

@@ -18,7 +18,6 @@ from repro.kernels.cc import _interleave, _roots
 class TestPageRankEdgeCases:
     def test_isolated_vertex_gets_base_rank(self, two_components):
         ranks = PageRank(two_components).functional()
-        n = two_components.num_vertices
         # The isolated vertex keeps the teleport share plus its cut of
         # the dangling redistribution; it must still be positive and the
         # total must stay 1.

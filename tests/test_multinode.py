@@ -31,7 +31,6 @@ from repro.runtime import (
     FaultRule,
     BACKENDS,
     MultiNodeExecutor,
-    NodeWorker,
     ResultCache,
     RetryPolicy,
     SerialExecutor,

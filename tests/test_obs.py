@@ -11,6 +11,7 @@ CLI ``--events``/``--metrics`` surface.
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from repro.runtime import (
     ResultCache,
     RetryPolicy,
     UnitFailure,
+    WorkQueue,
     run_plan,
     run_unit,
 )
@@ -322,6 +324,77 @@ class TestMetricsMatchOutcomes:
         (failed,) = ring.events("unit.failed")
         assert failed.data["label"] == "RAJ/CC"
         assert failed.data["cause"] == "crash"
+
+
+#: The counters that are not event counts (the simulator's op and
+#: kernel throughput); every other counter is defined by the taxonomy.
+_NOT_EVENT_COUNTS = ("sim.ops", "sim.kernels")
+
+
+def _counted_events(ring: RingBufferSink) -> dict:
+    """The ring's events counted through the taxonomy's counter entries."""
+    assert ring.total == len(ring), "ring overflowed; counts are partial"
+    return dict(Counter(event.counter() for event in ring.events()
+                        if event.counter() is not None))
+
+
+def _event_counters(observer) -> dict:
+    counters = observer.metrics.snapshot()["counters"]
+    return {name: value for name, value in counters.items()
+            if name not in _NOT_EVENT_COUNTS}
+
+
+class TestCountersAreEventCounts:
+    """A counter is exactly the number of its events this process saw,
+    whether emitted here or folded in from a worker node's log."""
+
+    def test_counters_equal_the_event_log(self, small_plan, tmp_path):
+        from repro.serve import ServeClient, ServeConfig, ThreadedServer
+
+        # Serial, through a cache: misses and stores, then hits.
+        observer = obs.enable(ring=1 << 16)
+        cache = ResultCache(tmp_path / "serial")
+        run_plan(small_plan, jobs=1, cache=cache)
+        run_plan(small_plan, jobs=1, cache=cache)
+        assert _event_counters(observer) == _counted_events(_ring(observer))
+
+        # Two nodes under the crash-and-retry faults: node-side events
+        # (simulations, stores, retries, lease traffic) count once each.
+        observer = obs.enable(ring=1 << 16)
+        injector = FaultInjector(rules=(
+            FaultRule(kind="transient", match="*", attempts=1),
+            FaultRule(kind="crash", match="RAJ/CC", attempts=10**6),
+        ))
+        run_plan(small_plan, jobs=2, cache=ResultCache(tmp_path / "nodes"),
+                 policy=FAST, injector=injector)
+        counts = _counted_events(_ring(observer))
+        assert _event_counters(observer) == counts
+        assert counts["sim.workloads"] >= 3  # simulated on the nodes
+        assert counts["cache.stores"] >= 6  # by the nodes and the caller
+
+        # A serve round: a cold submit simulated on the daemon's nodes,
+        # then a warm one answered from its cache.
+        observer = obs.enable(ring=1 << 16)
+        config = ServeConfig(uds=tmp_path / "serve.sock",
+                             cache_dir=tmp_path / "serve-cache")
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0]) as client:
+                assert client.submit(small_plan[0])["source"] == "simulated"
+                assert client.submit(small_plan[0])["source"] == "cache"
+        counts = _counted_events(_ring(observer))
+        assert _event_counters(observer) == counts
+        assert counts["serve.hits"] == counts["sim.workloads"] == 1
+
+    def test_corrupt_lease_expiry_is_counted(self, small_plan, tmp_path):
+        observer = obs.enable(ring=64)
+        queue = WorkQueue(tmp_path / "queue")
+        queue.seed([small_plan[0]])
+        spec, _ = queue.claim("a")
+        (queue.leases_dir / f"{spec.digest()}.json").write_text("{torn")
+        assert queue.reclaim_expired() == []
+        (expire,) = _ring(observer).events("lease.expire")
+        assert expire.data["reason"] == "corrupt"
+        assert observer.metrics.counter("lease.expires").value == 1
 
 
 def _load_chrometrace_tool():

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
-    CSRGraph,
     from_edge_list,
     normalize,
     relabel,

@@ -230,6 +230,27 @@ class TestPrunedSweep:
             assert row.oracle_known
 
 
+class TestProfileOnce:
+    def test_pruned_sweep_profiles_each_graph_once(self, monkeypatch):
+        # Planning and aggregating one pruned sweep share one profile
+        # per (graph, system) instead of each profiling the graph.
+        from repro.harness import sweep
+
+        calls = []
+        real = sweep.profile_graph
+
+        def counting(graph, system):
+            calls.append(graph.name)
+            return real(graph, system)
+
+        sweep._graph_profile.cache_clear()
+        monkeypatch.setattr(sweep, "profile_graph", counting)
+        result = run_sweep(prune_k=1, **dict(MINI, apps=("MIS",)))
+        sweep._graph_profile.cache_clear()
+        assert len(result.rows) == 1
+        assert len(calls) == 1
+
+
 class TestAggregateSweep:
     def test_regression_truncated_workloads_raise_value_error(self):
         plan = ExecutionPlan.for_sweep(("RAJ",), ("MIS", "CC"),

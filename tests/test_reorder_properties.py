@@ -1,7 +1,6 @@
 """Property-based tests for reorderings and the analytic model."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -369,6 +369,116 @@ class TestSerialization:
         assert reordered.normalized()["TG0"] == pytest.approx(1.0)
 
 
+def _fixture_workload():
+    """A hand-built WorkloadResult touching every serialized field."""
+    return WorkloadResult(
+        app="PR", graph_name="DCT", baseline="TG0",
+        results={
+            "TG0": ExecutionResult(
+                cycles=120.0, breakdown=StallBreakdown(busy=1.0, data=2.5),
+                kernel_cycles=[70.0, 50.0],
+                memory_stats=MemoryStats(l1_hits=3,
+                                         extra={"owned_writebacks": 1})),
+            "SGR": ExecutionResult(cycles=90.5,
+                                   breakdown=StallBreakdown(sync=4.0)),
+        })
+
+
+_RESULT_FIELDS = (
+    "app", "graph_name", "baseline", "results", "bogus", "results.TG0",
+    "results.TG0.cycles", "results.TG0.breakdown",
+    "results.TG0.breakdown.busy", "results.TG0.breakdown.bogus",
+    "results.TG0.kernel_cycles", "results.TG0.memory_stats",
+    "results.TG0.memory_stats.l1_hits", "results.TG0.bogus")
+
+
+def _with_field(data, field, value):
+    """``data`` with the dotted ``field`` set to ``value``."""
+    *parents, key = field.split(".")
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    return data
+
+
+class TestResultReadersFailClosed:
+    """Result readers either round-trip a payload or raise ValueError."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("results.TG0.cycles", None, "'cycles' must be a finite number"),
+        ("results.TG0.cycles", "120", "'cycles' must be a finite number"),
+        ("results.TG0.cycles", True, "'cycles' must be a finite number"),
+        ("results.TG0.cycles", float("inf"),
+         "'cycles' must be a finite number"),
+        pytest.param("results.TG0.cycles", 10**400,
+                     "'cycles' must be a finite number", id="huge-int-cycles"),
+        ("results.TG0.breakdown", [1, 2], "StallBreakdown payload"),
+        ("results.TG0.breakdown.busy", "1", "'busy' must be a finite number"),
+        ("results.TG0.breakdown.bogus", 1.0, "unknown StallBreakdown"),
+        ("results.TG0.kernel_cycles", 5, "'kernel_cycles' has the wrong type"),
+        ("results.TG0", [], "ExecutionResult payload"),
+        ("results", [], "'results' has the wrong type"),
+        ("app", 1, "'app' has the wrong type"),
+        ("graph_name", None, "'graph_name' has the wrong type"),
+        ("baseline", 3, "'baseline' has the wrong type"),
+        ("bogus", 0, "unknown WorkloadResult"),
+    ])
+    def test_malformed_field_raises_value_error(self, field, value, match):
+        data = _with_field(_fixture_workload().to_dict(), field, value)
+        with pytest.raises(ValueError, match=match):
+            WorkloadResult.from_dict(data)
+
+    def test_missing_fields_are_named(self):
+        data = _fixture_workload().to_dict()
+        del data["results"]["TG0"]["cycles"]
+        with pytest.raises(ValueError, match="'cycles' is missing"):
+            WorkloadResult.from_dict(data)
+        with pytest.raises(ValueError, match="'app' is missing"):
+            WorkloadResult.from_dict({"graph_name": "DCT", "results": {}})
+
+    def test_to_dict_is_unchanged(self):
+        # Result digests pinned elsewhere hash these exact bytes.
+        assert json.dumps(_fixture_workload().to_dict()) == (
+            '{"app": "PR", "graph_name": "DCT", "baseline": "TG0", '
+            '"results": {"TG0": {"cycles": 120.0, "breakdown": {"busy": '
+            '1.0, "comp": 0.0, "data": 2.5, "sync": 0.0, "idle": 0.0}, '
+            '"kernel_cycles": [70.0, 50.0], "memory_stats": {"l1_hits": 3, '
+            '"l1_misses": 0, "l2_hits": 0, "l2_misses": 0, "stores": 0, '
+            '"atomics": 0, "atomics_local": 0, "atomics_remote_transfer": '
+            '0, "ownership_registrations": 0, "acquires": 0, "extra": '
+            '{"owned_writebacks": 1}}}, "SGR": {"cycles": 90.5, '
+            '"breakdown": {"busy": 0.0, "comp": 0.0, "data": 0.0, "sync": '
+            '4.0, "idle": 0.0}, "kernel_cycles": [], "memory_stats": '
+            'null}}}')
+
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(_RESULT_FIELDS), value=_JSON)
+    def test_one_field_set_to_any_json_raises_or_round_trips(self, field,
+                                                             value):
+        data = _with_field(_fixture_workload().to_dict(), field, value)
+        try:
+            workload = WorkloadResult.from_dict(data)
+        except ValueError:
+            return
+        clone = WorkloadResult.from_dict(
+            json.loads(json.dumps(workload.to_dict())))
+        assert clone == workload
+        assert list(clone.results) == list(workload.results)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_JSON)
+    @pytest.mark.parametrize("reader", [StallBreakdown, ExecutionResult,
+                                        WorkloadResult])
+    def test_any_json_raises_or_round_trips(self, reader, payload):
+        try:
+            parsed = reader.from_dict(payload)
+        except ValueError:
+            return
+        clone = reader.from_dict(json.loads(json.dumps(parsed.to_dict())))
+        assert clone == parsed
+
+
 class TestExecutors:
     def test_parallel_matches_serial_bit_identical(self, small_plan,
                                                    serial_results):

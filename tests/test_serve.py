@@ -468,3 +468,59 @@ class TestServerObservability:
         with ThreadedServer(_uds_config(tmp_path)) as server:
             with ServeClient(server.endpoints[0]) as client:
                 assert client.stats()["obs_dropped"] == 0
+
+
+class _MalformedResultClient:
+    """Stands in for ServeClient: every unit comes back 'ok' with a
+    result payload that does not parse."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def health(self) -> dict:
+        return {"status": "ok"}
+
+    def submit(self, spec, max_wait=None) -> dict:
+        return {"digest": spec.digest(), "label": spec.label,
+                "status": "ok", "source": "cache",
+                "result": {"app": 1, "graph_name": "DCT", "results": {}}}
+
+    def submit_many(self, specs) -> list:
+        return [self.submit(spec) for spec in specs]
+
+
+class TestMalformedServedResult:
+    """A served result that does not parse is an error line, not a
+    traceback."""
+
+    @pytest.fixture(autouse=True)
+    def _malformed_server(self, monkeypatch):
+        import repro.serve
+
+        monkeypatch.setattr(repro.serve, "ServeClient",
+                            _MalformedResultClient)
+
+    def test_submit_reports_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["submit", "DCT", "PR", "--iters", "1",
+                     "--server", "unix:///nowhere.sock"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed result")
+        assert "'app' has the wrong type" in err
+
+    def test_sweep_via_server_reports_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "--graphs", "DCT", "--apps", "PR",
+                     "--iters", "1",
+                     "--server", "unix:///nowhere.sock"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed result from")
+        assert "'app' has the wrong type" in err

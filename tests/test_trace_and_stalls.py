@@ -1,6 +1,5 @@
 """Unit tests for trace ops, the address map, and stall accounting."""
 
-import numpy as np
 import pytest
 
 from repro.sim import (
