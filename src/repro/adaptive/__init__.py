@@ -3,7 +3,9 @@
 Three layers:
 
 * :class:`FlexibleSimulator` — Spandex-like hardware that reconfigures
-  coherence/consistency between kernel launches (with switching costs).
+  coherence/consistency between kernel launches (with switching costs):
+  one :class:`~repro.sim.engine.GPUSimulator` and its one clock, with a
+  memory system per protocol swapped in by ``GPUSimulator.switch``.
 * :class:`OnlineSelector` / :func:`run_adaptive` — explore-then-commit
   selection of the coherence+consistency pair at runtime.
 * :class:`DirectionPolicy` / :func:`run_direction_adaptive` — per-

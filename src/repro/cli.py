@@ -129,6 +129,20 @@ def _print_failure(failure: UnitFailure) -> None:
           file=sys.stderr)
 
 
+def _served_outcome(envelope: dict, server: str):
+    """The served ``ok`` or ``failed`` envelope's result or failure;
+    ``ValueError`` naming ``server`` when its payload does not parse."""
+    from .harness.runner import WorkloadResult
+
+    what = "failure" if envelope.get("status") == "failed" else "result"
+    try:
+        if what == "failure":
+            return UnitFailure.from_dict(envelope.get("failure"))
+        return WorkloadResult.from_dict(envelope.get("result"))
+    except ValueError as exc:
+        raise ValueError(f"malformed {what} from {server}: {exc}") from None
+
+
 def _cmd_datasets(_args) -> int:
     rows = []
     for key, dataset in PAPER_DATASETS.items():
@@ -340,7 +354,6 @@ def _sweep_via_server(args, graphs, apps):
     execution).  Simulation happens server-side; only the cheap
     aggregation (profiles + model predictions) runs here.
     """
-    from .harness.runner import WorkloadResult
     from .harness.sweep import aggregate_sweep, plan_sweep
     from .serve import ServeClient, ServeUnavailable
 
@@ -361,10 +374,8 @@ def _sweep_via_server(args, graphs, apps):
     workloads = []
     for spec, envelope in zip(plan, envelopes):
         status = envelope.get("status")
-        if status == "ok":
-            workloads.append(WorkloadResult.from_dict(envelope.get("result")))
-        elif status == "failed":
-            workloads.append(UnitFailure.from_dict(envelope["failure"]))
+        if status in ("ok", "failed"):
+            workloads.append(_served_outcome(envelope, args.server))
         else:  # still rejected after the client's retry budget
             workloads.append(UnitFailure(
                 digest=envelope.get("digest", spec.digest()),
@@ -385,9 +396,8 @@ def _cmd_sweep(args) -> int:
     if args.server:
         try:
             sweep = _sweep_via_server(args, graphs, apps)
-        except ValueError as exc:  # a served result that does not parse
-            print(f"error: malformed result from {args.server}: {exc}",
-                  file=sys.stderr)
+        except ValueError as exc:  # a served payload that does not parse
+            print(f"error: {exc}", file=sys.stderr)
             return 1
         if sweep is not None:
             return _print_sweep(sweep)
@@ -471,7 +481,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from .harness.runner import WorkloadResult
     from .serve import ServeClient, ServeError, ServeRejected, \
         ServeUnavailable
 
@@ -485,16 +494,15 @@ def _cmd_submit(args) -> int:
     except (ServeUnavailable, ServeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if envelope.get("status") == "failed":
-        _print_failure(UnitFailure.from_dict(envelope["failure"]))
-        return 1
     try:
-        result = WorkloadResult.from_dict(envelope.get("result"))
+        outcome = _served_outcome(envelope, args.server)
     except ValueError as exc:
-        print(f"error: malformed result from {args.server}: {exc}",
-              file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    _print_workload(spec, result, source=envelope.get("source"))
+    if not outcome.ok:
+        _print_failure(outcome)
+        return 1
+    _print_workload(spec, outcome, source=envelope.get("source"))
     return 0
 
 

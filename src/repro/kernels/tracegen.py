@@ -9,16 +9,26 @@ transpose: :meth:`TraceBuilder._edge` picks the adjacency, region names,
 masks, hoisted/neighbour arrays and per-edge compute from the direction,
 and a single round emitter realizes either form.
 
+Every phase kind is one thread per vertex, so one warp framing serves
+all three: :meth:`TraceBuilder._kernel` splits the vertices into thread
+blocks and warps, opens each warp with an acquire, applies the phase's
+active mask (a state load, then the active lanes) and closes with a
+release; the edge, vertex and dynamic realizers supply only the body of
+an active warp.
+
 Warp lockstep is modeled by *rounds*: in round ``r`` every lane whose
 vertex has more than ``r`` edges processes its ``r``-th edge, so a warp's
 edge loop runs for the warp's **maximum** active degree — which is exactly
-how degree imbalance inflates execution (Section III-A3).
+how degree imbalance inflates execution (Section III-A3).  A dynamic
+phase walks its per-vertex chains (and its ``col_idx`` stream, if any)
+in rounds the same way.
 
 Performance notes (see DESIGN.md §Performance engineering).  Realization
 is one of the two hot phases of a sweep, so this module:
 
-* converts each adjacency structure to Python lists **once** per builder;
-* has one round emitter fed by two round producers (:func:`_rounds`):
+* converts each adjacency structure to Python lists **once** per
+  builder (a dynamic phase's chains once per realization);
+* has one round producer (:func:`_rounds`) for edge and dynamic phases:
   warps with at least ``_VEC_THRESHOLD`` edges get all their rounds from
   numpy tables (:func:`_round_tables`), smaller warps walk rounds in pure
   Python, where numpy's call overhead would dominate.  Both yield the
@@ -45,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from bisect import bisect_right
+from itertools import zip_longest
 
 import numpy as np
 
@@ -154,17 +165,28 @@ def _quotient_counts(indices, epl):
     return quots, [counts[x] for x in quots]
 
 
-def _rounds(offs, degs, nbr_list, nbr_np, epl, want_counts):
-    """Yield ``(qe, nbrs, nbq, counts)`` for each round of one warp's edges.
+def _csr(indptr: np.ndarray,
+         values: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """A CSR stream for :func:`_rounds`: both arrays as lists, plus
+    ``values`` as an ndarray for the numpy tables."""
+    return indptr.tolist(), values.tolist(), values
 
-    ``offs``/``degs`` are the active lanes' edge offsets and degrees;
-    ``nbr_list``/``nbr_np`` the neighbour index array as a list and as an
-    ndarray.  Per round: ``qe`` the sorted-unique edge-position line
-    quotients, ``nbrs`` the neighbours the round's lanes reach, ``nbq``
-    their sorted-unique line quotients and ``counts`` the multiplicity of
-    each.  The Python walk computes ``counts`` only when ``want_counts``
-    (it is None otherwise); the numpy tables always carry it.
+
+def _rounds(act, csr, epl, want_counts):
+    """Yield ``(qe, nbrs, nbq, counts)`` for each round of one warp's loop.
+
+    ``csr`` is ``(indptr, nbr_list, nbr_np)`` (see :func:`_csr`): lane
+    ``v`` of ``act`` walks positions ``indptr[v]..indptr[v + 1]`` of the
+    neighbour index array.  Per round: ``qe`` the sorted-unique position
+    line quotients, ``nbrs`` the neighbours the round's lanes reach,
+    ``nbq`` their sorted-unique line quotients and ``counts`` the
+    multiplicity of each.  The Python walk computes ``counts`` only when
+    ``want_counts`` (it is None otherwise); the numpy tables always
+    carry it.
     """
+    indptr, nbr_list, nbr_np = csr
+    offs = [indptr[v] for v in act]
+    degs = [indptr[v + 1] - o for v, o in zip(act, offs)]
     max_deg = max(degs)
     if not max_deg:
         return
@@ -311,7 +333,7 @@ class TraceBuilder:
 
     # ------------------------------------------------------------------
     def _adjacency(self, direction: str) -> tuple[list, list, np.ndarray]:
-        """``(indptr, indices)`` as lists, plus the indices ndarray.
+        """The adjacency's :func:`_csr` stream for one direction.
 
         Push walks the out-CSR, pull the in-CSR; the list mirrors are
         built once per builder (the first pull also materializes the
@@ -320,35 +342,53 @@ class TraceBuilder:
         adj = self._adj.get(direction)
         if adj is None:
             g = self.graph
-            indptr, indices = ((g.indptr, g.indices) if direction == "push"
-                               else (g.in_indptr, g.in_indices))
             adj = self._adj[direction] = (
-                indptr.tolist(), indices.tolist(), indices)
+                _csr(g.indptr, g.indices) if direction == "push"
+                else _csr(g.in_indptr, g.in_indices))
         return adj
 
-    def _warp_ranges(self):
+    def _kernel(self, name: str, mask, body, head=None) -> KernelTrace:
+        """Frame a one-thread-per-vertex kernel warp by warp.
+
+        Thread blocks of ``tb_size`` vertices split into warps of
+        ``warp_size`` lanes.  Each warp opens with an acquire, loads its
+        ``head`` region (an edge loop's row pointers, one past its last
+        vertex) and, under a phase ``mask`` (None: all active), loads its
+        vertices' state and drops the inactive lanes.  ``body(ops, act,
+        q)`` then appends the per-kind ops for the active vertices
+        ``act`` (``q``: their sorted-unique line quotients), and a release
+        closes the warp.
+        """
         cfg = self.config
         n = self.graph.num_vertices
+        rb = self.amap.region_base
+        epl = self.amap.elements_per_line
+        pool_op = self._pool.op
+        mask_list = mask.tolist() if mask is not None else None
+        trace = KernelTrace(name)
         for tb_start in range(0, n, cfg.tb_size):
             tb_end = min(tb_start + cfg.tb_size, n)
-            warps = [
-                (w, min(w + cfg.warp_size, tb_end))
-                for w in range(tb_start, tb_end, cfg.warp_size)
-            ]
-            yield warps
-
-    def _lanes(self, ops, mask, w_start, w_end) -> list:
-        """Active vertices of one warp; a masked warp first loads its state.
-
-        ``mask`` is the phase's active mask as a list (None: all active).
-        """
-        if mask is None:
-            return list(range(w_start, w_end))
-        epl = self.amap.elements_per_line
-        b = self.amap.region_base(STATE_ARRAY)
-        ops.append(self._pool.op((OP_LOAD, tuple(range(
-            b + w_start // epl, b + (w_end - 1) // epl + 1)))))
-        return [v for v in range(w_start, w_end) if mask[v]]
+            warps = []
+            for w_start in range(tb_start, tb_end, cfg.warp_size):
+                w_end = min(w_start + cfg.warp_size, tb_end)
+                ops = [_ACQUIRE]
+                if head is not None:
+                    b = rb(head)
+                    ops.append(pool_op((OP_LOAD, tuple(range(
+                        b + w_start // epl, b + w_end // epl + 1)))))
+                if mask_list is None:
+                    act = range(w_start, w_end)
+                else:
+                    b = rb(STATE_ARRAY)
+                    ops.append(pool_op((OP_LOAD, tuple(range(
+                        b + w_start // epl, b + (w_end - 1) // epl + 1)))))
+                    act = [v for v in range(w_start, w_end) if mask_list[v]]
+                if act:
+                    body(ops, act, sorted({v // epl for v in act}))
+                ops.append(_RELEASE)
+                warps.append(ops)
+            trace.add_block(warps)
+        return trace
 
     # ------------------------------------------------------------------
     def _edge(self, ph: EdgePhase, direction: str) -> KernelTrace:
@@ -366,7 +406,7 @@ class TraceBuilder:
             raise ValueError(
                 f"direction must be 'push' or 'pull', got {direction!r}"
             )
-        indptr, indices, indices_np = self._adjacency(direction)
+        adj = self._adjacency(direction)
         if direction == "push":
             ptr_region, col_region, wt_region = (
                 "row_ptr", "col_idx", "weights")
@@ -388,11 +428,9 @@ class TraceBuilder:
             atomics, stores = (), ph.update_arrays
         if not ph.uses_weights:
             wt_region = None
-        amap = self.amap
-        rb = amap.region_base
-        epl = amap.elements_per_line
+        rb = self.amap.region_base
+        epl = self.amap.elements_per_line
         pool_op = self._pool.op
-        outer_list = outer_mask.tolist() if outer_mask is not None else None
         nbr_list = nbr_mask.tolist() if nbr_mask is not None else None
         # Unfiltered rounds hand their neighbour counts straight to the
         # atomics; filtered rounds recount what survives the predicate.
@@ -400,174 +438,114 @@ class TraceBuilder:
         needs_value = ph.atomic_needs_value
         compute_op = pool_op((OP_COMPUTE, compute))
         hoist_op = pool_op((OP_COMPUTE, hoist)) if hoist else None
-        trace = KernelTrace(f"{ph.name}:{direction}")
-        for warp_ranges in self._warp_ranges():
-            warps = []
-            for w_start, w_end in warp_ranges:
-                b = rb(ptr_region)
-                ops = [_ACQUIRE,
-                       pool_op((OP_LOAD, tuple(range(
-                           b + w_start // epl, b + w_end // epl + 1))))]
-                act = self._lanes(ops, outer_list, w_start, w_end)
-                if act:
-                    q = sorted({v // epl for v in act})
-                    for arr in hoisted:
+
+        def body(ops, act, q):
+            for arr in hoisted:
+                b = rb(arr)
+                ops.append(pool_op((OP_LOAD, tuple([b + x for x in q]))))
+            if hoist_op is not None:
+                ops.append(hoist_op)
+            for qe, nbrs, nbq, counts in _rounds(
+                    act, adj, epl, want_counts):
+                b = rb(col_region)
+                ops.append(pool_op((OP_LOAD, tuple([b + x for x in qe]))))
+                if wt_region is not None:
+                    b = rb(wt_region)
+                    ops.append(pool_op(
+                        (OP_LOAD, tuple([b + x for x in qe]))))
+                if nbr_list is not None:
+                    b = rb(STATE_ARRAY)
+                    ops.append(pool_op(
+                        (OP_LOAD, tuple([b + x for x in nbq]))))
+                    nbrs = [t for t in nbrs if nbr_list[t]]
+                    if atomics:
+                        nbq, counts = _quotient_counts(nbrs, epl)
+                    else:
+                        nbq = sorted({t // epl for t in nbrs})
+                if nbrs:
+                    for arr in nbr_arrays:
                         b = rb(arr)
                         ops.append(pool_op(
-                            (OP_LOAD, tuple([b + x for x in q]))))
-                    if hoist_op is not None:
-                        ops.append(hoist_op)
-                    offs = [indptr[v] for v in act]
-                    degs = [indptr[v + 1] - o for v, o in zip(act, offs)]
-                    for qe, nbrs, nbq, counts in _rounds(
-                            offs, degs, indices, indices_np, epl,
-                            want_counts):
-                        b = rb(col_region)
-                        ops.append(pool_op(
-                            (OP_LOAD, tuple([b + x for x in qe]))))
-                        if wt_region is not None:
-                            b = rb(wt_region)
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple([b + x for x in qe]))))
-                        if nbr_list is not None:
-                            b = rb(STATE_ARRAY)
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple([b + x for x in nbq]))))
-                            nbrs = [t for t in nbrs if nbr_list[t]]
-                            if atomics:
-                                nbq, counts = _quotient_counts(nbrs, epl)
-                            else:
-                                nbq = sorted({t // epl for t in nbrs})
-                        if nbrs:
-                            for arr in nbr_arrays:
-                                b = rb(arr)
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple([b + x for x in nbq]))))
-                        ops.append(compute_op)
-                        if nbrs:
-                            for arr in atomics:
-                                b = rb(arr)
-                                ops.append(pool_op((
-                                    OP_ATOMIC,
-                                    tuple(zip([b + x for x in nbq], counts)),
-                                    needs_value)))
-                    # Pull: dense, non-atomic local updates (one per target).
-                    for arr in stores:
+                            (OP_LOAD, tuple([b + x for x in nbq]))))
+                ops.append(compute_op)
+                if nbrs:
+                    for arr in atomics:
                         b = rb(arr)
-                        ops.append(pool_op(
-                            (OP_STORE, tuple([b + x for x in q]))))
-                ops.append(_RELEASE)
-                warps.append(ops)
-            trace.add_block(warps)
-        return trace
+                        ops.append(pool_op((
+                            OP_ATOMIC,
+                            tuple(zip([b + x for x in nbq], counts)),
+                            needs_value)))
+            # Pull: dense, non-atomic local updates (one per target).
+            for arr in stores:
+                b = rb(arr)
+                ops.append(pool_op((OP_STORE, tuple([b + x for x in q]))))
+
+        return self._kernel(f"{ph.name}:{direction}", outer_mask, body,
+                            head=ptr_region)
 
     # ------------------------------------------------------------------
     def _vertex(self, ph: VertexPhase) -> KernelTrace:
         rb = self.amap.region_base
-        epl = self.amap.elements_per_line
         pool_op = self._pool.op
-        act_list = ph.active.tolist() if ph.active is not None else None
         compute_op = pool_op((OP_COMPUTE, ph.compute))
-        trace = KernelTrace(f"{ph.name}:vertex")
-        for warp_ranges in self._warp_ranges():
-            warps = []
-            for w_start, w_end in warp_ranges:
-                ops = [_ACQUIRE]
-                act = self._lanes(ops, act_list, w_start, w_end)
-                if act:
-                    q = sorted({v // epl for v in act})
-                    for arr in ph.read_arrays:
-                        b = rb(arr)
-                        ops.append(pool_op(
-                            (OP_LOAD, tuple(b + x for x in q))))
-                    ops.append(compute_op)
-                    for arr in ph.write_arrays:
-                        b = rb(arr)
-                        ops.append(pool_op(
-                            (OP_STORE, tuple(b + x for x in q))))
-                ops.append(_RELEASE)
-                warps.append(ops)
-            trace.add_block(warps)
-        return trace
+
+        def body(ops, act, q):
+            for arr in ph.read_arrays:
+                b = rb(arr)
+                ops.append(pool_op((OP_LOAD, tuple([b + x for x in q]))))
+            ops.append(compute_op)
+            for arr in ph.write_arrays:
+                b = rb(arr)
+                ops.append(pool_op((OP_STORE, tuple([b + x for x in q]))))
+
+        return self._kernel(f"{ph.name}:vertex", ph.active, body)
 
     # ------------------------------------------------------------------
     def _dynamic(self, ph: DynamicPhase) -> KernelTrace:
+        """Realize a data-dependent phase: lockstep chain walks.
+
+        Round ``r`` reads every active lane's ``r``-th ``col_idx``
+        position (when the phase streams edges) and its ``r``-th chain
+        element, then computes; the warp runs for its longest stream.
+        Both streams come from :func:`_rounds`.  A pointer-jumping phase
+        stores back at the lanes' own indices, and a hooking phase ends
+        with one blocking CAS round.
+        """
         rb = self.amap.region_base
         epl = self.amap.elements_per_line
         pool_op = self._pool.op
-        offsets = ph.chain_offsets.tolist()
-        values = ph.chain_values.tolist()
-        col_offsets = (ph.col_offsets.tolist()
-                       if ph.col_offsets is not None else None)
-        col_values = (ph.col_values.tolist()
-                      if ph.col_values is not None else None)
+        chain = _csr(ph.chain_offsets, ph.chain_values)
+        cols = (_csr(ph.col_offsets, ph.col_values)
+                if ph.col_offsets is not None else None)
         cas_targets = (ph.cas_targets.tolist()
                        if ph.cas_targets is not None else None)
-        act_list = ph.active.tolist() if ph.active is not None else None
         compute_op = pool_op((OP_COMPUTE, ph.compute_per_vertex))
-        trace = KernelTrace(f"{ph.name}:dynamic")
-        for warp_ranges in self._warp_ranges():
-            warps = []
-            for w_start, w_end in warp_ranges:
-                ops = [_ACQUIRE]
-                act = self._lanes(ops, act_list, w_start, w_end)
-                if act:
-                    chain_off = [offsets[v] for v in act]
-                    chain_len = [offsets[v + 1] - o
-                                 for v, o in zip(act, chain_off)]
-                    chain_pairs = sorted(
-                        zip(chain_len, chain_off), reverse=True)
-                    chain_asc = sorted(chain_len)
-                    max_len = chain_pairs[0][0]
-                    if col_offsets is not None:
-                        col_off = [col_offsets[v] for v in act]
-                        col_len = [col_offsets[v + 1] - o
-                                   for v, o in zip(act, col_off)]
-                        col_pairs = sorted(
-                            zip(col_len, col_off), reverse=True)
-                        col_asc = sorted(col_len)
-                        if col_pairs[0][0] > max_len:
-                            max_len = col_pairs[0][0]
-                    else:
-                        col_asc = None
-                    nlanes = len(act)
-                    for r in range(max_len):
-                        if col_asc is not None:
-                            k = nlanes - bisect_right(col_asc, r)
-                            if k:
-                                epos = [col_values[o + r]
-                                        for _, o in col_pairs[:k]]
-                                q = sorted({e // epl for e in epos})
-                                b = rb("col_idx")
-                                ops.append(pool_op(
-                                    (OP_LOAD, tuple(b + x for x in q))))
-                        k = nlanes - bisect_right(chain_asc, r)
-                        if k:
-                            reads = [values[o + r]
-                                     for _, o in chain_pairs[:k]]
-                            q = sorted({i // epl for i in reads})
-                            b = rb(ph.array)
-                            ops.append(pool_op(
-                                (OP_LOAD, tuple(b + x for x in q))))
-                        ops.append(compute_op)
-                    if ph.store_self:
-                        q = sorted({v // epl for v in act})
-                        b = rb(ph.array)
-                        ops.append(pool_op(
-                            (OP_STORE, tuple(b + x for x in q))))
-                    if cas_targets is not None:
-                        cas = [c for c in (cas_targets[v] for v in act)
-                               if c >= 0]
-                        if cas:
-                            # CAS results steer control flow: always
-                            # blocking.
-                            q, counts = _quotient_counts(cas, epl)
-                            b = rb(ph.array)
-                            ops.append(pool_op((
-                                OP_ATOMIC,
-                                tuple(zip([b + x for x in q], counts)),
-                                True)))
-                ops.append(_RELEASE)
-                warps.append(ops)
-            trace.add_block(warps)
-        return trace
+
+        def body(ops, act, q):
+            col_rounds = (_rounds(act, cols, epl, False)
+                          if cols is not None else ())
+            for col, reads in zip_longest(
+                    col_rounds, _rounds(act, chain, epl, False)):
+                if col is not None:
+                    b = rb("col_idx")
+                    ops.append(pool_op(
+                        (OP_LOAD, tuple([b + x for x in col[2]]))))
+                if reads is not None:
+                    b = rb(ph.array)
+                    ops.append(pool_op(
+                        (OP_LOAD, tuple([b + x for x in reads[2]]))))
+                ops.append(compute_op)
+            if ph.store_self:
+                b = rb(ph.array)
+                ops.append(pool_op((OP_STORE, tuple([b + x for x in q]))))
+            if cas_targets is not None:
+                cas = [c for c in (cas_targets[v] for v in act) if c >= 0]
+                if cas:
+                    # CAS results steer control flow: always blocking.
+                    cq, counts = _quotient_counts(cas, epl)
+                    b = rb(ph.array)
+                    ops.append(pool_op((
+                        OP_ATOMIC, tuple(zip([b + x for x in cq], counts)),
+                        True)))
+
+        return self._kernel(f"{ph.name}:dynamic", ph.active, body)

@@ -28,15 +28,6 @@ from ..taxonomy.profile import WorkloadProfile
 __all__ = ["predict_configuration", "explain_prediction"]
 
 
-def _wants_push_from_input(volume: Level, reuse: Level, imbalance: Level) -> bool:
-    """Secondary push test: input properties that defeat pull (IV-A1)."""
-    return (
-        reuse in (Level.MEDIUM, Level.LOW)
-        or imbalance in (Level.HIGH, Level.MEDIUM)
-        or volume is Level.HIGH
-    )
-
-
 def _push_coherence(volume: Level, reuse: Level) -> str:
     """Coherence choice given a push implementation (IV-A2)."""
     if reuse in (Level.MEDIUM, Level.LOW) or volume is Level.HIGH:
@@ -44,42 +35,16 @@ def _push_coherence(volume: Level, reuse: Level) -> str:
     return "denovo"
 
 
-def _push_consistency(volume: Level, imbalance: Level) -> str:
-    """Consistency choice given a push implementation (IV-A3)."""
-    if imbalance is Level.HIGH or volume in (Level.HIGH, Level.MEDIUM):
-        return "drfrlx"
-    return "drf1"
-
-
-def predict_configuration(profile: WorkloadProfile) -> Configuration:
-    """Predict the best configuration for a workload (Figure 4)."""
+def _walk(profile: WorkloadProfile) -> tuple[Configuration, list[str]]:
+    """The decision tree's answer for one workload and the steps to it."""
     app = profile.app
     graph = profile.graph
-    if app.traversal is Traversal.DYNAMIC:
-        return Configuration("dynamic", "denovo", "drf1")
-
-    prefers_source = (
-        app.control is Control.SOURCE or app.information is Information.SOURCE
-    )
-    if prefers_source or _wants_push_from_input(
-        graph.volume_class, graph.reuse_class, graph.imbalance_class
-    ):
-        return Configuration(
-            "push",
-            _push_coherence(graph.volume_class, graph.reuse_class),
-            _push_consistency(graph.volume_class, graph.imbalance_class),
-        )
-    return Configuration("pull", "gpu", "drf0")
-
-
-def explain_prediction(profile: WorkloadProfile) -> list[str]:
-    """Human-readable walk through the decision tree for one workload."""
-    app = profile.app
-    graph = profile.graph
+    volume, reuse, imbalance = (
+        graph.volume_class, graph.reuse_class, graph.imbalance_class)
     steps = [
         f"workload: {app.app} on {graph.name} "
-        f"(volume={graph.volume_class}, reuse={graph.reuse_class}, "
-        f"imbalance={graph.imbalance_class}; traversal={app.traversal.value}, "
+        f"(volume={volume}, reuse={reuse}, "
+        f"imbalance={imbalance}; traversal={app.traversal.value}, "
         f"control={app.control.value}, information={app.information.value})"
     ]
     if app.traversal is Traversal.DYNAMIC:
@@ -87,14 +52,15 @@ def explain_prediction(profile: WorkloadProfile) -> list[str]:
             "traversal is dynamic -> push+pull; DeNovo exploits constricting "
             "racy reuse; value-returning atomics favor DRF1 -> DD1"
         )
-        return steps
+        return Configuration("dynamic", "denovo", "drf1"), steps
     if app.control is Control.SOURCE or app.information is Information.SOURCE:
         steps.append(
             "control or information prefers the source -> push"
         )
-    elif _wants_push_from_input(
-        graph.volume_class, graph.reuse_class, graph.imbalance_class
-    ):
+    elif (reuse in (Level.MEDIUM, Level.LOW)
+          or imbalance in (Level.HIGH, Level.MEDIUM)
+          or volume is Level.HIGH):
+        # Secondary push test: input properties that defeat pull (IV-A1).
         steps.append(
             "input has medium/low reuse, medium/high imbalance, or high "
             "volume -> pull's locality advantage evaporates -> push"
@@ -104,8 +70,8 @@ def explain_prediction(profile: WorkloadProfile) -> list[str]:
             "high reuse, low imbalance, and non-high volume -> pull with "
             "GPU coherence and DRF0 (no atomics to optimize) -> TG0"
         )
-        return steps
-    coherence = _push_coherence(graph.volume_class, graph.reuse_class)
+        return Configuration("pull", "gpu", "drf0"), steps
+    coherence = _push_coherence(volume, reuse)
     if coherence == "gpu":
         steps.append(
             "medium/low reuse or high volume -> L1 atomics would not be "
@@ -113,14 +79,26 @@ def explain_prediction(profile: WorkloadProfile) -> list[str]:
         )
     else:
         steps.append("high reuse and manageable volume -> DeNovo ownership")
-    consistency = _push_consistency(graph.volume_class, graph.imbalance_class)
-    if consistency == "drfrlx":
+    # Push consistency (IV-A3).
+    if imbalance is Level.HIGH or volume in (Level.HIGH, Level.MEDIUM):
+        consistency = "drfrlx"
         steps.append(
             "high imbalance or high/medium volume -> overlap atomics with "
             "DRFrlx to mine MLP"
         )
     else:
+        consistency = "drf1"
         steps.append("balanced and small -> keep programmable DRF1")
-    prediction = predict_configuration(profile)
+    prediction = Configuration("push", coherence, consistency)
     steps.append(f"prediction: {prediction.code}")
-    return steps
+    return prediction, steps
+
+
+def predict_configuration(profile: WorkloadProfile) -> Configuration:
+    """Predict the best configuration for a workload (Figure 4)."""
+    return _walk(profile)[0]
+
+
+def explain_prediction(profile: WorkloadProfile) -> list[str]:
+    """Human-readable walk through the decision tree for one workload."""
+    return _walk(profile)[1]

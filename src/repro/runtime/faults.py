@@ -37,6 +37,7 @@ import traceback as _traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..sim.stalls import read_cycles, read_fields
 from .retry import stable_fraction
 from .spec import WorkloadSpec
 
@@ -91,7 +92,7 @@ class UnitFailure:
 
     digest: str
     label: str
-    kind: str  # 'crash' | 'timeout' | 'error'
+    kind: str  # one of KINDS
     attempts: int
     exception: str
     message: str
@@ -100,6 +101,8 @@ class UnitFailure:
     quarantined: bool = False
 
     ok = False  # mirrors WorkloadResult.ok
+    #: ``rejected``: a served unit admission control never let in.
+    KINDS = ("crash", "timeout", "error", "rejected")
 
     @classmethod
     def from_exception(
@@ -132,6 +135,25 @@ class UnitFailure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UnitFailure":
+        """Inverse of :meth:`to_dict`; malformed input raises ``ValueError``
+        naming the field (see :func:`~repro.sim.stalls.read_fields`)."""
+        data = read_fields(
+            "UnitFailure", data,
+            {"digest": str, "label": str, "kind": str, "attempts": int,
+             "exception": str, "message": str, "traceback": str,
+             "elapsed": None, "quarantined": bool},
+            required=("digest", "label", "kind", "attempts", "exception",
+                      "message"))
+        if data["kind"] not in cls.KINDS:
+            raise ValueError(f"UnitFailure field 'kind' must be one of "
+                             f"{cls.KINDS}, not {data['kind']!r}")
+        attempts = data["attempts"]
+        if isinstance(attempts, bool) or attempts < 0:
+            raise ValueError(f"UnitFailure field 'attempts' must be an int "
+                             f">= 0, not {attempts!r}")
+        if "elapsed" in data:
+            data["elapsed"] = read_cycles("UnitFailure", "elapsed",
+                                          data["elapsed"])
         return cls(**data)
 
 

@@ -124,7 +124,9 @@ class GPUSimulator:
 
     Memory-system state (caches, ownership) persists across the kernels of
     a single :meth:`run`, mirroring back-to-back kernel launches over the
-    same data.
+    same data.  :meth:`switch` swaps the memory system and consistency
+    model between launches (the flexible system of
+    :mod:`repro.adaptive.flexible`); the clock runs on across the switch.
     """
 
     def __init__(
@@ -134,14 +136,29 @@ class GPUSimulator:
         consistency: str | ConsistencyModel = "drf0",
     ) -> None:
         self.config = config
-        self.memory: MemorySystem = make_memory_system(coherence, config)
-        if isinstance(consistency, str):
-            consistency = get_model(consistency)
-        self.consistency = consistency
-        self._window = consistency.window(config)
         self._accumulated = StallBreakdown()
         self._kernel_cycles: list[float] = []
         self._clock = 0.0
+        self.switch(make_memory_system(coherence, config), consistency)
+
+    def switch(
+        self,
+        memory: MemorySystem,
+        consistency: str | ConsistencyModel,
+        cost: float = 0.0,
+    ) -> None:
+        """Run later kernels on ``memory`` under ``consistency``.
+
+        ``cost`` reconfiguration cycles pass on the clock before the next
+        launch.  The caller prepares ``memory`` for the switch (e.g. cold
+        L1s); its state is otherwise kept as it is.
+        """
+        if isinstance(consistency, str):
+            consistency = get_model(consistency)
+        self.memory = memory
+        self.consistency = consistency
+        self._window = consistency.window(self.config)
+        self._clock += cost
 
     # ------------------------------------------------------------------
     def feed(self, kernel: KernelTrace) -> float:
@@ -157,7 +174,7 @@ class GPUSimulator:
         """
         if self._kernel_cycles:
             self._clock += self.config.kernel_launch_cycles
-        end = self._run_kernel(kernel, self._accumulated, self._clock)
+        end = self._run_kernel(kernel)
         duration = end - self._clock
         self._clock = end
         self._kernel_cycles.append(duration)
@@ -170,13 +187,9 @@ class GPUSimulator:
         return duration
 
     def result(self) -> ExecutionResult:
-        """Snapshot of everything fed so far."""
-        launch = self.config.kernel_launch_cycles
-        cycles = sum(self._kernel_cycles)
-        if self._kernel_cycles:
-            cycles += launch * (len(self._kernel_cycles) - 1)
+        """Snapshot of everything fed so far; ``cycles`` is the clock."""
         return ExecutionResult(
-            cycles=cycles,
+            cycles=self._clock,
             breakdown=self._accumulated,
             kernel_cycles=list(self._kernel_cycles),
             memory_stats=self.memory.stats,
@@ -189,10 +202,10 @@ class GPUSimulator:
         return self.result()
 
     # ------------------------------------------------------------------
-    def _run_kernel(
-        self, kernel: KernelTrace, stats: StallBreakdown, start: float = 0.0
-    ) -> float:
+    def _run_kernel(self, kernel: KernelTrace) -> float:
+        """Run ``kernel`` from the clock; return its finish time."""
         cfg = self.config
+        start = self._clock
         num_sms = cfg.num_sms
         if not kernel.blocks:
             return start
@@ -352,6 +365,7 @@ class GPUSimulator:
                 f"{len(pending)} never dispatched")
 
         finish = max(max(sm_end), max(cursors))
+        stats = self._accumulated
         for sm in range(num_sms):
             # The drain from the last issue slot to the last completion is
             # attributed to whatever the final warp was waiting on.

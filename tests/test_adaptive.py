@@ -84,7 +84,7 @@ class TestFlexibleSimulator:
     def test_coherence_switch_drops_stale_owners(self, cfg):
         flexible = FlexibleSimulator(cfg)
         flexible.feed(kernel_with_atomics(name="k0"), "denovo", "drf1")
-        memory = flexible._lane("denovo").simulator.memory
+        memory = flexible._memories["denovo"]
         assert memory.owner
         flexible.feed(kernel_with_atomics(name="k1"), "gpu", "drf1")
         # Loads only, away from the lines the first kernel owned.

@@ -78,6 +78,21 @@ class TestBasicExecution:
         result = simulate(kernels, cfg, "gpu", "drf0")
         assert len(result.kernel_cycles) == 3
 
+    def test_switch_runs_on_the_one_clock(self, cfg):
+        from repro.sim.coherence import make_memory_system
+
+        sim = GPUSimulator(cfg, "gpu", "drf0")
+        sim.feed(one_warp_kernel([acquire(), load([1]), release()]))
+        denovo = make_memory_system("denovo", cfg)
+        sim.switch(denovo, "drfrlx", cost=700)
+        sim.feed(one_warp_kernel([acquire(), load([1]), release()]))
+        result = sim.result()
+        first, second = result.kernel_cycles
+        assert result.cycles == (first + cfg.kernel_launch_cycles + 700
+                                 + second)
+        assert sim.memory is denovo and sim.consistency is DRFRLX
+        assert result.memory_stats is denovo.stats
+
     def test_breakdown_total_positive(self, cfg):
         k = one_warp_kernel([acquire(), load([1, 2, 3]), release()])
         result = simulate([k], cfg, "gpu", "drf0")

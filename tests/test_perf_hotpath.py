@@ -203,6 +203,18 @@ def _mask(n, seed, density):
     return np.random.default_rng(seed).random(n) < density
 
 
+def _both_producers(graph, phase, direction):
+    """``phase`` realized with every warp on the numpy round tables, then
+    with every warp on the Python walk."""
+    realized = []
+    for threshold in (0, 1 << 60):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tracegen, "_VEC_THRESHOLD", threshold)
+            realized.append(TraceBuilder(graph, _CFG).realize(
+                phase, direction))
+    return realized
+
+
 class TestVectorizedRoundTables:
     """The numpy round producer must match the Python walk op-for-op."""
 
@@ -236,13 +248,40 @@ class TestVectorizedRoundTables:
             pull_extra_compute_per_edge=computes[1],
             push_hoisted_compute=computes[2])
 
-        realized = []
-        for threshold in (0, 1 << 60):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(tracegen, "_VEC_THRESHOLD", threshold)
-                realized.append(TraceBuilder(graph, _CFG).realize(
-                    phase, direction))
-        vectorized, scalar = realized
+        vectorized, scalar = _both_producers(graph, phase, direction)
+        assert vectorized.name == scalar.name
+        assert vectorized.blocks == scalar.blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=_small_graphs(), seed=st.integers(0, 2**16),
+           max_chain=st.integers(0, 12),
+           max_cols=st.none() | st.integers(0, 12),
+           density=st.none() | st.sampled_from([0.0, 0.3, 1.0]),
+           cas=st.booleans(), store_self=st.booleans(),
+           compute=st.integers(1, 3))
+    def test_dynamic_matches_scalar_path(self, graph, seed, max_chain,
+                                         max_cols, density, cas,
+                                         store_self, compute):
+        n = graph.num_vertices
+        rng = np.random.default_rng(seed)
+
+        def chains(max_len, span):
+            lengths = rng.integers(0, max_len + 1, n)
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            return offsets, rng.integers(0, span, int(offsets[-1]))
+
+        chain_offsets, chain_values = chains(max_chain, n)
+        col_offsets = col_values = None
+        if max_cols is not None:
+            col_offsets, col_values = chains(max_cols, 4 * n)
+        phase = DynamicPhase(
+            name="d", array="parent", chain_offsets=chain_offsets,
+            chain_values=chain_values,
+            cas_targets=rng.integers(-1, n, n) if cas else None,
+            active=_mask(n, seed, density) if density is not None else None,
+            compute_per_vertex=compute, col_offsets=col_offsets,
+            col_values=col_values, store_self=store_self)
+        vectorized, scalar = _both_producers(graph, phase, "push")
         assert vectorized.name == scalar.name
         assert vectorized.blocks == scalar.blocks
 

@@ -27,6 +27,7 @@ from repro.runtime import (
     run_plan,
 )
 from repro.runtime import executor as executor_module
+from repro.runtime.faults import UnitFailure
 from repro.sim.coherence import MemoryStats
 from repro.sim.config import SystemConfig, scaled_system
 from repro.sim.engine import ExecutionResult
@@ -477,6 +478,85 @@ class TestResultReadersFailClosed:
             return
         clone = reader.from_dict(json.loads(json.dumps(parsed.to_dict())))
         assert clone == parsed
+
+
+def _failure_payload() -> dict:
+    return UnitFailure(
+        digest="ab12", label="PR@DCT", kind="error", attempts=2,
+        exception="ValueError", message="boom", traceback="tb",
+        elapsed=1.5).to_dict()
+
+
+_FAILURE_FIELDS = tuple(f.name for f in fields(UnitFailure)) + ("bogus",)
+
+
+class TestUnitFailureFailsClosed:
+    """``UnitFailure.from_dict`` round-trips a payload or raises
+    ValueError naming the field, as the result readers do."""
+
+    @pytest.mark.parametrize("payload, match", [
+        pytest.param(dict(_failure_payload(), extra=1),
+                     "unknown UnitFailure fields: \\['extra'\\]",
+                     id="extra-key"),
+        pytest.param(["not", "a", "mapping"],
+                     "UnitFailure payload must be a mapping", id="list"),
+        pytest.param(dict(_failure_payload(), kind=5, attempts="x"),
+                     "'kind' has the wrong type", id="kind-5-attempts-x"),
+    ])
+    def test_payloads_that_once_got_through(self, payload, match):
+        with pytest.raises(ValueError, match=match):
+            UnitFailure.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("kind", "lost", "'kind' must be one of"),
+        ("attempts", "x", "'attempts' has the wrong type"),
+        ("attempts", 1.0, "'attempts' has the wrong type"),
+        ("attempts", True, "'attempts' must be an int >= 0"),
+        ("attempts", -1, "'attempts' must be an int >= 0"),
+        ("elapsed", float("inf"), "'elapsed' must be a finite number"),
+        ("elapsed", float("nan"), "'elapsed' must be a finite number"),
+        ("elapsed", "1.5", "'elapsed' must be a finite number"),
+        ("quarantined", 0, "'quarantined' has the wrong type"),
+        ("label", None, "'label' has the wrong type"),
+    ])
+    def test_malformed_field_raises_value_error(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            UnitFailure.from_dict(_with_field(_failure_payload(), field,
+                                              value))
+
+    def test_missing_field_is_named(self):
+        data = _failure_payload()
+        del data["message"]
+        with pytest.raises(ValueError, match="'message' is missing"):
+            UnitFailure.from_dict(data)
+
+    def test_every_kind_round_trips(self):
+        for kind in UnitFailure.KINDS:
+            failure = UnitFailure.from_dict(
+                dict(_failure_payload(), kind=kind))
+            assert UnitFailure.from_dict(failure.to_dict()) == failure
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(_FAILURE_FIELDS), value=_JSON)
+    def test_one_field_set_to_any_json_raises_or_round_trips(self, field,
+                                                             value):
+        data = _with_field(_failure_payload(), field, value)
+        try:
+            failure = UnitFailure.from_dict(data)
+        except ValueError:
+            return
+        assert UnitFailure.from_dict(
+            json.loads(json.dumps(failure.to_dict()))) == failure
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_JSON)
+    def test_any_json_raises_or_round_trips(self, payload):
+        try:
+            failure = UnitFailure.from_dict(payload)
+        except ValueError:
+            return
+        assert UnitFailure.from_dict(
+            json.loads(json.dumps(failure.to_dict()))) == failure
 
 
 class TestExecutors:

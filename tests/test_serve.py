@@ -495,6 +495,43 @@ class _MalformedResultClient:
         return [self.submit(spec) for spec in specs]
 
 
+class _MalformedFailureClient(_MalformedResultClient):
+    """Every unit comes back 'failed' with a failure payload carrying a
+    field no ``UnitFailure`` has."""
+
+    def submit(self, spec, max_wait=None) -> dict:
+        return {"digest": spec.digest(), "label": spec.label,
+                "status": "failed", "source": "simulated",
+                "failure": {"digest": spec.digest(), "label": spec.label,
+                            "kind": "error", "attempts": 1,
+                            "exception": "E", "message": "m",
+                            "bogus": 1}}
+
+
+class TestMalformedServedFailure:
+    """A served failure that does not parse is an error line too."""
+
+    @pytest.fixture(autouse=True)
+    def _malformed_server(self, monkeypatch):
+        import repro.serve
+
+        monkeypatch.setattr(repro.serve, "ServeClient",
+                            _MalformedFailureClient)
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "DCT", "PR", "--iters", "1"],
+        ["sweep", "--graphs", "DCT", "--apps", "PR", "--iters", "1"],
+    ], ids=["submit", "sweep"])
+    def test_reports_error(self, argv, capsys):
+        from repro.cli import main
+
+        assert main(argv + ["--server", "unix:///nowhere.sock"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: malformed failure from unix:///nowhere.sock: ")
+        assert "unknown UnitFailure fields: ['bogus']" in err
+
+
 class TestMalformedServedResult:
     """A served result that does not parse is an error line, not a
     traceback."""
