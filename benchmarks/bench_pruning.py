@@ -15,12 +15,6 @@ at several ``(k, explore)`` settings, and reports, per setting:
 * prediction bookkeeping under restriction — ``exact_of_simulated``
   and ``oracle_unknown_rows``.
 
-It then replays the active-learning loop (:func:`repro.model.pruning
-.active_learn`) against the oracle sweep's realized timings — the loop
-only reads configs its own pruning selected, so per-round holdout
-accuracy is exactly what a live prune -> realize -> retrain cycle would
-have observed, at zero extra simulation cost.
-
 Modes mirror ``bench_perf.py``: quick (``REPRO_BENCH_QUICK=1`` or
 ``--quick``) caps workloads at 2 iterations; full uses each kernel's
 default.  Results go to ``BENCH_pruning.json`` (``"schema": 1``).
@@ -135,24 +129,6 @@ def _measure_setting(k: int, explore: int, max_iters: int | None,
     }
 
 
-def _active_learning(oracle_sweep, rounds: int = 3) -> dict:
-    """Replay prune -> realize -> retrain against the oracle's timings."""
-    from repro.model.pruning import active_learn
-
-    entries = [
-        (row.profile,
-         {code: result.cycles
-          for code, result in row.workload.results.items()})
-        for row in oracle_sweep.rows
-    ]
-    report = active_learn(entries, k=1, explore=1, rounds=rounds, seed=0)
-    return {
-        "rounds": report.rounds,
-        "examples": len(report.examples),
-        "final_holdout_accuracy": report.ranker.holdout_accuracy,
-    }
-
-
 def run_bench(quick: bool) -> dict:
     max_iters = QUICK_ITERS if quick else None
     print("oracle sweep (full Figure-5 grid)", flush=True)
@@ -177,7 +153,6 @@ def run_bench(quick: bool) -> dict:
             "exact_predictions": oracle.exact_predictions,
         },
         "variants": variants,
-        "active_learning": _active_learning(oracle),
     }
 
 
@@ -238,13 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nmode={measured['mode']} workloads={measured['workloads']} "
           f"oracle config-sims={oracle['config_sims']} "
           f"oracle total {oracle['phases']['total_s']:.3f}s")
-    al = measured["active_learning"]
-    accs = ", ".join(
-        "n/a" if r["holdout_accuracy"] is None
-        else f"{r['holdout_accuracy']:.2f}"
-        for r in al["rounds"])
-    print(f"active learning: {len(al['rounds'])} round(s), "
-          f"{al['examples']} example(s), holdout accuracy [{accs}]")
 
     status = 0
     if args.min_achieved is not None:

@@ -85,11 +85,6 @@ class DirectionAdaptiveResult:
         return min(self.fixed_push_cycles, self.fixed_pull_cycles)
 
     @property
-    def speedup_vs_best_fixed(self) -> float:
-        """> 1.0 when switching beats the better fixed direction."""
-        return self.best_fixed_cycles / self.adaptive_cycles
-
-    @property
     def switches(self) -> int:
         return sum(1 for a, b in zip(self.directions, self.directions[1:])
                    if a != b)

@@ -36,10 +36,6 @@ class ReconfigurationEvent:
     from_consistency: str
     to_consistency: str
 
-    @property
-    def switched_coherence(self) -> bool:
-        return self.from_coherence != self.to_coherence
-
 
 class FlexibleSimulator:
     """Runs kernels on per-launch configurations with switching costs.

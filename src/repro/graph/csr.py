@@ -92,20 +92,9 @@ class CSRGraph:
         """Out-degree of every vertex (length ``num_vertices``)."""
         return np.diff(self.indptr)
 
-    @property
-    def in_degrees(self) -> np.ndarray:
-        """In-degree of every vertex (length ``num_vertices``)."""
-        return np.bincount(self.indices, minlength=self.num_vertices)
-
     def neighbors(self, v: int) -> np.ndarray:
         """Out-neighbors of vertex ``v`` (a CSR slice, do not mutate)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def edge_weights_of(self, v: int) -> np.ndarray:
-        """Weights of vertex ``v``'s out-edges (unit weights if unweighted)."""
-        if self.weights is None:
-            return np.ones(self.indptr[v + 1] - self.indptr[v])
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
 
     # ------------------------------------------------------------------
     # In-edge (CSC) view for pull kernels
@@ -146,41 +135,6 @@ class CSRGraph:
         if self._in_weights is None:
             self._build_in_edges()
         return self._in_weights
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """In-neighbors of vertex ``v``."""
-        return self.in_indices[self.in_indptr[v] : self.in_indptr[v + 1]]
-
-    # ------------------------------------------------------------------
-    # Structural predicates
-    # ------------------------------------------------------------------
-    def has_self_loops(self) -> bool:
-        """True when any edge has identical endpoints."""
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), self.out_degrees
-        )
-        return bool(np.any(sources == self.indices))
-
-    def is_symmetric(self) -> bool:
-        """True when for every edge (u, v) the reverse edge (v, u) exists."""
-        n = self.num_vertices
-        sources = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees)
-        forward = sources * n + self.indices
-        backward = self.indices * n + sources
-        return bool(
-            np.array_equal(np.sort(forward), np.sort(np.unique(backward)))
-            if forward.size == np.unique(forward).size
-            else np.array_equal(
-                np.unique(forward), np.unique(backward)
-            )
-        )
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        """All edges as a set of (source, destination) pairs (small graphs)."""
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), self.out_degrees
-        )
-        return set(zip(sources.tolist(), self.indices.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from ..configs import figure5_configurations
 from ..kernels.registry import KERNELS
 from ..model import predict_configuration, predict_partial_configuration
-from ..model.pruning import LearnedRanker, PruningPolicy, sweep_baseline
+from ..model.pruning import PruningPolicy, sweep_baseline
 from ..obs import OBSERVER as _obs
 from ..runtime import (
     DEFAULT_LEASE_TTL,
@@ -81,10 +81,9 @@ class SweepRow:
     workload: WorkloadResult
     predicted: str
     predicted_partial: str
-    #: The workload profile aggregation computed for the prediction
-    #: (None on hand-built rows).  Carried so downstream consumers — the
-    #: active-learning retrain loop chiefly — can pair realized timings
-    #: with the model's feature vector without re-profiling the graph.
+    #: The workload profile the row's predictions were made from,
+    #: against the system its unit simulated on (None on hand-built
+    #: rows).  It records why the model chose ``predicted``.
     profile: object | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -271,11 +270,11 @@ def plan_sweep(
     The full grid comes from :meth:`ExecutionPlan.for_sweep`.  With
     ``prune`` set, each graph is profiled once against the system its
     first unit simulates on, each workload's Figure-5 config space is
-    ranked by the policy (tree first, analytic tie-break, learned ranker
-    when installed), and the unit is restricted to the selected subset
-    with its Figure-5 baseline pinned (TG0 / DG1), so rows stay
-    normalizable; :class:`~repro.runtime.WorkloadSpec` rejects a subset
-    that dropped its baseline.  Returns ``(plan, subsets)`` where
+    ranked by the policy (tree first, then analytic cost), and the unit
+    is restricted to the selected subset with its Figure-5 baseline
+    pinned (TG0 / DG1), so rows stay normalizable;
+    :class:`~repro.runtime.WorkloadSpec` rejects a subset that dropped
+    its baseline.  Returns ``(plan, subsets)`` where
     ``subsets`` maps ``(graph, app)`` to the kept codes (None for an
     unpruned plan).
 
@@ -337,7 +336,6 @@ def run_sweep(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     prune_k: int | None = None,
     explore: int = 0,
-    ranker: LearnedRanker | None = None,
 ) -> SweepResult:
     """Run the full evaluation sweep.
 
@@ -370,17 +368,14 @@ def run_sweep(
     simulates only its model-ranked top-``k`` configurations plus
     ``explore`` seeded exploration picks (and always the Figure-5
     baseline) instead of the full grid — see
-    :class:`repro.model.pruning.PruningPolicy`.  ``ranker`` installs a
-    retrained :class:`~repro.model.pruning.LearnedRanker` whose pick
-    leads the ranking (the active-learning loop's feedback path).
-    Pruned rows have ``oracle_known`` False.
+    :class:`repro.model.pruning.PruningPolicy`.  Pruned rows have
+    ``oracle_known`` False.
     """
     graphs = tuple(graphs)
     apps = tuple(apps)
     prune = None
     if prune_k is not None:
-        prune = PruningPolicy(k=prune_k, explore=explore, seed=seed,
-                              ranker=ranker)
+        prune = PruningPolicy(k=prune_k, explore=explore, seed=seed)
 
     _obs.emit("sweep.phase", name="plan", boundary="begin")
     plan, _ = plan_sweep(

@@ -30,11 +30,6 @@ class BCResult:
     sigma: np.ndarray
     delta: np.ndarray
 
-    @property
-    def centrality(self) -> np.ndarray:
-        """Per-vertex dependency accumulation (the BC contribution)."""
-        return self.delta
-
 
 class BetweennessCentrality(GraphKernel):
     """Level-synchronous single-source Brandes from the max-degree vertex."""

@@ -28,14 +28,11 @@ is one of the two hot phases of a sweep, so this module:
 
 * converts each adjacency structure to Python lists **once** per
   builder (a dynamic phase's chains once per realization);
-* has one round producer (:func:`_rounds`) for edge and dynamic phases:
-  warps with at least ``_VEC_THRESHOLD`` edges get all their rounds from
-  numpy tables (:func:`_round_tables`), smaller warps walk rounds in pure
-  Python, where numpy's call overhead would dominate.  Both yield the
-  same per-round values, so the emitted ops are identical;
-* walks rounds over a degree-descending lane prefix, so round ``r`` costs
-  O(lanes still active) instead of O(warp width) — the dedup/sort
-  downstream consumers make lane order within a round irrelevant;
+* has one round producer (:func:`_rounds`) for edge and dynamic phases,
+  a pure-Python walk over a degree-descending lane prefix, so round
+  ``r`` costs O(lanes still active) instead of O(warp width) — the
+  dedup/sort downstream consumers make lane order within a round
+  irrelevant;
 * shares the line-quotient set (``index // elements_per_line``) between
   loads that address the same index set (e.g. ``col_idx`` and
   ``weights``);
@@ -87,73 +84,6 @@ STATE_ARRAY = "vstate"
 #: long-running builder cannot accumulate unbounded trace memory.
 _MEMO_CAPACITY = 16
 
-#: Minimum total edge count in a warp before the vectorized round-table
-#: producer pays for its numpy call overhead; smaller warps walk rounds
-#: in plain Python.  Both producers yield identical rounds.
-_VEC_THRESHOLD = 256
-
-
-def _round_tables(offs_desc, degs_desc, neigh_np, epl):
-    """Vectorized per-round slicing tables for one warp's edge loop.
-
-    Given the active lanes' edge offsets/degrees (degree-descending) and
-    the neighbor index array, computes for **all** rounds at once what the
-    per-round Python loop derives incrementally: round ``r`` covers edge
-    positions ``offs_desc[i] + r`` for every lane with ``degs_desc[i] >
-    r``.  Flattening lane-major and stable-sorting by round groups those
-    positions into contiguous round segments whose order matches the
-    Python loop's lane order exactly.
-
-    Returns ``(ends, qe_vals, qe_cuts, nb_vals, nbq_vals, nbq_counts,
-    nbq_cuts)`` — all plain Python lists:
-
-    * ``ends[r]``: end index of round ``r``'s segment in ``nb_vals``;
-    * ``qe_vals[qe_cuts[r-1]:qe_cuts[r]]``: the round's sorted-unique
-      edge-position line quotients (``epos // epl``);
-    * ``nb_vals``: neighbor of each edge position, round-segmented;
-    * ``nbq_vals/nbq_counts`` sliced by ``nbq_cuts``: the round's
-      sorted-unique neighbor line quotients with multiplicities
-      (equal to ``sorted(Counter(nb // epl).items())``).
-    """
-    offs = np.asarray(offs_desc, dtype=np.int64)
-    degs = np.asarray(degs_desc, dtype=np.int64)
-    n = len(offs)
-    total = int(degs.sum())
-    lane = np.repeat(np.arange(n), degs)
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(degs[:-1], out=starts[1:])
-    rounds = np.arange(total) - np.repeat(starts, degs)
-    pos = offs[lane] + rounds
-    by_round = np.argsort(rounds, kind="stable")
-    pos_r = pos[by_round]
-    round_r = rounds[by_round]
-    ends = np.cumsum(np.bincount(round_r)).tolist()
-
-    quot = pos_r // epl
-    order = np.lexsort((quot, round_r))
-    quot_s = quot[order]
-    round_s = round_r[order]
-    first = np.empty(total, dtype=bool)
-    first[0] = True
-    first[1:] = (quot_s[1:] != quot_s[:-1]) | (round_s[1:] != round_s[:-1])
-    qe_vals = quot_s[first].tolist()
-    qe_cuts = np.cumsum(np.bincount(round_s[first])).tolist()
-
-    nb = neigh_np[pos_r]
-    nbq = nb // epl
-    order = np.lexsort((nbq, round_r))
-    nbq_s = nbq[order]
-    round_s = round_r[order]
-    first = np.empty(total, dtype=bool)
-    first[0] = True
-    first[1:] = (nbq_s[1:] != nbq_s[:-1]) | (round_s[1:] != round_s[:-1])
-    idx = np.nonzero(first)[0]
-    nbq_vals = nbq_s[first].tolist()
-    nbq_counts = np.diff(np.append(idx, total)).tolist()
-    nbq_cuts = np.cumsum(np.bincount(round_s[first])).tolist()
-    return (ends, qe_vals, qe_cuts, nb.tolist(),
-            nbq_vals, nbq_counts, nbq_cuts)
-
 
 def _quotient_counts(indices, epl):
     """Sorted-unique line quotients of ``indices`` and their multiplicities."""
@@ -165,26 +95,22 @@ def _quotient_counts(indices, epl):
     return quots, [counts[x] for x in quots]
 
 
-def _csr(indptr: np.ndarray,
-         values: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """A CSR stream for :func:`_rounds`: both arrays as lists, plus
-    ``values`` as an ndarray for the numpy tables."""
-    return indptr.tolist(), values.tolist(), values
+def _csr(indptr: np.ndarray, values: np.ndarray) -> tuple[list, list]:
+    """A CSR stream for :func:`_rounds`: both arrays as lists."""
+    return indptr.tolist(), values.tolist()
 
 
 def _rounds(act, csr, epl, want_counts):
-    """Yield ``(qe, nbrs, nbq, counts)`` for each round of one warp's loop.
+    """Yield ``(epos, nbrs, nbq, counts)`` for each round of one warp's loop.
 
-    ``csr`` is ``(indptr, nbr_list, nbr_np)`` (see :func:`_csr`): lane
-    ``v`` of ``act`` walks positions ``indptr[v]..indptr[v + 1]`` of the
-    neighbour index array.  Per round: ``qe`` the sorted-unique position
-    line quotients, ``nbrs`` the neighbours the round's lanes reach,
-    ``nbq`` their sorted-unique line quotients and ``counts`` the
-    multiplicity of each.  The Python walk computes ``counts`` only when
-    ``want_counts`` (it is None otherwise); the numpy tables always
-    carry it.
+    ``csr`` is ``(indptr, nbr_list)`` (see :func:`_csr`): lane ``v`` of
+    ``act`` walks positions ``indptr[v]..indptr[v + 1]`` of the neighbour
+    index array.  Per round: ``epos`` the positions the round's lanes
+    read, ``nbrs`` the neighbours at them, ``nbq`` their sorted-unique
+    line quotients and ``counts`` the multiplicity of each (None unless
+    ``want_counts``).
     """
-    indptr, nbr_list, nbr_np = csr
+    indptr, nbr_list = csr
     offs = [indptr[v] for v in act]
     degs = [indptr[v + 1] - o for v, o in zip(act, offs)]
     max_deg = max(degs)
@@ -192,21 +118,6 @@ def _rounds(act, csr, epl, want_counts):
         return
     order = sorted(range(len(degs)), key=degs.__getitem__, reverse=True)
     offs_desc = [offs[i] for i in order]
-    if sum(degs) >= _VEC_THRESHOLD:
-        (ends, qe_vals, qe_cuts, nb_vals, nbq_vals, nbq_counts,
-         nbq_cuts) = _round_tables(
-            offs_desc, [degs[i] for i in order], nbr_np, epl)
-        e0 = q0 = n0 = 0
-        for r in range(max_deg):
-            e1 = ends[r]
-            q1 = qe_cuts[r]
-            n1 = nbq_cuts[r]
-            yield (qe_vals[q0:q1], nb_vals[e0:e1], nbq_vals[n0:n1],
-                   nbq_counts[n0:n1])
-            e0 = e1
-            q0 = q1
-            n0 = n1
-        return
     degs_asc = sorted(degs)
     nlanes = len(degs)
     for r in range(max_deg):
@@ -218,7 +129,7 @@ def _rounds(act, csr, epl, want_counts):
         else:
             nbq = sorted({t // epl for t in nbrs})
             counts = None
-        yield sorted({e // epl for e in epos}), nbrs, nbq, counts
+        yield epos, nbrs, nbq, counts
 
 
 def _check_mask(mask, phase_name: str, role: str, num_vertices: int) -> None:
@@ -265,7 +176,7 @@ class TraceBuilder:
         self._memo: dict[tuple, KernelTrace] = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        self._adj: dict[str, tuple[list, list, np.ndarray]] = {}
+        self._adj: dict[str, tuple[list, list]] = {}
 
     # ------------------------------------------------------------------
     def realize(self, phase, direction: str) -> KernelTrace:
@@ -332,7 +243,7 @@ class TraceBuilder:
         return self._edge(phase, direction)
 
     # ------------------------------------------------------------------
-    def _adjacency(self, direction: str) -> tuple[list, list, np.ndarray]:
+    def _adjacency(self, direction: str) -> tuple[list, list]:
         """The adjacency's :func:`_csr` stream for one direction.
 
         Push walks the out-CSR, pull the in-CSR; the list mirrors are
@@ -445,8 +356,9 @@ class TraceBuilder:
                 ops.append(pool_op((OP_LOAD, tuple([b + x for x in q]))))
             if hoist_op is not None:
                 ops.append(hoist_op)
-            for qe, nbrs, nbq, counts in _rounds(
+            for epos, nbrs, nbq, counts in _rounds(
                     act, adj, epl, want_counts):
+                qe = sorted({e // epl for e in epos})
                 b = rb(col_region)
                 ops.append(pool_op((OP_LOAD, tuple([b + x for x in qe]))))
                 if wt_region is not None:

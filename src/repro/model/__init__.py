@@ -9,14 +9,7 @@ from .analytic import (
 from .decision_tree import explain_prediction, predict_configuration
 from .features import ModelFeatures, extract_features, workload_profile
 from .partial import predict_partial_configuration
-from .pruning import (
-    ActiveLearningReport,
-    LearnedRanker,
-    PruningPolicy,
-    TrainingExample,
-    active_learn,
-    fit_ranker,
-)
+from .pruning import PruningPolicy
 
 __all__ = [
     "predict_configuration",
@@ -26,11 +19,6 @@ __all__ = [
     "extract_features",
     "workload_profile",
     "PruningPolicy",
-    "TrainingExample",
-    "LearnedRanker",
-    "fit_ranker",
-    "ActiveLearningReport",
-    "active_learn",
     "AnalyticEstimate",
     "estimate_cost",
     "estimate_design_space",

@@ -1,30 +1,19 @@
-"""Prediction-guided sweep pruning: simulate top-k configs, learn the rest.
+"""Prediction-guided sweep pruning: simulate the top-k ranked configs.
 
 A full sweep simulates every Figure-5 configuration per workload, but the
 paper's central claim is that six cheap taxonomy features already predict
 the winner — so most of those simulations confirm what the model knew.
-This module closes the loop:
-
-* :class:`PruningPolicy` ranks a workload's configuration space — the
-  decision tree's pick first (a learned ranker's pick ahead of it when
-  one is installed), the remainder ordered by the analytic cost model —
-  and selects the top-``k`` plus a seeded exploration budget.  The
-  Figure-5 normalization baseline (TG0, DG1 for dynamic apps) is always
-  kept in the subset so pruned rows stay normalizable
-  (:meth:`SweepRow.normalized`).
-* :func:`fit_ranker` refits a :class:`LearnedRanker` on accumulated
-  ``(features -> realized best)`` examples with a seeded holdout split,
-  emitting a ``model.retrain`` event with the holdout accuracy.
-* :func:`active_learn` iterates the loop: each round prunes a slice of
-  the workload matrix with the current model, banks the realized best of
-  what was actually simulated, and retrains — the exploration budget is
-  what keeps the training set from collapsing onto the model's own
-  predictions.
+:class:`PruningPolicy` has one ranking rule: the decision tree's pick
+first, then the rest of the workload's Figure-5 space in ascending
+analytic-model cost.  It keeps the top ``k`` plus a seeded exploration
+budget, and always the Figure-5 normalization baseline (TG0, DG1 for
+dynamic apps), so pruned rows stay normalizable
+(:meth:`SweepRow.normalized`).
 
 ``repro.harness.sweep.run_sweep(prune_k=, explore=)`` and the CLI's
 ``sweep --prune-k/--explore`` drive the policy end to end;
 ``benchmarks/bench_pruning.py`` measures achieved-vs-oracle performance
-and simulation time saved at each ``k`` (committed as
+and simulation time saved at each ``(k, explore)`` (committed as
 ``BENCH_pruning.json``).
 """
 
@@ -32,24 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..configs import figure5_configurations
-from ..obs import OBSERVER as _obs
 from ..sim.config import DEFAULT_SYSTEM, SystemConfig
 from ..taxonomy.profile import WorkloadProfile
 from .analytic import estimate_design_space
 from .decision_tree import predict_configuration
-from .features import ModelFeatures, extract_features
 
-__all__ = [
-    "PruningPolicy",
-    "TrainingExample",
-    "LearnedRanker",
-    "fit_ranker",
-    "ActiveLearningReport",
-    "active_learn",
-]
+__all__ = ["PruningPolicy"]
 
 
 def sweep_baseline(traversal: str) -> str:
@@ -58,143 +38,22 @@ def sweep_baseline(traversal: str) -> str:
 
 
 @dataclass(frozen=True)
-class TrainingExample:
-    """One realized observation: feature vector -> best simulated config.
-
-    ``oracle_known`` records whether ``best`` was measured against the
-    *full* configuration grid (an oracle label) or only a pruned subset
-    (a lower bound — still useful training signal, but weaker).
-    """
-
-    features: ModelFeatures
-    best: str
-    oracle_known: bool = True
-
-
-#: Feature-mask backoff sequence, most-specific first.  Each entry names
-#: the features kept when looking up a majority label; the order encodes
-#: the taxonomy's importance ranking (traversal dominates, then the
-#: app-side properties, then reuse — imbalance and volume generalize
-#: away first, mirroring the decision tree's structure).
-_BACKOFF: tuple[tuple[str, ...], ...] = (
-    ("volume", "reuse", "imbalance", "traversal", "control", "information"),
-    ("volume", "reuse", "traversal", "control", "information"),
-    ("reuse", "traversal", "control", "information"),
-    ("traversal", "control", "information"),
-    ("traversal",),
-    (),
-)
-
-
-def _masked(features: ModelFeatures, mask: tuple[str, ...]) -> tuple:
-    return tuple(getattr(features, name) for name in mask)
-
-
-def _majority(labels: list[str]) -> str:
-    """Most frequent label; ties break lexicographically (deterministic)."""
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    return min(counts, key=lambda label: (-counts[label], label))
-
-
-@dataclass(frozen=True)
-class LearnedRanker:
-    """A retrainable best-config predictor over the six taxonomy features.
-
-    A backoff lookup table: predict the majority realized-best label of
-    the training examples matching the feature vector exactly, falling
-    back through progressively coarser feature masks (:data:`_BACKOFF`)
-    when no exact match exists.  Deliberately simple — six categorical
-    features admit at most a few hundred distinct cells, so a smoothed
-    table *is* the right-capacity model, and its predictions are exactly
-    reproducible from the training set (no fitting stochasticity; the
-    only seed is the holdout split).
-    """
-
-    tables: tuple[dict, ...]
-    examples: int
-    holdout_accuracy: float | None = None
-    holdout_size: int = 0
-
-    def predict(self, features: ModelFeatures) -> str | None:
-        """Best-config prediction, or None for an empty model."""
-        for mask, table in zip(_BACKOFF, self.tables):
-            label = table.get(_masked(features, mask))
-            if label is not None:
-                return label
-        return None
-
-
-def _build_tables(examples: list[TrainingExample]) -> tuple[dict, ...]:
-    tables = []
-    for mask in _BACKOFF:
-        cells: dict[tuple, list[str]] = {}
-        for example in examples:
-            cells.setdefault(_masked(example.features, mask),
-                             []).append(example.best)
-        tables.append({cell: _majority(labels)
-                       for cell, labels in cells.items()})
-    return tuple(tables)
-
-
-def fit_ranker(
-    examples: list[TrainingExample],
-    seed: int = 0,
-    holdout: float = 0.25,
-    round_index: int | None = None,
-) -> LearnedRanker:
-    """Refit the ranker on accumulated examples with a seeded holdout.
-
-    The holdout split (a deterministic shuffle under ``seed``) measures
-    generalization — accuracy of a model fit on the train split alone,
-    scored on the held-out labels — then the returned model is refit on
-    *all* examples so no signal is wasted.  Emits ``model.retrain``.
-    """
-    if not 0.0 <= holdout < 1.0:
-        raise ValueError("holdout must be in [0, 1)")
-    order = list(range(len(examples)))
-    random.Random(seed).shuffle(order)
-    held = order[: int(len(examples) * holdout)]
-    held_set = set(held)
-    accuracy: float | None = None
-    if held:
-        train = [examples[i] for i in order if i not in held_set]
-        probe = LearnedRanker(tables=_build_tables(train),
-                              examples=len(train))
-        hits = sum(probe.predict(examples[i].features) == examples[i].best
-                   for i in held)
-        accuracy = hits / len(held)
-    ranker = LearnedRanker(
-        tables=_build_tables(list(examples)),
-        examples=len(examples),
-        holdout_accuracy=accuracy,
-        holdout_size=len(held),
-    )
-    _obs.emit("model.retrain", examples=len(examples),
-              train=len(examples) - len(held), holdout=len(held),
-              accuracy=accuracy, round=round_index)
-    return ranker
-
-
-@dataclass(frozen=True)
 class PruningPolicy:
     """Per-workload configuration selection: top-``k`` + exploration.
 
-    ``k`` configurations are kept from the ranking (learned pick, tree
-    pick, then analytic-cost order); ``explore`` more are drawn
-    seeded-uniformly from the remainder so the active-learning loop keeps
-    observing configs the model would otherwise never see.  The Figure-5
-    baseline is always included — pruned rows must stay normalizable and
-    resumable against full-sweep caches — so a subset holds between
-    ``k`` (+1 if the baseline was not ranked in) and ``k + explore + 1``
-    configurations, in Figure-5 presentation order.
+    ``k`` configurations are kept from the ranking (:meth:`rank`);
+    ``explore`` more are drawn seeded-uniformly from the remainder.  The
+    exploration picks measure what the ranking misses: a sweep that
+    simulates them finds the workloads whose true winner ranked below
+    ``k``.  The Figure-5 baseline is always included — pruned rows must
+    stay normalizable — so a subset holds between ``k`` (+1 if the
+    baseline was not ranked in) and ``k + explore + 1`` configurations,
+    in Figure-5 presentation order.
     """
 
     k: int = 1
     explore: int = 0
     seed: int = 0
-    ranker: LearnedRanker | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -206,25 +65,16 @@ class PruningPolicy:
              system: SystemConfig = DEFAULT_SYSTEM) -> list[str]:
         """The workload's Figure-5 configs, most promising first.
 
-        The learned ranker's pick (when a model is installed and has an
-        opinion) leads, then the decision tree's pick, then the rest in
-        ascending analytic-model cost — the tree answers *which*, the
-        analytic model breaks every remaining tie by *how much*.
+        The decision tree's pick leads, then the rest in ascending
+        analytic-model cost (code breaks ties) — the tree answers
+        *which*, the analytic model orders the remainder by *how much*.
         """
         space = figure5_configurations(profile.app.traversal.value)
-        codes = [config.code for config in space]
         estimates = estimate_design_space(profile, space, system)
-        ordered = sorted(codes,
-                         key=lambda code: (estimates[code].total, code))
-        leaders: list[str] = []
-        if self.ranker is not None:
-            learned = self.ranker.predict(extract_features(profile))
-            if learned in codes:
-                leaders.append(learned)
         tree = predict_configuration(profile).code
-        if tree in codes and tree not in leaders:
-            leaders.append(tree)
-        return leaders + [code for code in ordered if code not in leaders]
+        return sorted((config.code for config in space),
+                      key=lambda code: (code != tree,
+                                        estimates[code].total, code))
 
     def _explore_rng(self, profile: WorkloadProfile) -> random.Random:
         """Deterministic per-workload RNG (independent of hash seeds)."""
@@ -251,75 +101,3 @@ class PruningPolicy:
             c.code for c in figure5_configurations(
                 profile.app.traversal.value))}
         return tuple(sorted(keep, key=order.__getitem__))
-
-
-@dataclass
-class ActiveLearningReport:
-    """Outcome of :func:`active_learn`: per-round stats + final model."""
-
-    rounds: list = field(default_factory=list)
-    ranker: LearnedRanker | None = None
-    examples: list = field(default_factory=list)
-
-
-def active_learn(
-    entries: list[tuple[WorkloadProfile, dict]],
-    k: int = 1,
-    explore: int = 1,
-    rounds: int = 3,
-    seed: int = 0,
-    holdout: float = 0.25,
-) -> ActiveLearningReport:
-    """Iterate prune -> realize -> retrain over a workload matrix.
-
-    ``entries`` pairs each workload's profile with its realized timings
-    (config code -> cycles), e.g. from a completed oracle sweep or an
-    incrementally filled result cache — the loop only ever *reads* the
-    configs its own pruning selected, so the realized-best labels it
-    trains on are exactly what a live pruned sweep would have observed.
-    The matrix is shuffled (seeded) and split into ``rounds`` slices;
-    each round prunes its slice with the model so far, banks
-    ``(features -> realized best of the simulated subset)``, and refits
-    with a holdout.  Per-round stats land in
-    :attr:`ActiveLearningReport.rounds`.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    order = list(range(len(entries)))
-    random.Random(seed).shuffle(order)
-    report = ActiveLearningReport()
-    ranker: LearnedRanker | None = None
-    slice_size = max(1, -(-len(order) // rounds))  # ceil division
-    for round_index in range(rounds):
-        chunk = order[round_index * slice_size:(round_index + 1) * slice_size]
-        if not chunk:
-            break
-        policy = PruningPolicy(k=k, explore=explore, seed=seed + round_index,
-                               ranker=ranker)
-        simulated = 0
-        for index in chunk:
-            profile, timings = entries[index]
-            subset = [code for code in policy.subset(profile)
-                      if code in timings]
-            if not subset:
-                continue
-            simulated += len(subset)
-            realized_best = min(subset, key=lambda code: timings[code])
-            space = figure5_configurations(profile.app.traversal.value)
-            report.examples.append(TrainingExample(
-                features=extract_features(profile),
-                best=realized_best,
-                oracle_known=len(subset) == len(space),
-            ))
-        ranker = fit_ranker(report.examples, seed=seed, holdout=holdout,
-                            round_index=round_index)
-        report.rounds.append({
-            "round": round_index,
-            "workloads": len(chunk),
-            "configs_simulated": simulated,
-            "examples": len(report.examples),
-            "holdout": ranker.holdout_size,
-            "holdout_accuracy": ranker.holdout_accuracy,
-        })
-    report.ranker = ranker
-    return report

@@ -63,7 +63,6 @@ EVENT_KINDS: dict[str, str | dict[str, str] | None] = {
     "cache.corrupt": "cache.corrupt",  # (entry unlinked / self-healed)
     # Prediction-guided sweep pruning (repro.model.pruning).
     "sweep.pruned": None,  # graph, app, k, explore, kept, dropped
-    "model.retrain": None,  # examples, train, holdout, accuracy, round
     # Simulation.
     "workload.simulated": "sim.workloads",  # app, graph, ops, rounds,
                                             #   configs

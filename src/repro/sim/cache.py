@@ -139,15 +139,6 @@ class SetAssocCache:
         self._all_epoch = max(self._valid_epoch, self._all_epoch) + 1
         self._valid_epoch = self._all_epoch
 
-    def owned_lines(self) -> list[int]:
-        """All lines currently live in OWNED state."""
-        return [
-            line
-            for cache_set in self._sets
-            for line, entry in cache_set.items()
-            if self._live_state(entry) == OWNED
-        ]
-
     def live_lines(self) -> int:
         """Count of live (non-stale) lines; O(capacity), for tests."""
         return sum(

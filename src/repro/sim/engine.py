@@ -49,11 +49,6 @@ class ExecutionResult:
     kernel_cycles: list = field(default_factory=list)
     memory_stats: object = None
 
-    @property
-    def time_ms(self) -> float:
-        """Wall-clock milliseconds at the paper's 700 MHz GPU clock."""
-        return self.cycles / 700e3  # 700 MHz -> cycles per ms
-
     def to_dict(self) -> dict:
         """JSON-safe representation (crosses process and cache boundaries).
 

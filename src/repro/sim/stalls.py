@@ -83,15 +83,6 @@ class StallBreakdown:
             return {name: 0.0 for name in CATEGORIES}
         return {name: getattr(self, name) / total for name in CATEGORIES}
 
-    def scaled_to(self, execution_time: float) -> dict[str, float]:
-        """Category shares rescaled so they sum to ``execution_time``.
-
-        Figure 5 plots wall-clock execution time segmented by category;
-        this converts aggregate SM-cycle fractions into that shape.
-        """
-        fracs = self.fractions()
-        return {name: fracs[name] * execution_time for name in CATEGORIES}
-
     def add(self, category: str, amount: float) -> None:
         """Accumulate ``amount`` cycles into ``category``.
 

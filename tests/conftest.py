@@ -1,4 +1,4 @@
-"""Shared fixtures: small deterministic graphs for fast tests."""
+"""Shared fixtures (small deterministic graphs) and test oracles."""
 
 import importlib.util
 from pathlib import Path
@@ -16,9 +16,61 @@ from repro.graph import (
     grid_torus,
     normalize,
 )
+from repro.sim.cache import OWNED
 
 _FIXTURE_TOOL = (Path(__file__).parent.parent / "tools"
                  / "make_golden_fixture.py")
+
+
+# ----------------------------------------------------------------------
+# Oracles: plain restatements of graph and cache structure for asserts.
+# ----------------------------------------------------------------------
+def _sources(graph: CSRGraph) -> np.ndarray:
+    """Source vertex of every out-edge, parallel to ``graph.indices``."""
+    return np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                     graph.out_degrees)
+
+
+def edge_set(graph: CSRGraph) -> set[tuple[int, int]]:
+    """All edges as a set of (source, destination) pairs."""
+    return set(zip(_sources(graph).tolist(), graph.indices.tolist()))
+
+
+def has_self_loops(graph: CSRGraph) -> bool:
+    """True when any edge has identical endpoints."""
+    return bool(np.any(_sources(graph) == graph.indices))
+
+
+def is_symmetric(graph: CSRGraph) -> bool:
+    """True when for every edge (u, v) the reverse edge (v, u) exists."""
+    n = graph.num_vertices
+    sources = _sources(graph)
+    return bool(np.array_equal(np.unique(sources * n + graph.indices),
+                               np.unique(graph.indices * n + sources)))
+
+
+def edge_weights_of(graph: CSRGraph, v: int) -> np.ndarray:
+    """Weights of ``v``'s out-edges (unit weights if unweighted)."""
+    if graph.weights is None:
+        return np.ones(graph.indptr[v + 1] - graph.indptr[v])
+    return graph.weights[graph.indptr[v]:graph.indptr[v + 1]]
+
+
+def in_degrees(graph: CSRGraph) -> np.ndarray:
+    """In-degree of every vertex, counted from the out-edges."""
+    return np.bincount(graph.indices, minlength=graph.num_vertices)
+
+
+def in_neighbors(graph: CSRGraph, v: int) -> np.ndarray:
+    """In-neighbors of ``v`` from the CSC view."""
+    return graph.in_indices[graph.in_indptr[v]:graph.in_indptr[v + 1]]
+
+
+def owned_lines(cache) -> list[int]:
+    """Every line live in OWNED state in a ``SetAssocCache``."""
+    return [line for cache_set in cache._sets
+            for line, entry in cache_set.items()
+            if cache._live_state(entry) == OWNED]
 
 
 @pytest.fixture(autouse=True)

@@ -23,6 +23,7 @@ from repro.sim import (
 )
 
 import numpy as np
+from tests.conftest import owned_lines
 
 
 @pytest.fixture
@@ -60,7 +61,8 @@ class TestFlexibleSimulator:
         switch.feed(kernel_with_atomics(name="k0"), "gpu", "drf1")
         switch.feed(kernel_with_atomics(name="k1"), "denovo", "drf1")
         assert len(switch.events) == 1
-        assert switch.events[0].switched_coherence
+        event = switch.events[0]
+        assert event.from_coherence != event.to_coherence
         assert switch.result().cycles >= stay.result().cycles
 
     def test_consistency_switch_is_free(self, cfg):
@@ -69,7 +71,8 @@ class TestFlexibleSimulator:
         before = flexible.result().cycles
         flexible.feed(kernel_with_atomics(name="k1"), "gpu", "drfrlx")
         assert len(flexible.events) == 1
-        assert not flexible.events[0].switched_coherence
+        event = flexible.events[0]
+        assert event.from_coherence == event.to_coherence
         # No 5000-cycle reconfiguration penalty was charged.
         assert flexible.result().cycles < before * 2 + 5000
 
@@ -93,7 +96,7 @@ class TestFlexibleSimulator:
         flexible.feed(k2, "denovo", "drf1")
         # Every registration names an L1 that really owns the line.
         for line, sm in memory.owner.items():
-            assert line in memory.l1s[sm].owned_lines()
+            assert line in owned_lines(memory.l1s[sm])
 
 
 class TestOnlineSelector:

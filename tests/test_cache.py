@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import OWNED, VALID, SetAssocCache
+from tests.conftest import owned_lines
 
 
 class TestBasics:
@@ -142,7 +143,7 @@ class TestIntrospection:
         c.install(0, OWNED)
         c.install(1, VALID)
         c.install(2, OWNED)
-        assert sorted(c.owned_lines()) == [0, 2]
+        assert sorted(owned_lines(c)) == [0, 2]
 
     def test_contains(self):
         c = SetAssocCache(16, 4)

@@ -11,6 +11,7 @@ from repro.graph import (
 )
 from repro.sim.config import scaled_system
 from repro.taxonomy import profile_graph
+from tests.conftest import has_self_loops, is_symmetric
 
 
 class TestRegistry:
@@ -43,8 +44,8 @@ class TestSimScaleClasses:
 
     def test_normalized_input(self, key):
         graph = sim_dataset(key)
-        assert not graph.has_self_loops()
-        assert graph.is_symmetric()
+        assert not has_self_loops(graph)
+        assert is_symmetric(graph)
 
     def test_weighted_for_sssp(self, key):
         graph = sim_dataset(key)

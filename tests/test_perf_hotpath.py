@@ -1,10 +1,10 @@
 """Regression tests for the hot-path overhaul.
 
-The optimizations (interned trace IR, realization memoization, vectorized
-round tables, engine fast paths, per-instruction atomics) must be
-invisible in the modeled numbers: this file pins golden equivalence
-against the committed fixture, the memoization/interning semantics, the
-vectorized trace-generation branch, and the O(1) trace counters.
+The optimizations (interned trace IR, realization memoization, engine
+fast paths, per-instruction atomics) must be invisible in the modeled
+numbers: this file pins golden equivalence against the committed
+fixture, the memoization/interning semantics, and the O(1) trace
+counters.
 """
 
 import dataclasses
@@ -13,17 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.kernels.tracegen as tracegen
 from repro.configs import parse_config
 from repro.graph.datasets import load_dataset
-from repro.graph.generators import (
-    DegreeDistribution,
-    GraphSpec,
-    generate_graph,
-)
 from repro.harness.runner import run_workload
 from repro.kernels import (
     DynamicPhase,
@@ -175,115 +167,6 @@ class TestOpInternerPool:
         unique = {op for op in ops}
         # The pool guarantees one object per distinct op value.
         assert len(distinct) == len(unique) < len(ops)
-
-
-_ARRAYS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=2,
-                   unique=True).map(tuple)
-
-
-@st.composite
-def _small_graphs(draw):
-    """Small generated graphs, some with hub warps past the threshold."""
-    kind = draw(st.sampled_from(["constant", "geometric", "zipf"]))
-    hubs = draw(st.none() | st.tuples(st.integers(1, 3),
-                                      st.sampled_from([0.3, 0.8])))
-    spec = GraphSpec(
-        num_vertices=draw(st.integers(1, 200)),
-        degrees=DegreeDistribution(kind, a=2.0 if kind != "zipf" else 1.8,
-                                   max_draws=draw(st.integers(0, 40))),
-        locality=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        arrangement=draw(st.sampled_from(["natural", "shuffled", "sorted"])),
-        seed=draw(st.integers(0, 2**16)),
-        hubs=hubs,
-    )
-    return generate_graph(spec)
-
-
-def _mask(n, seed, density):
-    return np.random.default_rng(seed).random(n) < density
-
-
-def _both_producers(graph, phase, direction):
-    """``phase`` realized with every warp on the numpy round tables, then
-    with every warp on the Python walk."""
-    realized = []
-    for threshold in (0, 1 << 60):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tracegen, "_VEC_THRESHOLD", threshold)
-            realized.append(TraceBuilder(graph, _CFG).realize(
-                phase, direction))
-    return realized
-
-
-class TestVectorizedRoundTables:
-    """The numpy round producer must match the Python walk op-for-op."""
-
-    @pytest.mark.parametrize("direction", ["push", "pull"])
-    @pytest.mark.parametrize("masked", [False, True])
-    @settings(max_examples=25, deadline=None)
-    @given(graph=_small_graphs(), seed=st.integers(0, 2**16),
-           densities=st.tuples(st.sampled_from([0.0, 0.3, 1.0]),
-                               st.sampled_from([0.0, 0.5, 1.0])),
-           source_arrays=_ARRAYS, target_arrays=_ARRAYS,
-           update_arrays=_ARRAYS, flags=st.tuples(
-               st.booleans(), st.booleans(), st.booleans()),
-           computes=st.tuples(st.integers(1, 3), st.integers(0, 2),
-                              st.integers(0, 2)))
-    def test_matches_scalar_path(self, direction, masked, graph, seed,
-                                 densities, source_arrays, target_arrays,
-                                 update_arrays, flags, computes):
-        n = graph.num_vertices
-        masks = {}
-        if masked:
-            masks = {"source_active": _mask(n, seed, densities[0]),
-                     "target_active": _mask(n, seed + 1, densities[1])}
-        uses_weights, needs_value, check_tpred = flags
-        phase = EdgePhase(
-            name="p", **masks,
-            source_arrays=source_arrays, target_arrays=target_arrays,
-            update_arrays=update_arrays, uses_weights=uses_weights,
-            atomic_needs_value=needs_value,
-            check_target_pred_in_push=check_tpred,
-            compute_per_edge=computes[0],
-            pull_extra_compute_per_edge=computes[1],
-            push_hoisted_compute=computes[2])
-
-        vectorized, scalar = _both_producers(graph, phase, direction)
-        assert vectorized.name == scalar.name
-        assert vectorized.blocks == scalar.blocks
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph=_small_graphs(), seed=st.integers(0, 2**16),
-           max_chain=st.integers(0, 12),
-           max_cols=st.none() | st.integers(0, 12),
-           density=st.none() | st.sampled_from([0.0, 0.3, 1.0]),
-           cas=st.booleans(), store_self=st.booleans(),
-           compute=st.integers(1, 3))
-    def test_dynamic_matches_scalar_path(self, graph, seed, max_chain,
-                                         max_cols, density, cas,
-                                         store_self, compute):
-        n = graph.num_vertices
-        rng = np.random.default_rng(seed)
-
-        def chains(max_len, span):
-            lengths = rng.integers(0, max_len + 1, n)
-            offsets = np.concatenate(([0], np.cumsum(lengths)))
-            return offsets, rng.integers(0, span, int(offsets[-1]))
-
-        chain_offsets, chain_values = chains(max_chain, n)
-        col_offsets = col_values = None
-        if max_cols is not None:
-            col_offsets, col_values = chains(max_cols, 4 * n)
-        phase = DynamicPhase(
-            name="d", array="parent", chain_offsets=chain_offsets,
-            chain_values=chain_values,
-            cas_targets=rng.integers(-1, n, n) if cas else None,
-            active=_mask(n, seed, density) if density is not None else None,
-            compute_per_vertex=compute, col_offsets=col_offsets,
-            col_values=col_values, store_self=store_self)
-        vectorized, scalar = _both_producers(graph, phase, "push")
-        assert vectorized.name == scalar.name
-        assert vectorized.blocks == scalar.blocks
 
 
 class TestTraceCounters:

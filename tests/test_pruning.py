@@ -1,4 +1,4 @@
-"""Prediction-guided sweep pruning: policy, plans, aggregation, retrain.
+"""Prediction-guided sweep pruning: policy, plans, aggregation.
 
 Covers the pruning subsystem end to end plus the three restricted-sweep
 bugs it exposed (each test named ``test_regression_*`` failed before the
@@ -12,24 +12,21 @@ fix):
   hit.
 """
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_pruning import SETTINGS
 from repro.configs import figure5_configurations
 from repro.graph import load_dataset
 from repro.harness import run_sweep
 from repro.harness.sweep import SweepResult, SweepRow, aggregate_sweep, \
     plan_sweep
 from repro.model import workload_profile
-from repro.model.pruning import (
-    PruningPolicy,
-    TrainingExample,
-    active_learn,
-    fit_ranker,
-    sweep_baseline,
-)
+from repro.model.pruning import PruningPolicy, sweep_baseline
 from repro.runtime import (
     ExecutionPlan,
     ResultCache,
@@ -39,6 +36,8 @@ from repro.runtime import (
 )
 from repro.sim import StallBreakdown
 from repro.sim.engine import ExecutionResult
+
+PRUNE_SUBSETS = Path(__file__).parent / "data" / "prune_subsets.json"
 
 MINI = dict(graphs=("RAJ",), apps=("MIS", "CC"), max_iters=1,
             scales={"RAJ": 32})
@@ -78,12 +77,21 @@ class TestPruningPolicy:
         assert sorted(ranked) == sorted(_static_grid())
 
     def test_rank_leads_with_tree_prediction(self, profiles):
-        from repro.model import predict_configuration
+        # The one ranking rule: the tree's pick, then the rest in
+        # ascending analytic cost with the code breaking ties.
+        from repro.model import estimate_design_space, predict_configuration
 
         policy = PruningPolicy(k=1)
         for app in ("PR", "MIS", "CC"):
-            ranked = policy.rank(profiles[app])
-            assert ranked[0] == predict_configuration(profiles[app]).code
+            profile = profiles[app]
+            ranked = policy.rank(profile)
+            tree = predict_configuration(profile).code
+            space = figure5_configurations(profile.app.traversal.value)
+            estimates = estimate_design_space(profile, space)
+            assert ranked[0] == tree
+            assert ranked[1:] == sorted(
+                (config.code for config in space if config.code != tree),
+                key=lambda code: (estimates[code].total, code))
 
     def test_subset_keeps_baseline(self, profiles):
         for app, bar in (("PR", "TG0"), ("MIS", "TG0"), ("CC", "DG1")):
@@ -120,18 +128,25 @@ class TestPruningPolicy:
         with pytest.raises(ValueError):
             PruningPolicy(k=1, explore=-1)
 
-    def test_learned_ranker_pick_leads(self, profiles):
-        from repro.model import predict_configuration
-        from repro.model.pruning import extract_features
 
-        tree = predict_configuration(profiles["PR"]).code
-        other = next(c for c in _static_grid() if c != tree)
-        examples = [TrainingExample(
-            features=extract_features(profiles["PR"]), best=other)] * 4
-        ranker = fit_ranker(examples, holdout=0.0)
-        ranked = PruningPolicy(k=1, ranker=ranker).rank(profiles["PR"])
-        assert ranked[0] == other
-        assert ranked[1] == tree
+class TestPrunedPlanPin:
+    """Every dataset x app's pruned plan matches the committed pin.
+
+    Regenerate with ``PYTHONPATH=src python tools/make_golden_fixture.py``
+    only when a ranking or exploration change is intentional.
+    """
+
+    PAYLOAD = json.loads(PRUNE_SUBSETS.read_text())
+
+    def test_pins_the_benchmarked_settings(self, fixture_tool):
+        assert fixture_tool.PRUNE_SETTINGS == SETTINGS
+        assert set(self.PAYLOAD["subsets"]) == {
+            f"k={k},explore={explore}" for k, explore in SETTINGS}
+
+    @pytest.mark.parametrize("k, explore", SETTINGS)
+    def test_plan_matches_pin(self, fixture_tool, k, explore):
+        assert fixture_tool.prune_subsets(k, explore) == \
+            self.PAYLOAD["subsets"][f"k={k},explore={explore}"]
 
 
 class TestRestrictedPlans:
@@ -337,57 +352,3 @@ class TestOracleKnown:
         assert sweep.exact_predictions == 1
         assert sweep.exact_of_simulated == 2
         assert sweep.oracle_unknown_rows == 1
-
-
-class TestRetraining:
-    def _examples(self, profiles, n=8):
-        from repro.model.pruning import extract_features
-
-        labels = ("SDR", "SDR", "SGR", "TG0")
-        return [TrainingExample(
-            features=extract_features(profiles["PR" if i % 2 else "MIS"]),
-            best=labels[i % len(labels)]) for i in range(n)]
-
-    def test_fit_ranker_deterministic(self, profiles):
-        examples = self._examples(profiles)
-        a = fit_ranker(examples, seed=3)
-        b = fit_ranker(examples, seed=3)
-        assert a.tables == b.tables
-        assert a.holdout_accuracy == b.holdout_accuracy
-        assert a.holdout_size == len(examples) // 4
-
-    def test_fit_ranker_no_holdout(self, profiles):
-        ranker = fit_ranker(self._examples(profiles), holdout=0.0)
-        assert ranker.holdout_accuracy is None
-        assert ranker.holdout_size == 0
-
-    def test_ranker_backoff_predicts_unseen_features(self, profiles):
-        from repro.model.pruning import extract_features
-
-        examples = [TrainingExample(
-            features=extract_features(profiles["PR"]), best="SDR")] * 3
-        ranker = fit_ranker(examples, holdout=0.0)
-        # CC's feature vector shares no exact cell; backoff still answers.
-        assert ranker.predict(
-            extract_features(profiles["CC"])) is not None
-
-    def test_active_learn_deterministic(self, profiles):
-        grid = _static_grid()
-        timings = {code: 100.0 + 7.0 * i for i, code in enumerate(grid)}
-        entries = [(profiles["PR"], timings),
-                   (profiles["MIS"], dict(timings))] * 3
-        a = active_learn(entries, k=1, explore=1, rounds=3, seed=1)
-        b = active_learn(entries, k=1, explore=1, rounds=3, seed=1)
-        assert a.rounds == b.rounds
-        assert [e.best for e in a.examples] == [e.best for e in b.examples]
-        assert a.ranker.tables == b.ranker.tables
-        assert len(a.rounds) == 3
-
-    def test_active_learn_banks_subset_labels(self, profiles):
-        grid = _static_grid()
-        timings = {code: 50.0 * (i + 1) for i, code in enumerate(grid)}
-        report = active_learn([(profiles["PR"], timings)] * 4,
-                              k=1, explore=0, rounds=2, seed=0)
-        for example in report.examples:
-            assert example.best in timings
-            assert not example.oracle_known  # pruned view of the grid

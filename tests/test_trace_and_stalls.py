@@ -94,12 +94,6 @@ class TestStallBreakdown:
     def test_empty_fractions(self):
         assert all(v == 0 for v in StallBreakdown().fractions().values())
 
-    def test_scaled_to(self):
-        b = StallBreakdown(busy=1, data=1)
-        scaled = b.scaled_to(100.0)
-        assert scaled["busy"] == pytest.approx(50.0)
-        assert sum(scaled.values()) == pytest.approx(100.0)
-
     def test_categories_constant(self):
         assert CATEGORIES == ("busy", "comp", "data", "sync", "idle")
 

@@ -83,10 +83,3 @@ class TestWorkloadResultViews:
         )
         re_normalized = result.normalized(baseline="SGR")
         assert re_normalized["SGR"] == pytest.approx(1.0)
-
-    def test_time_ms_conversion(self, small_mesh, system):
-        result = run_workload("PR", small_mesh,
-                              configs=[parse_config("TG0")],
-                              system=system, max_iters=1)
-        res = result.results["TG0"]
-        assert res.time_ms == pytest.approx(res.cycles / 700e3)

@@ -4,7 +4,8 @@
 the realized traces themselves; ``phase_digests.json`` pins the phase
 streams the applications yield before any realization;
 ``memory_digests.json`` pins the memory system on its own;
-``profile_digests.json`` pins the taxonomy profile of every dataset.
+``profile_digests.json`` pins the taxonomy profile of every dataset;
+``prune_subsets.json`` pins the configurations a pruned sweep plans.
 
 The golden-equivalence test (TestGoldenEquivalence in
 tests/test_perf_hotpath.py) pins exact cycle counts, stall breakdowns,
@@ -44,8 +45,15 @@ degree statistics, volume, ANL/ANR/reuse and imbalance at full float
 precision, plus the three H/M/L classes.  It catches a change to the
 metrics or to the machine a graph is profiled against.
 
-Run this ONLY when a timing, trace, memory-system or profile change is
-intentional, and say so in the commit message:
+The pruned-plan pin (TestPrunedPlanPin in tests/test_pruning.py) holds
+the configuration subset ``plan_sweep`` keeps for every dataset x
+registered app at its simulation scale, under each ``(k, explore)``
+setting ``benchmarks/bench_pruning.py`` measures.  It is profiling and
+ranking only, no simulation, and catches a change to the ranking, the
+exploration draw or the profile a unit is ranked against.
+
+Run this ONLY when a timing, trace, memory-system, profile or pruning
+change is intentional, and say so in the commit message:
 
     PYTHONPATH=src python tools/make_golden_fixture.py
 """
@@ -62,8 +70,10 @@ import numpy as np
 
 from repro.graph.datasets import DEFAULT_SIM_SCALE, load_dataset, sim_dataset
 from repro.harness.runner import run_workload
+from repro.harness.sweep import plan_sweep
 from repro.configs import parse_config
 from repro.kernels import KERNELS, TraceBuilder, make_kernel
+from repro.model.pruning import PruningPolicy
 from repro.sim.coherence import make_memory_system
 from repro.sim.config import SystemConfig, scaled_system
 from repro.taxonomy import profile_graph
@@ -74,6 +84,7 @@ DIGESTS = DATA / "trace_digests.json"
 PHASE_DIGESTS = DATA / "phase_digests.json"
 MEMORY_DIGESTS = DATA / "memory_digests.json"
 PROFILE_DIGESTS = DATA / "profile_digests.json"
+PRUNE_SUBSETS = DATA / "prune_subsets.json"
 
 #: The full 12-point design space for static apps: push/pull x GPU/DeNovo
 #: x DRF0/DRF1/DRFrlx.  (Figure 5 only shows a subset; the fixture pins
@@ -289,6 +300,29 @@ def build_profile_digests() -> dict:
     }
 
 
+#: The ``(k, explore)`` settings ``benchmarks/bench_pruning.py`` measures.
+PRUNE_SETTINGS = ((1, 0), (1, 1), (2, 1))
+
+
+def prune_subsets(k: int, explore: int) -> dict:
+    """Every dataset x app's planned subset under ``PruningPolicy(k,
+    explore)``, each graph at its simulation scale."""
+    _, subsets = plan_sweep(DEFAULT_SIM_SCALE, KERNELS,
+                            prune=PruningPolicy(k=k, explore=explore))
+    return {f"{graph}/{app}": list(codes)
+            for (graph, app), codes in subsets.items()}
+
+
+def build_prune_subsets() -> dict:
+    return {
+        "version": 1,
+        "subsets": {
+            f"k={k},explore={explore}": prune_subsets(k, explore)
+            for k, explore in PRUNE_SETTINGS
+        },
+    }
+
+
 def _write(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -314,6 +348,10 @@ def main() -> None:
     _write(PROFILE_DIGESTS, profiles)
     print(f"wrote {PROFILE_DIGESTS} ({len(profiles['profiles'])} pinned "
           f"dataset profiles)")
+    prune = build_prune_subsets()
+    _write(PRUNE_SUBSETS, prune)
+    print(f"wrote {PRUNE_SUBSETS} ({len(prune['subsets'])} pinned "
+          f"pruning settings)")
 
 
 if __name__ == "__main__":
