@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -51,22 +50,10 @@ BENCH_SCHEMA = 1
 QUICK_ITERS = 2
 
 
-def _commit() -> str:
-    try:
-        # "-dirty" marks a measurement of uncommitted changes on top of
-        # the named commit.
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def run_bench(quick: bool) -> dict:
     """Run the sweep with perf collection on; return the measurement."""
     from repro.harness import PAPER_APPS, run_sweep
-    from repro.perf import collector
+    from repro.perf import collector, commit_stamp
 
     collector.reset()
     collector.enabled = True
@@ -87,7 +74,7 @@ def run_bench(quick: bool) -> dict:
     return {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
-        "commit": _commit(),
+        "commit": commit_stamp(REPO_ROOT),
         "rows": len(sweep.rows),
         "ops": snap["ops"],
         "ops_per_sec": round(snap["ops_per_sec"], 1),

@@ -36,7 +36,6 @@ import argparse
 import json
 import math
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -47,16 +46,6 @@ QUICK_ITERS = 2
 
 #: The (k, explore) settings measured, cheapest first.
 SETTINGS = ((1, 0), (1, 1), (2, 1))
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _geomean(values: list[float]) -> float:
@@ -130,6 +119,8 @@ def _measure_setting(k: int, explore: int, max_iters: int | None,
 
 
 def run_bench(quick: bool) -> dict:
+    from repro.perf import commit_stamp
+
     max_iters = QUICK_ITERS if quick else None
     print("oracle sweep (full Figure-5 grid)", flush=True)
     oracle, oracle_phases = _timed_sweep(max_iters)
@@ -145,7 +136,7 @@ def run_bench(quick: bool) -> dict:
     return {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
-        "commit": _commit(),
+        "commit": commit_stamp(REPO_ROOT),
         "workloads": len(oracle.rows),
         "oracle": {
             "config_sims": oracle_sims,

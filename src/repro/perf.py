@@ -23,9 +23,10 @@ counters instead of living in a parallel singleton.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
-__all__ = ["PerfCollector", "collector", "format_breakdown",
-           "metrics_source"]
+__all__ = ["PerfCollector", "collector", "commit_stamp",
+           "format_breakdown", "metrics_source"]
 
 
 class PerfCollector:
@@ -87,3 +88,25 @@ def format_breakdown(snap: dict) -> list[str]:
         f"[{snap['ops_per_sec']:,.0f} ops/s]",
         f"  total     : {total:8.3f} s",
     ]
+
+
+def commit_stamp(root: Path) -> str:
+    """The commit a measurement taken in checkout ``root`` came from.
+
+    HEAD's short hash, with ``-dirty`` when a tracked file differs from
+    it (untracked files do not count), or ``unknown`` outside a git
+    checkout.  Every committed benchmark number carries this stamp.
+    """
+    import subprocess  # only benchmark scripts call this; keep imports lean
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True,
+            check=True).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return f"{sha}-dirty" if dirty else sha

@@ -7,11 +7,17 @@ Unix-domain socket — and get back the same ``WorkloadResult`` dicts the
 cache stores.  The daemon's whole job is making repeated queries cheap
 and overload boring:
 
-* **Normalization** — every request becomes a spec *digest*, the one key
-  the entire runtime already shares (cache entries, leases).
-* **Cache fast path** — a digest with an on-disk entry is answered by
-  reading that entry's raw JSON straight back out; no simulation pool,
-  no object reconstruction, microseconds not minutes.
+* **Normalization** — every request the hot map below misses becomes a
+  spec *digest*, the one key the entire runtime already shares (cache
+  entries, leases).
+* **Cache fast path** — a spec answered from the cache before is
+  answered again from memory: a bounded LRU map from the spec's
+  canonical JSON text to its encoded response envelope, so a repeat
+  costs one body parse and one dictionary lookup, with no validation,
+  digest, file read or re-encode.  Any other spec with an on-disk entry
+  is answered by reading that entry's raw JSON back out (no simulation
+  pool, no object reconstruction), and its encoded envelope enters the
+  map when the request carried the spec's own canonical text.
 * **In-flight dedup** — cold requests register a future keyed by digest;
   late arrivals for the same digest *coalesce* onto that future instead
   of simulating twice.  One simulation, N answers.
@@ -42,6 +48,7 @@ import json
 import queue
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +78,7 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 #: Largest request body the daemon reads; a bigger Content-Length is
@@ -88,6 +96,16 @@ MAX_HEADERS = 100
 #: connection is closed.  Idle keep-alive time between requests is not
 #: limited.
 REQUEST_READ_TIMEOUT = 10.0
+
+#: Most encoded cache-hit envelopes the daemon keeps in memory, keyed by
+#: the spec's canonical JSON text; past it the least recently used
+#: leaves first.  A key is stored only when it is the text of a valid
+#: spec (``WorkloadSpec.to_dict`` round-trips it), so padding a spec
+#: with fields the reader ignores cannot grow an entry.  An entry of the
+#: small-system serve grid takes about 3.5 KB (key, envelope and digest),
+#: so a full map holds about 15 MB.  4096 is a chosen bound, not a
+#: measured working set: the serve benchmark repeats four specs.
+HOT_ENTRIES = 4096
 
 
 @dataclass
@@ -142,6 +160,8 @@ class ReproServer:
             capacity_retry_after=config.capacity_retry_after,
         )
         self._inflight: dict[str, asyncio.Future] = {}
+        # canonical spec text -> (digest, label, encoded hit envelope)
+        self._hot: OrderedDict[str, tuple[str, str, bytes]] = OrderedDict()
         self._queue: asyncio.Queue | None = None
         self._stop_event: asyncio.Event | None = None
         self._servers: list[asyncio.AbstractServer] = []
@@ -274,12 +294,14 @@ class ReproServer:
                         method, target, headers, body)
                 except _BadRequest as exc:
                     status, payload, extra = (
-                        exc.status, {"error": str(exc)}, ())
+                        exc.status, _encode({"error": str(exc)}), ())
                 except (asyncio.IncompleteReadError, ConnectionError):
                     raise  # the client went away; handled below
                 except Exception as exc:  # never kill the connection loop
                     status, payload, extra = (
-                        500, {"error": f"{type(exc).__name__}: {exc}"}, ())
+                        500,
+                        _encode({"error": f"{type(exc).__name__}: {exc}"}),
+                        ())
                 writer.write(_render_response(status, payload, extra,
                                               keep_alive=not close))
                 await writer.drain()
@@ -348,6 +370,12 @@ class ReproServer:
         else:
             raise _BadRequest(f"more than {MAX_HEADERS} header lines",
                               status=431)
+        if "transfer-encoding" in headers:
+            # The body's framing is unknown, so the connection cannot go
+            # on: answer once and close rather than parse chunks as the
+            # next request.
+            raise _BadRequest("Transfer-Encoding is not supported; send "
+                              "a Content-Length", status=501)
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
@@ -361,34 +389,41 @@ class ReproServer:
         return method, target, headers, body
 
     async def _route(self, method: str, target: str, headers: dict,
-                     body: bytes) -> tuple[int, dict, tuple]:
+                     body: bytes) -> tuple[int, bytes, tuple]:
         target = target.split("?", 1)[0]
         if target == "/healthz":
             if method != "GET":
-                return 405, {"error": "GET only"}, ()
-            return 200, {"status": "ok"}, ()
+                return 405, _encode({"error": "GET only"}), ()
+            return 200, _encode({"status": "ok"}), ()
         if target == "/stats":
             if method != "GET":
-                return 405, {"error": "GET only"}, ()
-            return 200, self._stats_payload(), ()
+                return 405, _encode({"error": "GET only"}), ()
+            return 200, _encode(self._stats_payload()), ()
         if target == "/shutdown":
             if method != "POST":
-                return 405, {"error": "POST only"}, ()
+                return 405, _encode({"error": "POST only"}), ()
             loop = asyncio.get_running_loop()
             loop.call_soon(self.request_stop)
-            return 200, {"status": "stopping"}, ()
+            return 200, _encode({"status": "stopping"}), ()
         if target == "/submit":
             if method != "POST":
-                return 405, {"error": "POST only"}, ()
+                return 405, _encode({"error": "POST only"}), ()
             return await self._handle_submit(headers, body)
-        return 404, {"error": f"unknown path {target!r}"}, ()
+        return 404, _encode({"error": f"unknown path {target!r}"}), ()
 
     def _parse_submit(self, headers: dict,
-                      body: bytes) -> tuple[list[WorkloadSpec], bool, str]:
-        """Decode a /submit body into specs + (is_single, client_id)."""
+                      body: bytes) -> tuple[list, bool, str]:
+        """Decode a /submit body into units + (is_single, client_id).
+
+        Each unit is ``(key, hot, spec)``, ``key`` being the spec's
+        canonical JSON text.  A key in the hot map comes back with its
+        entry as ``hot`` and is not validated again (only validated
+        specs ever enter the map); any other spec is validated into a
+        :class:`WorkloadSpec`, and one bad spec fails the whole body.
+        """
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             raise _BadRequest(f"body is not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise _BadRequest("body must be a JSON object")
@@ -403,27 +438,68 @@ class ReproServer:
                 raise _BadRequest("'specs' must be a non-empty list")
         else:
             raise _BadRequest("body needs 'spec' or 'specs'")
-        specs = []
+        units = []
         for raw in raw_specs:
+            key = _canonical(raw)
+            hot = self._hot.get(key)
+            if hot is not None:
+                units.append((key, hot, None))
+                continue
             try:
-                specs.append(WorkloadSpec.from_dict(raw))
+                units.append((key, None, WorkloadSpec.from_dict(raw)))
             except Exception as exc:
                 raise _BadRequest(f"bad workload spec: {exc}") from None
-        return specs, single, client
+        return units, single, client
 
     async def _handle_submit(self, headers: dict,
-                             body: bytes) -> tuple[int, dict, tuple]:
-        specs, single, client = self._parse_submit(headers, body)
+                             body: bytes) -> tuple[int, bytes, tuple]:
+        units, single, client = self._parse_submit(headers, body)
+        # Hot hits answer before anything awaits, so no entry they read
+        # can be evicted under them; the rest go through _handle_spec.
+        parts = [self._hot_hit(key, hot, client) if hot is not None
+                 else None for key, hot, _spec in units]
+        cold = [index for index, part in enumerate(parts) if part is None]
         envelopes = await asyncio.gather(
-            *(self._handle_spec(spec, client) for spec in specs))
-        if single:
-            envelope = envelopes[0]
-            if envelope["status"] == "rejected":
-                retry_after = envelope["retry_after"]
-                return 429, envelope, (
-                    ("Retry-After", f"{max(retry_after, 0.0):.3f}"),)
-            return 200, envelope, ()
-        return 200, {"outcomes": list(envelopes)}, ()
+            *(self._handle_spec(units[index][2], client)
+              for index in cold)) if cold else []
+        for index, envelope in zip(cold, envelopes):
+            parts[index] = _encode(envelope)
+            if envelope.get("source") == "cache":
+                key, _hot, spec = units[index]
+                self._remember(key, spec, envelope, parts[index])
+        if not single:
+            return 200, b'{"outcomes": [' + b", ".join(parts) + b"]}", ()
+        if envelopes and envelopes[0]["status"] == "rejected":
+            retry_after = envelopes[0]["retry_after"]
+            return 429, parts[0], (
+                ("Retry-After", f"{max(retry_after, 0.0):.3f}"),)
+        return 200, parts[0], ()
+
+    def _hot_hit(self, key: str, hot: tuple[str, str, bytes],
+                 client: str) -> bytes:
+        """Answer a spec from the hot map: counted like a disk hit."""
+        digest, label, encoded = hot
+        self._hot.move_to_end(key)
+        self.stats["requests"] += 1
+        _obs.emit("serve.request", digest=digest, label=label,
+                  client=client)
+        self.stats["hits"] += 1
+        _obs.emit("serve.hit", digest=digest, label=label)
+        return encoded
+
+    def _remember(self, key: str, spec: WorkloadSpec, envelope: dict,
+                  encoded: bytes) -> None:
+        """Keep a disk hit's encoded envelope, evicting the LRU entry.
+
+        Only a key that is the spec's own canonical text enters: a body
+        carrying fields ``from_dict`` ignores is answered but not kept.
+        """
+        if key != _canonical(spec.to_dict()):
+            return
+        self._hot[key] = (envelope["digest"], envelope["label"], encoded)
+        self._hot.move_to_end(key)
+        if len(self._hot) > HOT_ENTRIES:
+            self._hot.popitem(last=False)
 
     async def _handle_spec(self, spec: WorkloadSpec, client: str) -> dict:
         """One request's whole journey: dedup, cache, admission, batch."""
@@ -471,11 +547,11 @@ class ReproServer:
     def _cached_payload(self, digest: str) -> dict | None:
         """The raw cached result dict for ``digest``, or None.
 
-        The warm fast path: the cache entry already holds the exact JSON
-        the response needs, so a hit is one file read and one parse — no
-        ``WorkloadResult`` reconstruction, no simulation pool.  Anything
-        unreadable is treated as a miss; the simulation path's
-        ``cache.get`` self-heals corrupt entries.
+        The one fill path of the hot map: the cache entry already holds
+        the exact JSON the response needs, so a hit is one file read and
+        one parse — no ``WorkloadResult`` reconstruction, no simulation
+        pool.  Anything unreadable is treated as a miss; the simulation
+        path's ``cache.get`` self-heals corrupt entries.
         """
         path = self.cache.entry_path(digest)
         try:
@@ -604,9 +680,18 @@ class ReproServer:
         }
 
 
-def _render_response(status: int, payload: dict, extra: tuple = (),
+def _canonical(raw) -> str:
+    """A spec's hot-map key: its JSON text with sorted keys, no spaces."""
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
+
+
+def _encode(payload: dict) -> bytes:
+    """A response body: every body the daemon sends is encoded here."""
+    return json.dumps(payload).encode("utf-8")
+
+
+def _render_response(status: int, body: bytes, extra: tuple = (),
                      keep_alive: bool = True) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
     head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}"]

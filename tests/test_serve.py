@@ -10,6 +10,7 @@ cache without re-simulating anything.
 """
 
 import concurrent.futures as cf
+import json
 import multiprocessing
 import os
 import socket
@@ -320,14 +321,21 @@ class TestServerWorkers:
 
 
 def _raw_exchange(path, data: bytes) -> bytes:
-    """Send raw bytes over the UDS; read until the daemon hangs up."""
+    """Send raw bytes over the UDS; read until the daemon hangs up.
+
+    A daemon that hangs up with some of ``data`` unread resets the
+    connection after its reply, which ends the read like a hang-up.
+    """
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.settimeout(10)
         sock.connect(str(path))
         sock.sendall(data)
         chunks = []
-        while chunk := sock.recv(65536):
-            chunks.append(chunk)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
     return b"".join(chunks)
 
 
@@ -387,6 +395,20 @@ class TestServerEdge:
                     chunks.append(chunk)
             assert b"".join(chunks).startswith(b"HTTP/1.1 200 ")
 
+    def test_transfer_encoding_gets_one_501_and_a_close(self, tmp_path):
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config):
+            # Were the chunk bytes parsed as a second request, the reply
+            # would carry a second response after the first.
+            reply = _raw_exchange(
+                config.uds, b"POST /submit HTTP/1.1\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"b\r\n{\"spec\": 1}\r\n0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+        assert b"Transfer-Encoding is not supported" in reply
+
     @pytest.mark.parametrize("headers, status", [
         (b"X-Long: " + b"a" * 70_000 + b"\r\n", b"431"),
         (b"".join(b"X-H%d: v\r\n" % i for i in range(100)), b"431"),
@@ -442,6 +464,188 @@ class TestServerEdge:
                                        match=f"submit returned 400.*{field}"):
                         client.submit(bad)
                 assert client.stats()["requests"] == 0
+
+
+def _submit_bytes(path, payload: dict) -> bytes:
+    """One raw ``POST /submit`` exchange: the whole HTTP response."""
+    body = json.dumps(payload).encode()
+    return _raw_exchange(
+        path, b"POST /submit HTTP/1.1\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+def _split_response(reply: bytes) -> tuple[int, bytes]:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+@pytest.fixture(scope="module")
+def small_results(small_plan):
+    from repro.runtime import execute_spec
+
+    return [execute_spec(spec) for spec in small_plan]
+
+
+def _warm_config(tmp_path, small_plan, small_results, **overrides):
+    """A UDS config whose cache already holds every small_plan result."""
+    from repro.runtime import ResultCache
+
+    config = _uds_config(tmp_path, **overrides)
+    cache = ResultCache(config.cache_dir)
+    for spec, result in zip(small_plan, small_results):
+        cache.put(spec, result)
+    return config
+
+
+class TestHotMap:
+    """Repeated specs are answered from the daemon's in-memory map."""
+
+    def test_hot_response_is_byte_identical_to_disk_response(
+            self, tmp_path, small_plan, small_results):
+        specs = [spec.to_dict() for spec in small_plan]
+        config = _warm_config(tmp_path, small_plan, small_results)
+        with ThreadedServer(config) as server:
+            hot = server.server._hot
+            single = {"spec": specs[0]}
+            batch = {"specs": [specs[1], specs[2], specs[1]]}
+            disk = _submit_bytes(config.uds, single)
+            assert len(hot) == 1
+            assert _submit_bytes(config.uds, single) == disk
+            disk_batch = _submit_bytes(config.uds, batch)
+            assert len(hot) == 3
+            assert _submit_bytes(config.uds, batch) == disk_batch
+            # A batch mixing a hot spec and one read from disk.
+            mixed = {"specs": [specs[3], specs[0]]}
+            disk_mixed = _submit_bytes(config.uds, mixed)
+            assert _submit_bytes(config.uds, mixed) == disk_mixed
+            with ServeClient(server.endpoints[0]) as client:
+                stats = client.stats()
+        for reply in (disk, disk_batch, disk_mixed):
+            status, body = _split_response(reply)
+            assert status == 200
+            # The body is what json.dumps makes of what it carries.
+            assert json.dumps(json.loads(body)).encode() == body
+        outcomes = json.loads(_split_response(disk_mixed)[1])["outcomes"]
+        assert [env["digest"] for env in outcomes] == \
+            [small_plan[3].digest(), small_plan[0].digest()]
+        assert all(env["source"] == "cache" for env in outcomes)
+        assert stats["requests"] == stats["hits"] == 12
+        assert stats["misses"] == 0
+
+    def test_hot_map_is_a_bounded_lru(self, tmp_path, small_plan,
+                                       small_results, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "HOT_ENTRIES", 2)
+        a, b, c, _ = small_plan
+        config = _warm_config(tmp_path, small_plan, small_results)
+        with ThreadedServer(config) as server:
+            hot = server.server._hot
+            with ServeClient(server.endpoints[0]) as client:
+                sizes = []
+                for spec in (a, b, a, c):
+                    assert client.submit(spec)["source"] == "cache"
+                    sizes.append(len(hot))
+                # b was the least recently used when c came in.
+                assert [entry[0] for entry in hot.values()] == \
+                    [a.digest(), c.digest()]
+                # A batch's hot hits are touched before its disk reads
+                # fill the map: a stays, b comes in, c leaves.
+                client.submit_many([b, a])
+                assert [entry[0] for entry in hot.values()] == \
+                    [a.digest(), b.digest()]
+        assert sizes == [1, 2, 2, 2]
+
+    def test_hot_hit_answers_after_its_entry_is_deleted(
+            self, tmp_path, small_plan, small_results):
+        from repro.runtime import ResultCache
+
+        spec = small_plan[0]
+        config = _warm_config(tmp_path, small_plan, small_results)
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0]) as client:
+                first = client.submit(spec)
+                ResultCache(config.cache_dir).path_for(spec).unlink()
+                # Results are content-addressed: the answer is the same.
+                assert client.submit(spec) == first
+                assert client.stats()["simulated"] == 0
+
+    def test_hot_hits_count_and_emit_like_disk_hits(
+            self, tmp_path, small_plan, small_results):
+        spec = small_plan[0]
+        config = _warm_config(tmp_path, small_plan, small_results)
+        observer = obs.enable(ring=4096)
+        try:
+            with ThreadedServer(config) as server:
+                with ServeClient(server.endpoints[0],
+                                 client_id="c") as client:
+                    client.submit(spec)  # from disk
+                    client.submit(spec)  # from the hot map
+                    stats = client.stats()
+            ring = observer.sinks[0]
+            requests = [event.data for event in ring.events("serve.request")]
+            hits = [event.data for event in ring.events("serve.hit")]
+            counters = observer.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert requests == [{"digest": spec.digest(), "label": spec.label,
+                             "client": "c"}] * 2
+        assert hits == [{"digest": spec.digest(), "label": spec.label}] * 2
+        assert counters["serve.hits"] == 2
+        assert stats["requests"] == stats["hits"] == 2
+
+    def test_invalid_specs_stay_out_after_a_similar_hit(
+            self, tmp_path, small_plan, small_results):
+        valid = small_plan[0].to_dict()
+        bad = [dict(valid, max_iters="abc"),
+               dict(valid, configs=["tg0", "sgr"], baseline="tg0"),
+               dict(valid, system=dict(valid["system"], num_sms=4.0)),
+               dict(valid, system=dict(valid["system"], tb_size=0))]
+        config = _warm_config(tmp_path, small_plan, small_results)
+        with ThreadedServer(config) as server:
+            hot = server.server._hot
+            with ServeClient(server.endpoints[0]) as client:
+                client.submit(valid)
+                client.submit(valid)
+                for payload in bad:
+                    with pytest.raises(ServeError,
+                                       match="submit returned 400"):
+                        client.submit(payload)
+                    # One bad spec fails a batch with a hot one in it.
+                    status, _body = _split_response(_submit_bytes(
+                        config.uds, {"specs": [valid, payload]}))
+                    assert status == 400
+                stats = client.stats()
+        assert len(hot) == 1
+        assert stats["requests"] == stats["hits"] == 2
+
+    def test_padded_specs_are_answered_but_never_kept(
+            self, tmp_path, small_plan, small_results):
+        valid = small_plan[0].to_dict()
+        # from_dict ignores unknown top-level keys and fills GraphRef's
+        # defaults, so each of these is a disk hit on the same digest.
+        graph = dict(valid["graph"])
+        assert graph.pop("fingerprint") is None
+        variants = [dict(valid, pad="x" * 4096), dict(valid, note=1),
+                    dict(valid, graph=graph)]
+        config = _warm_config(tmp_path, small_plan, small_results)
+        with ThreadedServer(config) as server:
+            hot = server.server._hot
+            with ServeClient(server.endpoints[0]) as client:
+                for payload in variants:
+                    for _ in range(2):
+                        reply = client.submit(payload)
+                        assert reply["digest"] == small_plan[0].digest()
+                        assert reply["source"] == "cache"
+                    status, _body = _split_response(_submit_bytes(
+                        config.uds, {"specs": [payload, payload]}))
+                    assert status == 200
+                assert len(hot) == 0
+                client.submit(valid)
+                stats = client.stats()
+        assert list(hot) == [json.dumps(valid, sort_keys=True,
+                                        separators=(",", ":"))]
+        assert stats["requests"] == stats["hits"] == 4 * len(variants) + 1
 
 
 class TestServerObservability:

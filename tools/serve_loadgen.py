@@ -36,10 +36,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from repro.perf import commit_stamp
 from repro.runtime import ExecutionPlan, run_plan
 from repro.serve import ServeClient
 from repro.sim.config import SystemConfig
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ("DCT", "RAJ")
 APPS = ("PR", "CC")
 SCALES = {"DCT": 64, "RAJ": 32}
@@ -75,16 +77,6 @@ def summarize(samples):
         "p99_ms": round(percentile(samples, 0.99) * 1e3, 3),
         "max_ms": round(max(samples) * 1e3, 3) if samples else None,
     }
-
-
-def git_commit():
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 class Daemon:
@@ -171,7 +163,7 @@ def main(argv=None):
         endpoint = args.server
     bench = {
         "schema": 1,
-        "commit": git_commit(),
+        "commit": commit_stamp(REPO_ROOT),
         "grid": {"graphs": GRAPHS, "apps": APPS, "max_iters": MAX_ITERS,
                  "units": len(specs)},
         "cold_local_s_per_unit": round(cold_unit_s, 4),
