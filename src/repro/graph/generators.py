@@ -242,8 +242,7 @@ def attach_random_weights(
     symmetric input behaves like an undirected shortest-path problem.
     """
     rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    sources = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
+    sources = graph.edge_sources
     lo = np.minimum(sources, graph.indices)
     hi = np.maximum(sources, graph.indices)
     # Hash the unordered pair into a deterministic weight so both

@@ -136,17 +136,41 @@ class GraphKernel(abc.ABC):
     #: Table III information asymmetry (same vocabulary as ``control``).
     information: str = "symmetric"
 
+    #: Iterations :meth:`functional` runs when ``max_iters`` is None;
+    #: None means ``num_vertices`` (enough for every frontier app).
+    convergence_cap: int | None = None
+
     def __init__(self, graph: CSRGraph, seed: int = 0) -> None:
         self.graph = graph
         self.seed = seed
 
-    @abc.abstractmethod
     def functional(self, max_iters: int | None = None):
-        """Run the algorithm to convergence; return its result arrays."""
+        """Run the algorithm to convergence; return its result arrays.
+
+        Drains :meth:`iterations` (capped at ``max_iters``, else at
+        :attr:`convergence_cap`) and returns the generator's return
+        value, so the result comes from the same state loop that feeds
+        the simulator.
+        """
+        cap = max_iters
+        if cap is None:
+            cap = self.convergence_cap or self.graph.num_vertices
+        feed = self.iterations(cap)
+        while True:
+            try:
+                next(feed)
+            except StopIteration as done:
+                return done.value
 
     @abc.abstractmethod
     def iterations(self, max_iters: int | None = None) -> Iterator[Iteration]:
-        """Yield per-iteration phase lists (the timing-simulation feed)."""
+        """Yield per-iteration phase lists (the timing-simulation feed).
+
+        The one copy of the algorithm's state loop: every mask a phase
+        carries comes from the state it updates, and the generator
+        returns the algorithm's result once it converges or hits
+        ``max_iters`` (see :meth:`functional`).
+        """
 
     def default_sim_iterations(self) -> int:
         """Iterations to simulate for timing runs (whole app if smaller)."""

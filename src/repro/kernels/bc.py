@@ -48,18 +48,17 @@ class BetweennessCentrality(GraphKernel):
         self.source = source
 
     # ------------------------------------------------------------------
-    def _forward(self, max_levels: int | None = None):
+    def _forward(self):
         """BFS levels and shortest-path counts (level-synchronous)."""
         g = self.graph
         n = g.num_vertices
-        limit = max_levels if max_levels is not None else n
         level = np.full(n, -1, dtype=np.int64)
         sigma = np.zeros(n)
         level[self.source] = 0
         sigma[self.source] = 1.0
-        sources_all = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
+        sources_all = g.edge_sources
         current = 0
-        while current < limit:
+        while True:
             frontier = level == current
             if not frontier.any():
                 break
@@ -75,9 +74,8 @@ class BetweennessCentrality(GraphKernel):
 
     def _backward(self, level: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         g = self.graph
-        n = g.num_vertices
-        delta = np.zeros(n)
-        sources_all = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
+        delta = np.zeros(g.num_vertices)
+        sources_all = g.edge_sources
         safe_sigma = np.maximum(sigma, 1e-300)
         for depth in range(int(level.max()), 0, -1):
             # Vertices at `depth` push their dependency to predecessors.
@@ -89,12 +87,6 @@ class BetweennessCentrality(GraphKernel):
             contribution = sigma[v] / safe_sigma[w] * (1.0 + delta[w])
             np.add.at(delta, v, contribution)
         return delta
-
-    def functional(self, max_iters: int | None = None) -> BCResult:
-        """Full forward+backward pass; returns levels, sigma, and delta."""
-        level, sigma = self._forward(max_iters)
-        delta = self._backward(level, sigma)
-        return BCResult(level=level, sigma=sigma, delta=delta)
 
     # ------------------------------------------------------------------
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
@@ -126,3 +118,4 @@ class BetweennessCentrality(GraphKernel):
                     update_arrays=("delta",),
                 )
             ]
+        return BCResult(level, sigma, self._backward(level, sigma))

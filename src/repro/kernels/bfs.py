@@ -56,28 +56,12 @@ class BFS(GraphKernel):
     def _expand(self, level: np.ndarray, depth: int) -> np.ndarray:
         """Settle depth+1: every unvisited out-neighbor of the frontier."""
         g = self.graph
-        sources = np.repeat(
-            np.arange(g.num_vertices, dtype=np.int64), g.out_degrees
-        )
-        on_frontier = level[sources] == depth
+        on_frontier = level[g.edge_sources] == depth
         targets = g.indices[on_frontier]
         new_level = level.copy()
         fresh = new_level[targets] == -1
         new_level[targets[fresh]] = depth + 1
         return new_level
-
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """BFS level per vertex (-1 for unreachable vertices)."""
-        n = self.graph.num_vertices
-        limit = max_iters if max_iters is not None else n
-        level = np.full(n, -1, dtype=np.int64)
-        level[self.source] = 0
-        for depth in range(limit):
-            new_level = self._expand(level, depth)
-            if np.array_equal(new_level, level):
-                break
-            level = new_level
-        return level
 
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         limit = (max_iters if max_iters is not None
@@ -102,3 +86,4 @@ class BFS(GraphKernel):
                 )
             ]
             level = self._expand(level, depth)
+        return level

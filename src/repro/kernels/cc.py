@@ -57,32 +57,23 @@ class ConnectedComponents(GraphKernel):
     def default_sim_iterations(self) -> int:
         return 8
 
-    def _hook(self, parent: np.ndarray) -> tuple[np.ndarray, bool]:
-        """One hooking round: every root adopts its smallest neighbor root."""
+    def _candidates(self, roots: np.ndarray) -> np.ndarray:
+        """Per root: the smallest root across its edges (n when none)."""
         g = self.graph
         n = g.num_vertices
-        roots = _roots(parent)
-        sources = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
         candidate = np.full(n, n, dtype=np.int64)
-        np.minimum.at(candidate, roots[g.indices], roots[sources])
+        np.minimum.at(candidate, roots[g.indices], roots[g.edge_sources])
+        return candidate
+
+    @staticmethod
+    def _hook(parent: np.ndarray,
+              candidate: np.ndarray) -> tuple[np.ndarray, bool]:
+        """One hooking round: every root adopts its smallest neighbor root."""
+        ids = np.arange(parent.size, dtype=np.int64)
+        hooked = (parent == ids) & (candidate < ids)
         new_parent = parent.copy()
-        ids = np.arange(n, dtype=np.int64)
-        is_root = parent == ids
-        hooked = is_root & (candidate < ids)
         new_parent[hooked] = candidate[hooked]
         return new_parent, bool(hooked.any())
-
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """Component label per vertex (the minimum vertex id of each)."""
-        n = self.graph.num_vertices
-        limit = max_iters if max_iters is not None else n
-        parent = np.arange(n, dtype=np.int64)
-        for _ in range(limit):
-            parent, changed = self._hook(parent)
-            parent = parent[parent]  # pointer jumping
-            if not changed:
-                break
-        return _roots(parent)
 
     # ------------------------------------------------------------------
     def _chains(self, parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,18 +107,15 @@ class ConnectedComponents(GraphKernel):
                  else self.default_sim_iterations())
         parent = np.arange(n, dtype=np.int64)
         ids = np.arange(n, dtype=np.int64)
-        sources = np.repeat(ids, g.out_degrees)
         edge_positions = np.arange(g.num_edges, dtype=np.int64)
         for _ in range(limit):
             roots = _roots(parent)
             chain_offsets, chain_values = self._chains(parent)
             # Per vertex: which root would it hook, if any?
-            candidate = np.full(n, n, dtype=np.int64)
-            np.minimum.at(candidate, roots[g.indices], roots[sources])
+            candidate = self._candidates(roots)
             cas = np.full(n, -1, dtype=np.int64)
-            my_root = roots
-            better = candidate[my_root] < my_root
-            cas[better] = my_root[better]
+            better = candidate[roots] < roots
+            cas[better] = roots[better]
             # Neighbor-root reads: every edge makes the vertex read the
             # neighbor's root entry in the parent array.
             neighbor_roots = roots[g.indices]
@@ -161,10 +149,11 @@ class ConnectedComponents(GraphKernel):
                 store_self=True,
             )
             yield [hook, compress]
-            parent, changed = self._hook(parent)
-            parent = parent[parent]
+            parent, changed = self._hook(parent, candidate)
+            parent = parent[parent]  # pointer jumping
             if not changed:
                 break
+        return _roots(parent)
 
 
 def _interleave(

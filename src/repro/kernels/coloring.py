@@ -42,7 +42,7 @@ class GraphColoring(GraphKernel):
         g = self.graph
         n = g.num_vertices
         uncolored = color == UNCOLORED
-        sources = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
+        sources = g.edge_sources
         live = uncolored[sources] & uncolored[g.indices]
         neighbor_max = np.full(n, -np.inf)
         neighbor_min = np.full(n, np.inf)
@@ -54,18 +54,6 @@ class GraphColoring(GraphKernel):
         new_color[is_max] = 2 * round_index
         new_color[is_min] = 2 * round_index + 1
         return new_color
-
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """Color per vertex (non-negative, proper on the input graph)."""
-        n = self.graph.num_vertices
-        limit = max_iters if max_iters is not None else n
-        value = self._values()
-        color = np.full(n, UNCOLORED, dtype=np.int64)
-        for r in range(limit):
-            if not (color == UNCOLORED).any():
-                break
-            color = self._round(color, value, r)
-        return color
 
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         n = self.graph.num_vertices
@@ -95,3 +83,4 @@ class GraphColoring(GraphKernel):
                 ),
             ]
             color = self._round(color, value, r)
+        return color

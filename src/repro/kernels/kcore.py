@@ -34,43 +34,12 @@ class KCore(GraphKernel):
     control = "source"
     information = "symmetric"
 
-    def _peel_round(
-        self, degree: np.ndarray, alive: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Vertices leaving the k-core this round (may be empty)."""
-        return alive & (degree <= k)
-
     def _decrement(self, degree: np.ndarray, peeled: np.ndarray) -> np.ndarray:
         """Subtract each peeled vertex's edges from its neighbors."""
         g = self.graph
-        sources = np.repeat(
-            np.arange(g.num_vertices, dtype=np.int64), g.out_degrees
-        )
-        sel = peeled[sources]
         new_degree = degree.copy()
-        np.subtract.at(new_degree, g.indices[sel], 1)
+        np.subtract.at(new_degree, g.indices[peeled[g.edge_sources]], 1)
         return new_degree
-
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """Core number per vertex (0 for isolated vertices)."""
-        g = self.graph
-        n = g.num_vertices
-        limit = max_iters if max_iters is not None else 2 * n + 2
-        degree = g.out_degrees.astype(np.int64)
-        alive = np.ones(n, dtype=bool)
-        core = np.zeros(n, dtype=np.int64)
-        k = 0
-        for _ in range(limit):
-            if not alive.any():
-                break
-            peeled = self._peel_round(degree, alive, k)
-            if not peeled.any():
-                k += 1
-                continue
-            core[peeled] = k
-            alive = alive & ~peeled
-            degree = self._decrement(degree, peeled)
-        return core
 
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         g = self.graph
@@ -79,15 +48,17 @@ class KCore(GraphKernel):
                  else self.default_sim_iterations())
         degree = g.out_degrees.astype(np.int64)
         alive = np.ones(n, dtype=bool)
+        core = np.zeros(n, dtype=np.int64)
         k = 0
         rounds = 0
         # Only rounds that actually peel become kernel launches; threshold
         # bumps that find nothing to remove cost no work on the device.
         while rounds < limit and alive.any():
-            peeled = self._peel_round(degree, alive, k)
+            peeled = alive & (degree <= k)
             if not peeled.any():
                 k += 1
                 continue
+            core[peeled] = k
             survivors = alive & ~peeled
             yield [
                 EdgePhase(
@@ -106,3 +77,4 @@ class KCore(GraphKernel):
             alive = survivors
             degree = self._decrement(degree, peeled)
             rounds += 1
+        return core

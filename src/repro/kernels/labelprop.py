@@ -25,7 +25,11 @@ __all__ = ["LabelPropagation"]
 
 
 class LabelPropagation(GraphKernel):
-    """Synchronous mode-of-neighbors label propagation."""
+    """Synchronous mode-of-neighbors label propagation.
+
+    Synchronous propagation can oscillate on bipartite structures, so
+    :meth:`functional` ends at its iteration cap (``num_vertices``) there.
+    """
 
     app = "LP"
     traversal = "static"
@@ -38,11 +42,9 @@ class LabelPropagation(GraphKernel):
         n = g.num_vertices
         if g.num_edges == 0:
             return labels.copy()
-        sources = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
-        targets = g.indices
         # Encode (target, label) pairs so one unique() call histograms
         # every vertex's neighborhood at once.
-        key = targets * np.int64(n) + labels[sources]
+        key = g.indices * np.int64(n) + labels[g.edge_sources]
         uniq, votes = np.unique(key, return_counts=True)
         tgt = uniq // n
         lab = uniq % n
@@ -54,22 +56,6 @@ class LabelPropagation(GraphKernel):
         new_labels = labels.copy()
         new_labels[tgt[first]] = lab[first]
         return new_labels
-
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """Community label per vertex (initialized to the vertex id).
-
-        Synchronous propagation can oscillate on bipartite structures,
-        so the iteration count is always capped (default ``n``).
-        """
-        n = self.graph.num_vertices
-        limit = max_iters if max_iters is not None else n
-        labels = np.arange(n, dtype=np.int64)
-        for _ in range(limit):
-            new_labels = self._step(labels)
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-        return labels
 
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         n = self.graph.num_vertices
@@ -98,3 +84,4 @@ class LabelPropagation(GraphKernel):
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
+        return labels

@@ -46,7 +46,7 @@ class MIS(GraphKernel):
         n = g.num_vertices
         undecided = state == UNDECIDED
         # Max priority among *undecided* neighbors of each vertex.
-        sources = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
+        sources = g.edge_sources
         live = undecided[sources] & undecided[g.indices]
         neighbor_max = np.full(n, -1.0)
         np.maximum.at(
@@ -61,18 +61,6 @@ class MIS(GraphKernel):
         losers[g.indices[winner_sources]] = True
         new_state[losers & (new_state == UNDECIDED)] = OUT
         return new_state
-
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """State per vertex: 1 = in the set, 2 = excluded."""
-        n = self.graph.num_vertices
-        limit = max_iters if max_iters is not None else n
-        priority = self._priorities()
-        state = np.zeros(n, dtype=np.int64)
-        for _ in range(limit):
-            if not (state == UNDECIDED).any():
-                break
-            state = self._round(state, priority)
-        return state
 
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         n = self.graph.num_vertices
@@ -101,3 +89,4 @@ class MIS(GraphKernel):
                 ),
             ]
             state = self._round(state, priority)
+        return state

@@ -6,9 +6,12 @@ propagated value ``rank/out_degree`` is a pure function of the source, so
 push hoists the only property load into the outer loop while pull re-reads
 it per edge).
 
-The functional implementation is the standard damped power iteration with
-double-buffered ranks; push (atomicAdd scatter) and pull (gather) compute
-identical values up to floating-point association.
+:meth:`PageRank.iterations` is the one algorithm: the standard damped
+power iteration with double-buffered ranks, one ``_step`` after each
+yielded launch, run for exactly ``max_iters`` steps (no tolerance test:
+:meth:`~repro.kernels.base.GraphKernel.functional` drains it to the
+200-step ``convergence_cap``).  Push (atomicAdd scatter) and pull
+(gather) compute identical values up to floating-point association.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ class PageRank(GraphKernel):
     control = "symmetric"
     information = "source"
 
-    def __init__(self, graph, seed: int = 0, damping: float = 0.85,
-                 tol: float = 1e-8) -> None:
+    #: PR has no frontier to empty: 200 damped steps shrink the error
+    #: by 0.85**200 (about 1e-14).
+    convergence_cap = 200
+
+    def __init__(self, graph, seed: int = 0, damping: float = 0.85) -> None:
         super().__init__(graph, seed)
         self.damping = damping
-        self.tol = tol
 
     def _step(self, rank: np.ndarray) -> np.ndarray:
         g = self.graph
@@ -48,21 +53,10 @@ class PageRank(GraphKernel):
         dangling = rank[degrees == 0].sum()
         return (1.0 - self.damping) / n + self.damping * (sums + dangling / n)
 
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """Iterate to convergence; returns the rank vector (sums to ~1)."""
-        n = self.graph.num_vertices
-        limit = max_iters if max_iters is not None else 200
-        rank = np.full(n, 1.0 / n)
-        for _ in range(limit):
-            new_rank = self._step(rank)
-            delta = np.abs(new_rank - rank).sum()
-            rank = new_rank
-            if delta < self.tol:
-                break
-        return rank
-
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         limit = max_iters if max_iters is not None else self.default_sim_iterations()
+        n = self.graph.num_vertices
+        rank = np.full(n, 1.0 / n)
         for i in range(limit):
             # Double-buffered ranks: read this iteration's buffer, update
             # the other (Figure 1's i / i+1 property indexing).
@@ -81,3 +75,5 @@ class PageRank(GraphKernel):
                     pull_extra_compute_per_edge=8,
                 )
             ]
+            rank = self._step(rank)
+        return rank

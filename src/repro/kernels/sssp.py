@@ -65,22 +65,6 @@ class SSSP(GraphKernel):
         np.minimum.at(new_dist, targets, candidates)
         return new_dist
 
-    def functional(self, max_iters: int | None = None) -> np.ndarray:
-        """Distances from the source (inf for unreachable vertices)."""
-        g = self.graph
-        limit = max_iters if max_iters is not None else g.num_vertices
-        dist = np.full(g.num_vertices, INF)
-        dist[self.source] = 0.0
-        frontier = np.zeros(g.num_vertices, dtype=bool)
-        frontier[self.source] = True
-        for _ in range(limit):
-            new_dist = self._relax(dist, frontier)
-            frontier = new_dist < dist
-            dist = new_dist
-            if not frontier.any():
-                break
-        return dist
-
     def iterations(self, max_iters: int | None = None) -> Iterator[list]:
         g = self.graph
         limit = (max_iters if max_iters is not None
@@ -104,3 +88,4 @@ class SSSP(GraphKernel):
             new_dist = self._relax(dist, frontier)
             frontier = new_dist < dist
             dist = new_dist
+        return dist

@@ -43,7 +43,7 @@ class TriangleCounting(GraphKernel):
         g = self.graph
         n = g.num_vertices
         counts = np.zeros(n, dtype=np.int64)
-        sources = np.repeat(np.arange(n, dtype=np.int64), g.out_degrees)
+        sources = g.edge_sources
         for e in range(g.num_edges):
             u = int(sources[e])
             v = int(g.indices[e])

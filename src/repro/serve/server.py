@@ -15,9 +15,11 @@ and overload boring:
   canonical JSON text to its encoded response envelope, so a repeat
   costs one body parse and one dictionary lookup, with no validation,
   digest, file read or re-encode.  Any other spec with an on-disk entry
-  is answered by reading that entry's raw JSON back out (no simulation
-  pool, no object reconstruction), and its encoded envelope enters the
-  map when the request carried the spec's own canonical text.
+  is answered by :meth:`~repro.runtime.ResultCache.load` (no simulation
+  pool), which fails closed: an entry that does not parse into a
+  ``WorkloadResult`` is deleted and the spec simulates again.  A valid
+  entry's encoded envelope enters the map when the request carried the
+  spec's own canonical text.
 * **In-flight dedup** — cold requests register a future keyed by digest;
   late arrivals for the same digest *coalesce* onto that future instead
   of simulating twice.  One simulation, N answers.
@@ -55,7 +57,6 @@ from pathlib import Path
 
 from ..obs import OBSERVER as _obs
 from ..runtime import (
-    RESULT_SCHEMA_VERSION,
     ExecutionPlan,
     ResultCache,
     RetryPolicy,
@@ -514,12 +515,14 @@ class ReproServer:
             _obs.emit("serve.coalesced", digest=digest, label=spec.label)
             outcome = await asyncio.shield(future)
             return self._envelope(spec, digest, outcome, "coalesced")
-        raw = self._cached_payload(digest)
-        if raw is not None:
+        # The hot map's one fill path.  ``load`` fails closed: an entry
+        # that does not parse into a result is deleted and simulated
+        # again, never answered or kept.
+        cached = self.cache.load(spec)
+        if cached is not None:
             self.stats["hits"] += 1
             _obs.emit("serve.hit", digest=digest, label=spec.label)
-            return {"digest": digest, "label": spec.label, "status": "ok",
-                    "source": "cache", "result": raw}
+            return self._envelope(spec, digest, cached, "cache")
         self.stats["misses"] += 1
         _obs.emit("serve.miss", digest=digest, label=spec.label)
         admission = self.admission.try_admit(client)
@@ -543,26 +546,6 @@ class ReproServer:
         self._update_gauges()
         outcome = await asyncio.shield(future)
         return self._envelope(spec, digest, outcome, "simulated")
-
-    def _cached_payload(self, digest: str) -> dict | None:
-        """The raw cached result dict for ``digest``, or None.
-
-        The one fill path of the hot map: the cache entry already holds
-        the exact JSON the response needs, so a hit is one file read and
-        one parse — no ``WorkloadResult`` reconstruction, no simulation
-        pool.  Anything unreadable is treated as a miss; the simulation
-        path's ``cache.get`` self-heals corrupt entries.
-        """
-        path = self.cache.entry_path(digest)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("schema") != RESULT_SCHEMA_VERSION
-                or "result" not in payload):
-            return None
-        return payload["result"]
 
     @staticmethod
     def _envelope(spec: WorkloadSpec, digest: str, outcome,

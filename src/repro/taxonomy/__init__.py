@@ -24,8 +24,6 @@ from .profile import (
 )
 from .reuse import (
     ReuseMetrics,
-    average_local_neighbors,
-    average_remote_neighbors,
     reuse_metrics,
     reuse_score,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "ReuseMetrics",
     "reuse_metrics",
     "reuse_score",
-    "average_local_neighbors",
-    "average_remote_neighbors",
     "ImbalanceDetail",
     "imbalance_metric",
     "marked_thread_blocks",

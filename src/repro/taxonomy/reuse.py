@@ -15,8 +15,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 
-__all__ = ["ReuseMetrics", "reuse_metrics", "average_local_neighbors",
-           "average_remote_neighbors", "reuse_score"]
+__all__ = ["ReuseMetrics", "reuse_metrics", "reuse_score"]
 
 
 @dataclass(frozen=True)
@@ -33,27 +32,13 @@ def _local_remote_counts(
 ) -> tuple[float, float]:
     if tb_size <= 0:
         raise ValueError("tb_size must be positive")
-    sources = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees
-    )
+    sources = graph.edge_sources
     dests = graph.indices
     not_self = sources != dests
     same_block = (sources // tb_size) == (dests // tb_size)
     local = float(np.count_nonzero(not_self & same_block))
     remote = float(np.count_nonzero(not_self & ~same_block))
     return local, remote
-
-
-def average_local_neighbors(graph: CSRGraph, tb_size: int = 256) -> float:
-    """ANL (Equation 4): mean thread-block-local neighbors per vertex."""
-    local, _ = _local_remote_counts(graph, tb_size)
-    return local / graph.num_vertices
-
-
-def average_remote_neighbors(graph: CSRGraph, tb_size: int = 256) -> float:
-    """ANR (Equation 5): mean thread-block-remote neighbors per vertex."""
-    _, remote = _local_remote_counts(graph, tb_size)
-    return remote / graph.num_vertices
 
 
 def reuse_metrics(graph: CSRGraph, tb_size: int = 256) -> ReuseMetrics:

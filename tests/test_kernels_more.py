@@ -85,12 +85,6 @@ class TestMISAndColoringInternals:
 
 
 class TestBCInternals:
-    def test_forward_level_cap(self, path4):
-        level, sigma = BetweennessCentrality(path4, source=0)._forward(
-            max_levels=2
-        )
-        assert level.max() == 2  # discovery stops expanding after cap
-
     def test_source_choice_default(self, small_random):
         kernel = BetweennessCentrality(small_random)
         assert kernel.source == int(np.argmax(small_random.out_degrees))
@@ -127,12 +121,12 @@ class TestCCInternals:
     def test_hook_merges_components(self, sym_triangle):
         kernel = ConnectedComponents(sym_triangle)
         parent = np.arange(3)
-        parent, changed = kernel._hook(parent)
+        parent, changed = kernel._hook(parent, kernel._candidates(parent))
         assert changed
         assert (_roots(parent) == 0).all()
 
     def test_hook_fixpoint(self, sym_triangle):
         kernel = ConnectedComponents(sym_triangle)
         parent = np.zeros(3, dtype=np.int64)
-        _, changed = kernel._hook(parent)
+        _, changed = kernel._hook(parent, kernel._candidates(parent))
         assert not changed

@@ -174,8 +174,9 @@ class TestLabelPropagation:
 class TestPushPullEquivalence:
     """Push and pull must realize the same operator program.
 
-    The simulator is timing-only (data lives in ``functional()``), so
-    equivalence here means: every phase of every new workload realizes
+    The simulator is timing-only: data lives in the kernel's state loop,
+    ``iterations()``, which ``functional()`` drains, and the realized
+    direction never feeds back into it.  So equivalence here means: every phase of every new workload realizes
     in both directions, the iteration structure is identical, and both
     directions simulate to completion through the harness.
     """

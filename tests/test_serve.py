@@ -647,6 +647,34 @@ class TestHotMap:
                                         separators=(",", ":"))]
         assert stats["requests"] == stats["hits"] == 4 * len(variants) + 1
 
+    def test_corrupt_disk_entry_is_simulated_again_and_never_kept(
+            self, tmp_path, small_plan, small_results):
+        from repro.runtime import RESULT_SCHEMA_VERSION, ResultCache
+
+        spec = small_plan[0]
+        config = _warm_config(tmp_path, small_plan, small_results)
+        cache = ResultCache(config.cache_dir)
+        # Parseable JSON with the right schema, but no WorkloadResult.
+        cache.path_for(spec).write_text(json.dumps(
+            {"schema": RESULT_SCHEMA_VERSION, "result": {"garbage": 1}}))
+        with ThreadedServer(config) as server:
+            hot = server.server._hot
+            with ServeClient(server.endpoints[0]) as client:
+                first = client.submit(spec)
+                assert first["source"] == "simulated"
+                assert len(hot) == 0
+                again = client.submit(spec)
+                stats = client.stats()
+        expected = small_results[0].to_dict()
+        assert first["result"] == expected
+        assert again["source"] == "cache"
+        assert again["result"] == expected
+        # The entry was rewritten, and only the healed envelope is kept.
+        assert cache.load(spec).to_dict() == expected
+        [(_digest, _label, encoded)] = hot.values()
+        assert json.loads(encoded)["result"] == expected
+        assert stats["simulated"] == 1
+
 
 class TestServerObservability:
     def test_serve_events_stream_without_drops(self, tmp_path, small_plan):

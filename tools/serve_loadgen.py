@@ -28,6 +28,7 @@ Usage: PYTHONPATH=src python tools/serve_loadgen.py [--rounds N]
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -153,105 +154,109 @@ def main(argv=None):
     print(f"  mean cold simulation: {cold_unit_s * 1e3:.1f} ms/unit")
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-serve-loadgen-"))
-    daemon = None
-    if args.server is None:
-        events = args.events or workdir / "serve-events.jsonl"
-        daemon = Daemon(workdir / "serve.sock", workdir / "cache",
-                        events=events)
-        endpoint = daemon.endpoint
-    else:
-        endpoint = args.server
-    bench = {
-        "schema": 1,
-        "commit": commit_stamp(REPO_ROOT),
-        "grid": {"graphs": GRAPHS, "apps": APPS, "max_iters": MAX_ITERS,
-                 "units": len(specs)},
-        "cold_local_s_per_unit": round(cold_unit_s, 4),
-    }
     try:
-        client = ServeClient(endpoint, client_id="loadgen")
-        print(f"phase 2: cold submits through {endpoint}")
-        cold_served = []
-        for spec in specs:
-            elapsed, envelope = timed_submit(client, spec)
-            cold_served.append(elapsed)
-            assert envelope["status"] == "ok", envelope
-        bench["cold_served"] = summarize(cold_served)
-
-        print(f"phase 3: warm loop ({args.rounds} x {len(specs)} requests)")
-        warm = []
-        warm_start = time.monotonic()
-        for _ in range(args.rounds):
-            for spec in specs:
-                elapsed, envelope = timed_submit(client, spec)
-                warm.append(elapsed)
-                assert envelope["source"] == "cache", envelope
-        warm_wall = time.monotonic() - warm_start
-        bench["warm"] = summarize(warm)
-        bench["warm"]["qps"] = round(len(warm) / warm_wall, 1)
-        print(f"  p50 {bench['warm']['p50_ms']} ms, "
-              f"p99 {bench['warm']['p99_ms']} ms, "
-              f"{bench['warm']['qps']} req/s sustained")
-
-        print(f"phase 4: warm traffic under continuous cold batches "
-              f"({MIXED_SECONDS:g} s)")
-        stop = threading.Event()
-        cold_batches = []
-
-        def cold_loop():
-            # Fresh seed-shifted batches back to back for the whole
-            # window, so every warm request below meets cold load.
-            with ServeClient(endpoint, client_id="cold-bg") as cold:
-                while not stop.is_set():
-                    shift = len(cold_batches) + 1
-                    cold.submit_many([replace(spec, seed=spec.seed + shift)
-                                      for spec in specs])
-                    cold_batches.append(shift)
-
-        background = threading.Thread(target=cold_loop)
-        background.start()
-        mixed = []
-        mixed_end = time.monotonic() + MIXED_SECONDS
-        while time.monotonic() < mixed_end:
-            for spec in specs:
-                elapsed, envelope = timed_submit(client, spec)
-                mixed.append(elapsed)
-                assert envelope["source"] == "cache", envelope
-        stop.set()
-        background.join()
-        bench["warm_under_cold"] = summarize(mixed)
-        bench["warm_under_cold"]["cold_batches"] = len(cold_batches)
-
-        stats = client.stats()
-        bench["server_stats"] = {key: stats[key] for key in
-                                 ("requests", "hits", "misses", "coalesced",
-                                  "admitted", "rejected", "simulated",
-                                  "failed", "batches", "obs_dropped")}
-        check(stats["obs_dropped"] == 0,
-              f"zero dropped obs events ({stats['obs_dropped']})")
-        client.close()
-    finally:
-        if daemon is not None:
-            daemon.stop()
-
-    if daemon is not None:
-        print("phase 5: restart — same cache, fresh daemon, zero resim")
-        daemon = Daemon(workdir / "serve.sock", workdir / "cache")
+        daemon = None
+        if args.server is None:
+            events = args.events or workdir / "serve-events.jsonl"
+            daemon = Daemon(workdir / "serve.sock", workdir / "cache",
+                            events=events)
+            endpoint = daemon.endpoint
+        else:
+            endpoint = args.server
+        bench = {
+            "schema": 1,
+            "commit": commit_stamp(REPO_ROOT),
+            "grid": {"graphs": GRAPHS, "apps": APPS, "max_iters": MAX_ITERS,
+                     "units": len(specs)},
+            "cold_local_s_per_unit": round(cold_unit_s, 4),
+        }
         try:
-            client = ServeClient(daemon.endpoint, client_id="loadgen")
-            outcomes = client.submit_many(specs)
+            client = ServeClient(endpoint, client_id="loadgen")
+            print(f"phase 2: cold submits through {endpoint}")
+            cold_served = []
+            for spec in specs:
+                elapsed, envelope = timed_submit(client, spec)
+                cold_served.append(elapsed)
+                assert envelope["status"] == "ok", envelope
+            bench["cold_served"] = summarize(cold_served)
+
+            print(f"phase 3: warm loop ({args.rounds} x {len(specs)} requests)")
+            warm = []
+            warm_start = time.monotonic()
+            for _ in range(args.rounds):
+                for spec in specs:
+                    elapsed, envelope = timed_submit(client, spec)
+                    warm.append(elapsed)
+                    assert envelope["source"] == "cache", envelope
+            warm_wall = time.monotonic() - warm_start
+            bench["warm"] = summarize(warm)
+            bench["warm"]["qps"] = round(len(warm) / warm_wall, 1)
+            print(f"  p50 {bench['warm']['p50_ms']} ms, "
+                  f"p99 {bench['warm']['p99_ms']} ms, "
+                  f"{bench['warm']['qps']} req/s sustained")
+
+            print(f"phase 4: warm traffic under continuous cold batches "
+                  f"({MIXED_SECONDS:g} s)")
+            stop = threading.Event()
+            cold_batches = []
+
+            def cold_loop():
+                # Fresh seed-shifted batches back to back for the whole
+                # window, so every warm request below meets cold load.
+                with ServeClient(endpoint, client_id="cold-bg") as cold:
+                    while not stop.is_set():
+                        shift = len(cold_batches) + 1
+                        cold.submit_many([replace(spec, seed=spec.seed + shift)
+                                          for spec in specs])
+                        cold_batches.append(shift)
+
+            background = threading.Thread(target=cold_loop)
+            background.start()
+            mixed = []
+            mixed_end = time.monotonic() + MIXED_SECONDS
+            while time.monotonic() < mixed_end:
+                for spec in specs:
+                    elapsed, envelope = timed_submit(client, spec)
+                    mixed.append(elapsed)
+                    assert envelope["source"] == "cache", envelope
+            stop.set()
+            background.join()
+            bench["warm_under_cold"] = summarize(mixed)
+            bench["warm_under_cold"]["cold_batches"] = len(cold_batches)
+
             stats = client.stats()
+            bench["server_stats"] = {key: stats[key] for key in
+                                     ("requests", "hits", "misses", "coalesced",
+                                      "admitted", "rejected", "simulated",
+                                      "failed", "batches", "obs_dropped")}
+            check(stats["obs_dropped"] == 0,
+                  f"zero dropped obs events ({stats['obs_dropped']})")
             client.close()
         finally:
-            daemon.stop()
-        all_cached = all(env["source"] == "cache" for env in outcomes)
-        check(all_cached and stats["simulated"] == 0
-              and stats["misses"] == 0,
-              f"restarted daemon served {len(outcomes)} digest(s) from "
-              f"cache with zero re-simulated units")
-        bench["restart"] = {"zero_resim": all_cached
-                            and stats["simulated"] == 0,
-                            "hits": stats["hits"]}
+            if daemon is not None:
+                daemon.stop()
+
+        if daemon is not None:
+            print("phase 5: restart — same cache, fresh daemon, zero resim")
+            daemon = Daemon(workdir / "serve.sock", workdir / "cache")
+            try:
+                client = ServeClient(daemon.endpoint, client_id="loadgen")
+                outcomes = client.submit_many(specs)
+                stats = client.stats()
+                client.close()
+            finally:
+                daemon.stop()
+            all_cached = all(env["source"] == "cache" for env in outcomes)
+            check(all_cached and stats["simulated"] == 0
+                  and stats["misses"] == 0,
+                  f"restarted daemon served {len(outcomes)} digest(s) from "
+                  f"cache with zero re-simulated units")
+            bench["restart"] = {"zero_resim": all_cached
+                                and stats["simulated"] == 0,
+                                "hits": stats["hits"]}
+    finally:
+        # The cache, socket and default event log are this run's alone.
+        shutil.rmtree(workdir, ignore_errors=True)
 
     warm_p99_s = percentile(warm, 0.99)
     speedup = cold_unit_s / warm_p99_s if warm_p99_s > 0 else float("inf")
