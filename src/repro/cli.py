@@ -465,11 +465,6 @@ def _cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         backend=args.backend,
         jobs=args.jobs,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
-        max_inflight_units=args.max_inflight,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
         policy=_resolve_policy(args),
     )
     observer = _start_obs(args)
@@ -686,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "~/.cache/repro)")
     p_serve.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
-                         help="executor backend for cold batches "
+                         help="executor backend for cold plans "
                               "(default auto: --jobs worker nodes per "
                               "dispatch thread, alive as long as the "
                               "daemon; serial simulates inside the daemon "
@@ -694,23 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", type=int, default=1,
                          help="worker nodes per dispatch thread "
                               "(default 1)")
-    p_serve.add_argument("--batch-window", type=float, default=0.02,
-                         metavar="SECONDS",
-                         help="how long cold units wait to batch up "
-                              "(default 0.02)")
-    p_serve.add_argument("--max-batch", type=int, default=16, metavar="N",
-                         help="max units per dispatched plan (default 16)")
-    p_serve.add_argument("--max-inflight", type=int, default=64,
-                         metavar="N",
-                         help="admission bound on in-flight simulation "
-                              "units (default 64)")
-    p_serve.add_argument("--client-rate", type=float, default=4.0,
-                         metavar="PER_SEC",
-                         help="per-client cold-unit token refill rate "
-                              "(default 4/s)")
-    p_serve.add_argument("--client-burst", type=float, default=16.0,
-                         metavar="N",
-                         help="per-client token-bucket burst (default 16)")
     p_serve.add_argument("--retries", type=int, default=None, metavar="N",
                          help="attempts per workload (default 3)")
     p_serve.add_argument("--timeout", type=float, default=None,

@@ -29,7 +29,6 @@ from .generators import (
     shuffle_labels,
 )
 from .io import MatrixMarketError, load_mtx, save_mtx
-from .reorder import apply_order, bfs_order, degree_sort, rcm_order
 from .stats import DegreeStats, degree_stats
 
 __all__ = [
@@ -51,10 +50,6 @@ __all__ = [
     "load_mtx",
     "save_mtx",
     "MatrixMarketError",
-    "apply_order",
-    "degree_sort",
-    "bfs_order",
-    "rcm_order",
     "DegreeStats",
     "degree_stats",
     "PaperStats",

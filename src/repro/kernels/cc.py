@@ -119,17 +119,13 @@ class ConnectedComponents(GraphKernel):
             # Neighbor-root reads: every edge makes the vertex read the
             # neighbor's root entry in the parent array.
             neighbor_roots = roots[g.indices]
+            hook_offsets, hook_values = _interleave(
+                chain_offsets, chain_values, g.indptr, neighbor_roots)
             hook = DynamicPhase(
                 name="cc_hook",
                 array="parent",
-                chain_offsets=np.concatenate(
-                    ([0], np.cumsum(np.diff(chain_offsets)
-                                    + g.out_degrees))
-                ).astype(np.int64),
-                chain_values=_interleave(
-                    chain_offsets, chain_values,
-                    g.indptr, neighbor_roots,
-                ),
+                chain_offsets=hook_offsets,
+                chain_values=hook_values,
                 cas_targets=cas,
                 col_offsets=g.indptr,
                 col_values=edge_positions,
@@ -161,16 +157,22 @@ def _interleave(
     a_values: np.ndarray,
     b_offsets: np.ndarray,
     b_values: np.ndarray,
-) -> np.ndarray:
-    """Concatenate two CSR value arrays per row (row i: a_i then b_i)."""
-    n = a_offsets.size - 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate two CSRs per row (row i: a_i then b_i).
+
+    Returns the merged ``(offsets, values)``.  Every value moves by its
+    row's shift, so the merge is two scattered copies, not a row loop.
+    """
     a_lens = np.diff(a_offsets)
     b_lens = np.diff(b_offsets)
-    out_offsets = np.concatenate(([0], np.cumsum(a_lens + b_lens)))
-    out = np.empty(int(out_offsets[-1]), dtype=np.int64)
-    for i in range(n):
-        start = out_offsets[i]
-        mid = start + a_lens[i]
-        out[start:mid] = a_values[a_offsets[i]:a_offsets[i + 1]]
-        out[mid:mid + b_lens[i]] = b_values[b_offsets[i]:b_offsets[i + 1]]
-    return out
+    offsets = np.zeros(a_lens.size + 1, dtype=np.int64)
+    np.cumsum(a_lens + b_lens, out=offsets[1:])
+    values = np.empty(int(offsets[-1]), dtype=np.int64)
+    # Row i's a-values land from offsets[i], its b-values right after.
+    a_lo, a_hi = a_offsets[0], a_offsets[-1]
+    b_lo, b_hi = b_offsets[0], b_offsets[-1]
+    a_shift = np.repeat(offsets[:-1] - a_offsets[:-1], a_lens)
+    b_shift = np.repeat(offsets[:-1] + a_lens - b_offsets[:-1], b_lens)
+    values[np.arange(a_lo, a_hi) + a_shift] = a_values[a_lo:a_hi]
+    values[np.arange(b_lo, b_hi) + b_shift] = b_values[b_lo:b_hi]
+    return offsets, values

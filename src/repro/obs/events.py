@@ -76,7 +76,8 @@ EVENT_KINDS: dict[str, str | dict[str, str] | None] = {
     "serve.admitted": "serve.admitted",  # client, inflight
     "serve.rejected": "serve.rejected",  # client, reason ('capacity' |
                                          #   'rate'), retry_after
-    "serve.batch": None,  # units, queue_depth (one dispatch to the nodes)
+    "serve.batch": None,  # units (one request's cold plan, dispatched
+                          #   to the nodes)
 }
 
 

@@ -247,14 +247,23 @@ class WorkloadSpec:
         )
 
     def digest(self) -> str:
-        """Stable content address of this unit (schema-versioned)."""
-        payload = {
-            "schema": RESULT_SCHEMA_VERSION,
-            "spec": self.to_dict(),
-        }
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """Stable content address of this unit (schema-versioned).
+
+        Computed once per spec object and kept in its ``__dict__`` (not a
+        field, so equality, hashing and ``to_dict`` ignore it): the spec
+        is frozen, and ``dataclasses.replace`` builds a new object.
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            payload = {
+                "schema": RESULT_SCHEMA_VERSION,
+                "spec": self.to_dict(),
+            }
+            canonical = json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@
 request/response service: an asyncio HTTP front-end (TCP and Unix
 sockets) that normalizes workload requests to spec digests, answers warm
 digests straight from the result cache, coalesces concurrent cold
-requests for the same digest onto one simulation, batches the rest into
-:class:`~repro.runtime.ExecutionPlan` dispatches, and sheds overload
-with token-bucket admission control (see DESIGN §14).
+requests for the same digest onto one simulation, sends each request's
+remaining cold specs to long-lived worker nodes as one
+:class:`~repro.runtime.ExecutionPlan`, and sheds overload with
+token-bucket admission control (see DESIGN §14).
 
 * :class:`ServeConfig` / :class:`ReproServer` / :func:`run_server` — the
   daemon (``repro serve``).

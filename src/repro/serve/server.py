@@ -23,15 +23,18 @@ and overload boring:
 * **In-flight dedup** — cold requests register a future keyed by digest;
   late arrivals for the same digest *coalesce* onto that future instead
   of simulating twice.  One simulation, N answers.
-* **Batched dispatch** — cold units queue briefly (``batch_window``) and
-  leave as one :class:`~repro.runtime.ExecutionPlan` dispatched from a
-  worker thread to worker *processes* that live as long as the daemon
-  (one executor per dispatch thread), so neither the event loop nor its
-  interpreter lock ever runs simulation.
+* **One plan per request** — each ``/submit`` resolves its specs
+  without awaiting, in body order, and the ones it newly admits leave
+  at once as one :class:`~repro.runtime.ExecutionPlan`, run from one of
+  :data:`DISPATCH_WORKERS` threads by worker *processes* that live as
+  long as the daemon (one executor per dispatch thread), so neither the
+  event loop nor its interpreter lock ever runs simulation.  There is no
+  batch window: every client sends a request's specs in one body.
 * **Admission control** — a capacity bound on in-flight simulation units
-  plus per-client token buckets (:mod:`repro.serve.admission`); cold
-  work beyond either budget is rejected *fast* with a ``retry_after``
-  hint (HTTP 429 for single submits) while cache hits keep flowing.
+  plus per-client token buckets (:mod:`repro.serve.admission`, with its
+  default bounds); cold work beyond either budget is rejected *fast*
+  with a ``retry_after`` hint (HTTP 429 for single submits) while cache
+  hits keep flowing.
 
 Failure semantics: a unit the backend fails or quarantines resolves its
 future with the structured :class:`~repro.runtime.UnitFailure` — every
@@ -39,8 +42,8 @@ coalesced waiter receives the same failure envelope, and the digest
 leaves the in-flight table so a later request may retry it cold.
 
 Everything observable goes through :mod:`repro.obs` (``serve.*`` events,
-queue-depth gauges) and a plain ``/stats`` counter dict that works with
-observability off.
+an in-flight-units gauge) and a plain ``/stats`` counter dict that works
+with observability off.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from ..runtime import (
     make_backend,
     run_plan,
 )
+from .admission import AdmissionController
 
 __all__ = ["ServeConfig", "ReproServer", "ThreadedServer", "run_server"]
 
@@ -108,6 +112,15 @@ REQUEST_READ_TIMEOUT = 10.0
 #: measured working set: the serve benchmark repeats four specs.
 HOT_ENTRIES = 4096
 
+#: Threads that dispatch cold plans; each borrows one executor of
+#: ``jobs`` worker nodes for its plan's run, so the daemon forks
+#: ``DISPATCH_WORKERS * jobs`` nodes at start-up.
+DISPATCH_WORKERS = 2
+
+#: Client id of a request that names none (no ``client`` field and no
+#: ``X-Repro-Client`` header): such requests share one token bucket.
+DEFAULT_CLIENT = "anon"
+
 
 @dataclass
 class ServeConfig:
@@ -117,25 +130,13 @@ class ServeConfig:
     port: int | None = None          # None: no TCP listener; 0: ephemeral
     uds: str | Path | None = None    # None: no Unix-socket listener
     cache_dir: str | Path | None = None
-    backend: str = "auto"            # make_backend name for cold batches
+    backend: str = "auto"            # make_backend name for cold plans
     jobs: int = 1
-    batch_window: float = 0.02       # seconds cold units wait to batch up
-    max_batch: int = 16
-    dispatch_workers: int = 2        # concurrent cold batches in flight
-    max_inflight_units: int = 64
-    client_rate: float = 4.0         # cold-unit tokens per second per client
-    client_burst: float = 16.0
-    capacity_retry_after: float = 1.0
     policy: RetryPolicy | None = None
-    default_client: str = "anon"
 
     def __post_init__(self) -> None:
         if self.port is None and self.uds is None:
             raise ValueError("serve needs a TCP port and/or a UDS path")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
 
 
 class _BadRequest(Exception):
@@ -147,30 +148,21 @@ class _BadRequest(Exception):
 
 
 class ReproServer:
-    """The daemon: listeners, dedup table, batcher, admission, stats."""
+    """The daemon: listeners, dedup table, dispatch, admission, stats."""
 
     def __init__(self, config: ServeConfig) -> None:
-        from .admission import AdmissionController
-
         self.config = config
         self.cache = ResultCache(config.cache_dir)
-        self.admission = AdmissionController(
-            max_inflight_units=config.max_inflight_units,
-            client_rate=config.client_rate,
-            client_burst=config.client_burst,
-            capacity_retry_after=config.capacity_retry_after,
-        )
+        self.admission = AdmissionController()
         self._inflight: dict[str, asyncio.Future] = {}
         # canonical spec text -> (digest, label, encoded hit envelope)
         self._hot: OrderedDict[str, tuple[str, str, bytes]] = OrderedDict()
-        self._queue: asyncio.Queue | None = None
         self._stop_event: asyncio.Event | None = None
         self._servers: list[asyncio.AbstractServer] = []
-        self._batcher: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._pool: ThreadPoolExecutor | None = None
-        # One executor per dispatch thread; a batch borrows one for its run.
+        # One executor per dispatch thread; a plan borrows one for its run.
         self._executors: queue.SimpleQueue | None = None
         self._started_at: float | None = None
         self.endpoints: list[str] = []
@@ -189,11 +181,10 @@ class ReproServer:
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> list[str]:
-        """Open the listeners and the batcher; returns the endpoints."""
-        self._queue = asyncio.Queue()
+        """Open the listeners and fork the nodes; returns the endpoints."""
         self._stop_event = asyncio.Event()
         self._pool = ThreadPoolExecutor(
-            max_workers=self.config.dispatch_workers,
+            max_workers=DISPATCH_WORKERS,
             thread_name_prefix="repro-serve")
         self.endpoints = []
         if self.config.uds is not None:
@@ -211,7 +202,7 @@ class ReproServer:
             self._servers.append(server)
             bound = server.sockets[0].getsockname()
             self.endpoints.append(f"http://{bound[0]}:{bound[1]}")
-        # Cold batches simulate in worker processes that live as long as
+        # Cold plans simulate in worker processes that live as long as
         # the daemon, so this process only parses, reads the cache and
         # routes.  The nodes fork here, on the event-loop thread and
         # before any dispatch thread exists, so no fork snapshots a lock
@@ -219,12 +210,11 @@ class ReproServer:
         backend = ("process" if self.config.backend == "auto"
                    else self.config.backend)
         self._executors = queue.SimpleQueue()
-        for _ in range(self.config.dispatch_workers):
+        for _ in range(DISPATCH_WORKERS):
             executor = make_backend(backend, jobs=self.config.jobs,
                                     policy=self.config.policy)
             executor.start()
             self._executors.put(executor)
-        self._batcher = asyncio.create_task(self._batch_loop())
         self._started_at = time.monotonic()
         _obs.emit("serve.started", endpoints=list(self.endpoints))
         return self.endpoints
@@ -241,21 +231,16 @@ class ReproServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close listeners, drain in-flight batches, stop the nodes."""
+        """Close listeners, drain in-flight plans, stop the nodes."""
         for server in self._servers:
             server.close()
             await server.wait_closed()
         self._servers.clear()
-        if self._batcher is not None:
-            assert self._queue is not None
-            await self._queue.put(None)  # batcher stop sentinel
-            await self._batcher
-            self._batcher = None
         if self._dispatch_tasks:
             await asyncio.gather(*self._dispatch_tasks,
                                  return_exceptions=True)
         # Idle keep-alive connections sit in readline forever; cancel
-        # them (after the batches drained, so no response is cut short).
+        # them (after the plans drained, so no response is cut short).
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -430,7 +415,7 @@ class ReproServer:
             raise _BadRequest("body must be a JSON object")
         client = str(payload.get("client")
                      or headers.get("x-repro-client")
-                     or self.config.default_client)
+                     or DEFAULT_CLIENT)
         if "spec" in payload:
             raw_specs, single = [payload["spec"]], True
         elif "specs" in payload:
@@ -455,23 +440,39 @@ class ReproServer:
     async def _handle_submit(self, headers: dict,
                              body: bytes) -> tuple[int, bytes, tuple]:
         units, single, client = self._parse_submit(headers, body)
-        # Hot hits answer before anything awaits, so no entry they read
-        # can be evicted under them; the rest go through _handle_spec.
+        # Hot hits answer before anything else, so no disk hit below can
+        # evict an entry they read; the rest resolve in body order.
         parts = [self._hot_hit(key, hot, client) if hot is not None
                  else None for key, hot, _spec in units]
-        cold = [index for index, part in enumerate(parts) if part is None]
-        envelopes = await asyncio.gather(
-            *(self._handle_spec(units[index][2], client)
-              for index in cold)) if cold else []
-        for index, envelope in zip(cold, envelopes):
-            parts[index] = _encode(envelope)
-            if envelope.get("source") == "cache":
-                key, _hot, spec = units[index]
-                self._remember(key, spec, envelope, parts[index])
+        rejected = None
+        waits = []  # (index, spec, source, future) still to settle
+        plan = []   # (spec, future) this request simulates
+        try:
+            for index, (key, _hot, spec) in enumerate(units):
+                if parts[index] is not None:
+                    continue
+                resolved = self._handle_spec(spec, client, plan)
+                if isinstance(resolved, tuple):
+                    waits.append((index, spec, *resolved))
+                    continue
+                parts[index] = _encode(resolved)
+                if resolved["status"] == "rejected":
+                    rejected = resolved
+                elif resolved["source"] == "cache":
+                    self._remember(key, spec, resolved, parts[index])
+        finally:
+            # Even if a later spec raised, every registered future must
+            # settle, or requests coalescing onto it would wait forever.
+            if plan:
+                self._dispatch(plan)
+        for index, spec, source, future in waits:
+            outcome = await asyncio.shield(future)
+            parts[index] = _encode(
+                self._envelope(spec, spec.digest(), outcome, source))
         if not single:
             return 200, b'{"outcomes": [' + b", ".join(parts) + b"]}", ()
-        if envelopes and envelopes[0]["status"] == "rejected":
-            retry_after = envelopes[0]["retry_after"]
+        if rejected is not None:
+            retry_after = rejected["retry_after"]
             return 429, parts[0], (
                 ("Retry-After", f"{max(retry_after, 0.0):.3f}"),)
         return 200, parts[0], ()
@@ -502,8 +503,15 @@ class ReproServer:
         if len(self._hot) > HOT_ENTRIES:
             self._hot.popitem(last=False)
 
-    async def _handle_spec(self, spec: WorkloadSpec, client: str) -> dict:
-        """One request's whole journey: dedup, cache, admission, batch."""
+    def _handle_spec(self, spec: WorkloadSpec, client: str,
+                     plan: list) -> dict | tuple[str, asyncio.Future]:
+        """One cold-path spec, resolved without awaiting.
+
+        Returns the envelope of a cache hit or a rejection, or the
+        ``(source, future)`` its outcome settles: a simulation already in
+        flight (``coalesced``), or a new one appended to ``plan``
+        (``simulated``).
+        """
         digest = spec.digest()
         self.stats["requests"] += 1
         _obs.emit("serve.request", digest=digest, label=spec.label,
@@ -513,8 +521,7 @@ class ReproServer:
             # Someone is already simulating this digest: join them.
             self.stats["coalesced"] += 1
             _obs.emit("serve.coalesced", digest=digest, label=spec.label)
-            outcome = await asyncio.shield(future)
-            return self._envelope(spec, digest, outcome, "coalesced")
+            return "coalesced", future
         # The hot map's one fill path.  ``load`` fails closed: an entry
         # that does not parse into a result is deleted and simulated
         # again, never answered or kept.
@@ -538,14 +545,10 @@ class ReproServer:
         _obs.emit("serve.admitted", digest=digest, label=spec.label,
                   client=client,
                   inflight=self.admission.inflight_units)
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         self._inflight[digest] = future
-        assert self._queue is not None
-        await self._queue.put((spec, future))
-        self._update_gauges()
-        outcome = await asyncio.shield(future)
-        return self._envelope(spec, digest, outcome, "simulated")
+        plan.append((spec, future))
+        return "simulated", future
 
     @staticmethod
     def _envelope(spec: WorkloadSpec, digest: str, outcome,
@@ -557,42 +560,20 @@ class ReproServer:
         return {"digest": digest, "label": spec.label, "status": "ok",
                 "source": source, "result": outcome.to_dict()}
 
-    # -- cold-path batching ----------------------------------------------
+    # -- cold-path dispatch -----------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        """Collect cold units into plans; dispatch each off the loop."""
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        stopping = False
-        while not stopping:
-            item = await self._queue.get()
-            if item is None:
-                break
-            batch = [item]
-            deadline = loop.time() + self.config.batch_window
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 remaining)
-                except asyncio.TimeoutError:
-                    break
-                if nxt is None:
-                    stopping = True
-                    break
-                batch.append(nxt)
-            self.stats["batches"] += 1
-            _obs.emit("serve.batch", units=len(batch),
-                      queue_depth=self._queue.qsize())
-            task = asyncio.create_task(self._dispatch(batch))
-            self._dispatch_tasks.add(task)
-            task.add_done_callback(self._dispatch_tasks.discard)
+    def _dispatch(self, plan: list) -> None:
+        """Send one request's admitted specs to the nodes as one plan."""
+        self.stats["batches"] += 1
+        _obs.emit("serve.batch", units=len(plan))
+        self._update_gauges()
+        task = asyncio.create_task(self._settle(plan))
+        self._dispatch_tasks.add(task)
+        task.add_done_callback(self._dispatch_tasks.discard)
 
-    async def _dispatch(self, batch: list) -> None:
-        """Run one batch on a worker thread; settle every future."""
-        specs = [spec for spec, _future in batch]
+    async def _settle(self, plan: list) -> None:
+        """Run one plan on a dispatch thread; settle every future."""
+        specs = [spec for spec, _future in plan]
         loop = asyncio.get_running_loop()
         try:
             outcomes = await loop.run_in_executor(
@@ -600,8 +581,8 @@ class ReproServer:
             error: BaseException | None = None
         except BaseException as exc:
             outcomes, error = None, exc
-        self.admission.release(len(batch))
-        for index, (spec, future) in enumerate(batch):
+        self.admission.release(len(plan))
+        for index, (spec, future) in enumerate(plan):
             self._inflight.pop(spec.digest(), None)
             if future.done():  # a cancelled shutdown race; nothing to do
                 continue
@@ -617,12 +598,10 @@ class ReproServer:
         self._update_gauges()
 
     def _run_batch(self, specs: list[WorkloadSpec]) -> list:
-        """Worker-thread body: one ExecutionPlan through run_plan.
+        """Dispatch-thread body: one ExecutionPlan through run_plan.
 
-        ``run_plan`` re-checks the cache per unit (a digest another
-        batch finished moments ago restores instead of re-simulating),
-        and its in-plan digest dedup means even a pathological batch of
-        equal specs simulates once.
+        ``run_plan`` re-checks the cache per unit (a digest another plan
+        finished moments ago restores instead of re-simulating).
         """
         plan = ExecutionPlan(units=tuple(specs))
         executor = self._executors.get()
@@ -639,9 +618,6 @@ class ReproServer:
             return
         _obs.metrics.gauge("serve.inflight_units").set(
             self.admission.inflight_units)
-        if self._queue is not None:
-            _obs.metrics.gauge("serve.queue_depth").set(
-                self._queue.qsize())
 
     def _stats_payload(self) -> dict:
         dropped = (sum(sink.dropped for sink in _obs.sinks)
@@ -650,8 +626,6 @@ class ReproServer:
             **self.stats,
             "inflight_units": self.admission.inflight_units,
             "inflight_digests": len(self._inflight),
-            "queue_depth": (self._queue.qsize()
-                            if self._queue is not None else 0),
             "cache": {"hits": self.cache.hits,
                       "misses": self.cache.misses,
                       "stores": self.cache.stores,

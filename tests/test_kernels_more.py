@@ -15,6 +15,16 @@ from repro.kernels import (
 from repro.kernels.cc import _interleave, _roots
 
 
+def _interleave_rows(a_offsets, a_values, b_offsets, b_values):
+    """Reference merge: row i of the output is a_i then b_i."""
+    rows = [np.concatenate((a_values[a_offsets[i]:a_offsets[i + 1]],
+                            b_values[b_offsets[i]:b_offsets[i + 1]]))
+            for i in range(a_offsets.size - 1)]
+    offsets = np.cumsum([0] + [row.size for row in rows])
+    values = np.concatenate(rows) if rows else np.empty(0)
+    return offsets, values
+
+
 class TestPageRankEdgeCases:
     def test_isolated_vertex_gets_base_rank(self, two_components):
         ranks = PageRank(two_components).functional()
@@ -104,8 +114,36 @@ class TestCCInternals:
         a_val = np.array([10, 11, 12])
         b_off = np.array([0, 1, 3])
         b_val = np.array([20, 21, 22])
-        merged = _interleave(a_off, a_val, b_off, b_val)
+        offsets, merged = _interleave(a_off, a_val, b_off, b_val)
+        assert offsets.tolist() == [0, 3, 6]
         assert merged.tolist() == [10, 11, 20, 12, 21, 22]
+
+    def test_interleave_empty_rows(self):
+        # Row 0 is empty in both, row 1 only in a, row 3 only in b.
+        a_off = np.array([0, 0, 0, 2, 2])
+        a_val = np.array([10, 11])
+        b_off = np.array([0, 0, 1, 1, 3])
+        b_val = np.array([20, 21, 22])
+        offsets, merged = _interleave(a_off, a_val, b_off, b_val)
+        assert offsets.tolist() == [0, 0, 1, 3, 5]
+        assert merged.tolist() == [20, 10, 11, 21, 22]
+        offsets, merged = _interleave(np.array([0]), np.array([]),
+                                      np.array([0]), np.array([]))
+        assert offsets.tolist() == [0] and merged.size == 0
+
+    def test_interleave_matches_row_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(0, 40))
+            a_off = np.concatenate(([0], np.cumsum(rng.integers(0, 4, n))))
+            b_off = np.concatenate(([0], np.cumsum(rng.integers(0, 4, n))))
+            a_val = rng.integers(0, 100, a_off[-1])
+            b_val = rng.integers(0, 100, b_off[-1])
+            offsets, merged = _interleave(a_off, a_val, b_off, b_val)
+            ref_offsets, ref_merged = _interleave_rows(a_off, a_val,
+                                                       b_off, b_val)
+            assert offsets.tolist() == ref_offsets.tolist()
+            assert merged.tolist() == ref_merged.tolist()
 
     def test_chain_csr_consistency(self, small_random):
         kernel = ConnectedComponents(small_random)

@@ -1,11 +1,10 @@
-"""Property-based tests for reorderings and the analytic model."""
+"""Property-based tests for the analytic model."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.configs import figure5_configurations
-from repro.graph import bfs_order, degree_sort, rcm_order
 from repro.graph.stats import DegreeStats
 from repro.model import estimate_cost
 from repro.taxonomy import (
@@ -14,42 +13,12 @@ from repro.taxonomy import (
     ReuseMetrics,
     profile_workload,
 )
-from tests.test_properties import normalized_graphs
-from tests.conftest import is_symmetric
 
 common = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-class TestReorderProperties:
-    @common
-    @given(normalized_graphs())
-    def test_degree_sort_preserves_structure(self, g):
-        if g.num_vertices == 0:
-            return
-        h = degree_sort(g)
-        assert h.num_edges == g.num_edges
-        assert sorted(h.out_degrees) == sorted(g.out_degrees)
-
-    @common
-    @given(normalized_graphs())
-    def test_bfs_order_is_permutation(self, g):
-        if g.num_vertices == 0:
-            return
-        h = bfs_order(g)
-        assert h.num_vertices == g.num_vertices
-        assert h.num_edges == g.num_edges
-
-    @common
-    @given(normalized_graphs())
-    def test_rcm_preserves_symmetry(self, g):
-        if g.num_vertices == 0:
-            return
-        h = rcm_order(g)
-        assert is_symmetric(h)
 
 
 @st.composite

@@ -163,7 +163,28 @@ class TestSpecs:
 
         before = small_plan[0].digest()
         monkeypatch.setattr(spec_module, "RESULT_SCHEMA_VERSION", 99)
-        assert small_plan[0].digest() != before
+        # A spec object digests once; one built under the new schema
+        # gets the new address.
+        rebuilt = WorkloadSpec.from_dict(small_plan[0].to_dict())
+        assert rebuilt.digest() != before
+
+    def test_digest_is_computed_once_per_object(self, small_plan):
+        import dataclasses
+
+        spec = WorkloadSpec.from_dict(small_plan[0].to_dict())
+        first = spec.digest()
+        assert spec.__dict__["_digest"] == first
+        assert spec.digest() is first
+        # Not a field: equality, hashing and to_dict ignore the memo.
+        assert spec == small_plan[0] and hash(spec) == hash(small_plan[0])
+        assert spec.to_dict() == small_plan[0].to_dict()
+        # replace builds a new object with its own digest, the same as a
+        # fresh construction's.
+        reseeded = dataclasses.replace(spec, seed=spec.seed + 1)
+        fresh = WorkloadSpec.from_dict(
+            dict(spec.to_dict(), seed=spec.seed + 1))
+        assert "_digest" not in fresh.__dict__
+        assert reseeded.digest() == fresh.digest() != first
 
     def test_plan_digest_is_order_sensitive(self, small_plan):
         reversed_plan = ExecutionPlan(units=small_plan.units[::-1])

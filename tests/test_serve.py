@@ -233,13 +233,21 @@ class TestServerConcurrency:
             sorted(["simulated"] + ["coalesced"] * (fanout - 1))
 
     def test_cache_hits_flow_while_admission_is_saturated(
-            self, tmp_path, small_plan):
+            self, tmp_path, small_plan, monkeypatch):
         import dataclasses
+        import functools
+
+        from repro.serve import server as server_module
 
         warm_spec, cold_spec = small_plan[0], small_plan[3]
         slow_spec = dataclasses.replace(cold_spec, max_iters=8)
-        config = _uds_config(tmp_path, max_inflight_units=1,
-                             capacity_retry_after=0.05)
+        # The daemon builds its controller with the defaults; a one-unit
+        # capacity saturates it with a single cold spec.
+        monkeypatch.setattr(server_module, "AdmissionController",
+                            functools.partial(AdmissionController,
+                                              max_inflight_units=1,
+                                              capacity_retry_after=0.05))
+        config = _uds_config(tmp_path)
         with ThreadedServer(config) as server:
             endpoint = server.endpoints[0]
             with ServeClient(endpoint, client_id="warmer") as client:
@@ -293,10 +301,81 @@ class TestServerConcurrency:
         assert stats["hits"] == len(specs)
 
 
+class TestOneColdPath:
+    """Each /submit sends its newly admitted specs as one plan."""
+
+    def test_one_request_is_one_plan(self, tmp_path, small_plan):
+        specs = list(small_plan)
+        observer = obs.enable(ring=4096)
+        try:
+            with ThreadedServer(_uds_config(tmp_path,
+                                            backend="serial")) as server:
+                with ServeClient(server.endpoints[0]) as client:
+                    before = client.stats()["batches"]
+                    outcomes = client.submit_many(specs)
+                    after = client.stats()
+            batches = [event.data for event in
+                       observer.sinks[0].events("serve.batch")]
+        finally:
+            obs.disable()
+        assert [env["source"] for env in outcomes] == \
+            ["simulated"] * len(specs)
+        assert after["batches"] - before == 1
+        assert after["simulated"] == len(specs)
+        assert batches == [{"units": len(specs)}]
+
+    def test_concurrent_requests_dispatch_separately(
+            self, tmp_path, small_plan):
+        halves = [list(small_plan[:2]), list(small_plan[2:])]
+        barrier = threading.Barrier(len(halves))
+        config = _uds_config(tmp_path, backend="serial")
+        with ThreadedServer(config) as server:
+            endpoint = server.endpoints[0]
+
+            def submit(index):
+                with ServeClient(endpoint,
+                                 client_id=f"client-{index}") as client:
+                    barrier.wait()
+                    return client.submit_many(halves[index])
+
+            with cf.ThreadPoolExecutor(len(halves)) as pool:
+                answers = list(pool.map(submit, range(len(halves))))
+            with ServeClient(endpoint) as client:
+                stats = client.stats()
+        for half, outcomes in zip(halves, answers):
+            assert [env["digest"] for env in outcomes] == \
+                [spec.digest() for spec in half]
+            assert all(env["source"] == "simulated" for env in outcomes)
+        assert stats["batches"] == len(halves)
+        assert stats["simulated"] == len(small_plan)
+
+    def test_duplicate_spec_in_one_body_coalesces(
+            self, tmp_path, small_plan):
+        spec = small_plan[0]
+        observer = obs.enable(ring=4096)
+        try:
+            with ThreadedServer(_uds_config(tmp_path,
+                                            backend="serial")) as server:
+                with ServeClient(server.endpoints[0]) as client:
+                    outcomes = client.submit_many([spec, spec])
+                    stats = client.stats()
+            batches = [event.data for event in
+                       observer.sinks[0].events("serve.batch")]
+        finally:
+            obs.disable()
+        assert [env["source"] for env in outcomes] == \
+            ["simulated", "coalesced"]
+        assert outcomes[0]["result"] == outcomes[1]["result"]
+        assert stats["simulated"] == stats["coalesced"] == 1
+        assert stats["batches"] == 1
+        assert batches == [{"units": 1}]
+
+
 class TestServerWorkers:
     def test_cold_batches_simulate_in_daemon_lifetime_workers(
             self, tmp_path, small_plan, monkeypatch):
         from repro.runtime import executor as executor_module
+        from repro.serve.server import DISPATCH_WORKERS
 
         log = tmp_path / "pids"
         real = executor_module.execute_spec
@@ -311,7 +390,7 @@ class TestServerWorkers:
         with ThreadedServer(config) as server:
             # Forked at start-up: one pool of --jobs workers per thread.
             assert len(multiprocessing.active_children()) == \
-                config.dispatch_workers * config.jobs
+                DISPATCH_WORKERS * config.jobs
             with ServeClient(server.endpoints[0]) as client:
                 for spec in list(small_plan)[:2]:
                     assert client.submit(spec)["source"] == "simulated"

@@ -121,8 +121,9 @@ def timed_submit(client, spec):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=50,
-                        help="warm passes over the grid (default 50)")
+    parser.add_argument("--rounds", type=int, default=250,
+                        help="warm passes over the grid (default 250: "
+                             "1000 samples, so the p99 rests on ten)")
     parser.add_argument("--out", default="BENCH_serve.json")
     parser.add_argument("--p99-bound", type=float, default=0.25,
                         help="warm p99 latency bound in seconds "
