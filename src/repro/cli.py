@@ -36,7 +36,7 @@ Chrome trace; ``--metrics`` prints an end-of-run metrics summary
 (counters + histograms, including the ``--profile`` collector when both
 are on).
 
-Execution is fault tolerant: failing workloads are retried
+Execution is fault tolerant: failing workloads are retried at once
 (``--retries``), optionally bounded by a per-workload wall-clock
 ``--timeout``.  Under ``--keep-going`` (the default) a sweep completes
 with the failed workloads reported separately (exit status 1);
@@ -103,16 +103,9 @@ def _resolve_cache(args) -> ResultCache | None:
     return ResultCache(args.cache_dir)
 
 
-def _resolve_policy(args) -> RetryPolicy | None:
-    """A retry policy when the flags override the defaults, else None."""
-    if args.retries is None and args.timeout is None:
-        return None
-    defaults = RetryPolicy()
-    return RetryPolicy(
-        max_attempts=args.retries if args.retries is not None
-        else defaults.max_attempts,
-        timeout=args.timeout,
-    )
+def _resolve_policy(args) -> RetryPolicy:
+    """The retry policy ``--retries``/``--timeout`` select."""
+    return RetryPolicy(max_attempts=args.retries, timeout=args.timeout)
 
 
 def _fault_kwargs(args) -> dict:
@@ -519,6 +512,22 @@ def _cmd_worker(args) -> int:
     return 0
 
 
+def _checked(cast, ok, rule: str):
+    """An argparse ``type=`` that casts, then enforces ``rule``."""
+    def parse(text: str):
+        value = cast(text)  # argparse reports a ValueError by __name__
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_COUNT = _checked(int, lambda value: value >= 1, ">= 1")
+_NON_NEGATIVE = _checked(int, lambda value: value >= 0, ">= 0")
+_SECONDS = _checked(float, lambda value: value > 0, "> 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -544,7 +553,18 @@ def build_parser() -> argparse.ArgumentParser:
                              help="simulate everything; skip the result "
                                   "cache")
 
-    fault_flags = argparse.ArgumentParser(add_help=False)
+    retry_flags = argparse.ArgumentParser(add_help=False)
+    retry_flags.add_argument("--retries", type=_COUNT,
+                             default=RetryPolicy.max_attempts, metavar="N",
+                             help="attempts per workload (default "
+                                  f"{RetryPolicy.max_attempts})")
+    retry_flags.add_argument("--timeout", type=_SECONDS, default=None,
+                             metavar="SECONDS",
+                             help="per-workload wall-clock limit "
+                                  "(default: none)")
+
+    fault_flags = argparse.ArgumentParser(add_help=False,
+                                          parents=[retry_flags])
     mode = fault_flags.add_mutually_exclusive_group()
     mode.add_argument("--keep-going", dest="keep_going",
                       action="store_true", default=True,
@@ -554,13 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                       action="store_false",
                       help="abort on the first workload that exhausts "
                            "its retries")
-    fault_flags.add_argument("--retries", type=int, default=None,
-                             metavar="N",
-                             help="attempts per workload (default 3)")
-    fault_flags.add_argument("--timeout", type=float, default=None,
-                             metavar="SECONDS",
-                             help="per-workload wall-clock limit "
-                                  "(default: none)")
 
     perf_flags = argparse.ArgumentParser(add_help=False)
     perf_flags.add_argument("--profile", action="store_true",
@@ -617,21 +630,22 @@ def build_parser() -> argparse.ArgumentParser:
                               "'repro worker' nodes can join, interrupted "
                               "queues survive, and done/ records which "
                               "node completed each unit)")
-    p_sweep.add_argument("--lease-ttl", type=float,
+    p_sweep.add_argument("--lease-ttl", type=_SECONDS,
                          default=DEFAULT_LEASE_TTL, metavar="SECONDS",
                          help="worker-node lease time-to-live before a "
                               "stalled node's unit is stolen "
                               f"(default {DEFAULT_LEASE_TTL:g})")
-    p_sweep.add_argument("--prune-k", type=int, default=None, metavar="K",
+    p_sweep.add_argument("--prune-k", type=_COUNT, default=None,
+                         metavar="K",
                          help="prediction-guided pruning: simulate only "
                               "the model's top-K configurations per "
                               "workload (plus the baseline) instead of "
                               "the full Figure 5 grid")
-    p_sweep.add_argument("--explore", type=int, default=0, metavar="N",
+    p_sweep.add_argument("--explore", type=_NON_NEGATIVE, default=0,
+                         metavar="N",
                          help="with --prune-k, also simulate N "
                               "deterministically sampled configurations "
-                              "outside the top-K (active-learning "
-                              "exploration budget; default 0)")
+                              "outside the top-K (default 0)")
     p_sweep.add_argument("--server", default=None, metavar="URL",
                          help="run the sweep through a serve daemon "
                               "(http://host:port or unix:///path.sock); "
@@ -639,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "daemon is unreachable")
 
     p_worker = sub.add_parser(
-        "worker",
+        "worker", parents=[retry_flags],
         help="join a sweep's named work queue as one worker node")
     p_worker.add_argument("queue_dir",
                           help="the sweep's work-queue directory "
@@ -647,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--node", default=None, metavar="NAME",
                           help="node name for leases/done markers/events "
                                "(default worker-<pid>)")
-    p_worker.add_argument("--lease-ttl", type=float,
+    p_worker.add_argument("--lease-ttl", type=_SECONDS,
                           default=DEFAULT_LEASE_TTL, metavar="SECONDS",
                           help="lease time-to-live this node claims with "
                                f"(default {DEFAULT_LEASE_TTL:g})")
@@ -655,18 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="idle sleep between claim scans "
                                "(default 0.05)")
-    p_worker.add_argument("--retries", type=int, default=None, metavar="N",
-                          help="attempts per workload (default 3)")
-    p_worker.add_argument("--timeout", type=float, default=None,
-                          metavar="SECONDS",
-                          help="per-workload wall-clock limit "
-                               "(default: none)")
     p_worker.add_argument("--events", action="store_true",
                           help="journal this node's runtime events to "
                                "events/<node>.jsonl inside the queue")
 
     p_serve = sub.add_parser(
-        "serve", parents=[obs_flags],
+        "serve", parents=[obs_flags, retry_flags],
         help="run the sweep-as-a-service daemon")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="TCP bind address (default 127.0.0.1)")
@@ -689,12 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", type=int, default=1,
                          help="worker nodes per dispatch thread "
                               "(default 1)")
-    p_serve.add_argument("--retries", type=int, default=None, metavar="N",
-                         help="attempts per workload (default 3)")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-workload wall-clock limit "
-                              "(default: none)")
 
     p_submit = sub.add_parser(
         "submit", help="run one workload through a serve daemon")

@@ -350,7 +350,7 @@ def run_sweep(
     identical to the serial, uncached sweep.
 
     Failure semantics (see :func:`repro.runtime.run_plan`): units retry
-    per ``policy``; under ``keep_going`` (default) a sweep with failed
+    at once per ``policy``; under ``keep_going`` (default) a sweep with failed
     units still returns, reporting them in ``SweepResult.failures``,
     while ``keep_going=False`` raises
     :class:`~repro.runtime.UnitExecutionError` on the first terminal

@@ -7,9 +7,10 @@ Separates *what* to simulate (:class:`WorkloadSpec`,
 :func:`run_plan` ties the three together; ``repro.harness.sweep``, the
 CLI, and the benchmark drivers all execute through it.
 
-Execution is fault tolerant: failing units retry under a
-:class:`RetryPolicy`, terminal failures surface as structured
-:class:`UnitFailure` records instead of aborting the batch
+Execution is fault tolerant: failing units retry at once under a
+:class:`RetryPolicy` (an attempt budget and a per-attempt timeout),
+terminal failures surface as structured :class:`UnitFailure` records
+instead of aborting the batch
 (``keep_going``), a re-run against the same :class:`ResultCache`
 resumes an interrupted sweep, and a deterministic
 :class:`FaultInjector` exercises each recovery path in tests.
@@ -31,6 +32,7 @@ from .cache import ResultCache, default_cache_dir
 from .coordinator import MultiNodeExecutor
 from .executor import (
     Executor,
+    RetryPolicy,
     SerialExecutor,
     execute_spec,
     load_graph,
@@ -49,7 +51,6 @@ from .faults import (
     UnitTimeoutError,
     failure_kind,
 )
-from .retry import RetryPolicy
 from .spec import (
     RESULT_SCHEMA_VERSION,
     ExecutionPlan,

@@ -24,9 +24,8 @@ import os
 from pathlib import Path
 
 from .coordinator import MultiNodeExecutor
-from .executor import Executor, SerialExecutor
+from .executor import Executor, RetryPolicy, SerialExecutor
 from .faults import FaultInjector
-from .retry import RetryPolicy
 from .workqueue import DEFAULT_LEASE_TTL
 
 __all__ = ["BACKENDS", "make_backend"]

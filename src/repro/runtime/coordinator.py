@@ -38,19 +38,18 @@ from typing import Iterator, Sequence
 from ..harness.runner import WorkloadResult
 from ..obs import OBSERVER as _obs
 from ..obs import Event
-from .executor import Executor, note_failure, note_retry
+from .executor import Executor, RetryPolicy, note_failure, note_retry
 from .faults import FaultInjector, UnitFailure
-from .retry import RetryPolicy
 from .spec import WorkloadSpec
 from .worker import DEFAULT_POLL, NodeWorker, drain, node_main, worker_config
 from .workqueue import DEFAULT_LEASE_TTL, WorkQueue
 
-__all__ = ["MultiNodeExecutor", "DEFAULT_NODE_RESTARTS"]
+__all__ = ["MultiNodeExecutor", "NODE_RESTARTS"]
 
 #: How many times one node slot is restarted after a crash, per run,
 #: before the slot is quarantined (the retry budget's "give up
 #: eventually" at node level).
-DEFAULT_NODE_RESTARTS = 2
+NODE_RESTARTS = 2
 
 
 def _pipe() -> tuple[int, int]:
@@ -93,19 +92,15 @@ class MultiNodeExecutor(Executor):
                  injector: FaultInjector | None = None,
                  queue_dir: str | Path | None = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
-                 poll: float = DEFAULT_POLL,
-                 node_restarts: int = DEFAULT_NODE_RESTARTS) -> None:
+                 poll: float = DEFAULT_POLL) -> None:
         if nodes < 1:
             raise ValueError("nodes must be >= 1")
-        if node_restarts < 0:
-            raise ValueError("node_restarts must be >= 0")
         self.nodes = nodes
         self.policy = policy
         self.injector = injector
         self.queue_dir = Path(queue_dir) if queue_dir is not None else None
         self.lease_ttl = lease_ttl
         self.poll = poll
-        self.node_restarts = node_restarts
         self._queue: WorkQueue | None = None
         self._slots: list[_NodeSlot] = []
         self._offsets: dict[Path, int] = {}
@@ -221,7 +216,7 @@ class MultiNodeExecutor(Executor):
             process.join()
             slot.process = None
             dead.append(slot.name)
-            if slot.restarts < self.node_restarts:
+            if slot.restarts < NODE_RESTARTS:
                 _obs.emit("node.leave", node=slot.name, reason="crash",
                           pid=process.pid)
                 slot.restarts += 1
@@ -234,9 +229,9 @@ class MultiNodeExecutor(Executor):
     def _kill_overdue(self, policy: RetryPolicy) -> list[str]:
         """SIGKILL and replace nodes holding a lease past its deadline.
 
-        The deadline is the claim time plus the claimer's backoff plus
-        ``policy.timeout``.  Returns the killed incarnations, whose
-        leases are then reclaimed like any dead node's.
+        The deadline is the claim time plus ``policy.timeout``.  Returns
+        the killed incarnations, whose leases are then reclaimed like any
+        dead node's.
         """
         if policy.timeout is None:
             return []
@@ -248,10 +243,7 @@ class MultiNodeExecutor(Executor):
             slot = slots.get(lease["node"])
             if slot is None or lease.get("claimed_mono") is None:
                 continue
-            attempt = lease["attempt"]
-            delay = (policy.delay_for(attempt - 1, lease["digest"])
-                     if attempt > 1 else 0.0)
-            if now < lease["claimed_mono"] + delay + policy.timeout:
+            if now < lease["claimed_mono"] + policy.timeout:
                 continue
             killed.append(self._kill(slot, "deadline"))
             self._spawn(slot)

@@ -6,10 +6,10 @@ process (the oracle); :class:`~repro.runtime.coordinator.MultiNodeExecutor`
 fans units across worker *nodes* that claim them under leases.
 :func:`~repro.runtime.backend.make_backend` picks between them.
 
-Both share one set of failure semantics: a failing unit is retried
-under a :class:`~repro.runtime.retry.RetryPolicy` and, when its budget
-runs out, surfaces as a :class:`~repro.runtime.faults.UnitFailure` *in
-the result stream* instead of an exception that aborts the batch.
+Both share one set of failure semantics: a failing unit is retried at
+once under a :class:`RetryPolicy` and, when its budget runs out,
+surfaces as a :class:`~repro.runtime.faults.UnitFailure` *in the
+result stream* instead of an exception that aborts the batch.
 :func:`run_attempt` is the one attempt body: :func:`run_unit` loops it
 in-process, and a node runs one attempt per lease claim.  Graphs are
 memoized per process (:func:`load_graph`), so a node simulating six
@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from ..graph.csr import CSRGraph
@@ -29,10 +30,10 @@ from ..harness.runner import WorkloadResult
 from ..obs import OBSERVER as _obs
 from .cache import ResultCache
 from .faults import FaultInjector, UnitExecutionError, UnitFailure
-from .retry import RetryPolicy
 from .spec import ExecutionPlan, GraphRef, WorkloadSpec
 
 __all__ = [
+    "RetryPolicy",
     "Executor",
     "SerialExecutor",
     "execute_spec",
@@ -43,6 +44,30 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How many attempts a failing unit gets and how long one may run.
+
+    A retry starts at once: a unit is a deterministic simulation, and
+    no shared service stands behind it for a backoff to wait out.
+    ``timeout`` is a per-attempt wall-clock budget in seconds (None = no
+    limit).  The lease executor enforces it preemptively by killing the
+    worker node that holds the attempt; the serial executor, which
+    cannot interrupt in-process work, detects it after the attempt
+    finishes.
+    """
+
+    max_attempts: int = 3
+    timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be positive (or None)")
+
 
 # Per-process memo of materialized graphs.  Bounded: a full sweep touches
 # six datasets, so a handful of entries covers the working set.
@@ -91,15 +116,12 @@ def run_attempt(
 ) -> WorkloadResult:
     """Run attempt ``attempt`` of one unit; raises when the attempt fails.
 
-    A retry first sleeps the policy's backoff.  ``in_worker`` lets the
-    injector kill this process for real (a worker node).  An overrun of
-    ``policy.timeout`` detected afterwards keeps the result and is
-    recorded as a ``unit.overrun`` event.
+    ``in_worker`` lets the injector kill this process for real (a worker
+    node).  An overrun of ``policy.timeout`` detected afterwards keeps
+    the result and is recorded as a ``unit.overrun`` event.
     """
     policy = policy or RetryPolicy()
     digest = spec.digest()
-    if attempt > 1:
-        time.sleep(policy.delay_for(attempt - 1, digest))
     _obs.emit("unit.started", digest=digest, label=spec.label,
               attempt=attempt)
     started = time.monotonic()
@@ -137,7 +159,7 @@ def run_unit(
     injector: FaultInjector | None = None,
     execute: Callable[[WorkloadSpec], WorkloadResult] | None = None,
 ) -> WorkloadResult | UnitFailure:
-    """Run one unit in-process with retry/backoff; never raises for it.
+    """Run one unit in-process with retries; never raises for it.
 
     Returns the result, or a :class:`UnitFailure` once the policy's
     attempts are exhausted.  In-process execution cannot be preempted,
@@ -229,8 +251,8 @@ def run_plan(
     label per completed unit, tagged ``(cached)`` for cache hits and
     ``(failed: <kind>)`` for failures.
 
-    Failure semantics: each unit is retried per ``policy`` (default: 3
-    attempts, exponential backoff).  Under ``keep_going`` (the default)
+    Failure semantics: each unit is retried at once per ``policy``
+    (default: 3 attempts).  Under ``keep_going`` (the default)
     a unit that exhausts its budget occupies its plan slot as a
     :class:`UnitFailure` and the rest of the plan still runs; with
     ``keep_going=False`` the first terminal failure raises

@@ -30,6 +30,7 @@ Two halves:
 from __future__ import annotations
 
 import fnmatch
+import hashlib
 import os
 import signal
 import time
@@ -38,7 +39,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..sim.stalls import read_cycles, read_fields
-from .retry import stable_fraction
 from .spec import WorkloadSpec
 
 __all__ = [
@@ -52,6 +52,12 @@ __all__ = [
     "FaultInjector",
     "failure_kind",
 ]
+
+
+def stable_fraction(key: str) -> float:
+    """Map ``key`` onto [0, 1) deterministically (SHA-256, no RNG state)."""
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
 class InjectedFaultError(RuntimeError):

@@ -11,8 +11,8 @@ A node runs **one attempt per claim**
 (:func:`~repro.runtime.executor.run_attempt`).  The attempt counter
 lives in the queue, so it counts attempts across every node that held
 the unit: a failed attempt with budget left reopens the unit with that
-attempt charged (the next claimer sleeps the backoff first), and the
-last attempt completes it as failed.
+attempt charged (the next claimer retries it at once), and the last
+attempt completes it as failed.
 
 The same code runs three ways: spawned by the coordinator
 (:func:`node_main`, idle between runs until stopped), launched via
@@ -32,8 +32,8 @@ import time
 
 from ..obs import OBSERVER as _obs
 from . import executor as _executor
+from .executor import RetryPolicy
 from .faults import FaultInjector, UnitFailure
-from .retry import RetryPolicy
 from .spec import WorkloadSpec
 from .workqueue import DEFAULT_LEASE_TTL, WorkQueue
 

@@ -76,9 +76,12 @@ class _UDSHTTPConnection(http.client.HTTPConnection):
 
     def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if self.timeout is not None:
-            sock.settimeout(self.timeout)
-        sock.connect(self._uds_path)
+        try:
+            sock.settimeout(self.timeout)  # None: blocking, as created
+            sock.connect(self._uds_path)
+        except BaseException:
+            sock.close()  # never assigned to self.sock: close() misses it
+            raise
         self.sock = sock
 
 

@@ -43,6 +43,26 @@ class TestFaultFlags:
                      "--fail-fast"]) == 0
         assert "best:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "DCT", "PR", "--retries", "0"], "--retries"),
+        (["run", "DCT", "PR", "--timeout", "-1"], "--timeout"),
+        (["run", "DCT", "PR", "--timeout", "nan"], "--timeout"),
+        (["sweep", "--lease-ttl", "0"], "--lease-ttl"),
+        (["sweep", "--prune-k", "0"], "--prune-k"),
+        (["sweep", "--prune-k", "2", "--explore", "-1"], "--explore"),
+        (["worker", "Q", "--retries", "0"], "--retries"),
+        (["worker", "Q", "--lease-ttl", "-5"], "--lease-ttl"),
+        (["serve", "--timeout", "0"], "--timeout"),
+    ])
+    def test_out_of_range_numbers_are_usage_errors(self, argv, flag,
+                                                   capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
     def test_keep_going_and_fail_fast_conflict(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "DCT", "MIS", "--keep-going", "--fail-fast"])
@@ -58,8 +78,7 @@ class TestFaultFlags:
         def faulty(name="auto", jobs=1, policy=None, injector=None):
             return real(
                 name, jobs,
-                policy=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                   jitter=0.0),
+                policy=RetryPolicy(max_attempts=2),
                 injector=FaultInjector(rules=(FaultRule(
                     kind="transient", match="*", attempts=10**6),)),
             )
@@ -80,8 +99,7 @@ class TestFaultFlags:
         def faulty(name="auto", jobs=1, policy=None, injector=None):
             return real(
                 name, jobs,
-                policy=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                   jitter=0.0),
+                policy=RetryPolicy(max_attempts=2),
                 injector=FaultInjector(rules=(FaultRule(
                     kind="transient", match="*", attempts=10**6),)),
             )

@@ -22,11 +22,13 @@ from repro.runtime import (
     FaultRule,
     InjectedCrashError,
     InjectedTransientError,
+    NodeWorker,
     ResultCache,
     RetryPolicy,
     UnitExecutionError,
     UnitFailure,
     UnitTimeoutError,
+    WorkQueue,
     failure_kind,
     make_backend,
     run_plan,
@@ -36,9 +38,6 @@ from repro.runtime import executor as executor_module
 from repro.sim.config import SystemConfig
 
 SMALL_SCALES = {"DCT": 64, "RAJ": 32}
-
-# No backoff sleeps, no jitter: failure paths should not slow the suite.
-FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -77,45 +76,46 @@ def always(kind, match, **kwargs):
     return FaultRule(kind=kind, match=match, attempts=10**6, **kwargs)
 
 
+def _no_sleep(seconds):
+    raise AssertionError(f"retry slept {seconds}s")
+
+
 class TestRetryPolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_delay=0.5, backoff=2.0, max_delay=1.5,
-                             jitter=0.0)
-        assert policy.delay_for(1, key="d") == 0.5
-        assert policy.delay_for(2, key="d") == 1.0
-        assert policy.delay_for(3, key="d") == 1.5  # capped
-        assert policy.delay_for(10, key="d") == 1.5
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=1.0, backoff=1.0, max_delay=1.0,
-                             jitter=0.25)
-        first = policy.delay_for(1, key="abc")
-        assert first == policy.delay_for(1, key="abc")
-        assert 0.75 <= first <= 1.25
-        # Different keys and attempts de-synchronize.
-        spread = {policy.delay_for(a, key=k)
-                  for a in (1, 2, 3) for k in ("a", "b", "c")}
-        assert len(spread) > 1
-
-    def test_zero_base_delay_stays_zero(self):
-        assert FAST.delay_for(5, key="x") == 0.0
-
-    def test_jitter_key_is_required(self):
-        # Jitter is seeded per (digest, attempt), never per process: a
-        # keyless call has no digest to seed from and must not exist,
-        # or two nodes retrying the same unit would desynchronize.
-        with pytest.raises(TypeError):
-            RetryPolicy().delay_for(1)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=2.0)
         with pytest.raises(ValueError, match="timeout"):
             RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            RetryPolicy(backoff=0.5)
+
+    def test_retry_starts_at_once(self, small_plan, monkeypatch):
+        # Units are deterministic simulations with no shared service
+        # behind them: a retry has nothing to wait out.
+        injector = FaultInjector(rules=(FaultRule(
+            kind="transient", match="*", attempts=1),))
+        sentinel = object()
+        monkeypatch.setattr(executor_module.time, "sleep", _no_sleep)
+        outcome = run_unit(small_plan[0], policy=RetryPolicy(),
+                           injector=injector, execute=lambda s: sentinel)
+        assert outcome is sentinel
+
+    def test_node_retry_starts_at_once(self, tmp_path, small_plan,
+                                       serial_results, monkeypatch):
+        # A node claiming a unit with one charged attempt runs attempt 2
+        # straight away.
+        spec = small_plan[0]
+        queue = WorkQueue(tmp_path / "queue")
+        queue.seed([spec])
+        injector = FaultInjector(rules=(FaultRule(
+            kind="transient", match="*", attempts=1),))
+        worker = NodeWorker(queue, "node-0", injector=injector)
+        assert worker.step() == "ran"
+        assert queue.unit_record(spec.digest())["attempts"] == 1
+        monkeypatch.setattr(executor_module, "execute_spec",
+                            lambda s: serial_results[0])
+        monkeypatch.setattr(executor_module.time, "sleep", _no_sleep)
+        assert worker.step() == "ran"
+        done = queue.outcome(spec.digest())
+        assert (done["status"], done["attempt"]) == ("ok", 2)
 
 
 class TestFailureRecords:
@@ -239,18 +239,17 @@ class TestSerialRecovery:
             calls.append(s.label)
             return sentinel
 
-        outcome = run_unit(spec, policy=FAST, injector=injector,
-                           execute=execute)
+        outcome = run_unit(spec, injector=injector, execute=execute)
         assert outcome is sentinel
         assert calls == [spec.label]  # attempt 1 died in the injector
 
     def test_persistent_fault_exhausts_budget(self, small_plan):
         spec = small_plan[0]
         injector = FaultInjector(rules=(always("transient", "*"),))
-        outcome = run_unit(spec, policy=FAST, injector=injector,
+        outcome = run_unit(spec, injector=injector,
                            execute=lambda s: object())
         assert isinstance(outcome, UnitFailure)
-        assert outcome.attempts == FAST.max_attempts
+        assert outcome.attempts == RetryPolicy().max_attempts
         assert outcome.kind == "error"
         assert outcome.exception == "InjectedTransientError"
 
@@ -261,8 +260,7 @@ class TestSerialRecovery:
         # unit.overrun event), not discarded and re-simulated into a
         # UnitFailure.
         spec = small_plan[0]
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
-                             timeout=0.005)
+        policy = RetryPolicy(max_attempts=2, timeout=0.005)
         calls = []
 
         class Result:
@@ -282,17 +280,16 @@ class TestSerialRecovery:
         spec = small_plan[0]
         injector = FaultInjector(rules=(always("timeout", "*",
                                                hang=0.005),))
-        outcome = run_unit(spec, policy=FAST, injector=injector,
+        outcome = run_unit(spec, injector=injector,
                            execute=lambda s: object())
         assert isinstance(outcome, UnitFailure)
         assert outcome.kind == "timeout"
-        assert outcome.attempts == FAST.max_attempts
+        assert outcome.attempts == RetryPolicy().max_attempts
 
     def test_keep_going_yields_partial_results(self, small_plan,
                                                serial_results):
         injector = FaultInjector(rules=(always("transient", "DCT/PR"),))
-        outcomes = run_plan(small_plan, jobs=1, policy=FAST,
-                            injector=injector)
+        outcomes = run_plan(small_plan, jobs=1, injector=injector)
         assert isinstance(outcomes[0], UnitFailure)
         assert not outcomes[0].ok
         survivors = [outcome for outcome in outcomes if outcome.ok]
@@ -301,10 +298,10 @@ class TestSerialRecovery:
     def test_fail_fast_raises(self, small_plan):
         injector = FaultInjector(rules=(always("transient", "DCT/PR"),))
         with pytest.raises(UnitExecutionError) as excinfo:
-            run_plan(small_plan, jobs=1, policy=FAST, injector=injector,
+            run_plan(small_plan, jobs=1, injector=injector,
                      keep_going=False)
         assert excinfo.value.failure.label == "DCT/PR"
-        assert excinfo.value.failure.attempts == FAST.max_attempts
+        assert excinfo.value.failure.attempts == RetryPolicy().max_attempts
 
     def test_cache_put_failure_logs_and_continues(self, small_plan,
                                                   tmp_path, monkeypatch,
@@ -342,8 +339,7 @@ class TestParallelRecovery:
             self, small_plan, serial_results):
         injector = FaultInjector(rules=(FaultRule(
             kind="transient", match="*", attempts=1),))
-        outcomes = run_plan(small_plan, jobs=2, policy=FAST,
-                            injector=injector)
+        outcomes = run_plan(small_plan, jobs=2, injector=injector)
         assert _dicts(outcomes) == _dicts(serial_results)
 
     def test_worker_crash_respawns_pool(self, small_plan, serial_results):
@@ -351,14 +347,13 @@ class TestParallelRecovery:
         # the coordinator must respawn the node and finish every unit.
         injector = FaultInjector(rules=(FaultRule(
             kind="crash", match="DCT/CC", attempts=1),))
-        outcomes = run_plan(small_plan, jobs=2, policy=FAST,
-                            injector=injector)
+        outcomes = run_plan(small_plan, jobs=2, injector=injector)
         assert _dicts(outcomes) == _dicts(serial_results)
 
     def test_poisoned_spec_is_quarantined(self, small_plan,
                                           serial_results):
         injector = FaultInjector(rules=(always("crash", "RAJ/CC"),))
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        policy = RetryPolicy(max_attempts=2)
         outcomes = run_plan(small_plan, jobs=2, policy=policy,
                             injector=injector)
         failure = outcomes[3]
@@ -376,8 +371,7 @@ class TestParallelRecovery:
         injector = FaultInjector(rules=(FaultRule(
             kind="crash", match="DCT/CC", attempts=1),))
         specs = list(small_plan)
-        with make_backend("process", jobs=2, policy=FAST,
-                          injector=injector) as executor:
+        with make_backend("process", jobs=2, injector=injector) as executor:
             first = dict(executor.run(specs))
             second = dict(executor.run([specs[0], specs[2]]))
         assert _dicts([first[i] for i in range(4)]) == \
@@ -445,8 +439,7 @@ class TestAcceptance:
             always("crash", "DCT/PR"),
             always("timeout", "RAJ/CC", hang=30.0),
         ))
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
-                             timeout=3.0)
+        policy = RetryPolicy(max_attempts=2, timeout=3.0)
         cache = ResultCache(tmp_path / "cache")
 
         sweep = run_sweep(jobs=2, cache=cache, policy=policy,

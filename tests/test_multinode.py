@@ -39,13 +39,11 @@ from repro.runtime import (
     make_backend,
     run_plan,
 )
+from repro.runtime import coordinator as coordinator_module
 from repro.runtime import executor as executor_module
 from repro.sim.config import SystemConfig
 
 SMALL_SCALES = {"DCT": 64, "RAJ": 32}
-
-# No backoff sleeps, no jitter: failure paths should not slow the suite.
-FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -534,8 +532,6 @@ class TestBackendRegistry:
     def test_multinode_validates_shape(self):
         with pytest.raises(ValueError, match="nodes"):
             MultiNodeExecutor(nodes=0)
-        with pytest.raises(ValueError, match="node_restarts"):
-            MultiNodeExecutor(node_restarts=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +541,7 @@ class TestBackendRegistry:
 class TestMultiNodeExecutor:
     def test_matches_serial_bit_for_bit(self, tmp_path, small_plan,
                                         serial_results):
-        executor = MultiNodeExecutor(nodes=2, policy=FAST,
-                                     queue_dir=tmp_path / "queue",
+        executor = MultiNodeExecutor(nodes=2, queue_dir=tmp_path / "queue",
                                      lease_ttl=10.0)
         outcomes = dict(executor.run(list(small_plan)))
         ordered = [outcomes[i] for i in range(len(small_plan))]
@@ -554,7 +549,7 @@ class TestMultiNodeExecutor:
 
     def test_private_queue_dir_cleaned_after_clean_drain(self, small_plan,
                                                          serial_results):
-        executor = MultiNodeExecutor(nodes=2, policy=FAST, lease_ttl=10.0)
+        executor = MultiNodeExecutor(nodes=2, lease_ttl=10.0)
         outcomes = dict(executor.run(list(small_plan)))
         assert _dicts([outcomes[i] for i in range(len(small_plan))]) \
             == _dicts(serial_results)
@@ -567,8 +562,7 @@ class TestMultiNodeExecutor:
         injector = FaultInjector(rules=(always("timeout", "DCT/CC",
                                                hang=60.0),))
         specs = list(small_plan)
-        with make_backend("process", jobs=2, policy=FAST,
-                          injector=injector) as executor:
+        with make_backend("process", jobs=2, injector=injector) as executor:
             queue = executor._queue
             stream = executor.run(specs)
             position, outcome = next(stream)
@@ -599,10 +593,10 @@ class TestMultiNodeExecutor:
             return real(spec)
 
         monkeypatch.setattr(executor_module, "execute_spec", recording)
+        monkeypatch.setattr(coordinator_module, "NODE_RESTARTS", 1)
         injector = FaultInjector(rules=(FaultRule(
             kind="crash", match="DCT/*", attempts=1),))
-        with MultiNodeExecutor(nodes=1, policy=FAST, injector=injector,
-                               node_restarts=1) as executor:
+        with MultiNodeExecutor(nodes=1, injector=injector) as executor:
             (_, first), = executor.run([small_plan[0]])
             (_, second), = executor.run([small_plan[1]])
         assert _dicts([first, second]) == _dicts(serial_results[:2])
@@ -618,8 +612,7 @@ class TestMultiNodeExecutor:
         injector = FaultInjector(rules=(
             FaultRule(kind="torn-cache-write", match="DCT/PR",
                       attempts=1),))
-        executor = MultiNodeExecutor(nodes=2, policy=FAST,
-                                     injector=injector,
+        executor = MultiNodeExecutor(nodes=2, injector=injector,
                                      queue_dir=tmp_path / "queue",
                                      lease_ttl=10.0)
         outcomes = dict(executor.run(list(small_plan)))
@@ -643,8 +636,7 @@ class TestMultiNodeExecutor:
             FaultRule(kind="torn-cache-write", match="DCT/PR",
                       attempts=1),))
         cache = ResultCache(tmp_path / "cache")
-        results = run_plan(small_plan, jobs=2, cache=cache, policy=FAST,
-                           injector=injector)
+        results = run_plan(small_plan, jobs=2, cache=cache, injector=injector)
         assert _dicts(results) == _dicts(serial_results)
         units = len(small_plan)
         assert cache.hits == 0
@@ -657,17 +649,18 @@ class TestMultiNodeExecutor:
         assert len(retried) == 1
 
     def test_node_killing_unit_is_quarantined(self, tmp_path, small_plan,
-                                              serial_results, ring):
+                                              serial_results, ring,
+                                              monkeypatch):
         # DCT/PR SIGKILLs every node that touches it.  With a 2-attempt
         # budget the coordinator must declare it crashed (quarantined)
         # instead of feeding it nodes forever — and the other units
         # still complete.
         injector = FaultInjector(rules=(always("node-kill", "DCT/PR"),))
+        monkeypatch.setattr(coordinator_module, "NODE_RESTARTS", 3)
         executor = MultiNodeExecutor(
-            nodes=1, policy=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                        jitter=0.0),
+            nodes=1, policy=RetryPolicy(max_attempts=2),
             injector=injector, queue_dir=tmp_path / "queue",
-            lease_ttl=10.0, node_restarts=3)
+            lease_ttl=10.0)
         outcomes = dict(executor.run(list(small_plan)))
         poisoned = outcomes[0]
         assert isinstance(poisoned, UnitFailure)
@@ -684,17 +677,18 @@ class TestMultiNodeExecutor:
         assert len(crash_leaves) == 2
 
     def test_exhausted_fleet_drains_inline(self, tmp_path, small_plan,
-                                           serial_results, ring):
+                                           serial_results, ring,
+                                           monkeypatch):
         # Every unit kills its node and there is no restart budget: the
         # fleet dies instantly, yet the sweep must still terminate with
         # every slot filled — the coordinator strips node-kill rules and
         # finishes the work itself.
         injector = FaultInjector(rules=(
             FaultRule(kind="node-kill", match="*", attempts=1),))
-        executor = MultiNodeExecutor(nodes=1, policy=FAST,
-                                     injector=injector,
+        monkeypatch.setattr(coordinator_module, "NODE_RESTARTS", 0)
+        executor = MultiNodeExecutor(nodes=1, injector=injector,
                                      queue_dir=tmp_path / "queue",
-                                     lease_ttl=10.0, node_restarts=0)
+                                     lease_ttl=10.0)
         outcomes = dict(executor.run(list(small_plan)))
         ordered = [outcomes[i] for i in range(len(small_plan))]
         assert _dicts(ordered) == _dicts(serial_results)
@@ -710,8 +704,7 @@ class TestMultiNodeExecutor:
         injector = FaultInjector(rules=(
             FaultRule(kind="heartbeat-stall", match="DCT/PR",
                       attempts=1, hang=2.0),))
-        executor = MultiNodeExecutor(nodes=2, policy=FAST,
-                                     injector=injector,
+        executor = MultiNodeExecutor(nodes=2, injector=injector,
                                      queue_dir=tmp_path / "queue",
                                      lease_ttl=0.3, poll=0.02)
         outcomes = dict(executor.run(list(small_plan)))
@@ -742,11 +735,9 @@ class TestChaosAcceptance:
         # Phase A: a two-node sweep; the node holding RAJ/CC is
         # SIGKILLed mid-unit, its lease is reclaimed, a restarted
         # incarnation steals the unit, and the sweep completes.
-        executor = MultiNodeExecutor(nodes=2, policy=FAST,
-                                     injector=injector,
+        executor = MultiNodeExecutor(nodes=2, injector=injector,
                                      queue_dir=queue_dir, lease_ttl=10.0)
-        results = run_plan(small_plan, executor=executor, cache=user_cache,
-                           policy=FAST)
+        results = run_plan(small_plan, executor=executor, cache=user_cache)
         assert _dicts(results) == _dicts(serial_results)
 
         queue = WorkQueue(queue_dir)
@@ -777,10 +768,9 @@ class TestChaosAcceptance:
         # cache and queue.  Every unit restores from the cache; none
         # re-enters a worker.
         assert ring.events("unit.cached") == []
-        executor = MultiNodeExecutor(nodes=2, policy=FAST,
-                                     queue_dir=queue_dir, lease_ttl=10.0)
-        restored = run_plan(small_plan, executor=executor, cache=user_cache,
-                            policy=FAST)
+        executor = MultiNodeExecutor(nodes=2, queue_dir=queue_dir,
+                                     lease_ttl=10.0)
+        restored = run_plan(small_plan, executor=executor, cache=user_cache)
         assert _dicts(restored) == _dicts(serial_results)
         assert [e.data["digest"] for e in ring.events("unit.cached")] \
             == [spec.digest() for spec in small_plan]

@@ -45,7 +45,6 @@ FIXTURE = Path(__file__).parent / "data" / "golden_timing.json"
 TOOLS = Path(__file__).parent.parent / "tools"
 
 SMALL_SCALES = {"DCT": 64, "RAJ": 32}
-FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -267,8 +266,7 @@ class TestJsonlRoundTrip:
 
     def test_serial_overrun_is_an_event(self, small_plan):
         observer = obs.enable(ring=64)
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
-                             timeout=1e-6)
+        policy = RetryPolicy(max_attempts=2, timeout=1e-6)
         outcome = run_unit(small_plan[0], policy=policy)
         assert outcome.ok
         (overrun,) = _ring(observer).events("unit.overrun")
@@ -293,8 +291,7 @@ class TestMetricsMatchOutcomes:
         ))
         observer = obs.enable(ring=4096)
         cache = ResultCache(tmp_path / "cache")
-        first = run_plan(small_plan, jobs=2, cache=cache, policy=FAST,
-                         injector=injector)
+        first = run_plan(small_plan, jobs=2, cache=cache, injector=injector)
         # Faults "fixed": the re-run serves survivors from cache and
         # re-simulates only the failed unit.
         second = run_plan(small_plan, jobs=1, cache=cache)
@@ -366,7 +363,7 @@ class TestCountersAreEventCounts:
             FaultRule(kind="crash", match="RAJ/CC", attempts=10**6),
         ))
         run_plan(small_plan, jobs=2, cache=ResultCache(tmp_path / "nodes"),
-                 policy=FAST, injector=injector)
+                 injector=injector)
         counts = _counted_events(_ring(observer))
         assert _event_counters(observer) == counts
         assert counts["sim.workloads"] >= 3  # simulated on the nodes
@@ -415,8 +412,7 @@ class TestChromeTrace:
         obs.enable(events=str(events_path))
         injector = FaultInjector(rules=(
             FaultRule(kind="crash", match="DCT/CC", attempts=1),))
-        outcomes = run_plan(small_plan, jobs=2, policy=FAST,
-                            injector=injector)
+        outcomes = run_plan(small_plan, jobs=2, injector=injector)
         obs.disable()
         assert all(outcome.ok for outcome in outcomes)
 

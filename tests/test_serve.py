@@ -204,6 +204,25 @@ class TestServerRoundTrip:
         with pytest.raises(ServeUnavailable):
             client.health()
 
+    def test_failed_dial_closes_its_socket(self, tmp_path, monkeypatch):
+        created = []
+        real = socket.socket
+
+        def recording(*args, **kwargs):
+            sock = real(*args, **kwargs)
+            created.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "socket", recording)
+        client = ServeClient(f"unix://{tmp_path}/nothing.sock")
+        with pytest.raises(ServeUnavailable):
+            client.health()
+        assert created
+        leaked = [sock for sock in created if sock.fileno() != -1]
+        for sock in leaked:
+            sock.close()
+        assert leaked == []
+
 
 class TestServerConcurrency:
     def test_concurrent_identical_cold_requests_coalesce(
@@ -253,9 +272,11 @@ class TestServerConcurrency:
             with ServeClient(endpoint, client_id="warmer") as client:
                 client.submit(warm_spec)  # prime the cache
 
-            hold = cf.ThreadPoolExecutor(1).submit(
-                lambda: ServeClient(endpoint, client_id="cold").submit(
-                    slow_spec))
+            def submit_cold():
+                with ServeClient(endpoint, client_id="cold") as cold:
+                    return cold.submit(slow_spec)
+
+            hold = cf.ThreadPoolExecutor(1).submit(submit_cold)
             with ServeClient(endpoint, client_id="probe") as probe:
                 # Wait until the cold unit actually occupies the pool.
                 for _ in range(200):

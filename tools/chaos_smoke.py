@@ -35,7 +35,6 @@ from repro.runtime import (
     FaultInjector,
     FaultRule,
     MultiNodeExecutor,
-    RetryPolicy,
     RESULT_SCHEMA_VERSION,  # noqa: F401  (pin: results are schema-keyed)
     WorkQueue,
     run_plan,
@@ -49,7 +48,6 @@ KILLED_UNIT = "RAJ/CC"
 SYSTEM = SystemConfig(num_sms=4, l1_bytes=1024, l2_bytes=16 * 1024,
                       tb_size=64, max_tbs_per_sm=2,
                       kernel_launch_cycles=100)
-POLICY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 _failures = 0
 
@@ -90,9 +88,9 @@ def main(queue_dir=None):
         FaultRule(kind="node-kill", match=KILLED_UNIT, attempts=1),))
     observer = obs.enable(ring=65536)
     ring = observer.sinks[0]
-    executor = MultiNodeExecutor(nodes=2, policy=POLICY, injector=injector,
+    executor = MultiNodeExecutor(nodes=2, injector=injector,
                                  queue_dir=queue_dir, lease_ttl=10.0)
-    results = run_plan(plan, executor=executor, policy=POLICY)
+    results = run_plan(plan, executor=executor)
     obs.disable()
 
     check([r.to_dict() for r in results] == baseline,
@@ -125,9 +123,8 @@ def main(queue_dir=None):
     # Observer on again: with it off, workers would not journal events
     # and the no-new-claims check below would pass vacuously.
     obs.enable(ring=1024)
-    executor = MultiNodeExecutor(nodes=2, policy=POLICY,
-                                 queue_dir=queue_dir, lease_ttl=10.0)
-    resumed = run_plan(plan, executor=executor, policy=POLICY)
+    executor = MultiNodeExecutor(nodes=2, queue_dir=queue_dir, lease_ttl=10.0)
+    resumed = run_plan(plan, executor=executor)
     obs.disable()
     check([r.to_dict() for r in resumed] == baseline,
           "resumed results bit-identical to serial")
