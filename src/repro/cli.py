@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       obs_flags],
                              help="full 36-workload sweep (slow)")
     p_sweep.add_argument("--iters", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_COUNT, default=1,
                          help="worker nodes for the sweep (with the "
                               "default auto backend, 1 without "
                               "--queue-dir = in-process serial "
@@ -694,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "dispatch thread, alive as long as the "
                               "daemon; serial simulates inside the daemon "
                               "process)")
-    p_serve.add_argument("--jobs", type=int, default=1,
+    p_serve.add_argument("--jobs", type=_COUNT, default=1,
                          help="worker nodes per dispatch thread "
                               "(default 1)")
 

@@ -246,6 +246,16 @@ class WorkloadSpec:
             seed=data["seed"],
         )
 
+    def canonical(self) -> str:
+        """This spec's JSON text (sorted keys, no spaces), kept like
+        :meth:`digest`, which hashes it."""
+        text = self.__dict__.get("_canonical")
+        if text is None:
+            text = json.dumps(self.to_dict(), sort_keys=True,
+                              separators=(",", ":"))
+            object.__setattr__(self, "_canonical", text)
+        return text
+
     def digest(self) -> str:
         """Stable content address of this unit (schema-versioned).
 
@@ -255,13 +265,9 @@ class WorkloadSpec:
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
-            payload = {
-                "schema": RESULT_SCHEMA_VERSION,
-                "spec": self.to_dict(),
-            }
-            canonical = json.dumps(payload, sort_keys=True,
-                                   separators=(",", ":"))
-            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            payload = '{"schema":%d,"spec":%s}' % (RESULT_SCHEMA_VERSION,
+                                                   self.canonical())
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
 

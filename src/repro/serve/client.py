@@ -3,11 +3,16 @@
 The CLI — and anything else in-process — talks to ``repro serve``
 through :class:`ServeClient`: one persistent keep-alive connection to a
 TCP (``http://host:port``) or Unix-domain (``unix:///path.sock``)
-endpoint, JSON bodies both ways.  The client owns the *retry* half of
-admission control: a rejected unit (HTTP 429, or a per-spec
-``rejected`` envelope in a batch response) is re-submitted after the
-server's ``retry_after`` hint, up to a deadline, so callers see only
-final outcomes.
+endpoint, JSON bodies both ways, framed by hand in the subset of
+HTTP/1.1 the daemon speaks (``Content-Length`` bodies only): a request
+leaves in one ``sendall``, its response is read from the socket's
+buffered reader, and a response framed any other way fails closed with
+:class:`ServeError`.  A :class:`~repro.runtime.WorkloadSpec` is sent as
+its :meth:`~repro.runtime.WorkloadSpec.canonical` text, encoded once per
+spec object.  The client owns the *retry* half of admission control: a
+rejected unit (HTTP 429, or a per-spec ``rejected`` envelope in a batch
+response) is re-submitted after the server's ``retry_after`` hint, up
+to a deadline, so callers see only final outcomes.
 
 :class:`ServeUnavailable` distinguishes "no daemon there" (connection
 refused, socket gone) from application-level failures, which is what
@@ -16,16 +21,20 @@ lets ``repro sweep --server URL`` fall back to local execution.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import time
 from typing import Iterable
 
 from ..runtime import WorkloadSpec
+from .server import MAX_HEADERS
 
 __all__ = ["ServeClient", "ServeUnavailable", "ServeError",
            "ServeRejected", "parse_endpoint"]
+
+
+#: Longest response line read (the daemon's own stream-reader limit).
+_MAX_LINE = 64 * 1024
 
 
 class ServeError(Exception):
@@ -67,24 +76,6 @@ def parse_endpoint(address: str) -> tuple[str, str, int | None]:
     return "uds", address, None  # bare path reads as a Unix socket
 
 
-class _UDSHTTPConnection(http.client.HTTPConnection):
-    """``http.client`` over an ``AF_UNIX`` socket."""
-
-    def __init__(self, path: str, timeout: float | None = None) -> None:
-        super().__init__("localhost", timeout=timeout)
-        self._uds_path = path
-
-    def connect(self) -> None:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(self.timeout)  # None: blocking, as created
-            sock.connect(self._uds_path)
-        except BaseException:
-            sock.close()  # never assigned to self.sock: close() misses it
-            raise
-        self.sock = sock
-
-
 class ServeClient:
     """One connection to a serve daemon; reconnects transparently."""
 
@@ -94,24 +85,31 @@ class ServeClient:
         self.kind, self._target, self._port = parse_endpoint(address)
         self.timeout = timeout
         self.client_id = client_id
-        self._conn: http.client.HTTPConnection | None = None
+        self._client_field = (f',"client":{json.dumps(client_id)}'
+                              if client_id else "")
+        self._sock: socket.socket | None = None
+        self._rfile = None
 
     # -- transport --------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            if self.kind == "uds":
-                self._conn = _UDSHTTPConnection(self._target,
-                                                timeout=self.timeout)
-            else:
-                self._conn = http.client.HTTPConnection(
-                    self._target, self._port, timeout=self.timeout)
-        return self._conn
+    def _dial(self) -> None:
+        tcp = self.kind == "tcp"
+        sock = socket.socket(socket.AF_INET if tcp else socket.AF_UNIX)
+        try:
+            sock.settimeout(self.timeout)  # None: blocking, as created
+            sock.connect((self._target, self._port) if tcp else self._target)
+            if tcp:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except BaseException:
+            sock.close()  # never assigned to self._sock: close() misses it
+            raise
+        self._sock, self._rfile = sock, sock.makefile("rb")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -119,63 +117,94 @@ class ServeClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
+        """One request in one write; the response's status and body."""
+        self._sock.sendall(request)
+        lines = []  # the status line, then the header lines
+        for _ in range(MAX_HEADERS + 2):
+            line = self._rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise ServeError(f"response line over {_MAX_LINE} bytes")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            lines.append(line)
+        else:
+            raise ServeError(f"more than {MAX_HEADERS} response headers")
+        if not lines:  # a stale keep-alive connection
+            raise ConnectionError("server closed the connection")
+        status = lines[0][9:12]  # b"HTTP/1.1 200 OK\r\n"
+        if not (lines[0].startswith(b"HTTP/1.") and status.isdigit()):
+            raise ServeError(f"malformed status line {lines[0][:200]!r}")
+        headers = {name.strip(): value.strip() for name, _, value in
+                   (line.lower().partition(b":") for line in lines[1:])}
+        length = headers.get(b"content-length", b"")
+        if not length.isdigit():  # ASCII digits only: no sign, no space
+            raise ServeError(f"bad response Content-Length {length!r}")
+        body = self._rfile.read(int(length))
+        if len(body) < int(length):
+            raise ConnectionError("response body cut short")
+        if headers.get(b"connection") == b"close":
+            self.close()
+        return int(status), body
+
     def _request(self, method: str, path: str,
-                 payload: dict | None = None) -> tuple[int, dict, dict]:
-        body = (json.dumps(payload).encode("utf-8")
-                if payload is not None else None)
-        headers = {"Content-Type": "application/json"}
-        if self.client_id:
-            headers["X-Repro-Client"] = self.client_id
+                 body: str = "") -> tuple[int, dict]:
+        data = body.encode()
+        request = (f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {len(data)}\r\n\r\n").encode() + data
         for fresh in (False, True):
             if fresh:
                 self.close()  # stale keep-alive connection; redial once
-            conn = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
+                if self._sock is None:
+                    self._dial()
+                status, raw = self._exchange(request)
             except (ConnectionRefusedError, FileNotFoundError) as exc:
                 self.close()
                 raise ServeUnavailable(
                     f"no server at {self.address}: {exc}") from exc
-            except (http.client.HTTPException, OSError) as exc:
+            except ServeError:
+                self.close()  # the response's framing is lost
+                raise
+            except OSError as exc:
                 self.close()
                 if fresh:
                     raise ServeUnavailable(
                         f"lost server at {self.address}: {exc}") from exc
                 continue
             try:
-                parsed = json.loads(raw.decode("utf-8")) if raw else {}
+                parsed = json.loads(raw) if raw else {}
             except ValueError as exc:
                 raise ServeError(
-                    f"non-JSON response ({response.status}): "
-                    f"{raw[:200]!r}") from exc
-            return response.status, parsed, dict(response.getheaders())
+                    f"non-JSON response ({status}): {raw[:200]!r}") from exc
+            return status, parsed
         raise AssertionError("unreachable")
 
     # -- API --------------------------------------------------------------
 
-    def health(self) -> dict:
-        status, payload, _headers = self._request("GET", "/healthz")
+    def _ok(self, method: str, path: str) -> dict:
+        status, payload = self._request(method, path)
         if status != 200:
-            raise ServeError(f"healthz returned {status}: {payload}")
+            raise ServeError(f"{path[1:]} returned {status}: {payload}")
         return payload
+
+    def health(self) -> dict:
+        return self._ok("GET", "/healthz")
 
     def stats(self) -> dict:
-        status, payload, _headers = self._request("GET", "/stats")
-        if status != 200:
-            raise ServeError(f"stats returned {status}: {payload}")
-        return payload
+        return self._ok("GET", "/stats")
 
     def shutdown(self) -> dict:
-        status, payload, _headers = self._request("POST", "/shutdown")
-        if status != 200:
-            raise ServeError(f"shutdown returned {status}: {payload}")
-        return payload
+        return self._ok("POST", "/shutdown")
 
     @staticmethod
-    def _spec_dict(spec: "WorkloadSpec | dict") -> dict:
-        return spec.to_dict() if isinstance(spec, WorkloadSpec) else spec
+    def _spec_text(spec: "WorkloadSpec | dict") -> str:
+        return (spec.canonical() if isinstance(spec, WorkloadSpec)
+                else json.dumps(spec))
+
+    def _batch_body(self, texts: list[str]) -> str:
+        return f'{{"specs":[{",".join(texts)}]{self._client_field}}}'
 
     def submit(self, spec: "WorkloadSpec | dict",
                max_wait: float = 60.0) -> dict:
@@ -186,13 +215,10 @@ class ServeClient:
         :class:`ServeRejected`.  Application failures come back as the
         envelope (``status: 'failed'``) — the caller decides severity.
         """
-        payload = {"spec": self._spec_dict(spec)}
-        if self.client_id:
-            payload["client"] = self.client_id
+        body = f'{{"spec":{self._spec_text(spec)}{self._client_field}}}'
         deadline = time.monotonic() + max_wait
         while True:
-            status, envelope, _headers = self._request(
-                "POST", "/submit", payload)
+            status, envelope = self._request("POST", "/submit", body)
             if status == 200:
                 return envelope
             if status == 429:
@@ -212,11 +238,9 @@ class ServeClient:
         slots — after their ``retry_after`` hints, until ``max_wait``
         runs out and the remaining rejections are returned as-is.
         """
-        spec_dicts = [self._spec_dict(spec) for spec in specs]
-        payload: dict = {"specs": spec_dicts}
-        if self.client_id:
-            payload["client"] = self.client_id
-        status, parsed, _headers = self._request("POST", "/submit", payload)
+        texts = [self._spec_text(spec) for spec in specs]
+        status, parsed = self._request("POST", "/submit",
+                                       self._batch_body(texts))
         if status != 200:
             raise ServeError(f"submit returned {status}: {parsed}")
         outcomes = parsed["outcomes"]
@@ -231,9 +255,9 @@ class ServeClient:
             if time.monotonic() + wait > deadline:
                 return outcomes
             time.sleep(max(wait, 0.01))
-            status, parsed, _headers = self._request(
+            status, parsed = self._request(
                 "POST", "/submit",
-                {**payload, "specs": [spec_dicts[i] for i in retry]})
+                self._batch_body([texts[index] for index in retry]))
             if status != 200:
                 raise ServeError(f"submit returned {status}: {parsed}")
             for slot, envelope in zip(retry, parsed["outcomes"]):

@@ -90,16 +90,16 @@ _REASONS = {
 #: answered with 413 before any of the body is read.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
-#: Most header lines one request may carry (http.client's _MAXHEADERS);
-#: one more, or a header line past the stream reader's limit, is answered
-#: with 431 and the connection is closed (a request line past the limit
-#: gets 414).
+#: Most header lines one request (or, in ``ServeClient``, one response)
+#: may carry; one more, or a header line past the stream reader's limit,
+#: is answered with 431 and the connection is closed (a request line past
+#: the limit gets 414).
 MAX_HEADERS = 100
 
 #: Seconds a request may take from its first byte to its last; a client
 #: still sending after that (a slowloris) is answered with 408 and the
 #: connection is closed.  Idle keep-alive time between requests is not
-#: limited.
+#: limited.  A ``call_later`` timer fails the reader: no task per read.
 REQUEST_READ_TIMEOUT = 10.0
 
 #: Most encoded cache-hit envelopes the daemon keeps in memory, keyed by
@@ -186,35 +186,39 @@ class ReproServer:
         self._pool = ThreadPoolExecutor(
             max_workers=DISPATCH_WORKERS,
             thread_name_prefix="repro-serve")
-        self.endpoints = []
-        if self.config.uds is not None:
-            path = Path(self.config.uds)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.unlink(missing_ok=True)  # stale socket from a past run
-            server = await asyncio.start_unix_server(
-                self._handle_connection, path=str(path))
-            self._servers.append(server)
-            self.endpoints.append(f"unix://{path}")
-        if self.config.port is not None:
-            server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host,
-                port=self.config.port)
-            self._servers.append(server)
-            bound = server.sockets[0].getsockname()
-            self.endpoints.append(f"http://{bound[0]}:{bound[1]}")
-        # Cold plans simulate in worker processes that live as long as
-        # the daemon, so this process only parses, reads the cache and
-        # routes.  The nodes fork here, on the event-loop thread and
-        # before any dispatch thread exists, so no fork snapshots a lock
-        # another thread holds.
-        backend = ("process" if self.config.backend == "auto"
-                   else self.config.backend)
         self._executors = queue.SimpleQueue()
-        for _ in range(DISPATCH_WORKERS):
-            executor = make_backend(backend, jobs=self.config.jobs,
-                                    policy=self.config.policy)
-            executor.start()
-            self._executors.put(executor)
+        self.endpoints = []
+        try:
+            if self.config.uds is not None:
+                path = Path(self.config.uds)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.unlink(missing_ok=True)  # stale socket from a past run
+                server = await asyncio.start_unix_server(
+                    self._handle_connection, path=str(path))
+                self._servers.append(server)
+                self.endpoints.append(f"unix://{path}")
+            if self.config.port is not None:
+                server = await asyncio.start_server(
+                    self._handle_connection, host=self.config.host,
+                    port=self.config.port)
+                self._servers.append(server)
+                bound = server.sockets[0].getsockname()
+                self.endpoints.append(f"http://{bound[0]}:{bound[1]}")
+            # Cold plans simulate in worker processes that live as long
+            # as the daemon, so this process only parses, reads the cache
+            # and routes.  The nodes fork here, on the event-loop thread
+            # and before any dispatch thread exists, so no fork snapshots
+            # a lock another thread holds.
+            backend = ("process" if self.config.backend == "auto"
+                       else self.config.backend)
+            for _ in range(DISPATCH_WORKERS):
+                executor = make_backend(backend, jobs=self.config.jobs,
+                                        policy=self.config.policy)
+                executor.start()
+                self._executors.put(executor)
+        except BaseException:
+            await self.stop()  # closes listeners, socket file and nodes
+            raise
         self._started_at = time.monotonic()
         _obs.emit("serve.started", endpoints=list(self.endpoints))
         return self.endpoints
@@ -253,10 +257,9 @@ class ReproServer:
             while not self._executors.empty():
                 self._executors.get().close()
             self._executors = None
-        uptime = (time.monotonic() - self._started_at
-                  if self._started_at is not None else 0.0)
-        _obs.emit("serve.stopped", requests=self.stats["requests"],
-                  uptime=uptime)
+        if self._started_at is not None:
+            _obs.emit("serve.stopped", requests=self.stats["requests"],
+                      uptime=time.monotonic() - self._started_at)
         if self.config.uds is not None:
             Path(self.config.uds).unlink(missing_ok=True)
 
@@ -296,6 +299,8 @@ class ReproServer:
         except (asyncio.IncompleteReadError, ConnectionResetError,
                 BrokenPipeError):
             pass  # client went away mid-request; nothing to answer
+        except TimeoutError:
+            pass  # drain re-raises a missed read deadline after its 408
         except asyncio.CancelledError:
             pass  # server shutdown cancels idle keep-alive connections
         finally:
@@ -321,13 +326,21 @@ class ReproServer:
         first = await reader.read(1)
         if not first:
             return None
+        deadline = asyncio.get_running_loop().call_later(
+            REQUEST_READ_TIMEOUT, reader.set_exception, TimeoutError())
         try:
-            return await asyncio.wait_for(cls._read_rest(reader, first),
-                                          REQUEST_READ_TIMEOUT)
-        except asyncio.TimeoutError:
+            request = await cls._read_rest(reader, first)
+        except TimeoutError:
+            pass
+        finally:
+            deadline.cancel()
+        # Also set by a timer that fired after the last bytes came in
+        # but before the read resumed: that request is late too.
+        if isinstance(reader.exception(), TimeoutError):
             raise _BadRequest(
                 f"request not completed within {REQUEST_READ_TIMEOUT:g}s",
-                status=408) from None
+                status=408)
+        return request
 
     @staticmethod
     async def _read_rest(
@@ -496,7 +509,7 @@ class ReproServer:
         Only a key that is the spec's own canonical text enters: a body
         carrying fields ``from_dict`` ignores is answered but not kept.
         """
-        if key != _canonical(spec.to_dict()):
+        if key != spec.canonical():
             return
         self._hot[key] = (envelope["digest"], envelope["label"], encoded)
         self._hot.move_to_end(key)

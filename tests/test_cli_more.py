@@ -53,6 +53,8 @@ class TestFaultFlags:
         (["worker", "Q", "--retries", "0"], "--retries"),
         (["worker", "Q", "--lease-ttl", "-5"], "--lease-ttl"),
         (["serve", "--timeout", "0"], "--timeout"),
+        (["sweep", "--backend", "process", "--jobs", "0"], "--jobs"),
+        (["serve", "--jobs", "0", "--uds", "serve.sock"], "--jobs"),
     ])
     def test_out_of_range_numbers_are_usage_errors(self, argv, flag,
                                                    capsys):

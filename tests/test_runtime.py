@@ -6,6 +6,7 @@ skips simulation on hits and misses cleanly on digest or schema changes,
 and every result type round-trips through ``to_dict``/``from_dict``.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -185,6 +186,22 @@ class TestSpecs:
             dict(spec.to_dict(), seed=spec.seed + 1))
         assert "_digest" not in fresh.__dict__
         assert reseeded.digest() == fresh.digest() != first
+
+    def test_digest_is_the_schema_payload_hash(self):
+        # Cache entries and perfbench pins are keyed by this formula.
+        from repro.graph.datasets import DATASET_KEYS
+        from repro.harness.sweep import APPS
+        from repro.runtime import RESULT_SCHEMA_VERSION
+
+        for spec in ExecutionPlan.for_sweep(DATASET_KEYS, APPS):
+            payload = json.dumps(
+                {"schema": RESULT_SCHEMA_VERSION, "spec": spec.to_dict()},
+                sort_keys=True, separators=(",", ":"))
+            assert spec.digest() == \
+                hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            assert spec.canonical() == json.dumps(
+                spec.to_dict(), sort_keys=True, separators=(",", ":"))
+            assert spec.canonical() is spec.canonical()
 
     def test_plan_digest_is_order_sensitive(self, small_plan):
         reversed_plan = ExecutionPlan(units=small_plan.units[::-1])

@@ -6,10 +6,13 @@ identical cold requests coalesce onto one simulation, cache hits keep
 flowing while admission control is saturated by cold work, both
 transports (TCP and Unix-domain) round-trip digests and labels, and a
 restarted daemon serves previously computed digests from the result
-cache without re-simulating anything.
+cache without re-simulating anything.  A warm hit costs the client one
+spec encode and one socket write and the daemon no new task, and the
+client fails closed on a response it cannot frame.
 """
 
 import concurrent.futures as cf
+import contextlib
 import json
 import multiprocessing
 import os
@@ -481,6 +484,7 @@ class TestServerEdge:
             reply = _raw_exchange(config.uds, b"GET /heal")
             assert time.monotonic() - started < 5.0
             assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+            assert reply.count(b"HTTP/1.1 ") == 1
             assert b"Connection: close" in reply
             # A keep-alive connection idle between requests past the
             # limit is still served.
@@ -494,6 +498,25 @@ class TestServerEdge:
                 while chunk := sock.recv(65536):
                     chunks.append(chunk)
             assert b"".join(chunks).startswith(b"HTTP/1.1 200 ")
+
+    def test_slow_request_raises_nothing_on_the_loop(
+            self, tmp_path, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT", 0.3)
+        config = _uds_config(tmp_path, backend="serial")
+        errors = []
+        with ThreadedServer(config) as server:
+            installed = threading.Event()
+            server._loop.call_soon_threadsafe(lambda: (
+                server._loop.set_exception_handler(
+                    lambda loop, context: errors.append(context)),
+                installed.set()))
+            assert installed.wait(10)
+            reply = _raw_exchange(config.uds, b"GET /heal")
+            time.sleep(0.2)  # the connection task finishes after the close
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert errors == []
 
     def test_transfer_encoding_gets_one_501_and_a_close(self, tmp_path):
         config = _uds_config(tmp_path, backend="serial")
@@ -774,6 +797,207 @@ class TestHotMap:
         [(_digest, _label, encoded)] = hot.values()
         assert json.loads(encoded)["result"] == expected
         assert stats["simulated"] == 1
+
+
+class TestWarmHitFloor:
+    """A repeated spec costs one encode, one client write and no task."""
+
+    def test_submitting_a_spec_twice_encodes_it_once(
+            self, tmp_path, small_plan, small_results, monkeypatch):
+        from repro.runtime import WorkloadSpec
+
+        spec = WorkloadSpec.from_dict(small_plan[0].to_dict())
+        calls = []
+        to_dict = WorkloadSpec.to_dict
+
+        def counting(self):
+            if self is spec:
+                calls.append(1)
+            return to_dict(self)
+
+        monkeypatch.setattr(WorkloadSpec, "to_dict", counting)
+        config = _warm_config(tmp_path, small_plan, small_results,
+                              backend="serial")
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0], client_id="c") as client:
+                assert client.submit(spec)["source"] == "cache"
+                assert client.submit(spec)["source"] == "cache"
+        assert len(calls) <= 1
+
+    def test_each_submit_is_one_socket_write(
+            self, tmp_path, small_plan, small_results, monkeypatch):
+        dialed = []
+
+        class Counting(socket.socket):
+            # Accepted sockets are built with a fileno; a dial is not.
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.writes = 0
+                if kwargs.get("fileno") is None:
+                    dialed.append(self)
+
+            def send(self, data, *args):
+                self.writes += 1
+                return super().send(data, *args)
+
+            def sendall(self, data, *args):
+                self.writes += 1
+                return super().sendall(data, *args)
+
+        spec = small_plan[0]
+        config = _warm_config(tmp_path, small_plan, small_results,
+                              backend="serial")
+        with ThreadedServer(config) as server:
+            monkeypatch.setattr(socket, "socket", Counting)
+            with ServeClient(server.endpoints[0]) as client:
+                for _ in range(5):
+                    assert client.submit(spec)["source"] == "cache"
+                client.submit_many(list(small_plan))
+        assert len(dialed) == 1
+        assert dialed[0].writes == 6
+
+    def test_hot_hits_start_no_task(self, tmp_path, small_plan,
+                                    small_results):
+        import asyncio
+
+        spec = small_plan[0]
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        config = _warm_config(tmp_path, small_plan, small_results,
+                              backend="serial")
+        with ThreadedServer(config) as server:
+            loop = server._loop
+
+            def install(task_factory):
+                done = threading.Event()
+                loop.call_soon_threadsafe(
+                    lambda: (loop.set_task_factory(task_factory),
+                             done.set()))
+                assert done.wait(10)
+
+            with ServeClient(server.endpoints[0]) as client:
+                # The first request dials (one connection task) and
+                # fills the hot map from disk.
+                assert client.submit(spec)["source"] == "cache"
+                install(factory)
+                try:
+                    for _ in range(50):
+                        assert client.submit(spec)["source"] == "cache"
+                finally:
+                    install(None)
+        assert created == []
+
+
+@contextlib.contextmanager
+def _fake_server(path, reply: bytes):
+    """A Unix-socket listener answering every request with ``reply``."""
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(str(path))
+    listener.listen(4)
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        listener.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestClientFraming:
+    @pytest.mark.parametrize("reply, message", [
+        (b"GARBAGE\r\n\r\n", "malformed status line"),
+        (b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\n{}",
+         "malformed status line"),
+        (b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{}",
+         "Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+         "Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\n{}",
+         "Content-Length"),
+        (b"HTTP/1.1 200 OK\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+         + b"Content-Length: 2\r\n\r\n{}", "more than 100"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000
+         + b"\r\nContent-Length: 2\r\n\r\n{}", "over 65536 bytes"),
+    ], ids=["garbage", "bad-code", "no-length", "bad-length",
+            "negative-length", "101-headers", "long-header"])
+    def test_malformed_response_fails_closed(self, tmp_path, reply,
+                                             message):
+        path = tmp_path / "fake.sock"
+        with _fake_server(path, reply):
+            with ServeClient(f"unix://{path}", timeout=5) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.health()
+                assert client._sock is None  # framing lost: dropped
+        assert type(excinfo.value) is ServeError
+        assert message in str(excinfo.value)
+
+    def test_connection_close_drops_the_socket(self, tmp_path):
+        path = tmp_path / "fake.sock"
+        with _fake_server(
+                path, b"HTTP/1.1 200 OK\r\nContent-Length: 16\r\n"
+                b"Connection: close\r\n\r\n{\"status\": \"ok\"}"):
+            with ServeClient(f"unix://{path}", timeout=5) as client:
+                assert client.health() == {"status": "ok"}
+                assert client._sock is None
+                assert client.health() == {"status": "ok"}
+
+    def test_tcp_connection_sets_nodelay(self, tmp_path):
+        config = ServeConfig(port=0, cache_dir=tmp_path / "cache",
+                             backend="serial")
+        with ThreadedServer(config) as server:
+            with ServeClient(server.endpoints[0]) as client:
+                assert client.health() == {"status": "ok"}
+                assert client._sock.getsockopt(socket.IPPROTO_TCP,
+                                               socket.TCP_NODELAY)
+
+    def test_one_client_survives_a_daemon_restart(
+            self, tmp_path, small_plan, small_results):
+        spec = small_plan[0]
+        config = _warm_config(tmp_path, small_plan, small_results,
+                              backend="serial")
+        with ServeClient(f"unix://{config.uds}") as client:
+            with ThreadedServer(config):
+                assert client.submit(spec)["source"] == "cache"
+            # The kept-alive connection went with the first daemon; the
+            # next request redials the second one on the same path.
+            with ThreadedServer(config):
+                assert client.submit(spec)["source"] == "cache"
+                assert client.stats()["requests"] == 1
+
+
+class TestStartFailure:
+    @pytest.mark.parametrize("failure", ["jobs", "port"])
+    def test_failing_start_leaves_no_socket_file(self, tmp_path, failure):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            overrides = ({"jobs": 0} if failure == "jobs"
+                         else {"port": taken.getsockname()[1]})
+            server = ThreadedServer(_uds_config(tmp_path, **overrides))
+            try:
+                with pytest.raises((ValueError, OSError)):
+                    server.start()
+            finally:
+                server.stop()
+        assert not (tmp_path / "serve.sock").exists()
 
 
 class TestServerObservability:
