@@ -8,37 +8,20 @@ well the taxonomy generalizes beyond its training matrix (the experiment
 the paper's Table V performs for its own six apps).
 
 This sweep is separate from the shared Figure-5 sweep on purpose: the
-paper benchmarks and the perf-regression baseline are pinned to the
-original six applications (``PAPER_APPS``), while this one covers
-exactly the registry's additions.
+paper benchmarks are pinned to the original six applications
+(``PAPER_APPS``), while this one covers exactly the registry's
+additions.
 """
 
 import math
-import os
 
-from repro.harness import GRAPHS, render_table, run_sweep
+from repro.harness import GRAPHS, render_table
 from repro.harness.sweep import APPS, PAPER_APPS
 
-from .conftest import emit, quick_mode
+from .conftest import emit, get_sweep
 
 #: Everything the registry grew beyond the paper's matrix.
 NEW_APPS = tuple(app for app in APPS if app not in PAPER_APPS)
-
-_CACHE: dict = {}
-
-
-def get_generalization_sweep():
-    """The new-workload sweep (graphs x NEW_APPS), once per session."""
-    if "sweep" not in _CACHE:
-        max_iters = 2 if quick_mode() else None
-        _CACHE["sweep"] = run_sweep(
-            apps=NEW_APPS,
-            max_iters=max_iters,
-            jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
-            cache=os.environ.get("REPRO_BENCH_CACHE_DIR") or None,
-            progress=lambda label: print(f"  [gen] {label}", flush=True),
-        )
-    return _CACHE["sweep"]
 
 
 def _geomean(values):
@@ -47,7 +30,7 @@ def _geomean(values):
 
 
 def test_generalization_predictions(benchmark, results_dir):
-    sweep = benchmark.pedantic(get_generalization_sweep, rounds=1,
+    sweep = benchmark.pedantic(get_sweep, args=(NEW_APPS,), rounds=1,
                                iterations=1)
     total = len(GRAPHS) * len(NEW_APPS)
     assert len(sweep.rows) == total
@@ -128,7 +111,7 @@ def test_generalization_predictions(benchmark, results_dir):
 
 
 def test_generalization_rows_simulate_all_configs(benchmark, results_dir):
-    sweep = benchmark.pedantic(get_generalization_sweep, rounds=1,
+    sweep = benchmark.pedantic(get_sweep, args=(NEW_APPS,), rounds=1,
                                iterations=1)
     for row in sweep.rows:
         # All four additions are static-traversal apps: the Figure 5

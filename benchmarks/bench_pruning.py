@@ -9,25 +9,31 @@ at several ``(k, explore)`` settings, and reports, per setting:
   ``oracle best cycles / pruned best cycles`` (1.0 = the pruned subset
   always contained the true winner; the ROADMAP target is >= 0.95);
 * simulation cost — configuration-simulations as a fraction of the
-  oracle's (deterministic; this is what the CI gate checks) alongside
-  the measured trace-gen/simulate/total wall seconds (reported, but
-  machine-dependent);
+  oracle's and the ops those simulations executed (both deterministic)
+  alongside the measured trace-gen/simulate/total wall seconds
+  (reported, but machine-dependent);
 * prediction bookkeeping under restriction — ``exact_of_simulated``
   and ``oracle_unknown_rows``.
 
-Modes mirror ``bench_perf.py``: quick (``REPRO_BENCH_QUICK=1`` or
-``--quick``) caps workloads at 2 iterations; full uses each kernel's
-default.  Results go to ``BENCH_pruning.json`` (``"schema": 1``).
+Quick mode (``REPRO_BENCH_QUICK=1`` or ``--quick``) caps workloads at 2
+iterations; full uses each kernel's default.  Results go to
+``BENCH_pruning.json`` (``"schema": 1``).
 
-``--min-achieved R --max-cost F`` is the CI gate: exit 1 unless some
-measured setting reaches achieved-vs-oracle >= R at a config-simulation
-fraction <= F.
+``--min-achieved R --max-cost F`` is the quality gate: exit 1 unless
+some measured setting reaches achieved-vs-oracle >= R at a
+config-simulation fraction <= F.
+
+``--check-against FILE`` is the modeled-work gate: exit 1 when any
+deterministic field (:data:`ORACLE_FIELDS`, :data:`VARIANT_FIELDS`, the
+mode and the workload count) differs from FILE, naming each such field.
+Wall-clock fields are reported, never compared.
 
 Usage::
 
     PYTHONPATH=src REPRO_BENCH_QUICK=1 python benchmarks/bench_pruning.py
     PYTHONPATH=src REPRO_BENCH_QUICK=1 python benchmarks/bench_pruning.py \
-        --min-achieved 0.95 --max-cost 0.5 --no-write
+        --min-achieved 0.95 --max-cost 0.5 \
+        --check-against BENCH_pruning.json --no-write
 """
 
 from __future__ import annotations
@@ -47,13 +53,23 @@ QUICK_ITERS = 2
 #: The (k, explore) settings measured, cheapest first.
 SETTINGS = ((1, 0), (1, 1), (2, 1))
 
+#: The oracle's and each variant's fields that depend only on the code
+#: (a variant is named by its ``k`` and ``explore``): ``--check-against``
+#: compares exactly these, plus ``mode`` and ``workloads``.
+ORACLE_FIELDS = ("ops", "config_sims", "exact_predictions")
+VARIANT_FIELDS = ("ops", "config_sims", "configs_fraction",
+                  "achieved_geomean", "achieved_worst", "worst_workload",
+                  "exact_of_simulated", "oracle_unknown_rows", "rows")
+_MISSING = "<missing>"
+
 
 def _geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def _timed_sweep(max_iters: int | None, **kwargs):
-    """One uncached in-process sweep with the perf collector on."""
+    """One uncached in-process sweep with the perf collector on: the
+    sweep, its ops and its wall-clock phases."""
     from repro.harness import PAPER_APPS, run_sweep
     from repro.perf import collector
 
@@ -70,7 +86,7 @@ def _timed_sweep(max_iters: int | None, **kwargs):
         "simulate_s": round(snap["simulate_s"], 3),
         "total_s": round(snap["total_s"], 3),
     }
-    return sweep, phases
+    return sweep, snap["ops"], phases
 
 
 def _config_sims(sweep) -> int:
@@ -89,7 +105,8 @@ def _oracle_best(sweep) -> dict:
 def _measure_setting(k: int, explore: int, max_iters: int | None,
                      oracle_best: dict, oracle_sims: int,
                      oracle_phases: dict) -> dict:
-    sweep, phases = _timed_sweep(max_iters, prune_k=k, explore=explore)
+    sweep, ops, phases = _timed_sweep(max_iters, prune_k=k,
+                                      explore=explore)
     achieved = []
     worst = (1.0, None)
     for row in sweep.rows:
@@ -102,6 +119,7 @@ def _measure_setting(k: int, explore: int, max_iters: int | None,
     return {
         "k": k,
         "explore": explore,
+        "ops": ops,
         "config_sims": sims,
         "configs_fraction": round(sims / oracle_sims, 3),
         "phases": phases,
@@ -123,7 +141,7 @@ def run_bench(quick: bool) -> dict:
 
     max_iters = QUICK_ITERS if quick else None
     print("oracle sweep (full Figure-5 grid)", flush=True)
-    oracle, oracle_phases = _timed_sweep(max_iters)
+    oracle, oracle_ops, oracle_phases = _timed_sweep(max_iters)
     oracle_sims = _config_sims(oracle)
     best = _oracle_best(oracle)
 
@@ -139,6 +157,7 @@ def run_bench(quick: bool) -> dict:
         "commit": commit_stamp(REPO_ROOT),
         "workloads": len(oracle.rows),
         "oracle": {
+            "ops": oracle_ops,
             "config_sims": oracle_sims,
             "phases": oracle_phases,
             "exact_predictions": oracle.exact_predictions,
@@ -174,6 +193,46 @@ def check_gate(measured: dict, min_achieved: float,
     return 1
 
 
+def _deterministic(measured: dict) -> dict:
+    """Every compared field of a measurement, by dotted name (an absent
+    field reads as :data:`_MISSING`, so a dropped field differs too)."""
+    fields = {name: measured.get(name, _MISSING)
+              for name in ("mode", "workloads")}
+    oracle = measured.get("oracle", {})
+    for name in ORACLE_FIELDS:
+        fields[f"oracle.{name}"] = oracle.get(name, _MISSING)
+    for variant in measured.get("variants", ()):
+        tag = f"k={variant.get('k')},explore={variant.get('explore')}"
+        for name in VARIANT_FIELDS:
+            fields[f"variants[{tag}].{name}"] = variant.get(name, _MISSING)
+    return fields
+
+
+def compare_measurements(measured: dict, reference: dict) -> list[str]:
+    """One line per deterministic field where ``measured`` differs from
+    ``reference``, naming the field (empty when the modeled work and
+    quality are identical)."""
+    ours, theirs = _deterministic(measured), _deterministic(reference)
+    lines = []
+    for name in sorted(ours.keys() | theirs.keys()):
+        old, new = theirs.get(name, _MISSING), ours.get(name, _MISSING)
+        if old != new:
+            lines.append(f"{name}: {old!r} committed, {new!r} measured")
+    return lines
+
+
+def check_against(measured: dict, reference_path: Path) -> int:
+    """Exit code for the modeled-work gate: 1 on any differing field."""
+    differences = compare_measurements(
+        measured, json.loads(reference_path.read_text()))
+    for line in differences:
+        print(f"  differs: {line}", file=sys.stderr)
+    print(f"modeled-work check against {reference_path}: "
+          + (f"FAILED ({len(differences)} field(s) differ)" if differences
+             else "OK (every deterministic field identical)"))
+    return 1 if differences else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -195,6 +254,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate: the qualifying setting must cost <= F "
                              "of the oracle's config-simulations "
                              "(default 0.5)")
+    parser.add_argument("--check-against", type=Path, default=None,
+                        metavar="FILE",
+                        help="exit 1 when any deterministic field (ops, "
+                             "config-sims, prediction counts, achieved "
+                             "quality) differs from this committed "
+                             "measurement")
     args = parser.parse_args(argv)
 
     quick = args.quick or os.environ.get("REPRO_BENCH_QUICK", "") == "1"
@@ -202,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
 
     oracle = measured["oracle"]
     print(f"\nmode={measured['mode']} workloads={measured['workloads']} "
-          f"oracle config-sims={oracle['config_sims']} "
+          f"oracle ops={oracle['ops']} "
+          f"config-sims={oracle['config_sims']} "
           f"oracle total {oracle['phases']['total_s']:.3f}s")
 
     status = 0
@@ -214,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"achieved {variant['achieved_geomean']:.4f}, "
                   f"cost {variant['configs_fraction']:.1%} of oracle "
                   f"config-sims")
+    if args.check_against is not None:
+        status = check_against(measured, args.check_against) or status
 
     if not args.no_write:
         args.output.write_text(json.dumps(measured, indent=1) + "\n")

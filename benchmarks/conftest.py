@@ -2,8 +2,8 @@
 
 The Figure 5 sweep is the expensive artifact (36 workloads x 4-5
 configurations of trace-driven simulation); Figures 6 and the partial
-design-space study are different views of the same data, so the sweep is
-computed once per pytest session and shared.
+design-space study are different views of the same data, so each app
+matrix's sweep is computed once per pytest session and shared.
 
 Every benchmark writes its regenerated table/figure to ``results/`` and
 also prints it (run pytest with ``-s`` to see the output inline).
@@ -24,31 +24,32 @@ def quick_mode() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 
 
-def get_sweep():
-    """The paper's 36-workload sweep, computed once per session.
+def get_sweep(apps=None):
+    """The sweep of every graph x ``apps``, computed once per session
+    per app tuple.
 
-    Pinned to ``PAPER_APPS``: these benchmarks reproduce the paper's
-    figures and regression baselines, which cover exactly the original
-    six applications (the BFS/KC/TC/LP additions are evaluated by
-    ``bench_generalization.py`` with its own sweep).
+    ``apps`` defaults to ``PAPER_APPS``: these benchmarks reproduce the
+    paper's figures and regression baselines, which cover exactly the
+    original six applications (``bench_generalization.py`` asks for the
+    BFS/KC/TC/LP additions).
 
     The sweep executes through ``repro.runtime``: set
     ``REPRO_BENCH_JOBS=N`` to fan workloads across N worker processes
     and ``REPRO_BENCH_CACHE_DIR=DIR`` to reuse per-workload results
     across benchmark sessions (interrupted runs resume for free).
     """
-    if "sweep" not in _CACHE:
-        from repro.harness import PAPER_APPS, run_sweep
+    from repro.harness import PAPER_APPS, run_sweep
 
-        max_iters = 2 if quick_mode() else None
-        _CACHE["sweep"] = run_sweep(
-            apps=PAPER_APPS,
-            max_iters=max_iters,
+    apps = tuple(PAPER_APPS if apps is None else apps)
+    if apps not in _CACHE:
+        _CACHE[apps] = run_sweep(
+            apps=apps,
+            max_iters=2 if quick_mode() else None,
             jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
             cache=os.environ.get("REPRO_BENCH_CACHE_DIR") or None,
             progress=lambda label: print(f"  [sweep] {label}", flush=True),
         )
-    return _CACHE["sweep"]
+    return _CACHE[apps]
 
 
 @pytest.fixture(scope="session")

@@ -526,6 +526,7 @@ def _checked(cast, ok, rule: str):
 _COUNT = _checked(int, lambda value: value >= 1, ">= 1")
 _NON_NEGATIVE = _checked(int, lambda value: value >= 0, ">= 0")
 _SECONDS = _checked(float, lambda value: value > 0, "> 0")
+_PORT = _checked(int, lambda value: 0 <= value <= 65535, "in 0-65535")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,14 +600,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("app")
     p_run.add_argument("--configs", help="comma-separated codes (e.g. "
                                          "TG0,SGR,SDR)")
-    p_run.add_argument("--iters", type=int, default=None,
+    p_run.add_argument("--iters", type=_COUNT, default=None,
                        help="cap simulated iterations")
 
     p_sweep = sub.add_parser("sweep",
                              parents=[cache_flags, fault_flags, perf_flags,
                                       obs_flags],
                              help="full 36-workload sweep (slow)")
-    p_sweep.add_argument("--iters", type=int, default=None)
+    p_sweep.add_argument("--iters", type=_COUNT, default=None)
     p_sweep.add_argument("--jobs", type=_COUNT, default=1,
                          help="worker nodes for the sweep (with the "
                               "default auto backend, 1 without "
@@ -665,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_LEASE_TTL, metavar="SECONDS",
                           help="lease time-to-live this node claims with "
                                f"(default {DEFAULT_LEASE_TTL:g})")
-    p_worker.add_argument("--poll", type=float, default=0.05,
+    p_worker.add_argument("--poll", type=_SECONDS, default=0.05,
                           metavar="SECONDS",
                           help="idle sleep between claim scans "
                                "(default 0.05)")
@@ -678,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sweep-as-a-service daemon")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="TCP bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=None, metavar="PORT",
+    p_serve.add_argument("--port", type=_PORT, default=None, metavar="PORT",
                          help="TCP port to listen on (0 = ephemeral; "
                               "omit for UDS-only)")
     p_serve.add_argument("--uds", default=None, metavar="PATH",
@@ -707,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "unix:///path.sock)")
     p_submit.add_argument("--configs", help="comma-separated codes (e.g. "
                                             "TG0,SGR,SDR)")
-    p_submit.add_argument("--iters", type=int, default=None,
+    p_submit.add_argument("--iters", type=_COUNT, default=None,
                           help="cap simulated iterations")
     p_submit.add_argument("--client", default=None, metavar="NAME",
                           help="client id for admission-control fairness "
@@ -732,7 +733,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.port is None and args.uds is None:
+        parser.error("serve needs --port and/or --uds")
     return _COMMANDS[args.command](args)
 
 

@@ -4,8 +4,8 @@ This measures how long *we* take (trace realization vs. simulation), not
 anything the simulator models.  Results therefore never enter
 :class:`~repro.harness.runner.WorkloadResult` — serialized outcomes must
 stay bit-identical whether or not profiling is on — and live instead in a
-process-wide :class:`PerfCollector` that `repro ... --profile` and
-``benchmarks/bench_perf.py`` read.
+process-wide :class:`PerfCollector` that ``repro ... --profile`` and
+``benchmarks/bench_pruning.py`` read.
 
 Collection is disabled by default; when enabled it costs two
 ``perf_counter`` calls per phase per iteration.  The collector is

@@ -59,7 +59,8 @@ class ServeRejected(ServeError):
 def parse_endpoint(address: str) -> tuple[str, str, int | None]:
     """Split an endpoint string into ``(kind, target, port)``.
 
-    ``http://host:port`` -> ``('tcp', host, port)``;
+    ``http://host:port`` -> ``('tcp', host, port)``, an IPv6 host
+    bracketed (``http://[::1]:8080`` -> ``('tcp', '::1', 8080)``);
     ``unix:///path.sock`` (or a bare filesystem path) ->
     ``('uds', path, None)``.
     """
@@ -67,8 +68,14 @@ def parse_endpoint(address: str) -> tuple[str, str, int | None]:
         return "uds", address[len("unix://"):], None
     if address.startswith("http://"):
         rest = address[len("http://"):].rstrip("/")
-        host, _, port = rest.partition(":")
-        if not port:
+        host, colon, port = rest.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
+        elif ":" in host or rest.startswith("["):
+            raise ValueError(f"endpoint {address!r}: an IPv6 host goes in "
+                             f"brackets before the port, as "
+                             f"http://[::1]:8080")
+        if not (colon and port):
             raise ValueError(f"endpoint {address!r} needs an explicit port")
         return "tcp", host, int(port)
     if "://" in address:
@@ -94,7 +101,13 @@ class ServeClient:
 
     def _dial(self) -> None:
         tcp = self.kind == "tcp"
-        sock = socket.socket(socket.AF_INET if tcp else socket.AF_UNIX)
+        if not tcp:
+            family = socket.AF_UNIX
+        elif ":" in self._target:  # an IPv6 literal (parse_endpoint)
+            family = socket.AF_INET6
+        else:
+            family = socket.AF_INET
+        sock = socket.socket(family)
         try:
             sock.settimeout(self.timeout)  # None: blocking, as created
             sock.connect((self._target, self._port) if tcp else self._target)

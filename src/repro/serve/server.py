@@ -202,8 +202,10 @@ class ReproServer:
                     self._handle_connection, host=self.config.host,
                     port=self.config.port)
                 self._servers.append(server)
-                bound = server.sockets[0].getsockname()
-                self.endpoints.append(f"http://{bound[0]}:{bound[1]}")
+                host, port = server.sockets[0].getsockname()[:2]
+                if ":" in host:  # IPv6: bracketed, as parse_endpoint reads
+                    host = f"[{host}]"
+                self.endpoints.append(f"http://{host}:{port}")
             # Cold plans simulate in worker processes that live as long
             # as the daemon, so this process only parses, reads the cache
             # and routes.  The nodes fork here, on the event-loop thread

@@ -55,6 +55,12 @@ class TestFaultFlags:
         (["serve", "--timeout", "0"], "--timeout"),
         (["sweep", "--backend", "process", "--jobs", "0"], "--jobs"),
         (["serve", "--jobs", "0", "--uds", "serve.sock"], "--jobs"),
+        (["run", "DCT", "PR", "--iters", "0"], "--iters"),
+        (["sweep", "--iters", "-1"], "--iters"),
+        (["submit", "DCT", "PR", "--server", "unix:///s.sock",
+          "--iters", "0"], "--iters"),
+        (["serve", "--port", "70000"], "--port"),
+        (["worker", "Q", "--poll", "0"], "--poll"),
     ])
     def test_out_of_range_numbers_are_usage_errors(self, argv, flag,
                                                    capsys):
@@ -63,6 +69,14 @@ class TestFaultFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    def test_serve_without_a_listener_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "serve needs --port and/or --uds" in err
         assert "Traceback" not in err
 
     def test_keep_going_and_fail_fast_conflict(self, capsys):

@@ -1,9 +1,9 @@
 """Committed benchmark numbers name the tree that produced them.
 
-``benchmarks/bench_perf.py``, ``benchmarks/bench_pruning.py`` and
-``tools/serve_loadgen.py`` stamp their output with
-:func:`repro.perf.commit_stamp`: HEAD's short hash, marked ``-dirty``
-when a tracked file differs from HEAD (untracked files do not count).
+``benchmarks/bench_pruning.py`` and ``tools/serve_loadgen.py`` stamp
+their output with :func:`repro.perf.commit_stamp`: HEAD's short hash,
+marked ``-dirty`` when a tracked file differs from HEAD (untracked files
+do not count).
 """
 
 import subprocess

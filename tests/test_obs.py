@@ -201,6 +201,87 @@ class TestMetricsRegistry:
         assert snapshot["sources"]["perf"]["workloads"] == 3
 
 
+class TestDisabledOverheadIsACount:
+    """Off, observability and the perf collector cost a count of calls
+    that does not grow with modeled work: observer ``enabled`` reads are
+    a constant plus one per kernel launch fed, ``emit`` calls a
+    constant, and collector ``clock`` calls zero.  Units whose op counts
+    differ by at least 2x tell a per-op call from a per-unit one.
+    """
+
+    @staticmethod
+    def _count_calls(patch, calls: Counter) -> None:
+        """Move the process-wide observer and collector onto subclasses
+        that count into ``calls``; layouts match, so ``__class__`` swaps."""
+        from repro.perf import PerfCollector, collector
+
+        slot = obs.Observer.enabled  # the slot's member descriptor
+
+        class CountingObserver(obs.Observer):
+            __slots__ = ()
+
+            @property
+            def enabled(self):
+                calls["enabled"] += 1
+                return slot.__get__(self)
+
+            @enabled.setter
+            def enabled(self, value):
+                slot.__set__(self, value)
+
+            def emit(self, kind, **data):
+                calls["emit"] += 1
+                super().emit(kind, **data)
+
+        class CountingCollector(PerfCollector):
+            __slots__ = ()
+
+            @staticmethod
+            def clock():
+                calls["clock"] += 1
+                return PerfCollector.clock()
+
+        patch.setattr(obs.OBSERVER, "__class__", CountingObserver)
+        patch.setattr(collector, "__class__", CountingCollector)
+
+    @staticmethod
+    def _ops(spec) -> int:
+        from repro.perf import collector
+
+        collector.reset()
+        collector.enabled = True
+        try:
+            run_plan([spec], cache=None)
+            return collector.ops
+        finally:
+            collector.enabled = False
+            collector.reset()
+
+    @pytest.mark.parametrize("app, graph", [("PR", "DCT"), ("CC", "RAJ")])
+    def test_calls_do_not_scale_with_ops(self, app, graph, monkeypatch):
+        specs = [ExecutionPlan.for_sweep((graph,), (app,), max_iters=iters,
+                                         scales=SMALL_SCALES)[0]
+                 for iters in (1, 2, 4)]
+        ops = [self._ops(spec) for spec in specs]
+        assert ops[-1] >= 2 * ops[0], ops
+
+        per_unit = []  # (enabled reads beyond one per kernel, emit, clock)
+        for spec in specs:
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                self._count_calls(patch, calls)
+                [result] = run_plan([spec], cache=None)
+            kernels = sum(len(sim.kernel_cycles)
+                          for sim in result.results.values())
+            per_unit.append((calls["enabled"] - kernels, calls["emit"],
+                             calls["clock"]))
+        reads, emits, clocks = zip(*per_unit)
+        assert len(set(reads)) == 1, \
+            f"enabled reads beyond one per kernel grow with ops: {reads}"
+        assert len(set(emits)) == 1, f"emit calls grow with ops: {emits}"
+        assert set(clocks) == {0}, f"collector clock called: {clocks}"
+
+
 class TestGoldenEquivalenceWithEventsOn:
     """Acceptance: all 30 golden configs bit-identical with events on."""
 

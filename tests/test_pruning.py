@@ -12,6 +12,7 @@ fix):
   hit.
 """
 
+import copy
 import json
 import math
 from dataclasses import replace
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.bench_pruning import SETTINGS
+from benchmarks.bench_pruning import SETTINGS, compare_measurements
 from repro.configs import figure5_configurations
 from repro.graph import load_dataset
 from repro.harness import run_sweep
@@ -38,6 +39,7 @@ from repro.sim import StallBreakdown
 from repro.sim.engine import ExecutionResult
 
 PRUNE_SUBSETS = Path(__file__).parent / "data" / "prune_subsets.json"
+BENCH_PRUNING = Path(__file__).parent.parent / "BENCH_pruning.json"
 
 MINI = dict(graphs=("RAJ",), apps=("MIS", "CC"), max_iters=1,
             scales={"RAJ": 32})
@@ -147,6 +149,50 @@ class TestPrunedPlanPin:
     def test_plan_matches_pin(self, fixture_tool, k, explore):
         assert fixture_tool.prune_subsets(k, explore) == \
             self.PAYLOAD["subsets"][f"k={k},explore={explore}"]
+
+
+class TestModeledWorkCheck:
+    """``bench_pruning.py --check-against``: deterministic fields are
+    compared and named, wall-clock fields never are."""
+
+    @pytest.fixture
+    def pair(self):
+        """A measurement to edit and the committed one it is checked
+        against."""
+        committed = json.loads(BENCH_PRUNING.read_text())
+        return copy.deepcopy(committed), committed
+
+    def test_identical_measurements_pass(self, pair):
+        assert compare_measurements(*pair) == []
+
+    def test_changed_ops_fails_and_is_named(self, pair):
+        measured, _ = pair
+        measured["oracle"]["ops"] += 1
+        [difference] = compare_measurements(*pair)
+        assert difference.startswith("oracle.ops:")
+
+    def test_changed_variant_quality_fails_and_is_named(self, pair):
+        measured, _ = pair
+        measured["variants"][0]["achieved_geomean"] = 0.5
+        [difference] = compare_measurements(*pair)
+        assert difference.startswith(
+            "variants[k=1,explore=0].achieved_geomean:")
+
+    def test_dropped_field_fails(self, pair):
+        measured, _ = pair
+        del measured["variants"][-1]["ops"]
+        [difference] = compare_measurements(*pair)
+        assert difference.startswith("variants[k=2,explore=1].ops:")
+        assert "<missing>" in difference
+
+    def test_wall_clock_is_never_compared(self, pair):
+        measured, _ = pair
+        measured["commit"] = "elsewhere"
+        measured["oracle"]["phases"]["total_s"] *= 3
+        for variant in measured["variants"]:
+            variant["phases"]["simulate_s"] += 100.0
+            variant["total_fraction"] = 9.9
+        assert compare_measurements(*pair) == []
 
 
 class TestRestrictedPlans:

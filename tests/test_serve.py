@@ -149,12 +149,18 @@ class TestParseEndpoint:
             ("uds", "/tmp/x.sock", None)
         assert parse_endpoint(str(tmp_path / "s.sock")) == \
             ("uds", str(tmp_path / "s.sock"), None)
+        assert parse_endpoint("http://[::1]:8080") == ("tcp", "::1", 8080)
 
     def test_rejects_bad_forms(self):
         with pytest.raises(ValueError):
             parse_endpoint("http://nohost")
         with pytest.raises(ValueError):
             parse_endpoint("ftp://x")
+        with pytest.raises(ValueError, match="explicit port"):
+            parse_endpoint("http://[::1]:")
+        for unbracketed in ("http://::1:8080", "http://[::1]"):
+            with pytest.raises(ValueError, match="brackets"):
+                parse_endpoint(unbracketed)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,15 @@ class TestServerRoundTrip:
                 assert cold["digest"] == spec.digest()
                 assert cold["label"] == spec.label
                 assert client.submit(spec)["source"] == "cache"
+
+    def test_ipv6_endpoint_is_announced_bracketed_and_dialed(self,
+                                                             tmp_path):
+        config = ServeConfig(host="::1", port=0, cache_dir=tmp_path / "c")
+        with ThreadedServer(config) as server:
+            endpoint = server.endpoints[0]
+            assert endpoint.startswith("http://[::1]:")
+            with ServeClient(endpoint) as client:
+                assert client.health()["status"] == "ok"
 
     def test_submit_many_preserves_order(self, tmp_path, small_plan):
         specs = list(small_plan)

@@ -1,12 +1,13 @@
 """cProfile the simulator's hot path on one workload.
 
-Companion to ``benchmarks/bench_perf.py``: the bench tracks wall-clock
-trends; this tool answers *where* the time goes when a trend moves.  It
-runs one workload (default: PR on EML, 2 iterations, the full static
-config matrix) under cProfile and prints the top functions.
+Companion to ``perfbench/run.py``: perfbench tracks wall-clock trends
+in alternating parent/change pairs; this tool answers *where* the time
+goes when a trend moves.  It runs one workload (default: PR on EML, 2
+iterations, the full static config matrix) under cProfile and prints
+the top functions.
 
 cProfile inflates call-heavy code severalfold — use the reported times to
-rank functions, and ``bench_perf.py`` / ``--profile`` wall numbers for
+rank functions, and perfbench / ``repro ... --profile`` wall numbers for
 any before/after claim.
 
 Usage::
